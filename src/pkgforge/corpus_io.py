@@ -2,8 +2,9 @@
 
 Four artifact families live here: the step database (steps.jsonl), the
 segment corpus (manifest.jsonl plus binary feature files), model
-checkpoints (JSON header line plus raw f32 payload), and the mean-pooling
-helper used to coarsen fine-grained segment features.
+checkpoints (JSON header line plus the f32 cast of a model's flat parameter
+vector), and the mean-pooling helper used to coarsen fine-grained segment
+features.
 
 All floating point payloads are little-endian f32 on disk; everything is
 promoted to f64 the moment it enters memory.
@@ -216,6 +217,9 @@ def read_feature_file(path: str | Path) -> np.ndarray:
         if fh.read(1):
             raise CorpusFormatError(f"{path}: trailing bytes after payload")
     data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(f"{path}: row {int(np.argmin(finite))} holds a non-finite feature")
     return data.astype(np.float64)
 
 
@@ -321,20 +325,11 @@ class ModelCheckpoint:
         return out
 
 
-def checkpoint_from_params(params: dict[str, np.ndarray], metadata: dict) -> ModelCheckpoint:
-    shapes = []
-    flats = []
-    for name, arr in params.items():
-        arr = np.asarray(arr)
-        if arr.ndim == 1:
-            shapes.append((name, 1, arr.shape[0]))
-        elif arr.ndim == 2:
-            shapes.append((name, arr.shape[0], arr.shape[1]))
-        else:
-            raise ValueError(f"parameter {name!r} must be 1-D or 2-D")
-        flats.append(arr.astype("<f4").ravel())
-    weights = np.concatenate(flats) if flats else np.zeros(0, dtype="<f4")
-    return ModelCheckpoint(shapes=shapes, weights=weights, metadata=metadata)
+def checkpoint_from_params(
+    params: np.ndarray, shapes: list[tuple[str, int, int]], metadata: dict
+) -> ModelCheckpoint:
+    """The f32 cast of a model's flat parameter vector, laid out by `shapes`."""
+    return ModelCheckpoint(shapes=shapes, weights=params.astype("<f4"), metadata=metadata)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:

@@ -33,19 +33,6 @@ class NodeAssignment:
         return self.node_of.shape[0]
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v); both vectors must be nonzero and of equal dimension."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine distance undefined for zero-norm vectors")
-    return 1.0 - float(np.dot(u, v)) / (nu * nv)
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))

@@ -41,6 +41,10 @@ class DownstreamConfig:
     val_fraction: float = 0.2
     seed: int = 0
 
+    def __post_init__(self):
+        if self.aggregation not in ("mean", "sum"):
+            raise ValueError(f"aggregation must be 'mean' or 'sum', got {self.aggregation!r}")
+
     def hidden_for(self, kind: str) -> int:
         return self.hidden_tr if kind == TASK_RECOGNITION else self.hidden_sr
 
@@ -199,20 +203,23 @@ def build_downstream_dataset(
 
 
 class DownstreamModel:
-    """Learned absolute positional table plus a one-hidden-layer classifier."""
+    """Learned absolute positional table plus a one-hidden-layer classifier.
+
+    Both live in one flat f64 parameter vector laid out as positions, then
+    clf.w0, clf.b0, clf.w1, clf.b1, with a same-layout gradient vector.
+    """
 
     def __init__(self, dim: int, n_classes: int, kind: str, config: DownstreamConfig, rng):
         self.config = config
-        if rng is None:
-            self.positions = np.zeros((config.max_positions, dim))
-        else:
-            self.positions = glorot_uniform(rng, config.max_positions, dim)
-        self.classifier = Mlp([dim, config.hidden_for(kind), n_classes], rng)
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        params = {"positions": self.positions}
-        params.update(self.classifier.named_params("clf"))
-        return params
+        dims = [dim, config.hidden_for(kind), n_classes]
+        n_pos = config.max_positions * dim
+        self.params = np.zeros(n_pos + Mlp.size(dims))
+        self.grads = np.zeros_like(self.params)
+        self.positions = self.params[:n_pos].reshape(config.max_positions, dim)
+        self.position_grads = self.grads[:n_pos].reshape(config.max_positions, dim)
+        if rng is not None:
+            self.positions[...] = glorot_uniform(rng, config.max_positions, dim)
+        self.classifier = Mlp(dims, rng, self.params[n_pos:], self.grads[n_pos:])
 
     def _aggregate(self, features: np.ndarray) -> np.ndarray:
         length = features.shape[0]
@@ -230,25 +237,16 @@ class DownstreamModel:
         logits, cache = self.classifier.forward(aggs)
         return logits, cache
 
-    def backward(self, batch, cache, dlogits):
-        grads = {}
-        gw, gb, dagg = self.classifier.backward(cache, dlogits)
-        for i in range(self.classifier.n_layers):
-            grads[f"clf.w{i}"] = gw[i]
-            grads[f"clf.b{i}"] = gb[i]
-        dpos = np.zeros_like(self.positions)
+    def backward(self, batch, cache, dlogits) -> np.ndarray:
+        """Overwrites and returns the flat gradient vector."""
+        dagg = self.classifier.backward(cache, dlogits)
+        dpos = self.position_grads
+        dpos[...] = 0.0
         for row, ex in enumerate(batch):
             length = ex.features.shape[0]
             g = dagg[row] if self.config.aggregation == "sum" else dagg[row] / length
             dpos[:length] += g
-        grads["positions"] = dpos
-        return grads
-
-
-def downstream_forward(model: DownstreamModel, example: DownstreamExample) -> np.ndarray:
-    """Class scores for one example."""
-    logits, _ = model.forward([example])
-    return logits[0]
+        return self.grads
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +274,11 @@ def train_downstream(
         raise ValueError("empty training split")
     rng = np.random.default_rng(config.seed)
     model = DownstreamModel(dim, splits.n_classes, splits.kind, config, rng)
-    params = model.named_params()
+    params = model.params
     adam = AdamState.for_params(params)
 
     best_acc = -1.0
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = params.copy()
     stall = 0
     history = {"train_loss": [], "val_accuracy": []}
     batch_size = min(config.batch_size, len(splits.train))
@@ -309,7 +307,7 @@ def train_downstream(
             history["val_accuracy"].append(acc)
             if acc > best_acc:
                 best_acc = acc
-                best_params = {k: v.copy() for k, v in params.items()}
+                best = params.copy()
                 stall = 0
             else:
                 stall += 1
@@ -317,8 +315,7 @@ def train_downstream(
                     log.info("downstream early stop at epoch %d", epoch)
                     break
         else:
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = params.copy()
 
-    for key, value in best_params.items():
-        params[key][...] = value
+    params[...] = best
     return model, history

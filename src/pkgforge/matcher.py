@@ -8,8 +8,6 @@ score, then ascending id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus_io import StepDatabase
@@ -17,26 +15,6 @@ from .dedup import NodeAssignment
 
 DEFAULT_MATCH_THRESHOLD = 10.0
 DEFAULT_TOP_K = 3
-
-
-@dataclass
-class SegmentMatches:
-    video_id: str
-    segment_index: int
-    headline_scores: np.ndarray  # (num_headlines,) float64
-    matched_headlines: list[int]  # score strictly above threshold, ranked
-    node_scores: np.ndarray  # (num_nodes,) float64, max over members
-
-
-def headline_scores(segment: np.ndarray, db: StepDatabase) -> np.ndarray:
-    """Dot product of one segment feature against every headline embedding."""
-    segment = np.asarray(segment, dtype=np.float64)
-    emb = db.embedding_matrix()
-    if segment.shape[0] != emb.shape[1]:
-        raise ValueError(
-            f"segment dimension {segment.shape[0]} does not match database dimension {emb.shape[1]}"
-        )
-    return emb @ segment
 
 
 def score_video(segments: np.ndarray, db: StepDatabase) -> np.ndarray:
@@ -99,19 +77,3 @@ def vsm_top_headlines(scores: np.ndarray, k: int = DEFAULT_TOP_K) -> list[int]:
     scores = np.asarray(scores, dtype=np.float64)
     candidates = np.nonzero(scores > 0)[0]
     return ranked_indices(scores, candidates)[:k]
-
-
-def match_segment(
-    video_id: str,
-    segment_index: int,
-    scores: np.ndarray,
-    assignment: NodeAssignment,
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-) -> SegmentMatches:
-    return SegmentMatches(
-        video_id=video_id,
-        segment_index=segment_index,
-        headline_scores=scores,
-        matched_headlines=matched_headlines(scores, match_threshold),
-        node_scores=node_scores_from_headlines(scores, assignment),
-    )

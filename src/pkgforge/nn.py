@@ -2,12 +2,15 @@
 
 Everything runs in float64: that is what makes the finite-difference
 gradient checks meaningful and reruns bit-identical. Layers are plain
-affine maps with rectifiers between them and a linear output.
+affine maps with rectifiers between them and a linear output. A model keeps
+all of its parameters in one flat vector (its layers are views into it), so
+Adam, snapshots and checkpoints each handle a single array; a checkpoint
+payload is the f32 cast of that vector in declaration order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +34,51 @@ def softplus(x: np.ndarray) -> np.ndarray:
 
 
 class Mlp:
-    """Affine layers with ReLU between them; the final layer stays linear."""
+    """Affine layers with ReLU between them; the final layer stays linear.
 
-    def __init__(self, dims: list[int], rng: np.random.Generator | None = None):
+    All weights and biases are reshaped views into one flat f64 parameter
+    vector laid out as w0, b0, w1, b1, ...; backward writes into views of a
+    same-layout gradient vector. A model passes in its own slices of both so
+    that every layer it owns lives in one buffer; a standalone Mlp allocates
+    its own. Given parameters keep their values unless rng draws new ones.
+    """
+
+    def __init__(
+        self,
+        dims: list[int],
+        rng: np.random.Generator | None = None,
+        params: np.ndarray | None = None,
+        grads: np.ndarray | None = None,
+    ):
         if len(dims) < 2:
             raise ValueError("an MLP needs at least input and output dimensions")
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer widths must be >= 1, got {dims}")
         self.dims = list(dims)
-        self.weights = []
-        self.biases = []
-        for a, b in zip(dims, dims[1:]):
-            if rng is None:
-                self.weights.append(np.zeros((a, b)))
-                self.biases.append(np.zeros(b))
-            else:
+        size = self.size(dims)
+        self.params = np.zeros(size) if params is None else params
+        self.grads = np.zeros(size) if grads is None else grads
+        self.weights, self.biases = _layer_views(self.params, dims)
+        self.weight_grads, self.bias_grads = _layer_views(self.grads, dims)
+        if rng is not None:
+            for w, b in zip(self.weights, self.biases):
                 # biases share the layer's uniform range: exact-zero biases
                 # park dead units right on the rectifier kink, which breaks
                 # finite-difference verification
-                limit = np.sqrt(6.0 / (a + b))
-                self.weights.append(rng.uniform(-limit, limit, size=(a, b)))
-                self.biases.append(rng.uniform(-limit, limit, size=b))
+                limit = np.sqrt(6.0 / (w.shape[0] + w.shape[1]))
+                w[...] = rng.uniform(-limit, limit, size=w.shape)
+                b[...] = rng.uniform(-limit, limit, size=b.shape)
+
+    @staticmethod
+    def size(dims: list[int]) -> int:
+        return sum(a * b + b for a, b in zip(dims, dims[1:]))
+
+    def shapes(self, prefix: str) -> list[tuple[str, int, int]]:
+        """Checkpoint shape entries in layout order; biases are (name, 1, n)."""
+        out = []
+        for i, (a, b) in enumerate(zip(self.dims, self.dims[1:])):
+            out += [(f"{prefix}.w{i}", a, b), (f"{prefix}.b{i}", 1, b)]
+        return out
 
     @property
     def n_layers(self) -> int:
@@ -69,30 +96,26 @@ class Mlp:
             acts.append(np.maximum(pre, 0.0) if i < self.n_layers - 1 else pre)
         return acts[-1], (acts, pres)
 
-    def backward(self, cache, grad_out: np.ndarray):
-        """Returns (weight grads, bias grads, grad wrt input)."""
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Overwrites this layer stack's gradient slice; returns grad wrt input."""
         acts, pres = cache
-        grads_w = [None] * self.n_layers
-        grads_b = [None] * self.n_layers
         g = grad_out
         for i in reversed(range(self.n_layers)):
             dpre = g if i == self.n_layers - 1 else g * (pres[i] > 0)
-            grads_w[i] = acts[i].T @ dpre
-            grads_b[i] = dpre.sum(axis=0)
+            np.matmul(acts[i].T, dpre, out=self.weight_grads[i])
+            dpre.sum(axis=0, out=self.bias_grads[i])
             g = dpre @ self.weights[i].T
-        return grads_w, grads_b, g
+        return g
 
-    def named_params(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {}
-        for i in range(self.n_layers):
-            out[f"{prefix}.w{i}"] = self.weights[i]
-            out[f"{prefix}.b{i}"] = self.biases[i]
-        return out
 
-    def load_params(self, prefix: str, params: dict[str, np.ndarray]) -> None:
-        for i in range(self.n_layers):
-            self.weights[i][...] = params[f"{prefix}.w{i}"]
-            self.biases[i][...] = params[f"{prefix}.b{i}"]
+def _layer_views(flat: np.ndarray, dims: list[int]):
+    weights, biases = [], []
+    offset = 0
+    for a, b in zip(dims, dims[1:]):
+        weights.append(flat[offset : offset + a * b].reshape(a, b))
+        biases.append(flat[offset + a * b : offset + a * b + b])
+        offset += a * b + b
+    return weights, biases
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
@@ -120,23 +143,21 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    scratch: dict[str, np.ndarray] = field(default_factory=dict)
+    """First and second moments plus a scratch buffer, laid out like the parameters."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     t: int = 0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-            scratch={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def for_params(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params), scratch=np.zeros_like(params))
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    param: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -146,30 +167,27 @@ def adam_step(
 ) -> None:
     """One in-place Adam update with bias correction (L2-style weight decay).
 
-    Works through per-parameter scratch buffers: the optimizer runs every
-    mini-batch over every tensor, so temporary allocations dominate if left
-    to numpy.
+    Runs once over a model's whole flat parameter vector. Adam is
+    elementwise, so this equals a per-tensor update bit for bit; the scratch
+    buffer keeps the mini-batch loop free of temporaries.
     """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if weight_decay:
-            g = g + weight_decay * p
-        m = state.m[name]
-        v = state.v[name]
-        sc = state.scratch[name]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=sc)
-        m += sc
-        v *= beta2
-        np.multiply(g, g, out=sc)
-        sc *= 1.0 - beta2
-        v += sc
-        np.divide(v, bc2, out=sc)
-        np.sqrt(sc, out=sc)
-        sc += eps
-        np.divide(m, sc, out=sc)
-        sc *= lr / bc1
-        p -= sc
+    g = grad
+    if weight_decay:
+        g = g + weight_decay * param
+    m, v, sc = state.m, state.v, state.scratch
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=sc)
+    m += sc
+    v *= beta2
+    np.multiply(g, g, out=sc)
+    sc *= 1.0 - beta2
+    v += sc
+    np.divide(v, bc2, out=sc)
+    np.sqrt(sc, out=sc)
+    sc += eps
+    np.divide(m, sc, out=sc)
+    sc *= lr / bc1
+    param -= sc

@@ -6,6 +6,11 @@ classes use hidden widths C//4 and C//2; heads over task-style classes use
 a single C//2 hidden layer. Every objective is multi-label binary cross
 entropy and the total loss is their unweighted sum. All gradients are
 hand-derived and checked against central finite differences.
+
+The adapter and heads share one flat f64 parameter vector laid out as
+adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
+head in spec order. Adam steps that vector whole, and the checkpoint
+payload is its f32 cast, with that layout as the shape table.
 """
 
 from __future__ import annotations
@@ -91,6 +96,9 @@ def expand_objectives(objectives, nrl_hops: int) -> list[str]:
 
 
 def head_specs_from_header(header: dict, objectives, nrl_hops: int) -> list[HeadSpec]:
+    # a header that records no hop count is not checked
+    if "nrl" in objectives and nrl_hops > header.get("nrl_hops", nrl_hops):
+        raise ValueError(f"nrl_hops={nrl_hops} exceeds the labels' nrl_hops={header['nrl_hops']}")
     specs = []
     for name in expand_objectives(objectives, nrl_hops):
         if name.startswith("nrl_"):
@@ -148,18 +156,28 @@ class PaprikaModel:
     adapter: Mlp
     heads: dict[str, Mlp]
     specs: list[HeadSpec]
+    params: np.ndarray  # flat, adapter then heads in spec order
+    grads: np.ndarray  # same layout as params
 
     @classmethod
     def build(cls, dim: int, specs: list[HeadSpec], bottleneck: int, rng: np.random.Generator):
-        adapter = Mlp([dim, bottleneck, dim], rng)
-        heads = {s.name: Mlp(s.dims(dim), rng) for s in specs}
-        return cls(adapter=adapter, heads=heads, specs=specs)
+        all_dims = [[dim, bottleneck, dim]] + [s.dims(dim) for s in specs]
+        total = sum(Mlp.size(d) for d in all_dims)
+        params, grads = np.zeros(total), np.zeros(total)
+        mlps = []
+        offset = 0
+        for dims in all_dims:
+            end = offset + Mlp.size(dims)
+            mlps.append(Mlp(dims, rng, params[offset:end], grads[offset:end]))
+            offset = end
+        heads = {s.name: mlp for s, mlp in zip(specs, mlps[1:])}
+        return cls(adapter=mlps[0], heads=heads, specs=specs, params=params, grads=grads)
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        params = self.adapter.named_params("adapter")
+    def shapes(self) -> list[tuple[str, int, int]]:
+        out = self.adapter.shapes("adapter")
         for spec in self.specs:
-            params.update(self.heads[spec.name].named_params(f"head.{spec.name}"))
-        return params
+            out += self.heads[spec.name].shapes(f"head.{spec.name}")
+        return out
 
 
 def _dense_targets(index_lists: list[np.ndarray], rows, n_classes: int) -> np.ndarray:
@@ -172,10 +190,9 @@ def _dense_targets(index_lists: list[np.ndarray], rows, n_classes: int) -> np.nd
 
 
 def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict[str, np.ndarray], coeffs: dict[str, float]):
-    """Total BCE over all heads plus gradients for every named parameter."""
+    """Total BCE over all heads; overwrites and returns the model's flat gradient."""
     z, adapter_cache = model.adapter.forward(x)
     total = 0.0
-    grads: dict[str, np.ndarray] = {}
     dz = np.zeros_like(z)
     for spec in model.specs:
         head = model.heads[spec.name]
@@ -183,16 +200,9 @@ def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict
         loss, dlogits = bce_with_logits(logits, dense_targets[spec.name])
         coeff = coeffs.get(spec.name, 1.0)
         total += coeff * loss
-        gw, gb, dz_head = head.backward(cache, coeff * dlogits)
-        for i in range(head.n_layers):
-            grads[f"head.{spec.name}.w{i}"] = gw[i]
-            grads[f"head.{spec.name}.b{i}"] = gb[i]
-        dz += dz_head
-    gw, gb, _ = model.adapter.backward(adapter_cache, dz)
-    for i in range(model.adapter.n_layers):
-        grads[f"adapter.w{i}"] = gw[i]
-        grads[f"adapter.b{i}"] = gb[i]
-    return total, grads
+        dz += head.backward(cache, coeff * dlogits)
+    model.adapter.backward(adapter_cache, dz)
+    return total, model.grads
 
 
 def model_loss(model: PaprikaModel, x, dense_targets, coeffs) -> float:
@@ -239,7 +249,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     model = PaprikaModel.build(dim, specs, config.bottleneck, rng)
-    params = model.named_params()
+    params = model.params
     adam = AdamState.for_params(params)
 
     videos = np.unique(video_of)
@@ -255,7 +265,7 @@ def train(
 
     coeffs = dict(config.loss_coefficients)
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = params.copy()
     best_epoch = 0
     stall = 0
     history = {"train_loss": [], "val_loss": []}
@@ -286,7 +296,7 @@ def train(
             history["val_loss"].append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best_params = {k: v.copy() for k, v in params.items()}
+                best = params.copy()
                 best_epoch = epoch
                 stall = 0
             else:
@@ -295,7 +305,7 @@ def train(
                     log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
                     break
         else:
-            best_params = {k: v.copy() for k, v in params.items()}
+            best = params.copy()
             best_epoch = epoch
 
     metadata = {
@@ -310,7 +320,7 @@ def train(
         "best_epoch": best_epoch,
         "best_val_loss": None if not val_idx.size else best_val,
     }
-    ckpt = checkpoint_from_params(best_params, metadata)
+    ckpt = checkpoint_from_params(best, model.shapes(), metadata)
     return ckpt, history
 
 
@@ -319,12 +329,16 @@ def train(
 
 
 def adapter_from_checkpoint(ckpt: ModelCheckpoint) -> Mlp:
-    params = ckpt.unpack()
-    dim = ckpt.metadata["dim"]
+    """The adapter from the leading slice of a pretraining checkpoint."""
+    dim = ckpt.metadata.get("dim")
     bottleneck = ckpt.metadata.get("bottleneck", BOTTLENECK_DIM)
-    adapter = Mlp([dim, bottleneck, dim])
-    adapter.load_params("adapter", params)
-    return adapter
+    want = [("adapter.w0", dim, bottleneck), ("adapter.b0", 1, bottleneck),
+            ("adapter.w1", bottleneck, dim), ("adapter.b1", 1, dim)]
+    got = [tuple(entry) for entry in ckpt.shapes[:4]]
+    if got != want:
+        raise ValueError(f"checkpoint does not start with the adapter layout {want}: {got}")
+    dims = [dim, bottleneck, dim]
+    return Mlp(dims, params=ckpt.weights[: Mlp.size(dims)].astype(np.float64))
 
 
 def apply_adapter(adapter: Mlp, features: np.ndarray) -> np.ndarray:
@@ -347,7 +361,7 @@ def gradient_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Samples n_coords parameter coordinates across all tensors. The
+    Samples n_coords coordinates of the model's flat parameter vector. The
     denominator is floored at 1e-3 so coordinates with (near-)zero true
     gradient are judged on the absolute scale where finite differences are
     trustworthy.
@@ -355,28 +369,19 @@ def gradient_check(
     coeffs = coeffs or {}
     rng = rng or np.random.default_rng(0)
     _, grads = model_loss_and_grads(model, x, dense_targets, coeffs)
-    params = model.named_params()
-
-    names = sorted(params)
-    sizes = np.array([params[k].size for k in names])
-    total = int(sizes.sum())
-    picks = rng.choice(total, size=min(n_coords, total), replace=False)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    params = model.params
+    picks = rng.choice(params.size, size=min(n_coords, params.size), replace=False)
 
     worst = 0.0
-    for flat_index in sorted(int(p) for p in picks):
-        slot = int(np.searchsorted(offsets, flat_index, side="right") - 1)
-        name = names[slot]
-        local = flat_index - offsets[slot]
-        flat_view = params[name].reshape(-1)
-        saved = flat_view[local]
-        flat_view[local] = saved + h
+    for i in sorted(int(p) for p in picks):
+        saved = params[i]
+        params[i] = saved + h
         plus = model_loss(model, x, dense_targets, coeffs)
-        flat_view[local] = saved - h
+        params[i] = saved - h
         minus = model_loss(model, x, dense_targets, coeffs)
-        flat_view[local] = saved
+        params[i] = saved
         fd = (plus - minus) / (2.0 * h)
-        an = float(grads[name].reshape(-1)[local])
+        an = float(grads[i])
         if abs(fd) < 1e-12 and abs(an) < 1e-12:
             continue
         worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-3))

@@ -67,14 +67,15 @@ def random_graph(rng: np.random.Generator, max_nodes=12, density=0.35) -> Proced
 
 
 def random_checkpoint(rng: np.random.Generator) -> ModelCheckpoint:
-    params = {}
+    shapes, chunks = [], []
     for i in range(int(rng.integers(1, 5))):
         rows = int(rng.integers(1, 6))
         cols = int(rng.integers(1, 6))
-        arr = rng.normal(size=(rows, cols)) if rows > 1 else rng.normal(size=cols)
-        params[f"layer.{i}"] = arr
+        shapes.append((f"layer.{i}", rows, cols))
+        chunks.append(rng.normal(size=rows * cols))
     return checkpoint_from_params(
-        params, {"dim": 4, "seed": int(rng.integers(100)), "config_hash": "abc123"}
+        np.concatenate(chunks), shapes,
+        {"dim": 4, "seed": int(rng.integers(100)), "config_hash": "abc123"},
     )
 
 

@@ -43,6 +43,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"train": {"bogus": 2}})
 
+    def test_unknown_aggregation_rejected(self):
+        with pytest.raises(ValueError, match="aggregation"):
+            PipelineConfig.from_dict({"downstream": {"aggregation": "max"}})
+
     def test_paper_defaults(self):
         cfg = PipelineConfig()
         assert cfg.dedup_threshold == 0.09

@@ -124,6 +124,16 @@ class TestFeatureFiles:
         with pytest.raises(CorpusFormatError, match="f.pkgf"):
             corpus_io.read_feature_file(path)
 
+    def test_non_finite_rejected_with_file_and_first_row(self, tmp_path):
+        for bad in (np.nan, np.inf, -np.inf):
+            data = np.ones((5, 3))
+            data[3, 1] = bad
+            data[4, 0] = bad
+            path = tmp_path / "f.pkgf"
+            corpus_io.write_feature_file(path, data)
+            with pytest.raises(CorpusFormatError, match=r"f\.pkgf: row 3 "):
+                corpus_io.read_feature_file(path)
+
 
 class TestSegmentCorpus:
     def test_load(self, tmp_path):

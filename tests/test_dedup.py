@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from pkgforge.dedup import cluster_headlines, cosine_distance
+from pkgforge.dedup import cluster_headlines
 
-from oracles import components_partition
+from oracles import components_partition, cosine_distance
 
 
 def _partition(assignment):

@@ -94,7 +94,7 @@ class TestModelMath:
         model = DownstreamModel(3, 4, "TR", cfg, np.random.default_rng(0))
         model.positions[...] = 0.0
         ex = DownstreamExample(np.zeros((2, 3)), 0, "v")
-        logits = ds.downstream_forward(model, ex)
+        logits = model.forward([ex])[0][0]
         # with zero aggregate the classifier sees only its bias path
         hidden = np.maximum(model.classifier.biases[0], 0.0)
         want = hidden @ model.classifier.weights[1] + model.classifier.biases[1]
@@ -105,7 +105,7 @@ class TestModelMath:
         rng = np.random.default_rng(1)
         model = DownstreamModel(3, 4, "TR", cfg, rng)
         x = rng.normal(size=(1, 3))
-        got = ds.downstream_forward(model, DownstreamExample(x, 0, "v"))
+        got = model.forward([DownstreamExample(x, 0, "v")])[0][0]
         want, _ = model.classifier.forward(x + model.positions[0])
         np.testing.assert_allclose(got, want[0], atol=1e-12)
 
@@ -118,7 +118,7 @@ class TestModelMath:
         model.classifier.weights[1][...] = [[1.0, 0.0], [0.0, 2.0]]
         model.classifier.biases[1][...] = [0.05, 0.0]
         ex = DownstreamExample(np.array([[1.0, 0.0], [0.0, 1.0]]), 0, "v")
-        logits = ds.downstream_forward(model, ex)
+        logits = model.forward([ex])[0][0]
         # mean of (1.1, 0.2) and (-0.1, 1.3) is (0.5, 0.75)
         np.testing.assert_allclose(logits, [0.55, 1.5], atol=1e-12)
 
@@ -128,7 +128,7 @@ class TestModelMath:
         model.classifier.weights[0][...] = np.eye(2)
         model.classifier.weights[1][...] = np.eye(2)
         ex = DownstreamExample(np.array([[1.0, 0.0], [1.0, 2.0]]), 0, "v")
-        np.testing.assert_allclose(ds.downstream_forward(model, ex), [2.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(model.forward([ex])[0][0], [2.0, 2.0], atol=1e-12)
 
     def test_positional_shift_with_zero_first_layer(self):
         cfg = DownstreamConfig()
@@ -136,9 +136,9 @@ class TestModelMath:
         model = DownstreamModel(3, 4, "TR", cfg, rng)
         model.classifier.weights[0][...] = 0.0
         ex = DownstreamExample(rng.normal(size=(2, 3)), 0, "v")
-        before = ds.downstream_forward(model, ex)
+        before = model.forward([ex])[0][0]
         model.positions += np.array([1.0, -2.0, 0.5])  # constant shift of every entry
-        after = ds.downstream_forward(model, ex)
+        after = model.forward([ex])[0][0]
         np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_aggregate_linear_in_position_shift(self):

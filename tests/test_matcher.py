@@ -20,20 +20,20 @@ class TestHeadlineScores:
     def test_unit_dots(self):
         db = _db([(1.0, 0.0), (0.0, 1.0)])
         np.testing.assert_array_equal(
-            matcher.headline_scores(np.array([1.0, 0.0]), db), [1.0, 0.0]
+            matcher.score_video(np.array([[1.0, 0.0]]), db)[0], [1.0, 0.0]
         )
 
     def test_zero_segment(self):
         db = _db([(1.0, 2.0), (3.0, 4.0)])
-        np.testing.assert_array_equal(matcher.headline_scores(np.zeros(2), db), [0.0, 0.0])
+        np.testing.assert_array_equal(matcher.score_video(np.zeros((1, 2)), db)[0], [0.0, 0.0])
 
     def test_plain_dot(self):
         db = _db([(4.0, -1.0)])
-        assert matcher.headline_scores(np.array([2.0, 3.0]), db)[0] == 5.0
+        assert matcher.score_video(np.array([[2.0, 3.0]]), db)[0, 0] == 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            matcher.headline_scores(np.ones(3), _db([(1.0, 0.0)]))
+            matcher.score_video(np.ones((1, 3)), _db([(1.0, 0.0)]))
 
 
 class TestMatchedHeadlines:
@@ -111,8 +111,8 @@ class TestNodeAggregation:
         rng = np.random.default_rng(2)
         db = _db(rng.normal(size=(6, 4)))
         assignment = assignment_from_roots([0, 0, 1, 2, 2, 3])
-        seg = rng.normal(size=4) * 10
-        sm = matcher.match_segment("v", 0, matcher.headline_scores(seg, db), assignment, 5.0)
-        assert set(sm.matched_headlines) <= set(range(6))
-        assert all(sm.headline_scores[h] > 5.0 for h in sm.matched_headlines)
-        assert sm.node_scores.shape == (4,)
+        scores = matcher.score_video(rng.normal(size=(1, 4)) * 10, db)[0]
+        matched = matcher.matched_headlines(scores, 5.0)
+        assert set(matched) <= set(range(6))
+        assert all(scores[h] > 5.0 for h in matched)
+        assert matcher.node_scores_from_headlines(scores, assignment).shape == (4,)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgforge import trainer
-from pkgforge.corpus_io import save_checkpoint
+from pkgforge.corpus_io import ModelCheckpoint, save_checkpoint
 from pkgforge.nn import AdamState, Mlp, adam_step, bce_with_logits
+
+from oracles import adam_per_tensor
 from pkgforge.trainer import (
     HeadSpec,
     PaprikaModel,
@@ -103,6 +107,14 @@ class TestHeadArchitecture:
         )
 
 
+    def test_nrl_hops_beyond_labels_rejected(self):
+        header = dict(_header(), nrl_hops=2)
+        with pytest.raises(ValueError, match="nrl_hops=3"):
+            head_specs_from_header(header, ("vnm", "nrl"), 3)
+        names = [s.name for s in head_specs_from_header(header, ("nrl",), 2)]
+        assert names == ["nrl_in_1", "nrl_out_1", "nrl_in_2", "nrl_out_2"]
+
+
 class TestBce:
     def test_logit_zero_target_one(self):
         loss, _ = bce_with_logits(np.array([[0.0]]), np.array([[1.0]]))
@@ -125,12 +137,12 @@ class TestBce:
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = {"p": np.array([1.0, -2.0])}
-        state = AdamState.for_params(params)
-        adam_step(params, {"p": np.zeros(2)}, state, lr=0.1)
-        np.testing.assert_array_equal(params["p"], [1.0, -2.0])
-        np.testing.assert_array_equal(state.m["p"], np.zeros(2))
-        np.testing.assert_array_equal(state.v["p"], np.zeros(2))
+        p = np.array([1.0, -2.0])
+        state = AdamState.for_params(p)
+        adam_step(p, np.zeros(2), state, lr=0.1)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
+        np.testing.assert_array_equal(state.m, np.zeros(2))
+        np.testing.assert_array_equal(state.v, np.zeros(2))
 
     def test_matches_scalar_reference_trace(self):
         # independent scalar implementation of two bias-corrected steps
@@ -142,20 +154,49 @@ class TestAdam:
             v_ref = b2 * v_ref + (1 - b2) * g * g
             p_ref -= lr * (m_ref / (1 - b1**t)) / (math.sqrt(v_ref / (1 - b2**t)) + eps)
 
-        params = {"p": np.array([1.0])}
-        state = AdamState.for_params(params)
+        p = np.array([1.0])
+        state = AdamState.for_params(p)
         for _ in range(2):
-            adam_step(params, {"p": np.array([g])}, state, lr=lr)
-        assert params["p"][0] == pytest.approx(p_ref, abs=1e-15)
+            adam_step(p, np.array([g]), state, lr=lr)
+        assert p[0] == pytest.approx(p_ref, abs=1e-15)
 
     def test_first_step_magnitude_is_learning_rate(self):
         rng = np.random.default_rng(4)
         g = rng.normal(size=5)
-        params = {"p": np.zeros(5)}
-        state = AdamState.for_params(params)
-        adam_step(params, {"p": g}, state, lr=0.01)
-        np.testing.assert_allclose(np.abs(params["p"]), np.full(5, 0.01), rtol=1e-6)
-        np.testing.assert_allclose(np.sign(params["p"]), -np.sign(g))
+        p = np.zeros(5)
+        state = AdamState.for_params(p)
+        adam_step(p, g, state, lr=0.01)
+        np.testing.assert_allclose(np.abs(p), np.full(5, 0.01), rtol=1e-6)
+        np.testing.assert_allclose(np.sign(p), -np.sign(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=5
+        ),
+        steps=st.integers(1, 6),
+        weight_decay=st.sampled_from([0.0, 1e-3, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_flat_step_equals_per_tensor_reference(self, shapes, steps, weight_decay, seed):
+        rng = np.random.default_rng(seed)
+        tensors = {f"t{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        flat = np.concatenate([t.ravel() for t in tensors.values()])
+        ref_state = {
+            "m": {k: np.zeros_like(t) for k, t in tensors.items()},
+            "v": {k: np.zeros_like(t) for k, t in tensors.items()},
+            "t": 0,
+        }
+        state = AdamState.for_params(flat)
+        for _ in range(steps):
+            grads = {k: rng.normal(size=t.shape) for k, t in tensors.items()}
+            flat_grad = np.concatenate([g.ravel() for g in grads.values()])
+            adam_per_tensor(tensors, grads, ref_state, lr=0.01, weight_decay=weight_decay)
+            adam_step(flat, flat_grad, state, lr=0.01, weight_decay=weight_decay)
+        assert state.t == ref_state["t"] == steps
+        assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors.values()]))
+        assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state["m"].values()]))
+        assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_state["v"].values()]))
 
 
 class TestGradientCheck:
@@ -170,9 +211,10 @@ class TestGradientCheck:
         rng = np.random.default_rng(9)
         model, x, dense = _random_model(rng)
         x = np.zeros_like(x)
-        _, grads = model_loss_and_grads(model, x, dense, {})
-        np.testing.assert_array_equal(grads["adapter.w0"], np.zeros_like(grads["adapter.w0"]))
-        assert np.any(grads["adapter.b0"] != 0.0)
+        model_loss_and_grads(model, x, dense, {})
+        w0_grad = model.adapter.weight_grads[0]
+        np.testing.assert_array_equal(w0_grad, np.zeros_like(w0_grad))
+        assert np.any(model.adapter.bias_grads[0] != 0.0)
         assert gradient_check(model, x, dense, rng=rng) < 1e-4
 
     def test_descent_direction(self):
@@ -180,9 +222,8 @@ class TestGradientCheck:
             rng = np.random.default_rng(100 + seed)
             model, x, dense = _random_model(rng)
             before, grads = model_loss_and_grads(model, x, dense, {})
-            params = model.named_params()
-            state = AdamState.for_params(params)
-            adam_step(params, grads, state, lr=1e-6)
+            state = AdamState.for_params(model.params)
+            adam_step(model.params, grads, state, lr=1e-6)
             after = model_loss(model, x, dense, {})
             assert after <= before
 
@@ -261,6 +302,40 @@ class TestTrain:
         adapter = trainer.adapter_from_checkpoint(ckpt)
         out = trainer.apply_adapter(adapter, features)
         assert out.shape == features.shape
+
+    def test_checkpoint_layout_adapter_then_heads_in_spec_order(self):
+        rng = np.random.default_rng(14)
+        header, features, video_of, targets = self._data(rng)
+        config = TrainConfig(
+            objectives=("vtm_db", "vnm"), max_epochs=1, seed=4, val_fraction=0.0, bottleneck=6
+        )
+        ckpt, _ = trainer.train(features, video_of, header, targets, config)
+        # vtm_db is task-style over 3 tasks, vnm node-style over 7 nodes
+        assert ckpt.shapes == [
+            ("adapter.w0", 5, 6), ("adapter.b0", 1, 6),
+            ("adapter.w1", 6, 5), ("adapter.b1", 1, 5),
+            ("head.vtm_db.w0", 5, 1), ("head.vtm_db.b0", 1, 1),
+            ("head.vtm_db.w1", 1, 3), ("head.vtm_db.b1", 1, 3),
+            ("head.vnm.w0", 5, 1), ("head.vnm.b0", 1, 1),
+            ("head.vnm.w1", 1, 3), ("head.vnm.b1", 1, 3),
+            ("head.vnm.w2", 3, 7), ("head.vnm.b2", 1, 7),
+        ]
+        assert ckpt.weights.size == sum(r * c for _, r, c in ckpt.shapes)
+
+    def test_adapter_from_checkpoint_rejects_foreign_layout(self):
+        rng = np.random.default_rng(15)
+        header, features, video_of, targets = self._data(rng)
+        config = TrainConfig(objectives=("vnm",), max_epochs=1, seed=3, val_fraction=0.0)
+        ckpt, _ = trainer.train(features, video_of, header, targets, config)
+        renamed = [("other.w0", *ckpt.shapes[0][1:])] + ckpt.shapes[1:]
+        wrong_dim = dict(ckpt.metadata, dim=4)
+        for bad in (
+            ModelCheckpoint(renamed, ckpt.weights, ckpt.metadata),
+            ModelCheckpoint(ckpt.shapes, ckpt.weights, wrong_dim),
+            ModelCheckpoint(ckpt.shapes[:3], ckpt.weights[:10], ckpt.metadata),
+        ):
+            with pytest.raises(ValueError, match="adapter layout"):
+                trainer.adapter_from_checkpoint(bad)
 
     def test_vsm_objective_trains_headline_head(self):
         rng = np.random.default_rng(12)
