@@ -36,7 +36,10 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         help="base config before --config/flag overrides (default: paper constants)",
     )
     p.add_argument("--seed", type=int, default=None, help="override the pipeline seed")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help="worker thread cap")
+    p.add_argument(
+        "--threads", type=int, default=os.cpu_count() or 1,
+        help="worker thread cap for build-graph segment matching; other stages ignore it",
+    )
     p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
 
 
@@ -119,7 +122,8 @@ def _emit(obj: dict, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text, encoding="utf-8")
+        with corpus_io.atomic_write(out) as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +181,7 @@ def cmd_labels(args) -> None:
     db, corpus = _load_world(args.world, cfg.pool_factor)
     pkg = graph_mod.load_graph(args.graph)
     _check_hash(pkg.config_hash, cfg, str(args.graph), args.force)
-    header, records = labeler.emit_labels(
-        corpus, db, pkg, config=cfg.labels, threads=args.threads
-    )
+    header, records = labeler.emit_labels(corpus, db, pkg, config=cfg.labels)
     labeler.save_labels(header, records, args.out)
     _emit({k: header[k] for k in ("num_segments", "num_nodes", "config_hash")}, None)
 
@@ -206,7 +208,7 @@ def cmd_pretrain(args) -> None:
         features, video_of, header, targets, cfg.train, config_hash=cfg.config_hash()
     )
     corpus_io.save_checkpoint(ckpt, args.out)
-    with open(str(args.out) + ".history.json", "w", encoding="utf-8") as fh:
+    with corpus_io.atomic_write(str(args.out) + ".history.json") as fh:
         fh.write(corpus_io.canonical_json(history) + "\n")
     _emit(
         {

@@ -13,7 +13,9 @@ promoted to f64 the moment it enters memory.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,6 +32,26 @@ class CorpusFormatError(ValueError):
 def canonical_json(obj) -> str:
     """Serialize with a fixed, compact layout so rewrites are byte-identical."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False):
+    """Yield a handle whose contents appear under `path` only once complete.
+
+    Writes go to a fresh temporary file in the same directory, which is
+    `os.replace`d onto `path` when the block exits normally. If the block
+    raises, the temporary file is removed and `path` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +336,12 @@ class ModelCheckpoint:
     metadata: dict
 
     def unpack(self) -> dict[str, np.ndarray]:
-        """Rebuild named float64 arrays; bias entries (rows == 1) come back flat."""
+        """Rebuild named float64 arrays, each shaped (rows, cols) as declared."""
         out = {}
         offset = 0
         for name, rows, cols in self.shapes:
             count = rows * cols
-            chunk = self.weights[offset : offset + count].astype(np.float64)
-            out[name] = chunk if rows == 1 else chunk.reshape(rows, cols)
+            out[name] = self.weights[offset : offset + count].astype(np.float64).reshape(rows, cols)
             offset += count
         return out
 
@@ -337,7 +358,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:
         "shapes": [[name, rows, cols] for name, rows, cols in ckpt.shapes],
         "metadata": ckpt.metadata,
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(canonical_json(header).encode("utf-8") + b"\n")
         fh.write(np.ascontiguousarray(ckpt.weights, dtype="<f4").tobytes())
 

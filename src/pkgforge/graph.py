@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus_io import CorpusFormatError, StepDatabase, canonical_json
+from .corpus_io import CorpusFormatError, StepDatabase, atomic_write, canonical_json
 from .dedup import NodeAssignment, assignment_from_roots
 
 SOURCE_DATABASE = "database"
@@ -309,7 +309,7 @@ def save_graph(graph: ProceduralKnowledgeGraph, path: str | Path) -> None:
             for e in sorted(graph.edges, key=lambda e: (e.src, e.dst))
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(canonical_json(obj) + "\n")
 
 

@@ -7,20 +7,25 @@ of the matched nodes per hop and direction (nrl), and the headline-level
 baseline (vsm). Labels are materialized to labels.jsonl: one header line
 with the class-index spaces, then one record per segment in (video,
 segment) order.
+
+vnm and vsm are read off each segment's own score row. The vtm, tcl and
+nrl families depend only on the set of matched nodes, so `emit_labels`
+derives them once per distinct set. The corpus variants read node-level
+occurrence counts that are summed once, and tcl_corpus ranks each corpus
+task column once.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import matcher
-from .corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, canonical_json
+from .corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, atomic_write, canonical_json
 from .dedup import NodeAssignment
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
@@ -49,15 +54,37 @@ class OccurrenceMatrix:
     """Headline x corpus-task-name count matrix.
 
     Column order is the lexicographically sorted set of observed task
-    names, which keeps reruns byte-identical.
+    names, which keeps reruns byte-identical. The node-level counts and
+    each column's node ranking are derived on first use and cached, so a
+    matrix must only be queried with the assignment it was counted under.
     """
 
     counts: np.ndarray  # (num_headlines, num_corpus_tasks) int64
     task_names: tuple[str, ...]
     column_of: dict[str, int] = field(init=False)
+    _node_counts: np.ndarray | None = field(init=False, default=None, repr=False)
+    _top_nodes: dict[tuple[int, int], list[int]] = field(
+        init=False, default_factory=dict, repr=False
+    )
 
     def __post_init__(self):
         self.column_of = {name: i for i, name in enumerate(self.task_names)}
+
+    def node_counts(self, assignment: NodeAssignment) -> np.ndarray:
+        """(num_nodes, num_corpus_tasks): counts summed over each node's members."""
+        if self._node_counts is None:
+            totals = np.zeros((assignment.num_nodes, self.counts.shape[1]), dtype=np.int64)
+            np.add.at(totals, assignment.node_of, self.counts)
+            self._node_counts = totals
+        return self._node_counts
+
+    def top_nodes(self, name: str, assignment: NodeAssignment, k: int) -> list[int]:
+        """Up to k nodes with the largest nonzero count in a task's column."""
+        key = (self.column_of[name], k)
+        if key not in self._top_nodes:
+            col = self.node_counts(assignment)[:, key[0]]
+            self._top_nodes[key] = matcher.ranked_indices(col, np.nonzero(col > 0)[0])[:k]
+        return self._top_nodes[key]
 
 
 @dataclass
@@ -125,12 +152,9 @@ def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix, assignment: N
     """Top-k corpus task names by summed member-headline occurrence."""
     if occ.counts.shape[1] == 0 or not vnm_nodes:
         return []
-    totals = np.zeros(occ.counts.shape[1], dtype=np.int64)
-    for nid in vnm_nodes:
-        for h in assignment.members_of[nid]:
-            totals += occ.counts[h]
+    totals = occ.node_counts(assignment)[list(vnm_nodes)].sum(axis=0).tolist()
     ranked = sorted(
-        (i for i in range(len(totals)) if totals[i] > 0),
+        (i for i, total in enumerate(totals) if total > 0),
         key=lambda i: (-totals[i], occ.task_names[i]),
     )
     return [occ.task_names[i] for i in ranked[:k]]
@@ -155,13 +179,8 @@ def tcl_corpus_labels(
 ) -> list[int]:
     """Per matched corpus task, the top-k nonzero-occurrence nodes; unioned."""
     out: set[int] = set()
-    node_of = assignment.node_of
     for name in vtm_names:
-        col = occ.counts[:, occ.column_of[name]]
-        node_counts = np.zeros(assignment.num_nodes, dtype=np.int64)
-        np.add.at(node_counts, node_of, col)
-        ranked = sorted(np.nonzero(node_counts > 0)[0], key=lambda n: (-node_counts[n], n))
-        out.update(int(n) for n in ranked[:k])
+        out.update(occ.top_nodes(name, assignment, k))
     return sorted(out)
 
 
@@ -203,73 +222,73 @@ def emit_labels(
     db: StepDatabase,
     graph: ProceduralKnowledgeGraph,
     config: LabelConfig | None = None,
-    threads: int = 1,
 ) -> tuple[dict, list[PseudoLabelSet]]:
     """Generate one PseudoLabelSet per segment, in (video, segment) order.
 
     Returns the labels file header (class-index spaces plus bookkeeping)
-    and the records. Scoring is parallel over videos; everything
-    downstream of the occurrence matrix is a pure function of it.
+    and the records. Each video is scored with one matmul, and vnm and vsm
+    come from each segment's score row. The vtm, tcl and nrl families are
+    derived once per distinct set of matched nodes, so records whose
+    segments match the same nodes share those label lists.
     """
     config = config or LabelConfig()
     assignment = graph.assignment(db)
     tasks_of = task_node_map(db, assignment)
 
-    def score(video):
-        return matcher.score_video(video.segments, db) if video.segments.shape[0] else None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            score_matrices = list(ex.map(score, corpus.videos))
-    else:
-        score_matrices = [score(v) for v in corpus.videos]
-
-    segment_vnm: list[list[tuple[int, float]]] = []
-    segment_vsm: list[list[tuple[int, float]]] = []
-    video_of_segment: list[int] = []
-    for vi, scores in enumerate(score_matrices):
-        if scores is None:
+    # (video index, segment index, vnm, vsm) per segment. Videos are scored
+    # one call each: BLAS may round a short video's rows differently once
+    # they are stacked into a larger matrix.
+    scored: list[tuple[int, int, list[tuple[int, float]], list[tuple[int, float]]]] = []
+    for vi, video in enumerate(corpus.videos):
+        if not video.segments.shape[0]:
             continue
-        for row in scores:
+        for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
             node_scores = matcher.node_scores_from_headlines(row, assignment)
-            segment_vnm.append(
-                vnm_labels(node_scores, k=config.vnm_top_k, background_floor=config.background_floor)
+            vnm = vnm_labels(
+                node_scores, k=config.vnm_top_k, background_floor=config.background_floor
             )
             vsm_ids = matcher.vsm_top_headlines(row, k=config.vsm_top_k)
-            segment_vsm.append([(h, float(row[h])) for h in vsm_ids])
-            video_of_segment.append(vi)
+            vsm = [(h, float(row[h])) for h in vsm_ids]
+            scored.append((vi, seg_idx, vnm, vsm))
 
     occ, skipped = build_occurrence_matrix(
-        [[nid for nid, _ in vnm] for vnm in segment_vnm],
+        [[nid for nid, _ in vnm] for _, _, vnm, _ in scored],
         [v.corpus_task_name for v in corpus.videos],
-        video_of_segment,
+        [vi for vi, _, _, _ in scored],
         assignment,
     )
 
+    def set_labels(nodes: list[int]) -> tuple:
+        vtm_db = vtm_db_labels(nodes, graph)
+        vtm_corpus = vtm_corpus_labels(nodes, occ, assignment, k=config.vtm_corpus_top_k)
+        return (
+            vtm_db,
+            vtm_corpus,
+            tcl_db_labels(vtm_db, tasks_of),
+            tcl_corpus_labels(vtm_corpus, occ, assignment, k=config.tcl_corpus_top_k),
+            nrl_labels(nodes, graph, config.nrl_hops, config.nrl_top_per_hop),
+        )
+
+    derived: dict[tuple[int, ...], tuple] = {}
     records: list[PseudoLabelSet] = []
-    seg_cursor = 0
-    for vi, video in enumerate(corpus.videos):
-        for seg_idx in range(video.segments.shape[0]):
-            vnm = segment_vnm[seg_cursor]
-            vnm_ids = [nid for nid, _ in vnm]
-            vtm_db = vtm_db_labels(vnm_ids, graph)
-            vtm_corpus = vtm_corpus_labels(vnm_ids, occ, assignment, k=config.vtm_corpus_top_k)
-            records.append(
-                PseudoLabelSet(
-                    video_id=video.video_id,
-                    segment_index=seg_idx,
-                    vnm=vnm,
-                    vtm_db=vtm_db,
-                    vtm_corpus=vtm_corpus,
-                    tcl_db=tcl_db_labels(vtm_db, tasks_of),
-                    tcl_corpus=tcl_corpus_labels(
-                        vtm_corpus, occ, assignment, k=config.tcl_corpus_top_k
-                    ),
-                    nrl=nrl_labels(vnm_ids, graph, config.nrl_hops, config.nrl_top_per_hop),
-                    vsm=segment_vsm[seg_cursor],
-                )
+    for vi, seg_idx, vnm, vsm in scored:
+        key = tuple(sorted(nid for nid, _ in vnm))
+        if key not in derived:
+            derived[key] = set_labels(list(key))
+        vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = derived[key]
+        records.append(
+            PseudoLabelSet(
+                video_id=corpus.videos[vi].video_id,
+                segment_index=seg_idx,
+                vnm=vnm,
+                vtm_db=vtm_db,
+                vtm_corpus=vtm_corpus,
+                tcl_db=tcl_db,
+                tcl_corpus=tcl_corpus,
+                nrl=nrl,
+                vsm=vsm,
             )
-            seg_cursor += 1
+        )
 
     header = {
         "kind": LABELS_KIND,
@@ -308,7 +327,7 @@ def _record_obj(rec: PseudoLabelSet) -> dict:
 
 
 def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(canonical_json(header) + "\n")
         for rec in records:
             fh.write(canonical_json(_record_obj(rec)) + "\n")
@@ -348,4 +367,9 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                 )
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"{path}: malformed labels file: {exc}") from exc
+    if header.get("num_segments") != len(records):
+        raise CorpusFormatError(
+            f"{path}: header says {header.get('num_segments')} segments but the file holds "
+            f"{len(records)} records"
+        )
     return header, records

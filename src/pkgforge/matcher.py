@@ -31,7 +31,21 @@ def score_video(segments: np.ndarray, db: StepDatabase) -> np.ndarray:
 def ranked_indices(scores: np.ndarray, candidates: np.ndarray) -> list[int]:
     """Candidate indices ordered by descending score, ties by ascending index."""
     order = np.lexsort((candidates, -scores[candidates]))
-    return [int(candidates[i]) for i in order]
+    return candidates[order].tolist()
+
+
+def _top_k_positive(scores: np.ndarray, k: int) -> list[int]:
+    """Up to k indices with the largest positive score, ranked.
+
+    Only candidates scoring at least the k-th largest positive score can
+    rank in the top k, ties included, so only those are sorted.
+    """
+    candidates = np.nonzero(scores > 0)[0]
+    if candidates.size > k:
+        values = scores[candidates]
+        kth = np.partition(values, values.size - k)[values.size - k]
+        candidates = candidates[values >= kth]
+    return ranked_indices(scores, candidates)[:k]
 
 
 def matched_headlines(
@@ -66,14 +80,11 @@ def top_k_nodes(
     if background_floor is not None:
         if node_scores.size == 0 or float(np.max(node_scores)) < background_floor:
             return []
-    candidates = np.nonzero(node_scores > 0)[0]
-    return ranked_indices(node_scores, candidates)[:k]
+    return _top_k_positive(node_scores, k)
 
 
 def vsm_top_headlines(scores: np.ndarray, k: int = DEFAULT_TOP_K) -> list[int]:
     """Top-k raw headlines by score, without node aggregation."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    candidates = np.nonzero(scores > 0)[0]
-    return ranked_indices(scores, candidates)[:k]
+    return _top_k_positive(np.asarray(scores, dtype=np.float64), k)

@@ -4,11 +4,18 @@ These deliberately share no code with the package: connected components by
 BFS, transition aggregation by naive dict accumulation, k-hop confidences
 by exhaustive path enumeration, and Adam as a per-tensor loop over named
 parameters.
+
+The one exception is the per-segment label path the labeler replaced
+(`emit_labels_per_segment`): it keeps that path's own top-k ranking,
+corpus-variant counting and record loop, and borrows from the package only
+the label operations that did not change with it.
 """
 
 from collections import defaultdict, deque
 
 import numpy as np
+
+from pkgforge import labeler, matcher
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -113,3 +120,93 @@ def adam_per_tensor(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, 
         np.divide(m, sc, out=sc)
         sc *= lr / bc1
         p -= sc
+
+
+# ---------------------------------------------------------------------------
+# the per-segment label path
+
+
+def top_k_full_sort(scores, k, background_floor=None):
+    """Up to k indices with the largest positive score, by a lexsort of every candidate."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if background_floor is not None:
+        if scores.size == 0 or float(np.max(scores)) < background_floor:
+            return []
+    candidates = np.nonzero(scores > 0)[0]
+    order = np.lexsort((candidates, -scores[candidates]))
+    return [int(candidates[i]) for i in order][:k]
+
+
+def vtm_corpus_per_segment(vnm_nodes, occ, assignment, k):
+    """Top-k corpus task names by summed member-headline occurrence, ties by name."""
+    if occ.counts.shape[1] == 0 or not vnm_nodes:
+        return []
+    totals = np.zeros(occ.counts.shape[1], dtype=np.int64)
+    for nid in vnm_nodes:
+        for h in assignment.members_of[nid]:
+            totals += occ.counts[h]
+    ranked = sorted(
+        (i for i in range(len(totals)) if totals[i] > 0),
+        key=lambda i: (-totals[i], occ.task_names[i]),
+    )
+    return [occ.task_names[i] for i in ranked[:k]]
+
+
+def tcl_corpus_per_segment(vtm_names, occ, assignment, k):
+    """Per corpus task, recount node occurrences and keep the top-k nonzero; unioned."""
+    out = set()
+    for name in vtm_names:
+        col = occ.counts[:, occ.column_of[name]]
+        node_counts = np.zeros(assignment.num_nodes, dtype=np.int64)
+        np.add.at(node_counts, assignment.node_of, col)
+        ranked = sorted(np.nonzero(node_counts > 0)[0], key=lambda n: (-node_counts[n], n))
+        out.update(int(n) for n in ranked[:k])
+    return sorted(out)
+
+
+def emit_labels_per_segment(corpus, db, graph, config):
+    """Records as the labeler built them before: every family derived per segment."""
+    assignment = graph.assignment(db)
+    tasks_of = labeler.task_node_map(db, assignment)
+    emb = db.embedding_matrix()
+    segment_vnm, segment_vsm, video_of_segment = [], [], []
+    for vi, video in enumerate(corpus.videos):
+        if not video.segments.shape[0]:
+            continue
+        for row in np.asarray(video.segments, dtype=np.float64) @ emb.T:
+            node_scores = matcher.node_scores_from_headlines(row, assignment)
+            ids = top_k_full_sort(node_scores, config.vnm_top_k, config.background_floor)
+            segment_vnm.append([(nid, float(node_scores[nid])) for nid in ids])
+            segment_vsm.append([(h, float(row[h])) for h in top_k_full_sort(row, config.vsm_top_k)])
+            video_of_segment.append(vi)
+    occ, _ = labeler.build_occurrence_matrix(
+        [[nid for nid, _ in vnm] for vnm in segment_vnm],
+        [v.corpus_task_name for v in corpus.videos],
+        video_of_segment,
+        assignment,
+    )
+    records = []
+    cursor = 0
+    for video in corpus.videos:
+        for seg_idx in range(video.segments.shape[0]):
+            vnm = segment_vnm[cursor]
+            ids = [nid for nid, _ in vnm]
+            vtm_db = labeler.vtm_db_labels(ids, graph)
+            vtm_corpus = vtm_corpus_per_segment(ids, occ, assignment, config.vtm_corpus_top_k)
+            records.append(
+                labeler.PseudoLabelSet(
+                    video_id=video.video_id,
+                    segment_index=seg_idx,
+                    vnm=vnm,
+                    vtm_db=vtm_db,
+                    vtm_corpus=vtm_corpus,
+                    tcl_db=labeler.tcl_db_labels(vtm_db, tasks_of),
+                    tcl_corpus=tcl_corpus_per_segment(
+                        vtm_corpus, occ, assignment, config.tcl_corpus_top_k
+                    ),
+                    nrl=labeler.nrl_labels(ids, graph, config.nrl_hops, config.nrl_top_per_hop),
+                    vsm=segment_vsm[cursor],
+                )
+            )
+            cursor += 1
+    return records

@@ -210,6 +210,18 @@ class TestCheckpoints:
         unpacked = back.unpack()
         assert set(unpacked) == {name for name, _, _ in ckpt.shapes}
 
+    def test_unpack_keeps_declared_shapes(self):
+        # a fan-in-1 weight has rows == 1 like a bias, and must keep its (1, 3) shape
+        shapes = [("head.vtm_db.w0", 2, 1), ("head.vtm_db.b0", 1, 1),
+                  ("head.vtm_db.w1", 1, 3), ("head.vtm_db.b1", 1, 3)]
+        ckpt = corpus_io.checkpoint_from_params(np.arange(9.0), shapes, {})
+        unpacked = ckpt.unpack()
+        assert {name: a.shape for name, a in unpacked.items()} == {
+            name: (rows, cols) for name, rows, cols in shapes
+        }
+        np.testing.assert_array_equal(unpacked["head.vtm_db.w1"], [[3.0, 4.0, 5.0]])
+        np.testing.assert_array_equal(unpacked["head.vtm_db.b1"], [[6.0, 7.0, 8.0]])
+
     def test_truncated_weights(self, tmp_path):
         path = tmp_path / "model.pkgc"
         corpus_io.save_checkpoint(random_checkpoint(np.random.default_rng(5)), path)
@@ -242,3 +254,31 @@ class TestRoundTripBytes:
                 f1 = (d1 / "features" / f"{v.video_id}.pkgf").read_bytes()
                 f2 = (d2 / "features" / f"{v.video_id}.pkgf").read_bytes()
                 assert f1 == f2
+
+
+class TestAtomicWrite:
+    def test_complete_write_replaces_target(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n", encoding="utf-8")
+        with corpus_io.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_writer_raising_mid_write_leaves_nothing(self, tmp_path):
+        path = tmp_path / "model.pkgc"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            with corpus_io.atomic_write(path, binary=True) as fh:
+                fh.write(b"half a header")
+                raise RuntimeError("interrupted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rewrite_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text("previous\n", encoding="utf-8")
+        with pytest.raises(RuntimeError):
+            with corpus_io.atomic_write(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert path.read_text(encoding="utf-8") == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]

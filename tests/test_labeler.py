@@ -1,12 +1,26 @@
 """Pseudo-label operations and the labels.jsonl format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgforge import labeler
-from pkgforge.corpus_io import SegmentCorpus, StepDatabase, StepHeadline, Task, Video
+from pkgforge.corpus_io import (
+    CorpusFormatError,
+    SegmentCorpus,
+    StepDatabase,
+    StepHeadline,
+    Task,
+    Video,
+    canonical_json,
+)
 from pkgforge.dedup import assignment_from_roots
 from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode, assemble_graph
+
+from oracles import emit_labels_per_segment
 
 
 def _tiny_world():
@@ -212,10 +226,10 @@ class TestEmitLabels:
         assert header["num_segments"] == 0
         assert header["corpus_task_names"] == []
 
-    def test_threads_do_not_change_output(self):
+    def test_rerun_does_not_change_output(self):
         db, _, pkg = _tiny_world()
-        h1, r1 = labeler.emit_labels(self._corpus(), db, pkg, threads=1)
-        h2, r2 = labeler.emit_labels(self._corpus(), db, pkg, threads=4)
+        h1, r1 = labeler.emit_labels(self._corpus(), db, pkg)
+        h2, r2 = labeler.emit_labels(self._corpus(), db, pkg)
         assert h1 == h2 and r1 == r2
 
     def test_referential_integrity(self):
@@ -255,3 +269,106 @@ class TestEmitLabels:
         labeler.save_labels(header, records, path)
         h2, r2 = labeler.load_labels(path)
         assert h2["kind"] == "pkgforge-labels" and r2 == []
+
+    def test_segment_count_mismatch_names_file_and_counts(self, tmp_path):
+        db, _, pkg = _tiny_world()
+        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(dict(header, num_segments=4), records, path)
+        with pytest.raises(
+            CorpusFormatError,
+            match=r"labels\.jsonl: header says 4 segments but the file holds 3 records",
+        ):
+            labeler.load_labels(path)
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        db, _, pkg = _tiny_world()
+        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        records[1].vsm = [(0, float("nan"))]  # canonical JSON refuses NaN mid-write
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(ValueError):
+            labeler.save_labels(header, records, path)
+        assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# differential: emit_labels against the per-segment path it replaced
+
+
+def _random_world(rng, integer_valued):
+    """A small database, graph and corpus; integer values make ties common."""
+    dim = int(rng.integers(2, 5))
+
+    def values(shape):
+        if integer_valued:
+            return rng.integers(-2, 3, size=shape).astype(np.float64)
+        return rng.normal(size=shape)
+
+    tasks = []
+    for t in range(int(rng.integers(1, 4))):
+        steps = []
+        for s in range(int(rng.integers(1, 5))):
+            emb = values(dim)
+            emb[0] = emb[0] or 1.0  # step embeddings are never all zero
+            steps.append(StepHeadline(headline_text=f"h{t}/{s}", embedding=emb))
+        tasks.append(Task(task_id=f"t{t}", task_name=f"task {t}", steps=tuple(steps)))
+    db = StepDatabase(tasks=tuple(tasks))
+
+    n = db.num_headlines
+    assignment = assignment_from_roots([int(r) for r in rng.integers(0, max(1, n - 1), size=n)])
+    corpus_scores = {
+        (int(a), int(b)): float(rng.choice([0.25, 0.5, 1.0]))
+        for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        if a != b
+    }
+    pkg = assemble_graph(db, assignment, [], corpus_scores)
+
+    videos = []
+    for v in range(int(rng.integers(0, 6))):
+        length = int(rng.integers(0, 5))  # zero-segment videos included
+        videos.append(
+            Video(
+                video_id=f"v{v}",
+                corpus_task_name=["zeta", "alpha", "mu", None][int(rng.integers(0, 4))],
+                segments=values((length, dim)),
+            )
+        )
+    return db, pkg, SegmentCorpus(videos=videos)
+
+
+class TestAgainstPerSegmentPath:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        integer_valued=st.booleans(),
+        floor=st.sampled_from([None, 0.5, 1e9]),  # 1e9 lies above every score
+        top_k=st.tuples(*[st.integers(1, 3)] * 4),
+        nrl_top=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_records_equal_reference(self, seed, integer_valued, floor, top_k, nrl_top):
+        db, pkg, corpus = _random_world(np.random.default_rng(seed), integer_valued)
+        config = labeler.LabelConfig(
+            vnm_top_k=top_k[0],
+            vtm_corpus_top_k=top_k[1],
+            tcl_corpus_top_k=top_k[2],
+            vsm_top_k=top_k[3],
+            nrl_hops=2,
+            nrl_top_per_hop=nrl_top,
+            background_floor=floor,
+        )
+        header, records = labeler.emit_labels(corpus, db, pkg, config)
+        expected = emit_labels_per_segment(corpus, db, pkg, config)
+
+        # serialized form: equal values and plain Python ints and floats
+        assert [canonical_json(dataclasses.asdict(r)) for r in records] == [
+            canonical_json(dataclasses.asdict(r)) for r in expected
+        ]
+        assert header["num_segments"] == len(expected) == corpus.num_segments
+        assert header["corpus_task_names"] == sorted(
+            {v.corpus_task_name for v in corpus.videos} - {None}
+        )
+        assert header["skipped_unnamed_videos"] == sum(
+            v.corpus_task_name is None for v in corpus.videos
+        )
+        if floor == 1e9:
+            assert all(not r.vnm and not r.vtm_db and not r.tcl_corpus for r in records)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgforge import matcher
 from pkgforge.corpus_io import StepDatabase, StepHeadline, Task
 from pkgforge.dedup import assignment_from_roots, cluster_headlines
+
+from oracles import top_k_full_sort
 
 
 def _db(vectors):
@@ -75,6 +79,21 @@ class TestTopKNodes:
             scores = rng.uniform(0.1, 9.0, size=12)
             scale = float(rng.uniform(0.01, 50.0))
             assert matcher.top_k_nodes(scores, 4) == matcher.top_k_nodes(scores * scale, 4)
+
+
+class TestPartitionTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.integers(-3, 3), max_size=40),
+        k=st.integers(1, 8),
+        floor=st.none() | st.integers(-3, 4),
+    )
+    def test_equals_full_sort_under_ties(self, values, k, floor):
+        scores = np.array(values, dtype=np.float64)
+        assert matcher.top_k_nodes(scores, k=k, background_floor=floor) == top_k_full_sort(
+            scores, k, floor
+        )
+        assert matcher.vsm_top_headlines(scores, k=k) == top_k_full_sort(scores, k)
 
 
 class TestVsmTopHeadlines:
