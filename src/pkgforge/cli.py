@@ -108,13 +108,16 @@ def _check_hash(artifact_hash: str | None, cfg: PipelineConfig, what: str, force
         )
 
 
-def _load_world(world: Path, pool_factor: int):
-    db = corpus_io.load_step_database(world / "steps.jsonl")
+def _load_corpus(world: Path, pool_factor: int) -> corpus_io.SegmentCorpus:
     corpus = corpus_io.load_segment_corpus(world / "manifest.jsonl")
     if pool_factor > 1:
         for video in corpus.videos:
             video.segments = corpus_io.pool_segments(video.segments, pool_factor)
-    return db, corpus
+    return corpus
+
+
+def _load_world(world: Path, pool_factor: int):
+    return corpus_io.load_step_database(world / "steps.jsonl"), _load_corpus(world, pool_factor)
 
 
 def _emit(obj: dict, out: Path | None) -> None:
@@ -188,7 +191,7 @@ def cmd_labels(args) -> None:
 
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
-    db, corpus = _load_world(args.world, cfg.pool_factor)
+    corpus = _load_corpus(args.world, cfg.pool_factor)
     header, records = labeler.load_labels(args.labels)
     _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
 
@@ -225,7 +228,7 @@ def cmd_eval(args) -> None:
     cfg = _resolve_config(args)
     if cfg.pool_factor > 1:
         raise CliError("eval requires pool_factor=1: step annotations index unpooled segments")
-    db, corpus = _load_world(args.world, 1)
+    corpus = _load_corpus(args.world, 1)
     annotations = downstream.load_annotations(args.world / "downstream_labels.jsonl")
 
     sources = ["raw", "adapter"] if args.features == "both" else [args.features]
@@ -251,7 +254,7 @@ def cmd_eval(args) -> None:
             splits = downstream.build_downstream_dataset(
                 corpus, annotations, kind, cfg.downstream, transform=transforms[source]
             )
-            model, _ = downstream.train_downstream(splits, db.dim, cfg.downstream)
+            model, _ = downstream.train_downstream(splits, corpus.dim, cfg.downstream)
             accuracy = downstream.evaluate(model, splits.test)
             reports.append(
                 {

@@ -4,15 +4,20 @@ Five label families are produced for every segment: matched step nodes
 (vnm), matched tasks in database and corpus variants (vtm_db, vtm_corpus),
 the step context those tasks imply (tcl_db, tcl_corpus), graph neighbors
 of the matched nodes per hop and direction (nrl), and the headline-level
-baseline (vsm). Labels are materialized to labels.jsonl: one header line
-with the class-index spaces, then one record per segment in (video,
-segment) order.
+baseline (vsm).
 
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
-derives them once per distinct set. The corpus variants read node-level
+derives them once per distinct set, and records whose segments match the
+same nodes share those lists. The corpus variants read node-level
 occurrence counts that are summed once, and tcl_corpus ranks each corpus
 task column once.
+
+Labels are materialized to labels.jsonl: one header line with the
+class-index spaces, one line per distinct set block (the five set-derived
+families), then one record per segment in (video, segment) order holding
+vnm, vsm and the index of its set line. Writing and reading therefore
+handle each set block once.
 """
 
 from __future__ import annotations
@@ -89,6 +94,10 @@ class OccurrenceMatrix:
 
 @dataclass
 class PseudoLabelSet:
+    """One segment's labels. vtm_db, vtm_corpus, tcl_db, tcl_corpus and nrl
+    are the set-derived families: records of one matched-node set share
+    these list objects, so they must not be mutated in place."""
+
     video_id: str
     segment_index: int
     vnm: list[tuple[int, float]]
@@ -295,6 +304,7 @@ def emit_labels(
         "config_hash": graph.config_hash,
         "num_videos": len(corpus.videos),
         "num_segments": len(records),
+        "num_sets": len(derived),
         "num_nodes": graph.num_nodes,
         "num_headlines": db.num_headlines,
         "task_ids": [t.task_id for t in db.tasks],
@@ -308,12 +318,8 @@ def emit_labels(
 # ---------------------------------------------------------------------------
 # serialization
 
-
-def _record_obj(rec: PseudoLabelSet) -> dict:
+def _set_obj(rec: PseudoLabelSet) -> dict:
     return {
-        "video_id": rec.video_id,
-        "segment_index": rec.segment_index,
-        "vnm": [[nid, score] for nid, score in rec.vnm],
         "vtm_db": rec.vtm_db,
         "vtm_corpus": rec.vtm_corpus,
         "tcl_db": rec.tcl_db,
@@ -322,19 +328,89 @@ def _record_obj(rec: PseudoLabelSet) -> dict:
             direction: [[[nid, conf] for nid, conf in hop] for hop in hops]
             for direction, hops in rec.nrl.items()
         },
+    }
+
+
+def _record_obj(rec: PseudoLabelSet, set_index: int) -> dict:
+    return {
+        "video_id": rec.video_id,
+        "segment_index": rec.segment_index,
+        "vnm": [[nid, score] for nid, score in rec.vnm],
+        "set": set_index,
         "vsm": [[hid, score] for hid, score in rec.vsm],
     }
 
 
 def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
+    """Write the header, one line per set block, then one line per record.
+
+    A set block holds the five set-derived families. Records whose block
+    lists are the same objects, as `emit_labels` and `load_labels` return
+    them, point at one shared line, so each block is encoded once. The
+    header's `num_sets` is the number of set lines written.
+    """
+    set_of: dict[tuple[int, ...], int] = {}
+    set_lines: list[str] = []
+    record_lines: list[str] = []
+    for rec in records:
+        key = (
+            id(rec.vtm_db), id(rec.vtm_corpus), id(rec.tcl_db), id(rec.tcl_corpus), id(rec.nrl)
+        )
+        index = set_of.get(key)
+        if index is None:
+            index = set_of[key] = len(set_lines)
+            set_lines.append(canonical_json(_set_obj(rec)))
+        record_lines.append(canonical_json(_record_obj(rec, index)))
     with atomic_write(path) as fh:
-        fh.write(canonical_json(header) + "\n")
-        for rec in records:
-            fh.write(canonical_json(_record_obj(rec)) + "\n")
+        fh.write(canonical_json(dict(header, num_sets=len(set_lines))) + "\n")
+        for line in set_lines + record_lines:
+            fh.write(line + "\n")
+
+
+def _ids_in_range(ids: list[int], bound: int, *where) -> None:
+    """Raise unless every id lies in [0, bound); `where` names the field for the message."""
+    if ids and (min(ids) < 0 or max(ids) >= bound):
+        raise CorpusFormatError(
+            f"{' '.join(map(str, where))} {sorted(ids)} has an id outside [0, {bound})"
+        )
+
+
+def _ranked_pairs(items, bound: int, *where) -> list[tuple[int, float]]:
+    pairs = [(int(i), float(s)) for i, s in items]
+    _ids_in_range([i for i, _ in pairs], bound, *where)
+    return pairs
+
+
+def _set_block(obj: dict, index: int, num_nodes: int, task_ids: set, corpus_names: set) -> tuple:
+    vtm_db = [str(t) for t in obj["vtm_db"]]
+    if not task_ids.issuperset(vtm_db):
+        raise CorpusFormatError(f"set {index} vtm_db names task ids missing from the header: "
+                                f"{sorted(set(vtm_db) - task_ids)}")
+    vtm_corpus = [str(t) for t in obj["vtm_corpus"]]
+    if not corpus_names.issuperset(vtm_corpus):
+        raise CorpusFormatError(f"set {index} vtm_corpus names corpus tasks missing from the "
+                                f"header: {sorted(set(vtm_corpus) - corpus_names)}")
+    tcl_db = [int(n) for n in obj["tcl_db"]]
+    _ids_in_range(tcl_db, num_nodes, "set", index, "tcl_db")
+    tcl_corpus = [int(n) for n in obj["tcl_corpus"]]
+    _ids_in_range(tcl_corpus, num_nodes, "set", index, "tcl_corpus")
+    nrl = {
+        direction: [_ranked_pairs(hop, num_nodes, "set", index, "nrl", direction) for hop in hops]
+        for direction, hops in obj["nrl"].items()
+    }
+    return vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl
 
 
 def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
+    """Read a labels file; records that point at one set line share its lists.
+
+    Every class id is checked against the header's class spaces: node ids
+    below `num_nodes`, headline ids below `num_headlines`, task ids and
+    corpus task names listed in the header. Set-derived ids are checked
+    once per set line.
+    """
     path = Path(path)
+    blocks: list[tuple] = []
     records: list[PseudoLabelSet] = []
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -344,29 +420,50 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
             header = json.loads(header_line)
             if header.get("kind") != LABELS_KIND:
                 raise ValueError(f"unexpected kind {header.get('kind')!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
+            if "num_sets" not in header:
+                raise CorpusFormatError(
+                    "the header has no num_sets, so the file predates the set table; "
+                    "rerun `pkgforge labels` to rewrite it"
+                )
+            task_ids = set(header["task_ids"])
+            corpus_names = set(header["corpus_task_names"])
+            num_nodes, num_headlines = header["num_nodes"], header["num_headlines"]
+            for line in fh:
+                if not line.strip():
                     continue
                 obj = json.loads(line)
+                if not records and "video_id" not in obj:
+                    blocks.append(_set_block(obj, len(blocks), num_nodes, task_ids, corpus_names))
+                    continue
+                set_index = obj["set"]
+                if type(set_index) is not int or not 0 <= set_index < len(blocks):
+                    raise CorpusFormatError(
+                        f"record {len(records)} points at set {set_index!r}, "
+                        f"outside [0, {len(blocks)})"
+                    )
+                vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = blocks[set_index]
                 records.append(
                     PseudoLabelSet(
                         video_id=obj["video_id"],
                         segment_index=int(obj["segment_index"]),
-                        vnm=[(int(n), float(s)) for n, s in obj["vnm"]],
-                        vtm_db=[str(t) for t in obj["vtm_db"]],
-                        vtm_corpus=[str(t) for t in obj["vtm_corpus"]],
-                        tcl_db=[int(n) for n in obj["tcl_db"]],
-                        tcl_corpus=[int(n) for n in obj["tcl_corpus"]],
-                        nrl={
-                            direction: [[(int(n), float(c)) for n, c in hop] for hop in hops]
-                            for direction, hops in obj["nrl"].items()
-                        },
-                        vsm=[(int(h), float(s)) for h, s in obj["vsm"]],
+                        vnm=_ranked_pairs(obj["vnm"], num_nodes, "record", len(records), "vnm"),
+                        vtm_db=vtm_db,
+                        vtm_corpus=vtm_corpus,
+                        tcl_db=tcl_db,
+                        tcl_corpus=tcl_corpus,
+                        nrl=nrl,
+                        vsm=_ranked_pairs(obj["vsm"], num_headlines, "record", len(records), "vsm"),
                     )
                 )
+        except CorpusFormatError as exc:
+            raise CorpusFormatError(f"{path}: {exc}") from None
         except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise CorpusFormatError(f"{path}: malformed labels file: {exc}") from exc
+    if header["num_sets"] != len(blocks):
+        raise CorpusFormatError(
+            f"{path}: header says {header['num_sets']} sets but the file holds "
+            f"{len(blocks)} set lines"
+        )
     if header.get("num_segments") != len(records):
         raise CorpusFormatError(
             f"{path}: header says {header.get('num_segments')} segments but the file holds "

@@ -20,17 +20,25 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function without overflow; `e` is exp(-|x|) when the caller has it.
+
+    Equals 1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
+    bit for bit, from one exponential.
+    """
+    if e is None:
+        e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    out = e / denom
+    np.divide(1.0, denom, out=out, where=x >= 0)
     return out
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def softplus(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """log(1 + exp(x)) without overflow; `e` is exp(-|x|) when the caller has it."""
+    if e is None:
+        e = np.exp(-np.abs(x))
+    return np.maximum(x, 0.0) + np.log1p(e)
 
 
 class Mlp:
@@ -122,10 +130,16 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
     """Multi-label binary cross entropy, mean over batch and classes.
 
     Uses the softplus identity so saturated logits never hit a log(0);
-    returns (loss, dLoss/dlogits).
+    returns (loss, dLoss/dlogits). The loss and its gradient share one
+    exp(-|logits|) pass.
     """
-    loss = float(np.mean(softplus(logits) - targets * logits))
-    dlogits = (sigmoid(logits) - targets) / logits.size
+    e = np.exp(-np.abs(logits))
+    per_class = softplus(logits, e)
+    per_class -= targets * logits
+    loss = float(np.mean(per_class))
+    dlogits = sigmoid(logits, e)
+    dlogits -= targets
+    dlogits /= logits.size
     return loss, dlogits
 
 
@@ -143,11 +157,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First and second moments plus a scratch buffer, laid out like the parameters."""
+    """First and second moments plus scratch buffers, laid out like the parameters.
+
+    `decayed` holds the weight-decayed gradient; it is allocated by the
+    first step that applies weight decay.
+    """
 
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray
+    decayed: np.ndarray | None = None
     t: int = 0
 
     @classmethod
@@ -168,15 +187,19 @@ def adam_step(
     """One in-place Adam update with bias correction (L2-style weight decay).
 
     Runs once over a model's whole flat parameter vector. Adam is
-    elementwise, so this equals a per-tensor update bit for bit; the scratch
-    buffer keeps the mini-batch loop free of temporaries.
+    elementwise, so this equals a per-tensor update bit for bit. The
+    decayed gradient and every intermediate go to the state's buffers, so
+    a step allocates nothing and leaves `grad` untouched.
     """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
     g = grad
     if weight_decay:
-        g = g + weight_decay * param
+        if state.decayed is None:
+            state.decayed = np.empty_like(param)
+        g = np.multiply(param, weight_decay, out=state.decayed)
+        g += grad
     m, v, sc = state.m, state.v, state.scratch
     m *= beta1
     np.multiply(g, 1.0 - beta1, out=sc)

@@ -7,6 +7,10 @@ a single C//2 hidden layer. Every objective is multi-label binary cross
 entropy and the total loss is their unweighted sum. All gradients are
 hand-derived and checked against central finite differences.
 
+Each head's targets are built once, before training, as CSR lists of
+positive class ids; a mini-batch's dense 0/1 targets come from one
+scatter over its rows.
+
 The adapter and heads share one flat f64 parameter vector laid out as
 adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
 head in spec order. Adam steps that vector whole, and the checkpoint
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -113,39 +118,73 @@ def head_specs_from_header(header: dict, objectives, nrl_hops: int) -> list[Head
     return specs
 
 
+@dataclass(frozen=True)
+class SparseTargets:
+    """Positive class ids per row in CSR form.
+
+    Row i's positives are indices[indptr[i]:indptr[i + 1]], so memory is
+    linear in the number of positives rather than rows x classes.
+    """
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    indices: np.ndarray  # (positives,) int64
+
+    @classmethod
+    def from_rows(cls, rows: list) -> "SparseTargets":
+        """From one sequence of class ids per row; ids may repeat within a row."""
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+        return cls(indptr=indptr, indices=indices)
+
+    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
+        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        out = np.zeros((rows.size, n_classes))
+        out_row = np.repeat(np.arange(rows.size), counts)
+        # each positive's position in indices: its row's start plus its rank in the row
+        first = np.cumsum(counts) - counts
+        at = np.repeat(starts - first, counts) + np.arange(out_row.size)
+        out[out_row, self.indices[at]] = 1.0
+        return out
+
+
 def targets_from_labels(
     header: dict, records: list[PseudoLabelSet], specs: list[HeadSpec]
-) -> dict[str, list[np.ndarray]]:
-    """Sparse positive-class index lists per head, aligned with the records."""
+) -> dict[str, SparseTargets]:
+    """Positive class ids per head, one CSR row per record."""
     task_index = {tid: i for i, tid in enumerate(header["task_ids"])}
     corpus_index = {name: i for i, name in enumerate(header["corpus_task_names"])}
-    by_name = {s.name: s for s in specs}
-    targets: dict[str, list[np.ndarray]] = {s.name: [] for s in specs}
-    for rec in records:
-        for spec in specs:
-            name = spec.name
-            if name == "vnm":
-                ids = [nid for nid, _ in rec.vnm]
-            elif name == "vtm_db":
-                ids = [task_index[t] for t in rec.vtm_db]
-            elif name == "vtm_corpus":
-                ids = [corpus_index[t] for t in rec.vtm_corpus]
-            elif name == "tcl_db":
-                ids = rec.tcl_db
-            elif name == "tcl_corpus":
-                ids = rec.tcl_corpus
-            elif name == "vsm":
-                ids = [hid for hid, _ in rec.vsm]
-            elif name.startswith("nrl_"):
-                direction, hop = name.split("_")[1:]
-                hops = rec.nrl[direction]
-                ids = [nid for nid, _ in hops[int(hop) - 1]] if len(hops) >= int(hop) else []
-            else:
-                raise ValueError(f"unknown head {name!r}")
-            arr = np.asarray(sorted(ids), dtype=np.int64)
-            if arr.size and (arr[0] < 0 or arr[-1] >= by_name[name].n_classes):
-                raise ValueError(f"head {name!r} target out of range for C={spec.n_classes}")
-            targets[name].append(arr)
+    targets: dict[str, SparseTargets] = {}
+    for spec in specs:
+        name = spec.name
+        if name == "vnm":
+            rows = [[nid for nid, _ in rec.vnm] for rec in records]
+        elif name == "vtm_db":
+            rows = [[task_index[t] for t in rec.vtm_db] for rec in records]
+        elif name == "vtm_corpus":
+            rows = [[corpus_index[t] for t in rec.vtm_corpus] for rec in records]
+        elif name == "tcl_db":
+            rows = [rec.tcl_db for rec in records]
+        elif name == "tcl_corpus":
+            rows = [rec.tcl_corpus for rec in records]
+        elif name == "vsm":
+            rows = [[hid for hid, _ in rec.vsm] for rec in records]
+        elif name.startswith("nrl_"):
+            direction, hop = name.split("_")[1:]
+            k = int(hop) - 1
+            rows = [
+                [nid for nid, _ in rec.nrl[direction][k]] if len(rec.nrl[direction]) > k else []
+                for rec in records
+            ]
+        else:
+            raise ValueError(f"unknown head {name!r}")
+        target = SparseTargets.from_rows(rows)
+        ids = target.indices
+        if ids.size and (ids.min() < 0 or ids.max() >= spec.n_classes):
+            raise ValueError(f"head {name!r} target out of range for C={spec.n_classes}")
+        targets[name] = target
     return targets
 
 
@@ -180,15 +219,6 @@ class PaprikaModel:
         return out
 
 
-def _dense_targets(index_lists: list[np.ndarray], rows, n_classes: int) -> np.ndarray:
-    dense = np.zeros((len(rows), n_classes))
-    for out_row, idx in enumerate(rows):
-        ids = index_lists[idx]
-        if ids.size:
-            dense[out_row, ids] = 1.0
-    return dense
-
-
 def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict[str, np.ndarray], coeffs: dict[str, float]):
     """Total BCE over all heads; overwrites and returns the model's flat gradient."""
     z, adapter_cache = model.adapter.forward(x)
@@ -219,9 +249,7 @@ def _dataset_loss(model, features, targets, indices, coeffs, chunk=1024) -> floa
     total = 0.0
     for start in range(0, len(indices), chunk):
         rows = indices[start : start + chunk]
-        dense = {
-            s.name: _dense_targets(targets[s.name], rows, s.n_classes) for s in model.specs
-        }
+        dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in model.specs}
         total += model_loss(model, features[rows], dense, coeffs) * len(rows)
     return total / max(1, len(indices))
 
@@ -230,7 +258,7 @@ def train(
     features: np.ndarray,
     video_of: np.ndarray,
     header: dict,
-    targets: dict[str, list[np.ndarray]],
+    targets: dict[str, SparseTargets],
     config: TrainConfig,
     config_hash: str | None = None,
 ) -> tuple[ModelCheckpoint, dict]:
@@ -276,7 +304,7 @@ def train(
         epoch_loss = 0.0
         for start in range(0, order.size, batch):
             rows = order[start : start + batch]
-            dense = {s.name: _dense_targets(targets[s.name], rows, s.n_classes) for s in specs}
+            dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
             loss, grads = model_loss_and_grads(model, features[rows], dense, coeffs)
             adam_step(
                 params,

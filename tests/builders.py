@@ -13,6 +13,7 @@ from pkgforge.corpus_io import (
 )
 from pkgforge.dedup import NodeAssignment, assignment_from_roots
 from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode
+from pkgforge.trainer import SparseTargets
 
 
 def random_database(rng: np.random.Generator, n_tasks=None, dim=None) -> StepDatabase:
@@ -81,3 +82,8 @@ def random_checkpoint(rng: np.random.Generator) -> ModelCheckpoint:
 
 def identity_assignment(n: int) -> NodeAssignment:
     return assignment_from_roots(list(range(n)))
+
+
+def row_targets(per_row: dict) -> dict[str, SparseTargets]:
+    """Training targets from hand-built positive class ids: head -> one id list per row."""
+    return {name: SparseTargets.from_rows(rows) for name, rows in per_row.items()}

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the package: connected components by
 BFS, transition aggregation by naive dict accumulation, k-hop confidences
-by exhaustive path enumeration, and Adam as a per-tensor loop over named
-parameters.
+by exhaustive path enumeration, Adam as a per-tensor loop over named
+parameters, BCE with one exponential per sign branch, and dense targets
+filled one row at a time.
 
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
@@ -120,6 +121,37 @@ def adam_per_tensor(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, 
         np.divide(m, sc, out=sc)
         sc *= lr / bc1
         p -= sc
+
+
+def sigmoid_two_pass(x):
+    """Logistic function as the trainer computed it before: one exp per sign branch."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def softplus_two_pass(x):
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def bce_two_pass(logits, targets):
+    """Multi-label BCE with separate sigmoid and softplus exponentials; (loss, dlogits)."""
+    loss = float(np.mean(softplus_two_pass(logits) - targets * logits))
+    dlogits = (sigmoid_two_pass(logits) - targets) / logits.size
+    return loss, dlogits
+
+
+def dense_targets_per_row(index_lists, rows, n_classes):
+    """Dense 0/1 targets for the selected rows, one fancy assignment per row."""
+    dense = np.zeros((len(rows), n_classes))
+    for out_row, idx in enumerate(rows):
+        ids = np.asarray(index_lists[idx], dtype=np.int64)
+        if ids.size:
+            dense[out_row, ids] = 1.0
+    return dense
 
 
 # ---------------------------------------------------------------------------

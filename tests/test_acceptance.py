@@ -32,7 +32,7 @@ from pkgforge.dedup import cluster_headlines
 from pkgforge.nn import bce_with_logits
 from pkgforge.synthgen import graph_recovery_metrics, implied_min_support
 
-from builders import random_checkpoint, random_corpus, random_database, random_graph
+from builders import random_checkpoint, random_corpus, random_database, random_graph, row_targets
 from oracles import components_partition, khop_bruteforce, transitions_bruteforce
 
 FIXED_SEEDS = (1, 2, 3, 4, 5)
@@ -203,14 +203,14 @@ def test_criterion_06_overfit_sanity():
     }
     features = rng.normal(size=(1, dim)) * 3.0
     config = trainer.TrainConfig(max_epochs=2000, val_fraction=0.0, seed=0)
-    targets = {
+    targets = row_targets({
         "vnm": [np.array([0, 3, 7])],
         "vtm_db": [np.array([1])],
         "vtm_corpus": [np.array([0])],
         "tcl_db": [np.sort(rng.choice(n_nodes, size=12, replace=False))],
         "nrl_in_1": [np.array([5, 9, 11])],
         "nrl_out_1": [np.array([8, 9])],
-    }
+    })
     _, history = trainer.train(features, np.zeros(1, dtype=int), header, targets, config)
     losses = history["train_loss"]
     hit = next((i + 1 for i, l in enumerate(losses) if l < 0.01), None)

@@ -100,6 +100,24 @@ class TestPipeline:
         assert dot.read_text().startswith("digraph")
         assert json.loads(stats_out.read_text())["num_nodes"] == stats["num_nodes"]
 
+    def test_pretrain_and_eval_read_no_step_database(self, tmp_path, config_path):
+        world = tmp_path / "world"
+        graph, labels, ckpt = tmp_path / "g.json", tmp_path / "l.jsonl", tmp_path / "m.pkgc"
+        assert _run("synth", "--config", config_path, "--out", world) == 0
+        assert _run("build-graph", "--config", config_path, "--world", world, "--out", graph) == 0
+        assert _run(
+            "labels", "--config", config_path, "--world", world, "--graph", graph, "--out", labels
+        ) == 0
+        (world / "steps.jsonl").unlink()
+        assert _run(
+            "pretrain", "--config", config_path, "--world", world, "--labels", labels,
+            "--out", ckpt,
+        ) == 0
+        assert _run(
+            "eval", "--config", config_path, "--world", world, "--checkpoint", ckpt,
+            "--task", "SR", "--out", tmp_path / "report.json",
+        ) == 0
+
     def test_graph_on_zero_video_corpus(self, tmp_path, config_path, capsys):
         cfg = dict(SMALL_CONFIG)
         cfg["world"] = dict(SMALL_CONFIG["world"], n_videos=1)

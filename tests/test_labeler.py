@@ -1,6 +1,9 @@
 """Pseudo-label operations and the labels.jsonl format."""
 
 import dataclasses
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +294,102 @@ class TestEmitLabels:
         assert list(tmp_path.iterdir()) == []
 
 
+SET_FIELDS = ["vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl"]
+
+
+class TestLabelsFile:
+    """The set-table format: range checks and shared set lines."""
+
+    def _saved(self, tmp_path, edit=None):
+        """The three-segment labels file, optionally with one JSON line edited.
+
+        `edit` is (line, key, value): line 0 is the header, line 1 the first
+        set line and line -1 the last record.
+        """
+        db, _, pkg = _tiny_world()
+        header, records = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(header, records, path)
+        if edit is not None:
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+            line, key, value = edit
+            if value is None:
+                del lines[line][key]
+            else:
+                lines[line][key] = value
+            path.write_text("".join(canonical_json(obj) + "\n" for obj in lines))
+        return path
+
+    def test_layout(self, tmp_path):
+        lines = [json.loads(line) for line in self._saved(tmp_path).read_text().splitlines()]
+        header, sets, records = lines[0], lines[1:4], lines[4:]
+        assert header["num_sets"] == 3 and header["num_segments"] == 3
+        assert [list(s) for s in sets] == [SET_FIELDS] * 3
+        assert [r["set"] for r in records] == [0, 1, 2]
+        assert list(records[0]) == ["video_id", "segment_index", "vnm", "set", "vsm"]
+
+    def test_records_sharing_a_set_come_back_sharing_it(self, tmp_path):
+        def block():
+            return dict(vtm_db=["t0"], vtm_corpus=["a"], tcl_db=[0, 1], tcl_corpus=[1],
+                        nrl={"in": [[(1, 0.5)], []], "out": [[], []]})
+
+        shared = block()
+        records = [
+            labeler.PseudoLabelSet(video_id="v", segment_index=i, vnm=[(i, 2.0)], vsm=[], **b)
+            for i, b in enumerate([shared, shared, block()])
+        ]
+        header = {"kind": "pkgforge-labels", "num_segments": 3, "num_nodes": 3,
+                  "num_headlines": 1, "task_ids": ["t0"], "corpus_task_names": ["a"]}
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(header, records, path)
+        h2, r2 = labeler.load_labels(path)
+        assert h2 == dict(header, num_sets=2)
+        assert r2 == records
+        for name in SET_FIELDS:
+            assert getattr(r2[0], name) is getattr(r2[1], name)
+            assert getattr(r2[0], name) is not getattr(r2[2], name)
+
+    @pytest.mark.parametrize("edit", [
+        (-1, "vnm", [[3, 1.0]]),
+        (-1, "vnm", [[-1, 1.0]]),
+        (1, "tcl_db", [0, 3]),
+        (1, "tcl_corpus", [3]),
+        (1, "nrl", {"in": [[[3, 0.5]], []], "out": [[], []]}),
+    ])
+    def test_node_id_out_of_range(self, tmp_path, edit):
+        with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: .*{edit[1]}.* outside \[0, 3\)"):
+            labeler.load_labels(self._saved(tmp_path, edit))
+
+    def test_headline_id_out_of_range(self, tmp_path):
+        path = self._saved(tmp_path, (-1, "vsm", [[4, 1.0]]))
+        with pytest.raises(CorpusFormatError, match=r"record 2 vsm .* outside \[0, 4\)"):
+            labeler.load_labels(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        ((1, "vtm_db", ["t0", "t9"]), r"task ids missing from the header: \['t9'\]"),
+        ((1, "vtm_corpus", ["nope"]), r"corpus tasks missing from the header: \['nope'\]"),
+    ])
+    def test_class_name_missing_from_header(self, tmp_path, edit, message):
+        with pytest.raises(CorpusFormatError, match=message):
+            labeler.load_labels(self._saved(tmp_path, edit))
+
+    @pytest.mark.parametrize("index", [3, -1, 1.0, "0"])
+    def test_set_index_out_of_range(self, tmp_path, index):
+        with pytest.raises(CorpusFormatError, match=r"record 2 points at set .* outside \[0, 3\)"):
+            labeler.load_labels(self._saved(tmp_path, (-1, "set", index)))
+
+    @pytest.mark.parametrize("num_sets", [2, 4])
+    def test_num_sets_differs_from_set_lines(self, tmp_path, num_sets):
+        with pytest.raises(
+            CorpusFormatError, match=rf"header says {num_sets} sets but the file holds 3 set lines"
+        ):
+            labeler.load_labels(self._saved(tmp_path, (0, "num_sets", num_sets)))
+
+    def test_header_without_num_sets_asks_for_rerun(self, tmp_path):
+        with pytest.raises(CorpusFormatError, match=r"predates the set table; rerun `pkgforge labels`"):
+            labeler.load_labels(self._saved(tmp_path, (0, "num_sets", None)))
+
+
 # ---------------------------------------------------------------------------
 # differential: emit_labels against the per-segment path it replaced
 
@@ -372,3 +471,8 @@ class TestAgainstPerSegmentPath:
         )
         if floor == 1e9:
             assert all(not r.vnm and not r.vtm_db and not r.tcl_corpus for r in records)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.jsonl"
+            labeler.save_labels(header, records, path)
+            assert labeler.load_labels(path) == (header, expected)

@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 
 from pkgforge import trainer
 from pkgforge.corpus_io import ModelCheckpoint, save_checkpoint
-from pkgforge.nn import AdamState, Mlp, adam_step, bce_with_logits
+from pkgforge.nn import AdamState, Mlp, adam_step, bce_with_logits, sigmoid, softplus
 
-from oracles import adam_per_tensor
+from builders import row_targets
+from oracles import (
+    adam_per_tensor,
+    bce_two_pass,
+    dense_targets_per_row,
+    sigmoid_two_pass,
+    softplus_two_pass,
+)
 from pkgforge.trainer import (
     HeadSpec,
     PaprikaModel,
+    SparseTargets,
     TrainConfig,
     gradient_check,
     head_specs_from_header,
@@ -135,6 +143,56 @@ class TestBce:
         np.testing.assert_allclose(d, want, atol=1e-12)
 
 
+# signed zeros, ties at zero, logits whose exp overflows or underflows, NaN
+EDGE_LOGITS = [0.0, -0.0, 700.5, -700.5, 745.2, -745.2, 1e308, -1e308, math.inf, -math.inf, math.nan]
+logit_values = st.one_of(
+    st.sampled_from(EDGE_LOGITS), st.floats(-800.0, 800.0), st.floats(-1e-300, 1e-300)
+)
+
+
+class TestBceAgainstTwoPass:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        cols=st.integers(1, 7),
+        data=st.data(),
+    )
+    def test_bit_identical(self, rows, cols, data):
+        x = np.array(data.draw(st.lists(logit_values, min_size=rows * cols, max_size=rows * cols)))
+        x = x.reshape(rows, cols)
+        t = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=x.size,
+                                        max_size=x.size))).reshape(x.shape)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 target, sums past 1e308
+            loss, grad = bce_with_logits(x, t)
+            want_loss, want_grad = bce_two_pass(x, t)
+        assert np.array_equal(sigmoid(x), sigmoid_two_pass(x), equal_nan=True)
+        assert np.array_equal(softplus(x), softplus_two_pass(x), equal_nan=True)
+        assert np.array_equal(grad, want_grad, equal_nan=True)
+        assert np.array_equal(np.array(loss), np.array(want_loss), equal_nan=True)
+
+
+class TestSparseTargets:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_classes=st.integers(1, 9),
+        data=st.data(),
+    )
+    def test_batch_scatter_equals_per_row_reference(self, n_classes, data):
+        # rows may be empty and may repeat a class id
+        per_row = data.draw(
+            st.lists(st.lists(st.integers(0, n_classes - 1), max_size=5), min_size=1, max_size=12)
+        )
+        batch = np.array(
+            data.draw(st.lists(st.integers(0, len(per_row) - 1), max_size=2 * len(per_row))),
+            dtype=np.int64,
+        )
+        target = SparseTargets.from_rows(per_row)
+        assert target.indptr[-1] == target.indices.size == sum(map(len, per_row))
+        assert np.array_equal(
+            target.dense(batch, n_classes), dense_targets_per_row(per_row, batch, n_classes)
+        )
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         p = np.array([1.0, -2.0])
@@ -193,6 +251,7 @@ class TestAdam:
             flat_grad = np.concatenate([g.ravel() for g in grads.values()])
             adam_per_tensor(tensors, grads, ref_state, lr=0.01, weight_decay=weight_decay)
             adam_step(flat, flat_grad, state, lr=0.01, weight_decay=weight_decay)
+            assert np.array_equal(flat_grad, np.concatenate([g.ravel() for g in grads.values()]))
         assert state.t == ref_state["t"] == steps
         assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors.values()]))
         assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state["m"].values()]))
@@ -234,10 +293,10 @@ class TestTrain:
         features = rng.normal(size=(n, dim))
         video_of = np.repeat(np.arange(n_videos), n // n_videos)
         specs = head_specs_from_header(header, ("vnm", "vtm_db"), 1)
-        targets = {
+        targets = row_targets({
             "vnm": [np.sort(rng.choice(7, size=2, replace=False)) for _ in range(n)],
             "vtm_db": [np.sort(rng.choice(3, size=1)) for _ in range(n)],
-        }
+        })
         return header, features, video_of, targets
 
     def test_deterministic_checkpoints(self, tmp_path):
@@ -343,7 +402,9 @@ class TestTrain:
         n = 8
         features = rng.normal(size=(n, 5))
         video_of = np.repeat(np.arange(2), 4)
-        targets = {"vsm": [np.sort(rng.choice(9, size=2, replace=False)) for _ in range(n)]}
+        targets = row_targets(
+            {"vsm": [np.sort(rng.choice(9, size=2, replace=False)) for _ in range(n)]}
+        )
         config = TrainConfig(objectives=("vsm",), max_epochs=2, seed=0, val_fraction=0.0)
         ckpt, hist = trainer.train(features, video_of, header, targets, config)
         assert ckpt.metadata["heads"] == {"vsm": 9}
@@ -354,10 +415,10 @@ class TestTrain:
         header = _header(n_nodes=6)
         features = rng.normal(size=(4, 5))
         video_of = np.zeros(4, dtype=int)
-        targets = {
+        targets = row_targets({
             name: [np.array([0]) for _ in range(4)]
             for name in ("nrl_in_1", "nrl_out_1", "nrl_in_2", "nrl_out_2")
-        }
+        })
         config = TrainConfig(objectives=("nrl",), nrl_hops=2, max_epochs=1, val_fraction=0.0)
         ckpt, _ = trainer.train(features, video_of, header, targets, config)
         assert set(ckpt.metadata["heads"]) == set(targets)
