@@ -1,9 +1,10 @@
 """Command-line pipeline: synth | build-graph | labels | pretrain | eval | graph-stats.
 
 Every stage is config-driven and seeded; artifacts embed the producing
-config hash and later stages refuse inputs with a different hash unless
---force is given. Output bytes are independent of --threads. Set
-PKGFORGE_LOG=INFO (or DEBUG) for progress logging.
+config hash and later stages refuse inputs with a different hash, or with
+none, unless --force is given. Every stage accepts --threads and ignores
+it: each runs on one Python thread and numpy's BLAS picks its own thread
+count. Set PKGFORGE_LOG=INFO (or DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the pipeline seed")
     p.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker thread cap for build-graph segment matching; other stages ignore it",
+        help="accepted and ignored: every stage runs on one Python thread "
+        "(numpy's BLAS sets its own thread count)",
     )
     p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
 
@@ -99,13 +101,26 @@ def _resolve_config(args) -> PipelineConfig:
 
 
 def _check_hash(artifact_hash: str | None, cfg: PipelineConfig, what: str, force: bool) -> None:
-    if force or artifact_hash is None:
+    if force:
         return
+    if artifact_hash is None:
+        raise CliError(
+            f"{what} carries no config hash, so it cannot be matched to the current config "
+            f"{cfg.config_hash()}; regenerate it or pass --force"
+        )
     if artifact_hash != cfg.config_hash():
         raise CliError(
             f"{what} was produced under config hash {artifact_hash}, current is "
             f"{cfg.config_hash()}; rerun with the matching config or pass --force"
         )
+
+
+def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
+    """Check a synthetic world's truth.json hash; a world without one (real data) passes."""
+    truth_path = world / "truth.json"
+    if truth_path.exists():
+        with open(truth_path, encoding="utf-8") as fh:
+            _check_hash(json.load(fh).get("config_hash"), cfg, str(truth_path), force)
 
 
 def _load_corpus(world: Path, pool_factor: int) -> corpus_io.SegmentCorpus:
@@ -161,10 +176,7 @@ def cmd_synth(args) -> None:
 
 def cmd_build_graph(args) -> None:
     cfg = _resolve_config(args)
-    truth_path = args.world / "truth.json"
-    if truth_path.exists():
-        with open(truth_path, encoding="utf-8") as fh:
-            _check_hash(json.load(fh).get("config_hash"), cfg, str(truth_path), args.force)
+    _check_world(args.world, cfg, args.force)
     db, corpus = _load_world(args.world, cfg.pool_factor)
     pkg = graph_mod.build_graph(
         db,
@@ -172,7 +184,6 @@ def cmd_build_graph(args) -> None:
         dedup_threshold=cfg.dedup_threshold,
         match_threshold=cfg.match_threshold,
         instance_threshold=cfg.instance_threshold,
-        threads=args.threads,
         config_hash=cfg.config_hash(),
     )
     graph_mod.save_graph(pkg, args.out)
@@ -228,6 +239,7 @@ def cmd_eval(args) -> None:
     cfg = _resolve_config(args)
     if cfg.pool_factor > 1:
         raise CliError("eval requires pool_factor=1: step annotations index unpooled segments")
+    _check_world(args.world, cfg, args.force)
     corpus = _load_corpus(args.world, 1)
     annotations = downstream.load_annotations(args.world / "downstream_labels.jsonl")
 

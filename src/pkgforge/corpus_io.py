@@ -169,8 +169,7 @@ def load_step_database(path: str | Path) -> StepDatabase:
 
 
 def save_step_database(db: StepDatabase, path: str | Path) -> None:
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for task in db.tasks:
             rec = {
                 "task_id": task.task_id,
@@ -290,7 +289,7 @@ def save_segment_corpus(
     out_dir = Path(out_dir)
     (out_dir / feature_subdir).mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with atomic_write(manifest_path) as fh:
         for video in corpus.videos:
             rel = f"{feature_subdir}/{video.video_id}.pkgf"
             write_feature_file(out_dir / rel, video.segments)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import CorpusFormatError, SegmentCorpus, canonical_json
+from .corpus_io import CorpusFormatError, SegmentCorpus, atomic_write, canonical_json
 from .nn import AdamState, Mlp, adam_step, glorot_uniform, softmax_cross_entropy
 
 log = logging.getLogger(__name__)
@@ -84,7 +84,7 @@ class DownstreamSplits:
 
 
 def save_annotations(annotations: list[VideoAnnotation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for ann in annotations:
             rec = {
                 "video_id": ann.video_id,

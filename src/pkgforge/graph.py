@@ -211,17 +211,16 @@ def build_graph(
     dedup_threshold: float = 0.09,
     match_threshold: float = 10.0,
     instance_threshold: float = DEFAULT_INSTANCE_THRESHOLD,
-    threads: int = 1,
     config_hash: str | None = None,
 ) -> ProceduralKnowledgeGraph:
     """Full construction: dedup headlines, match segments, assemble edges.
 
-    Matching runs in parallel over videos when threads > 1; the aggregation
-    that follows consumes per-video results in manifest order, so the
-    output is independent of the thread count.
+    Runs on the calling thread: numpy's BLAS already threads the dedup and
+    scoring matmuls, and each video keeps its own `score_video` call so its
+    scores round the same however many videos the corpus holds.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
+    # imported here, not at module level, so that each call looks the
+    # functions up on their modules (where a profiler may have wrapped them)
     from . import matcher
     from .dedup import cluster_headlines
 
@@ -236,12 +235,7 @@ def build_graph(
             for row in scores
         ]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            video_matches = list(ex.map(match_video, corpus.videos))
-    else:
-        video_matches = [match_video(v) for v in corpus.videos]
-
+    video_matches = [match_video(v) for v in corpus.videos]
     aggregates = corpus_transitions(video_matches, instance_threshold)
     normalized = normalize_scores(aggregates)
     db_pairs = database_transitions(db, assignment)

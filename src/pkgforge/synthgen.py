@@ -27,7 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import SegmentCorpus, StepDatabase, StepHeadline, Task, Video, canonical_json
+from .corpus_io import (
+    SegmentCorpus, StepDatabase, StepHeadline, Task, Video, atomic_write, canonical_json,
+)
 from .dedup import NodeAssignment
 from .downstream import StepSpan, VideoAnnotation
 from .graph import ProceduralKnowledgeGraph
@@ -352,7 +354,7 @@ def save_truth(truth: GroundTruth, path: str | Path, config_hash: str | None = N
             [a, b, c] for (a, b), c in sorted(truth.observed_transitions.items())
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(canonical_json(obj) + "\n")
 
 

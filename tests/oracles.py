@@ -1,10 +1,11 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These deliberately share no code with the package: connected components by
-BFS, transition aggregation by naive dict accumulation, k-hop confidences
-by exhaustive path enumeration, Adam as a per-tensor loop over named
-parameters, BCE with one exponential per sign branch, and dense targets
-filled one row at a time.
+BFS, sub-threshold headline pairs by a per-pair loop, transition
+aggregation by naive dict accumulation, k-hop confidences by exhaustive
+path enumeration, Adam as a per-tensor loop over named parameters, BCE
+with one exponential per sign branch, and dense targets filled one row at
+a time.
 
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
@@ -30,6 +31,32 @@ def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine distance undefined for zero-norm vectors")
     return 1.0 - float(np.dot(u, v)) / (nu * nv)
+
+
+def sub_threshold_pairs_reference(
+    embeddings: np.ndarray, threshold: float
+) -> list[tuple[int, int]]:
+    """Every (i, j), i < j, whose cosine distance is strictly below threshold, one pair at a time.
+
+    This is the per-pair generator dedup ran before its blockwise kernel.
+    It takes its distances from the same blocks of 512 rows, so they are
+    bit-identical to the package's, and pairs exactly at the threshold
+    must come out the same.
+    """
+    norms = np.linalg.norm(embeddings, axis=1)
+    unit = embeddings / norms[:, None]
+    n = unit.shape[0]
+    pairs = []
+    for start in range(0, n, 512):
+        stop = min(start + 512, n)
+        sims = unit[start:stop] @ unit.T
+        for local_i in range(stop - start):
+            i = start + local_i
+            row = 1.0 - sims[local_i]
+            for j in range(i + 1, n):
+                if float(row[j]) < threshold:
+                    pairs.append((i, j))
+    return pairs
 
 
 def components_partition(embeddings: np.ndarray, threshold: float) -> set[frozenset]:

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from pkgforge import corpus_io
 from pkgforge.cli import main
 
 SMALL_CONFIG = {
@@ -198,6 +200,95 @@ class TestHashChecks:
         assert _run(
             "build-graph", "--config", config_path, "--world", world, "--out", g,
             "--seed", "999", "--force",
+        ) == 0
+
+
+@pytest.fixture(scope="class")
+def artifacts(tmp_path_factory):
+    """A world and the graph, labels and checkpoint made from it under SMALL_CONFIG."""
+    root = tmp_path_factory.mktemp("artifacts")
+    paths = {
+        "config": root / "config.json",
+        "world": root / "world",
+        "graph": root / "graph.json",
+        "labels": root / "labels.jsonl",
+        "checkpoint": root / "model.pkgc",
+    }
+    paths["config"].write_text(json.dumps(SMALL_CONFIG))
+    common = ["--config", paths["config"], "--world", paths["world"]]
+    assert _run("synth", "--config", paths["config"], "--out", paths["world"]) == 0
+    assert _run("build-graph", *common, "--out", paths["graph"]) == 0
+    assert _run("labels", *common, "--graph", paths["graph"], "--out", paths["labels"]) == 0
+    assert _run("pretrain", *common, "--labels", paths["labels"], "--out", paths["checkpoint"]) == 0
+    return paths
+
+
+def _without_hash(path: Path) -> None:
+    """Rewrite one artifact in place with its config_hash set to null."""
+    if path.suffix == ".pkgc":
+        ckpt = corpus_io.load_checkpoint(path)
+        ckpt.metadata["config_hash"] = None
+        corpus_io.save_checkpoint(ckpt, path)
+        return
+    lines = path.read_text(encoding="utf-8").splitlines()
+    head = json.loads(lines[0])
+    head["config_hash"] = None
+    path.write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n", encoding="utf-8")
+
+
+# stage -> (the input whose hash it checks, its arguments besides --config/--world)
+HASHED_INPUTS = {
+    "build-graph": ("world/truth.json", ["--out", "out.json"]),
+    "labels": ("graph.json", ["--graph", "graph.json", "--out", "out.jsonl"]),
+    "pretrain": ("labels.jsonl", ["--labels", "labels.jsonl", "--out", "out.pkgc"]),
+    "eval": (
+        "model.pkgc",
+        ["--checkpoint", "model.pkgc", "--task", "SR", "--features", "adapter"],
+    ),
+}
+
+
+def _run_on_unhashed_input(stage, artifacts, tmp_path, *extra) -> int:
+    shutil.copytree(artifacts["world"], tmp_path / "world")
+    for name in ("graph", "labels", "checkpoint"):
+        shutil.copy(artifacts[name], tmp_path / artifacts[name].name)
+    unhashed, args = HASHED_INPUTS[stage]
+    _without_hash(tmp_path / unhashed)
+    return _run(
+        stage, "--config", artifacts["config"], "--world", tmp_path / "world",
+        *[tmp_path / a if a.endswith((".json", ".jsonl", ".pkgc")) else a for a in args],
+        *extra,
+    )
+
+
+class TestMissingHash:
+    @pytest.mark.parametrize("stage", sorted(HASHED_INPUTS))
+    def test_refused(self, stage, artifacts, tmp_path, capsys):
+        assert _run_on_unhashed_input(stage, artifacts, tmp_path) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "carries no config hash" in error
+        assert HASHED_INPUTS[stage][0].split("/")[-1] in error
+
+    @pytest.mark.parametrize("stage", sorted(HASHED_INPUTS))
+    def test_force_accepts(self, stage, artifacts, tmp_path):
+        assert _run_on_unhashed_input(stage, artifacts, tmp_path, "--force") == 0
+
+    def test_eval_checks_world_hash(self, artifacts, tmp_path, capsys):
+        assert _run(
+            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--seed", "999", "--task", "SR", "--features", "raw", "--out", tmp_path / "r.json",
+        ) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert "truth.json" in error and "config hash" in error
+
+    def test_world_without_truth_accepted(self, artifacts, tmp_path):
+        world = tmp_path / "world"
+        shutil.copytree(artifacts["world"], world)
+        (world / "truth.json").unlink()
+        common = ["--config", artifacts["config"], "--world", world]
+        assert _run("build-graph", *common, "--out", tmp_path / "g.json") == 0
+        assert _run(
+            "eval", *common, "--task", "SR", "--features", "raw", "--out", tmp_path / "r.json"
         ) == 0
 
 

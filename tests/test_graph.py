@@ -278,14 +278,14 @@ class TestBuildGraph:
         by_pair = {(e.src, e.dst): e for e in pkg.edges}
         assert by_pair[(0, 1)].sources == ("corpus", "database")
 
-    def test_threads_do_not_change_result(self, tmp_path):
+    def test_rerun_does_not_change_result(self, tmp_path):
         rng = np.random.default_rng(9)
         from builders import random_corpus, random_database
 
         db = random_database(rng, n_tasks=3, dim=4)
         corpus = random_corpus(rng, dim=4, n_videos=6)
-        a = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1, threads=1)
-        b = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1, threads=4)
+        a = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1)
+        b = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         G.save_graph(a, p1)
         G.save_graph(b, p2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pkgforge import synthgen
+from pkgforge import corpus_io, downstream, synthgen
 from pkgforge.corpus_io import save_segment_corpus, save_step_database
 from pkgforge.dedup import assignment_from_roots, cluster_headlines
 from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode, build_graph
@@ -205,3 +205,33 @@ class TestEndToEndRecovery:
 
         hold = sum(quality(seed, 0.0) >= quality(seed, 3.5) - 1e-12 for seed in range(1, 6))
         assert hold >= 4
+
+
+class TestWorldFiles:
+    @pytest.mark.parametrize(
+        "name", ["steps.jsonl", "manifest.jsonl", "truth.json", "downstream_labels.jsonl"]
+    )
+    def test_raise_mid_write_leaves_no_file(self, tmp_path, monkeypatch, name):
+        truth, db, corpus = synthgen.generate(_small_config())
+        module, write = {
+            "steps.jsonl": (corpus_io, lambda: save_step_database(db, tmp_path / name)),
+            "manifest.jsonl": (corpus_io, lambda: save_segment_corpus(corpus, tmp_path)),
+            "truth.json": (synthgen, lambda: synthgen.save_truth(truth, tmp_path / name)),
+            "downstream_labels.jsonl": (
+                downstream, lambda: downstream.save_annotations(truth.annotations, tmp_path / name)
+            ),
+        }[name]
+        # truth.json is one record; the others fail after their first line is written
+        fail_at = 1 if name == "truth.json" else 2
+        encode, calls = module.canonical_json, []
+
+        def interrupted(obj):
+            calls.append(obj)
+            if len(calls) == fail_at:
+                raise RuntimeError("interrupted")
+            return encode(obj)
+
+        monkeypatch.setattr(module, "canonical_json", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write()
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
