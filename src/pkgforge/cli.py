@@ -96,7 +96,9 @@ def _resolve_config(args) -> PipelineConfig:
         cfg.downstream.max_epochs = args.max_epochs
     if getattr(args, "objectives", None):
         cfg.train.objectives = tuple(args.objectives.split(","))
-        cfg.train.__post_init__()
+    # the overrides bypass the constructors' checks; run them again
+    cfg.train.__post_init__()
+    cfg.downstream.__post_init__()
     return cfg
 
 

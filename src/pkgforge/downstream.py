@@ -44,6 +44,22 @@ class DownstreamConfig:
     def __post_init__(self):
         if self.aggregation not in ("mean", "sum"):
             raise ValueError(f"aggregation must be 'mean' or 'sum', got {self.aggregation!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs", "hidden_tr", "hidden_sr", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if not self.train_fraction > 0:
+            raise ValueError(f"train_fraction must be > 0, got {self.train_fraction}")
+        if not self.val_fraction >= 0:
+            raise ValueError(f"val_fraction must be >= 0, got {self.val_fraction}")
+        if self.train_fraction + self.val_fraction > 1:
+            raise ValueError(
+                f"train_fraction + val_fraction must be <= 1, got "
+                f"{self.train_fraction} + {self.val_fraction}"
+            )
 
     def hidden_for(self, kind: str) -> int:
         return self.hidden_tr if kind == TASK_RECOGNITION else self.hidden_sr
@@ -307,7 +323,7 @@ def train_downstream(
             history["val_accuracy"].append(acc)
             if acc > best_acc:
                 best_acc = acc
-                best = params.copy()
+                np.copyto(best, params)
                 stall = 0
             else:
                 stall += 1
@@ -315,7 +331,7 @@ def train_downstream(
                     log.info("downstream early stop at epoch %d", epoch)
                     break
         else:
-            best = params.copy()
+            np.copyto(best, params)
 
     params[...] = best
     return model, history

@@ -65,8 +65,11 @@ class TrainConfig:
     loss_coefficients: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("learning_rate, batch_size and max_epochs must be positive")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.objectives:
             raise ValueError("at least one training objective is required")
         for obj in self.objectives:
@@ -324,7 +327,7 @@ def train(
             history["val_loss"].append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
-                best = params.copy()
+                np.copyto(best, params)
                 best_epoch = epoch
                 stall = 0
             else:
@@ -333,7 +336,7 @@ def train(
                     log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
                     break
         else:
-            best = params.copy()
+            np.copyto(best, params)
             best_epoch = epoch
 
     metadata = {

@@ -292,6 +292,33 @@ class TestMissingHash:
         ) == 0
 
 
+class TestOverridesValidated:
+    """--lr, --batch-size and --max-epochs pass the same range checks as a config file."""
+
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--max-epochs", "max_epochs"), ("--batch-size", "batch_size"), ("--lr", "learning_rate")],
+    )
+    def test_pretrain_rejects_zero(self, flag, name, artifacts, tmp_path, capsys):
+        out = tmp_path / "model.pkgc"
+        assert _run(
+            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--labels", artifacts["labels"], "--out", out, flag, "0",
+        ) == 1
+        assert name in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    def test_eval_rejects_zero_epochs(self, artifacts, tmp_path, capsys):
+        # before the check, eval trained nothing and reported the untrained heads
+        out = tmp_path / "report.json"
+        assert _run(
+            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--task", "TR", "--features", "raw", "--max-epochs", "0", "--out", out,
+        ) == 1
+        assert "max_epochs" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+
 class TestErrors:
     def test_missing_world_is_single_line_json_error(self, tmp_path, capsys):
         assert _run("build-graph", "--world", tmp_path / "nope", "--out", tmp_path / "g") == 1

@@ -47,6 +47,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="aggregation"):
             PipelineConfig.from_dict({"downstream": {"aggregation": "max"}})
 
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            ("train", "learning_rate", 0.0),
+            ("train", "learning_rate", float("nan")),
+            ("train", "batch_size", 0),
+            ("train", "max_epochs", 0),
+            ("downstream", "learning_rate", -1e-4),
+            ("downstream", "learning_rate", float("nan")),
+            ("downstream", "batch_size", 0),
+            ("downstream", "max_epochs", 0),
+            ("downstream", "hidden_tr", 0),
+            ("downstream", "hidden_sr", 0),
+            ("downstream", "max_positions", 0),
+            ("downstream", "patience", -1),
+            ("downstream", "train_fraction", 0.0),
+            ("downstream", "val_fraction", -0.1),
+        ],
+    )
+    def test_out_of_range_training_field_named(self, section, name, value):
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig.from_dict({section: {name: value}})
+
+    def test_downstream_fractions_sum_to_at_most_one(self):
+        with pytest.raises(ValueError, match=r"train_fraction \+ val_fraction"):
+            PipelineConfig.from_dict({"downstream": {"train_fraction": 0.9, "val_fraction": 0.2}})
+        edge = {"train_fraction": 1.0, "val_fraction": 0.0, "patience": 0}
+        assert PipelineConfig.from_dict({"downstream": edge}).downstream.train_fraction == 1.0
+
     def test_paper_defaults(self):
         cfg = PipelineConfig()
         assert cfg.dedup_threshold == 0.09

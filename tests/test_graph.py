@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pkgforge import graph as G
 from pkgforge.corpus_io import SegmentCorpus, StepDatabase, StepHeadline, Task, Video
@@ -86,6 +88,42 @@ class TestCorpusTransitions:
             assert set(got) == set(want)
             for pair in got:
                 assert got[pair] == pytest.approx(want[pair], abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_videos=st.integers(0, 5),
+        n_headlines=st.integers(1, 6),
+        repeat_rate=st.sampled_from([0.0, 0.5, 1.0]),
+        on_aggregate=st.booleans(),
+    )
+    def test_bruteforce_oracle_property(
+        self, seed, n_videos, n_headlines, repeat_rate, on_aggregate
+    ):
+        # Scores from a small dyadic set tie often, and every product and sum
+        # of them is exact in f64: the totals must equal the oracle's bit for
+        # bit whatever the accumulation order, and a threshold drawn from them
+        # sits exactly on an aggregate, which the strict > must prune.
+        rng = np.random.default_rng(seed)
+        videos = []
+        for _ in range(n_videos):
+            segments = []
+            for _ in range(int(rng.integers(0, 7))):  # zero segments: an empty video
+                k = int(rng.integers(0, min(3, n_headlines) + 1))  # zero: an unmatched segment
+                heads = set(rng.choice(n_headlines, size=k, replace=False).tolist())
+                if segments and segments[-1] and rng.random() < repeat_rate:
+                    heads.add(segments[-1][int(rng.integers(len(segments[-1])))][0])
+                order = rng.permutation(sorted(heads)).tolist()
+                segments.append([(h, float(rng.choice([8.0, 10.0, 12.5, 16.0]))) for h in order])
+            videos.append(segments)
+        totals = sorted(set(transitions_bruteforce(videos, -math.inf).values()))
+        if on_aggregate and totals:
+            threshold = float(rng.choice(totals))
+        else:
+            threshold = float(rng.uniform(0.0, 600.0))
+        got = G.corpus_transitions(videos, threshold)
+        assert got == transitions_bruteforce(videos, threshold)
+        assert list(got) == sorted(got)
 
 
 class TestNormalizeScores:
@@ -203,6 +241,31 @@ class TestKhop:
                     assert set(got[k]) == set(want[k])
                     for node in got[k]:
                         assert got[k][node] == pytest.approx(want[k][node], abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        hops=st.integers(1, 4),
+        direction=st.sampled_from(["in", "out"]),
+    )
+    def test_oracle_property(self, seed, n, density, hops, direction):
+        # density 0 leaves the graph edgeless; above it, 2-cycles and longer
+        # cycles make paths revisit nodes and seeds. Rounding is monotone, so
+        # extending only each hop's best product loses nothing: the result
+        # must equal the oracle's exhaustive path maxima exactly.
+        rng = np.random.default_rng(seed)
+        edges = []
+        for s in range(n):
+            for d in range(n):
+                if s != d and rng.random() < density:
+                    tied = rng.random() < 0.5
+                    w = rng.choice([0.25, 0.5, 1.0]) if tied else rng.uniform(0.01, 1.0)
+                    edges.append((s, d, float(w)))
+        seeds = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
+        got = G.khop_neighbors(self._graph(n, edges), seeds, hops, direction)
+        assert got == khop_bruteforce(edges, seeds, hops, direction)
 
     def test_bad_args(self):
         pkg = self._graph(2, [(0, 1, 0.5)])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pkgforge import trainer
 from pkgforge.corpus_io import ModelCheckpoint, save_checkpoint
-from pkgforge.nn import AdamState, Mlp, adam_step, bce_with_logits, sigmoid, softplus
+from pkgforge.nn import ADAM_CHUNK, AdamState, Mlp, adam_step, bce_with_logits, sigmoid, softplus
 
 from builders import row_targets
 from oracles import (
@@ -193,6 +193,14 @@ class TestSparseTargets:
         )
 
 
+def _same_bits(a, b):
+    """Equal values, NaN where the other has NaN, and the same sign on every zero."""
+    if not np.array_equal(a, b, equal_nan=True):
+        return False
+    num = ~np.isnan(a)
+    return np.array_equal(np.signbit(a[num]), np.signbit(b[num]))
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         p = np.array([1.0, -2.0])
@@ -256,6 +264,55 @@ class TestAdam:
         assert np.array_equal(flat, np.concatenate([t.ravel() for t in tensors.values()]))
         assert np.array_equal(state.m, np.concatenate([m.ravel() for m in ref_state["m"].values()]))
         assert np.array_equal(state.v, np.concatenate([v.ravel() for v in ref_state["v"].values()]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from([1, ADAM_CHUNK - 1, ADAM_CHUNK, ADAM_CHUNK + 1, 3 * ADAM_CHUNK + 5]),
+        n_cuts=st.integers(0, 6),
+        steps=st.integers(1, 6),
+        weight_decay=st.sampled_from([0.0, 1e-3, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_step_equals_per_tensor_reference(
+        self, size, n_cuts, steps, weight_decay, seed
+    ):
+        # Flat vectors on both sides of each chunk boundary, split into tensors
+        # at random cuts, with gradients holding signed zeros, subnormals,
+        # infinities and NaN: every element must come out as the per-tensor
+        # oracle computes it, whichever chunk it falls in.
+        rng = np.random.default_rng(seed)
+        cuts = np.unique(rng.integers(1, size, size=n_cuts)) if size > 1 else []
+        tensors = {}
+        for i, part in enumerate(np.split(rng.normal(size=size), cuts)):
+            rows = int(rng.choice([r for r in (1, 2, 3, 4) if part.size % r == 0]))
+            tensors[f"t{i}"] = part.reshape(rows, -1)
+        flat = np.concatenate([t.ravel() for t in tensors.values()])
+        ref_state = {
+            "m": {k: np.zeros_like(t) for k, t in tensors.items()},
+            "v": {k: np.zeros_like(t) for k, t in tensors.items()},
+            "t": 0,
+        }
+        state = AdamState.for_params(flat)
+        assert state.scratch.size == state.decayed.size == min(flat.size, ADAM_CHUNK)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan]
+        offsets = np.cumsum([0] + [t.size for t in tensors.values()])
+        for _ in range(steps):
+            flat_grad = rng.normal(size=size)
+            hits = rng.integers(0, size, size=int(rng.integers(0, 9)))
+            flat_grad[hits] = rng.choice(special, size=hits.size)
+            kept = flat_grad.copy()
+            grads = {
+                k: flat_grad[a:b].reshape(t.shape).copy()
+                for (k, t), a, b in zip(tensors.items(), offsets, offsets[1:])
+            }
+            with np.errstate(invalid="ignore"):  # inf / inf where v saturates
+                adam_per_tensor(tensors, grads, ref_state, lr=0.01, weight_decay=weight_decay)
+                adam_step(flat, flat_grad, state, lr=0.01, weight_decay=weight_decay)
+            assert _same_bits(flat_grad, kept)
+        assert state.t == ref_state["t"] == steps
+        assert _same_bits(flat, np.concatenate([t.ravel() for t in tensors.values()]))
+        assert _same_bits(state.m, np.concatenate([m.ravel() for m in ref_state["m"].values()]))
+        assert _same_bits(state.v, np.concatenate([v.ravel() for v in ref_state["v"].values()]))
 
 
 class TestGradientCheck:
