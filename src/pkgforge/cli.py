@@ -1,10 +1,14 @@
 """Command-line pipeline: synth | build-graph | labels | pretrain | eval | graph-stats.
 
-Every stage is config-driven and seeded; artifacts embed the producing
-config hash and later stages refuse inputs with a different hash, or with
-none, unless --force is given. Every stage accepts --threads and ignores
-it: each runs on one Python thread and numpy's BLAS picks its own thread
-count. Set PKGFORGE_LOG=INFO (or DEBUG) for progress logging.
+Every stage is config-driven and seeded. A stage's configuration comes
+only from --config (a PipelineConfig JSON file), or else --preset, plus
+--seed; there are no per-field flags. Artifacts embed the producing config
+hash and later stages refuse inputs with a different hash, or with none,
+unless --force is given, so every stage of one run must receive the same
+--config/--preset/--seed. graph-stats reads no config. Every subcommand
+accepts --threads and ignores it: each runs on one Python thread and
+numpy's BLAS picks its own thread count. Set PKGFORGE_LOG=INFO (or DEBUG)
+for progress logging.
 """
 
 from __future__ import annotations
@@ -29,76 +33,42 @@ class CliError(RuntimeError):
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="pipeline config JSON")
+    p.add_argument(
+        "--config", type=Path, default=None,
+        help="pipeline config JSON; replaces --preset (every field not in the file "
+        "keeps its paper default)",
+    )
     p.add_argument(
         "--preset",
         choices=["paper", "synthetic"],
         default="paper",
-        help="base config before --config/flag overrides (default: paper constants)",
+        help="base config when no --config is given. paper: dedup threshold 0.09, "
+        "match threshold 10, transition prune 1000, lr 1e-4, batch 256; synthetic: "
+        "the prune scaled to the synthetic world, at the low noise level",
     )
     p.add_argument("--seed", type=int, default=None, help="override the pipeline seed")
+    p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
+    _threads_flag(p)
+
+
+def _threads_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--threads", type=int, default=os.cpu_count() or 1,
         help="accepted and ignored: every stage runs on one Python thread "
         "(numpy's BLAS sets its own thread count)",
     )
-    p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
-
-
-def _graph_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--dedup-threshold", type=float, default=None,
-        help="single-linkage cosine distance threshold (default 0.09)",
-    )
-    p.add_argument(
-        "--match-threshold", type=float, default=None,
-        help="segment/headline dot-product match threshold (default 10)",
-    )
-    p.add_argument(
-        "--instance-threshold", type=float, default=None,
-        help="corpus transition aggregate prune threshold (default 1000)",
-    )
-    p.add_argument(
-        "--pool-factor", type=int, default=None,
-        help="mean-pool this many consecutive segment features on load "
-        "(default 1; use 3 to coarsen 3.2 s features to 9.6 s segments)",
-    )
 
 
 def _resolve_config(args) -> PipelineConfig:
-    noise = getattr(args, "noise", None)
     if args.config is not None:
-        if noise:
-            raise CliError("--noise cannot be combined with --config")
         cfg = PipelineConfig.load(args.config)
-    elif args.preset == "synthetic" or noise:
-        cfg = synthetic_preset(noise=noise or "low")
+    elif args.preset == "synthetic":
+        cfg = synthetic_preset()
     else:
         cfg = PipelineConfig()
     if args.seed is not None:
         cfg.seed = args.seed
         cfg.__post_init__()
-    for flag, attr in (
-        ("dedup_threshold", "dedup_threshold"),
-        ("match_threshold", "match_threshold"),
-        ("instance_threshold", "instance_threshold"),
-        ("pool_factor", "pool_factor"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    if getattr(args, "lr", None) is not None:
-        cfg.train.learning_rate = args.lr
-    if getattr(args, "batch_size", None) is not None:
-        cfg.train.batch_size = args.batch_size
-    if getattr(args, "max_epochs", None) is not None:
-        cfg.train.max_epochs = args.max_epochs
-        cfg.downstream.max_epochs = args.max_epochs
-    if getattr(args, "objectives", None):
-        cfg.train.objectives = tuple(args.objectives.split(","))
-    # the overrides bypass the constructors' checks; run them again
-    cfg.train.__post_init__()
-    cfg.downstream.__post_init__()
     return cfg
 
 
@@ -285,10 +255,15 @@ def cmd_eval(args) -> None:
 
 
 def cmd_graph_stats(args) -> None:
+    if args.hops < 0:
+        raise CliError(f"--hops must be >= 0, got {args.hops}")
     pkg = graph_mod.load_graph(args.graph)
+    nodes = [int(n) for n in args.nodes.split(",")] if args.nodes else None
+    for node in nodes or ():
+        if not 0 <= node < len(pkg.nodes):
+            raise CliError(f"--nodes: node {node} outside [0, {len(pkg.nodes)})")
     stats = graph_mod.graph_stats(pkg)
     if args.dot is not None:
-        nodes = [int(n) for n in args.nodes.split(",")] if args.nodes else None
         args.dot.write_text(graph_mod.export_dot(pkg, nodes, args.hops), encoding="utf-8")
     _emit(stats, args.out)
 
@@ -308,41 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic world directory")
     _common_flags(p)
     p.add_argument("--out", type=Path, required=True, help="world output directory")
-    p.add_argument(
-        "--noise", choices=["zero", "low", "high"], default=None,
-        help="noise preset override for the synthetic world",
-    )
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-graph", help="dedup steps, match segments, assemble the graph")
     _common_flags(p)
-    _graph_flags(p)
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="graph.json output path")
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("labels", help="emit pseudo labels (vnm/vtm/tcl/nrl/vsm)")
     _common_flags(p)
-    _graph_flags(p)
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="labels.jsonl output path")
-    p.add_argument(
-        "--vnm-top-k", type=int, default=None,
-        help="matched nodes per segment (default 3; top-5/3 neighbors per NRL hop)",
-    )
     p.set_defaults(func=cmd_labels)
 
     p = sub.add_parser("pretrain", help="train the adapter and answer heads")
     _common_flags(p)
-    _graph_flags(p)
     p.add_argument("--world", type=Path, required=True)
     p.add_argument("--labels", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="checkpoint output path")
-    p.add_argument("--objectives", default=None, help="comma list, e.g. vnm,vtm_db,nrl")
-    p.add_argument("--lr", type=float, default=None, help="Adam learning rate (default 1e-4)")
-    p.add_argument("--batch-size", type=int, default=None, help="batch size (default 256)")
-    p.add_argument("--max-epochs", type=int, default=None)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("eval", help="downstream TR/SR/SF accuracy, raw vs adapter features")
@@ -351,12 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", type=Path, default=None)
     p.add_argument("--task", choices=["TR", "SR", "SF", "all"], default="all")
     p.add_argument("--features", choices=["raw", "adapter", "both"], default="both")
-    p.add_argument("--max-epochs", type=int, default=None)
     p.add_argument("--out", type=Path, default=None, help="report JSON path (default stdout)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("graph-stats", help="graph statistics and optional DOT export")
-    _common_flags(p)
+    _threads_flag(p)
     p.add_argument("--graph", type=Path, required=True)
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--dot", type=Path, default=None, help="write a DOT rendering here")

@@ -374,6 +374,11 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             metadata = header["metadata"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}: malformed checkpoint header: {exc}") from exc
+        for name, rows, cols in shapes:
+            if rows < 1 or cols < 1:
+                raise CorpusFormatError(
+                    f"{path}: shape entry {name!r} is {rows}x{cols}; rows and cols must be >= 1"
+                )
         total = sum(r * c for _, r, c in shapes)
         payload = fh.read(total * 4)
         if len(payload) < total * 4:
@@ -383,4 +388,9 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         if fh.read(1):
             raise CorpusFormatError(f"{path}: trailing bytes after weights")
     weights = np.frombuffer(payload, dtype="<f4").copy()
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        ends = np.cumsum([rows * cols for _, rows, cols in shapes])
+        name = shapes[int(np.searchsorted(ends, bad[0], side="right"))][0]
+        raise CorpusFormatError(f"{path}: entry {name!r} holds a non-finite weight")
     return ModelCheckpoint(shapes=shapes, weights=weights, metadata=metadata)

@@ -178,6 +178,19 @@ def build_downstream_dataset(
     missing = [a.video_id for a in annotations if a.video_id not in by_id]
     if missing:
         raise ValueError(f"annotations reference unknown videos: {missing[:3]}")
+    for ann in annotations:
+        # a negative class would wrap to the last logit; an empty span is skipped later
+        n_segments = by_id[ann.video_id].segments.shape[0]
+        if ann.task_class < 0:
+            raise ValueError(f"video {ann.video_id}: task_class {ann.task_class} is negative")
+        for s in ann.steps:
+            if s.step_class < 0:
+                raise ValueError(f"video {ann.video_id}: step class {s.step_class} is negative")
+            if not 0 <= s.start <= s.end <= n_segments:
+                raise ValueError(
+                    f"video {ann.video_id}: step span [{s.start}, {s.end}) is not within "
+                    f"its {n_segments} segments"
+                )
     if kind == TASK_RECOGNITION:
         n_classes = max(a.task_class for a in annotations) + 1
     else:

@@ -182,6 +182,21 @@ class TestDeterminism:
 
 
 class TestHashChecks:
+    def test_same_seed_override_on_every_stage_passes(self, tmp_path, config_path):
+        world = tmp_path / "world"
+        seeded = ["--config", config_path, "--seed", "999"]
+        graph, labels, ckpt = tmp_path / "g.json", tmp_path / "l.jsonl", tmp_path / "m.pkgc"
+        assert _run("synth", *seeded, "--out", world) == 0
+        assert _run("build-graph", *seeded, "--world", world, "--out", graph) == 0
+        assert _run("labels", *seeded, "--world", world, "--graph", graph, "--out", labels) == 0
+        assert _run("pretrain", *seeded, "--world", world, "--labels", labels, "--out", ckpt) == 0
+        report = tmp_path / "report.json"
+        assert _run(
+            "eval", *seeded, "--world", world, "--checkpoint", ckpt,
+            "--task", "SR", "--out", report,
+        ) == 0
+        assert all(r["seed"] == 999 for r in json.loads(report.read_text())["reports"])
+
     def test_mismatched_config_refused(self, tmp_path, config_path, capsys):
         world = tmp_path / "world"
         _run("synth", "--config", config_path, "--out", world)
@@ -293,17 +308,22 @@ class TestMissingHash:
 
 
 class TestOverridesValidated:
-    """--lr, --batch-size and --max-epochs pass the same range checks as a config file."""
+    """Out-of-range training fields in a --config file fail before any stage work."""
 
-    @pytest.mark.parametrize(
-        "flag, name",
-        [("--max-epochs", "max_epochs"), ("--batch-size", "batch_size"), ("--lr", "learning_rate")],
-    )
-    def test_pretrain_rejects_zero(self, flag, name, artifacts, tmp_path, capsys):
+    @staticmethod
+    def _config_with(tmp_path, section, name, value) -> Path:
+        data = json.loads(json.dumps(SMALL_CONFIG))
+        data[section][name] = value
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("name", ["max_epochs", "batch_size", "learning_rate"])
+    def test_pretrain_rejects_zero(self, name, artifacts, tmp_path, capsys):
         out = tmp_path / "model.pkgc"
         assert _run(
-            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
-            "--labels", artifacts["labels"], "--out", out, flag, "0",
+            "pretrain", "--config", self._config_with(tmp_path, "train", name, 0),
+            "--world", artifacts["world"], "--labels", artifacts["labels"], "--out", out,
         ) == 1
         assert name in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
@@ -312,11 +332,72 @@ class TestOverridesValidated:
         # before the check, eval trained nothing and reported the untrained heads
         out = tmp_path / "report.json"
         assert _run(
-            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
-            "--task", "TR", "--features", "raw", "--max-epochs", "0", "--out", out,
+            "eval", "--config", self._config_with(tmp_path, "downstream", "max_epochs", 0),
+            "--world", artifacts["world"], "--task", "TR", "--features", "raw", "--out", out,
         ) == 1
         assert "max_epochs" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
+
+
+# flags that once set single config fields, per stage that had them; a config file
+# is the only way to set those fields
+REMOVED_FLAGS = [
+    *[
+        (stage, flag)
+        for stage in ("build-graph", "labels", "pretrain")
+        for flag in ("--dedup-threshold", "--match-threshold", "--instance-threshold",
+                     "--pool-factor")
+    ],
+    ("labels", "--vnm-top-k"),
+    *[("pretrain", flag) for flag in ("--objectives", "--lr", "--batch-size", "--max-epochs")],
+    ("eval", "--max-epochs"),
+    ("synth", "--noise"),
+]
+
+# each stage's required arguments besides the configuration
+STAGE_ARGS = {
+    "synth": ["--out", "w"],
+    "build-graph": ["--world", "w", "--out", "g.json"],
+    "labels": ["--world", "w", "--graph", "g.json", "--out", "l.jsonl"],
+    "pretrain": ["--world", "w", "--labels", "l.jsonl", "--out", "m.pkgc"],
+    "eval": ["--world", "w"],
+    "graph-stats": ["--graph", "g.json"],
+}
+
+
+class TestConfigSurface:
+    @pytest.mark.parametrize("stage, flag", REMOVED_FLAGS)
+    def test_removed_flag_is_a_usage_error(self, stage, flag, tmp_path, capsys):
+        args = [a if a.startswith("--") else str(tmp_path / a) for a in STAGE_ARGS[stage]]
+        value = "high" if flag == "--noise" else "1"  # a value the old flag accepted
+        with pytest.raises(SystemExit) as exc:
+            main([stage, *args, flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("stage", sorted(STAGE_ARGS))
+    def test_help_lists_only_the_configuration_inputs(self, stage, capsys):
+        with pytest.raises(SystemExit):
+            main([stage, "--help"])
+        text = capsys.readouterr().out
+        assert not [flag for _, flag in REMOVED_FLAGS if flag in text]
+        for flag in ("--config", "--preset", "--seed", "--force"):
+            assert (flag in text) == (stage != "graph-stats")
+        assert "--threads" in text
+
+
+class TestGraphStats:
+    @pytest.mark.parametrize(
+        "extra, bad", [(["--nodes", "0,999"], "999"), (["--hops", "-1"], "-1")]
+    )
+    def test_bad_dot_arguments_rejected(self, extra, bad, artifacts, tmp_path, capsys):
+        dot, out = tmp_path / "g.dot", tmp_path / "stats.json"
+        assert _run(
+            "graph-stats", "--graph", artifacts["graph"], "--dot", dot, "--out", out, *extra
+        ) == 1
+        assert bad in json.loads(capsys.readouterr().err)["error"]
+        assert not dot.exists() and not out.exists()
 
 
 class TestErrors:

@@ -37,6 +37,14 @@ class TestConfig:
         # pure function of the field values, no id()/repr leakage
         assert PipelineConfig(seed=3).config_hash() == PipelineConfig(seed=3).config_hash()
 
+    @pytest.mark.parametrize("noise", ["zero", "high"])
+    def test_config_file_reproduces_noise_levels(self, noise):
+        # the world fields of a config file set a noise level other than the preset's
+        levels = {"zero": (0.0, 0.0, 0.0), "high": (1.0, 8.0, 0.25)}
+        world = dict(zip(("noise_sigma", "style_sigma", "gain_jitter"), levels[noise]))
+        cfg = PipelineConfig.from_dict({"instance_threshold": 360.0, "world": world})
+        assert cfg.config_hash() == synthetic_preset(noise=noise).config_hash()
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"bogus_field": 1})

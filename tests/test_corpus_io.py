@@ -229,6 +229,25 @@ class TestCheckpoints:
         with pytest.raises(CorpusFormatError, match="truncated"):
             corpus_io.load_checkpoint(path)
 
+    @pytest.mark.parametrize("rows, cols", [(-1, 4), (0, 4), (2, 0)])
+    def test_non_positive_shape_entry(self, tmp_path, rows, cols):
+        # -1x4 with a 2x4 entry declares 4 weights, which 16 payload bytes satisfy
+        path = tmp_path / "model.pkgc"
+        header = {"shapes": [["a", rows, cols], ["b", 2, 4]], "metadata": {}}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+        with pytest.raises(CorpusFormatError, match=f"'a' is {rows}x{cols}"):
+            corpus_io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, tmp_path, bad):
+        params = np.arange(9.0)
+        params[6] = bad
+        shapes = [("w0", 2, 3), ("b0", 1, 3)]
+        path = tmp_path / "model.pkgc"
+        corpus_io.save_checkpoint(corpus_io.checkpoint_from_params(params, shapes, {}), path)
+        with pytest.raises(CorpusFormatError, match="'b0' holds a non-finite weight"):
+            corpus_io.load_checkpoint(path)
+
 
 class TestRoundTripBytes:
     """save -> load -> save must reproduce bytes exactly for every format."""

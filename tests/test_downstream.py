@@ -87,6 +87,37 @@ class TestDatasetConstruction:
         with pytest.raises(ValueError, match="max_positions"):
             ds.build_downstream_dataset(corpus, anns, "TR", cfg)
 
+    @staticmethod
+    def _six_segment_video(task_class, span):
+        corpus = SegmentCorpus(videos=[Video("v0", "task0", np.ones((6, 2)))])
+        return corpus, [VideoAnnotation("v0", task_class, [StepSpan(0, 0, 2), span])]
+
+    @pytest.mark.parametrize(
+        "task_class, span, what",
+        [
+            (-1, StepSpan(1, 2, 4), "task_class -1"),
+            (0, StepSpan(-1, 2, 4), "step class -1"),
+            (0, StepSpan(-1, 3, 9), "step class -1"),
+            (0, StepSpan(1, -1, 4), r"step span \[-1, 4\)"),
+            (0, StepSpan(1, 4, 3), r"step span \[4, 3\)"),
+            (0, StepSpan(1, 3, 7), r"step span \[3, 7\)"),
+        ],
+        ids=["negative-task", "negative-step", "negative-step-long-span", "negative-start",
+             "end-before-start", "end-past-video"],
+    )
+    @pytest.mark.parametrize("kind", ["TR", "SR", "SF"])
+    def test_bad_annotation_rejected(self, task_class, span, what, kind):
+        corpus, anns = self._six_segment_video(task_class, span)
+        cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
+        with pytest.raises(ValueError, match=f"video v0: {what}"):
+            ds.build_downstream_dataset(corpus, anns, kind, cfg)
+
+    def test_empty_span_skipped(self):
+        corpus, anns = self._six_segment_video(0, StepSpan(1, 6, 6))
+        cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
+        splits = ds.build_downstream_dataset(corpus, anns, "SR", cfg)
+        assert [ex.label for ex in splits.train] == [0]
+
 
 class TestModelMath:
     def test_zero_features_zero_positions_bias_path(self):
