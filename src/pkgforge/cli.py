@@ -32,7 +32,7 @@ class CliError(RuntimeError):
     pass
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, force: bool = True) -> None:
     p.add_argument(
         "--config", type=Path, default=None,
         help="pipeline config JSON; replaces --preset (every field not in the file "
@@ -47,7 +47,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
         "the prune scaled to the synthetic world, at the low noise level",
     )
     p.add_argument("--seed", type=int, default=None, help="override the pipeline seed")
-    p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
+    if force:
+        p.add_argument("--force", action="store_true", help="skip config-hash consistency checks")
     _threads_flag(p)
 
 
@@ -95,16 +96,12 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
             _check_hash(json.load(fh).get("config_hash"), cfg, str(truth_path), force)
 
 
-def _load_corpus(world: Path, pool_factor: int) -> corpus_io.SegmentCorpus:
-    corpus = corpus_io.load_segment_corpus(world / "manifest.jsonl")
-    if pool_factor > 1:
-        for video in corpus.videos:
-            video.segments = corpus_io.pool_segments(video.segments, pool_factor)
-    return corpus
+def _load_corpus(world: Path) -> corpus_io.SegmentCorpus:
+    return corpus_io.load_segment_corpus(world / "manifest.jsonl")
 
 
-def _load_world(world: Path, pool_factor: int):
-    return corpus_io.load_step_database(world / "steps.jsonl"), _load_corpus(world, pool_factor)
+def _load_world(world: Path):
+    return corpus_io.load_step_database(world / "steps.jsonl"), _load_corpus(world)
 
 
 def _emit(obj: dict, out: Path | None) -> None:
@@ -149,7 +146,7 @@ def cmd_synth(args) -> None:
 def cmd_build_graph(args) -> None:
     cfg = _resolve_config(args)
     _check_world(args.world, cfg, args.force)
-    db, corpus = _load_world(args.world, cfg.pool_factor)
+    db, corpus = _load_world(args.world)
     pkg = graph_mod.build_graph(
         db,
         corpus,
@@ -164,7 +161,7 @@ def cmd_build_graph(args) -> None:
 
 def cmd_labels(args) -> None:
     cfg = _resolve_config(args)
-    db, corpus = _load_world(args.world, cfg.pool_factor)
+    db, corpus = _load_world(args.world)
     pkg = graph_mod.load_graph(args.graph)
     _check_hash(pkg.config_hash, cfg, str(args.graph), args.force)
     header, records = labeler.emit_labels(corpus, db, pkg, config=cfg.labels)
@@ -174,7 +171,7 @@ def cmd_labels(args) -> None:
 
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
-    corpus = _load_corpus(args.world, cfg.pool_factor)
+    corpus = _load_corpus(args.world)
     header, records = labeler.load_labels(args.labels)
     _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
 
@@ -209,10 +206,8 @@ def cmd_pretrain(args) -> None:
 
 def cmd_eval(args) -> None:
     cfg = _resolve_config(args)
-    if cfg.pool_factor > 1:
-        raise CliError("eval requires pool_factor=1: step annotations index unpooled segments")
     _check_world(args.world, cfg, args.force)
-    corpus = _load_corpus(args.world, 1)
+    corpus = _load_corpus(args.world)
     annotations = downstream.load_annotations(args.world / "downstream_labels.jsonl")
 
     sources = ["raw", "adapter"] if args.features == "both" else [args.features]
@@ -258,14 +253,24 @@ def cmd_graph_stats(args) -> None:
     if args.hops < 0:
         raise CliError(f"--hops must be >= 0, got {args.hops}")
     pkg = graph_mod.load_graph(args.graph)
-    nodes = [int(n) for n in args.nodes.split(",")] if args.nodes else None
-    for node in nodes or ():
-        if not 0 <= node < len(pkg.nodes):
-            raise CliError(f"--nodes: node {node} outside [0, {len(pkg.nodes)})")
+    nodes = _node_ids(args.nodes, len(pkg.nodes)) if args.nodes else None
     stats = graph_mod.graph_stats(pkg)
     if args.dot is not None:
         args.dot.write_text(graph_mod.export_dot(pkg, nodes, args.hops), encoding="utf-8")
     _emit(stats, args.out)
+
+
+def _node_ids(text: str, num_nodes: int) -> list[int]:
+    nodes = []
+    for entry in text.split(","):
+        try:
+            node = int(entry)
+        except ValueError:
+            raise CliError(f"--nodes: {entry!r} is not a node id") from None
+        if not 0 <= node < num_nodes:
+            raise CliError(f"--nodes: node {node} outside [0, {num_nodes})")
+        nodes.append(node)
+    return nodes
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic world directory")
-    _common_flags(p)
+    _common_flags(p, force=False)  # synth reads no artifact, so it has no hash to check
     p.add_argument("--out", type=Path, required=True, help="world output directory")
     p.set_defaults(func=cmd_synth)
 

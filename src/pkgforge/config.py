@@ -30,11 +30,15 @@ SYNTH_INSTANCE_THRESHOLD = 360.0
 
 
 def _build(cls, data: dict, tuple_fields: tuple[str, ...] = ()):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     converted = dict(data)
+    for name, value in data.items():
+        # JSON 360 and 360.0 are one value, so they must hash alike
+        if types[name] == "float" and type(value) is int:
+            converted[name] = float(value)
     for name in tuple_fields:
         if name in converted and converted[name] is not None:
             converted[name] = tuple(converted[name])
@@ -44,7 +48,6 @@ def _build(cls, data: dict, tuple_fields: tuple[str, ...] = ()):
 @dataclass
 class PipelineConfig:
     seed: int = 0
-    pool_factor: int = 1
     dedup_threshold: float = PAPER_DEDUP_THRESHOLD
     match_threshold: float = PAPER_MATCH_THRESHOLD
     instance_threshold: float = PAPER_INSTANCE_THRESHOLD
@@ -65,6 +68,14 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         data = dict(data)
+        seed = data.get("seed", cls.seed)
+        for section in ("train", "downstream", "world"):
+            given = data.get(section, {}).get("seed", seed)
+            if given != seed:
+                raise ValueError(
+                    f"{section}.seed={given} disagrees with the top-level seed={seed}; "
+                    "one seed drives every stage, so set only the top-level seed"
+                )
         labels = _build(LabelConfig, data.pop("labels", {}), ("nrl_top_per_hop",))
         train = _build(TrainConfig, data.pop("train", {}), ("objectives",))
         downstream = _build(DownstreamConfig, data.pop("downstream", {}))

@@ -1,10 +1,9 @@
 """On-disk formats and in-memory containers for the pipeline.
 
-Four artifact families live here: the step database (steps.jsonl), the
-segment corpus (manifest.jsonl plus binary feature files), model
+Three artifact families live here: the step database (steps.jsonl), the
+segment corpus (manifest.jsonl plus binary feature files), and model
 checkpoints (JSON header line plus the f32 cast of a model's flat parameter
-vector), and the mean-pooling helper used to coarsen fine-grained segment
-features.
+vector).
 
 All floating point payloads are little-endian f32 on disk; everything is
 promoted to f64 the moment it enters memory.
@@ -301,25 +300,6 @@ def save_segment_corpus(
             }
             fh.write(canonical_json(rec) + "\n")
     return manifest_path
-
-
-def pool_segments(fine_features: np.ndarray, pool_factor: int) -> np.ndarray:
-    """Mean-pool consecutive groups of pool_factor feature rows.
-
-    A trailing group shorter than pool_factor is averaged over its actual
-    size. Empty input pools to empty output.
-    """
-    if pool_factor < 1:
-        raise ValueError(f"pool_factor must be >= 1, got {pool_factor}")
-    fine = np.asarray(fine_features, dtype=np.float64)
-    if fine.shape[0] == 0:
-        return fine.reshape(0, fine.shape[1] if fine.ndim == 2 else 0)
-    if pool_factor == 1:
-        return fine.copy()
-    out = []
-    for start in range(0, fine.shape[0], pool_factor):
-        out.append(fine[start : start + pool_factor].mean(axis=0))
-    return np.vstack(out)
 
 
 # ---------------------------------------------------------------------------

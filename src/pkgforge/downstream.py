@@ -1,10 +1,10 @@
 """Downstream task harness: task recognition, step recognition, forecasting.
 
 Examples are sequences of (optionally adapter-refined) segment features.
-The model adds a learned positional vector to each segment, aggregates the
-sequence (mean by default, sum available), and classifies with a
-one-hidden-layer MLP under softmax cross entropy. The harness path is
-identical for raw and refined features; only the input transform differs.
+The model adds a learned positional vector to each segment, averages the
+sequence, and classifies with a one-hidden-layer MLP under softmax cross
+entropy. The harness path is identical for raw and refined features; only
+the input transform differs.
 """
 
 from __future__ import annotations
@@ -36,14 +36,11 @@ class DownstreamConfig:
     hidden_tr: int = 128
     hidden_sr: int = 768
     max_positions: int = 128
-    aggregation: str = "mean"  # "sum" follows the alternative reading
     train_fraction: float = 0.6
     val_fraction: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
-        if self.aggregation not in ("mean", "sum"):
-            raise ValueError(f"aggregation must be 'mean' or 'sum', got {self.aggregation!r}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "hidden_tr", "hidden_sr", "max_positions"):
@@ -239,7 +236,6 @@ class DownstreamModel:
     """
 
     def __init__(self, dim: int, n_classes: int, kind: str, config: DownstreamConfig, rng):
-        self.config = config
         dims = [dim, config.hidden_for(kind), n_classes]
         n_pos = config.max_positions * dim
         self.params = np.zeros(n_pos + Mlp.size(dims))
@@ -256,10 +252,7 @@ class DownstreamModel:
             raise ValueError(f"sequence of length {length} exceeds positional table")
         if length == 0:
             raise ValueError("cannot classify an empty segment sequence")
-        augmented = features + self.positions[:length]
-        if self.config.aggregation == "sum":
-            return augmented.sum(axis=0)
-        return augmented.mean(axis=0)
+        return (features + self.positions[:length]).mean(axis=0)
 
     def forward(self, batch: list[DownstreamExample]):
         aggs = np.stack([self._aggregate(ex.features) for ex in batch])
@@ -273,8 +266,7 @@ class DownstreamModel:
         dpos[...] = 0.0
         for row, ex in enumerate(batch):
             length = ex.features.shape[0]
-            g = dagg[row] if self.config.aggregation == "sum" else dagg[row] / length
-            dpos[:length] += g
+            dpos[:length] += dagg[row] / length
         return self.grads
 
 

@@ -47,7 +47,6 @@ class LabelConfig:
     nrl_hops: int = 2
     nrl_top_per_hop: tuple[int, ...] = (5, 3)
     vsm_top_k: int = 3
-    background_floor: float | None = None
 
     def __post_init__(self):
         if self.nrl_hops > len(self.nrl_top_per_hop):
@@ -113,11 +112,9 @@ class PseudoLabelSet:
 # individual label operations
 
 
-def vnm_labels(
-    node_scores: np.ndarray, k: int = 3, background_floor: float | None = None
-) -> list[tuple[int, float]]:
+def vnm_labels(node_scores: np.ndarray, k: int = 3) -> list[tuple[int, float]]:
     """Top-k matched nodes with their raw matching scores."""
-    ids = matcher.top_k_nodes(node_scores, k=k, background_floor=background_floor)
+    ids = matcher.top_k_nodes(node_scores, k=k)
     return [(nid, float(node_scores[nid])) for nid in ids]
 
 
@@ -253,9 +250,7 @@ def emit_labels(
             continue
         for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
             node_scores = matcher.node_scores_from_headlines(row, assignment)
-            vnm = vnm_labels(
-                node_scores, k=config.vnm_top_k, background_floor=config.background_floor
-            )
+            vnm = vnm_labels(node_scores, k=config.vnm_top_k)
             vsm_ids = matcher.vsm_top_headlines(row, k=config.vsm_top_k)
             vsm = [(h, float(row[h])) for h in vsm_ids]
             scored.append((vi, seg_idx, vnm, vsm))

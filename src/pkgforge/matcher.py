@@ -34,20 +34,6 @@ def ranked_indices(scores: np.ndarray, candidates: np.ndarray) -> list[int]:
     return candidates[order].tolist()
 
 
-def _top_k_positive(scores: np.ndarray, k: int) -> list[int]:
-    """Up to k indices with the largest positive score, ranked.
-
-    Only candidates scoring at least the k-th largest positive score can
-    rank in the top k, ties included, so only those are sorted.
-    """
-    candidates = np.nonzero(scores > 0)[0]
-    if candidates.size > k:
-        values = scores[candidates]
-        kth = np.partition(values, values.size - k)[values.size - k]
-        candidates = candidates[values >= kth]
-    return ranked_indices(scores, candidates)[:k]
-
-
 def matched_headlines(
     scores: np.ndarray, match_threshold: float = DEFAULT_MATCH_THRESHOLD
 ) -> list[int]:
@@ -63,28 +49,24 @@ def node_scores_from_headlines(scores: np.ndarray, assignment: NodeAssignment) -
     return node_scores
 
 
-def top_k_nodes(
-    node_scores: np.ndarray,
-    k: int = DEFAULT_TOP_K,
-    background_floor: float | None = None,
-) -> list[int]:
-    """Up to k node ids with the largest positive score.
+def top_k_nodes(scores: np.ndarray, k: int = DEFAULT_TOP_K) -> list[int]:
+    """Up to k indices with the largest positive score, ranked.
 
-    Only nodes with score > 0 have any support and are considered. With
-    background_floor set, an all-below-floor segment matches nothing at all
-    instead of being forced onto irrelevant nodes.
+    Only indices with score > 0 have any support and are considered. Only
+    candidates scoring at least the k-th largest positive score can rank in
+    the top k, ties included, so only those are sorted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    node_scores = np.asarray(node_scores, dtype=np.float64)
-    if background_floor is not None:
-        if node_scores.size == 0 or float(np.max(node_scores)) < background_floor:
-            return []
-    return _top_k_positive(node_scores, k)
+    scores = np.asarray(scores, dtype=np.float64)
+    candidates = np.nonzero(scores > 0)[0]
+    if candidates.size > k:
+        values = scores[candidates]
+        kth = np.partition(values, values.size - k)[values.size - k]
+        candidates = candidates[values >= kth]
+    return ranked_indices(scores, candidates)[:k]
 
 
-def vsm_top_headlines(scores: np.ndarray, k: int = DEFAULT_TOP_K) -> list[int]:
-    """Top-k raw headlines by score, without node aggregation."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _top_k_positive(np.asarray(scores, dtype=np.float64), k)
+# vsm ranks a segment's raw headline scores by the same rule vnm applies to
+# its node scores; the two names keep the two label families apart
+vsm_top_headlines = top_k_nodes

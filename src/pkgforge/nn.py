@@ -20,6 +20,11 @@ import numpy as np
 # two scratch buffers) take 1.5 MiB, which fits a typical per-core L2 cache.
 ADAM_CHUNK = 32768
 
+# Adam's moment decay rates and denominator epsilon (the Adam paper's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -192,9 +197,6 @@ def adam_step(
     grad: np.ndarray,
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place Adam update with bias correction (L2-style weight decay).
@@ -208,8 +210,8 @@ def adam_step(
     nothing and leaves `grad` untouched.
     """
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for start in range(0, param.size, ADAM_CHUNK):
         stop = start + ADAM_CHUNK
         p, g = param[start:stop], grad[start:stop]
@@ -218,16 +220,16 @@ def adam_step(
         if weight_decay:
             g = np.multiply(p, weight_decay, out=state.decayed[: p.size])
             g += grad[start:stop]
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=sc)
+        m *= ADAM_BETA1
+        np.multiply(g, 1.0 - ADAM_BETA1, out=sc)
         m += sc
-        v *= beta2
+        v *= ADAM_BETA2
         np.multiply(g, g, out=sc)
-        sc *= 1.0 - beta2
+        sc *= 1.0 - ADAM_BETA2
         v += sc
         np.divide(v, bc2, out=sc)
         np.sqrt(sc, out=sc)
-        sc += eps
+        sc += ADAM_EPS
         np.divide(m, sc, out=sc)
         sc *= lr / bc1
         p -= sc

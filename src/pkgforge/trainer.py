@@ -20,7 +20,7 @@ payload is its f32 cast, with that layout as the shape table.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -50,11 +50,7 @@ OBJECTIVE_SPECS = {
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-4
-    weight_decay: float = 0.0
     batch_size: int = 256
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 60
     patience: int = 10
     seed: int = 0
@@ -62,7 +58,6 @@ class TrainConfig:
     nrl_hops: int = 1
     bottleneck: int = BOTTLENECK_DIM
     val_fraction: float = 0.1
-    loss_coefficients: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.learning_rate > 0:
@@ -222,7 +217,7 @@ class PaprikaModel:
         return out
 
 
-def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict[str, np.ndarray], coeffs: dict[str, float]):
+def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict[str, np.ndarray]):
     """Total BCE over all heads; overwrites and returns the model's flat gradient."""
     z, adapter_cache = model.adapter.forward(x)
     total = 0.0
@@ -231,29 +226,28 @@ def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict
         head = model.heads[spec.name]
         logits, cache = head.forward(z)
         loss, dlogits = bce_with_logits(logits, dense_targets[spec.name])
-        coeff = coeffs.get(spec.name, 1.0)
-        total += coeff * loss
-        dz += head.backward(cache, coeff * dlogits)
+        total += loss
+        dz += head.backward(cache, dlogits)
     model.adapter.backward(adapter_cache, dz)
     return total, model.grads
 
 
-def model_loss(model: PaprikaModel, x, dense_targets, coeffs) -> float:
+def model_loss(model: PaprikaModel, x, dense_targets) -> float:
     total = 0.0
     z, _ = model.adapter.forward(x)
     for spec in model.specs:
         logits, _ = model.heads[spec.name].forward(z)
         loss, _ = bce_with_logits(logits, dense_targets[spec.name])
-        total += coeffs.get(spec.name, 1.0) * loss
+        total += loss
     return total
 
 
-def _dataset_loss(model, features, targets, indices, coeffs, chunk=1024) -> float:
+def _dataset_loss(model, features, targets, indices, chunk=1024) -> float:
     total = 0.0
     for start in range(0, len(indices), chunk):
         rows = indices[start : start + chunk]
         dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in model.specs}
-        total += model_loss(model, features[rows], dense, coeffs) * len(rows)
+        total += model_loss(model, features[rows], dense) * len(rows)
     return total / max(1, len(indices))
 
 
@@ -294,7 +288,6 @@ def train(
         train_idx = np.arange(n)
         val_idx = np.zeros(0, dtype=np.int64)
 
-    coeffs = dict(config.loss_coefficients)
     best_val = np.inf
     best = params.copy()
     best_epoch = 0
@@ -308,22 +301,13 @@ def train(
         for start in range(0, order.size, batch):
             rows = order[start : start + batch]
             dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
-            loss, grads = model_loss_and_grads(model, features[rows], dense, coeffs)
-            adam_step(
-                params,
-                grads,
-                adam,
-                lr=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.eps,
-                weight_decay=config.weight_decay,
-            )
+            loss, grads = model_loss_and_grads(model, features[rows], dense)
+            adam_step(params, grads, adam, lr=config.learning_rate)
             epoch_loss += loss * rows.size
         history["train_loss"].append(epoch_loss / order.size)
 
         if val_idx.size:
-            val_loss = _dataset_loss(model, features, targets, val_idx, coeffs)
+            val_loss = _dataset_loss(model, features, targets, val_idx)
             history["val_loss"].append(val_loss)
             if val_loss < best_val:
                 best_val = val_loss
@@ -385,7 +369,6 @@ def gradient_check(
     model: PaprikaModel,
     x: np.ndarray,
     dense_targets: dict[str, np.ndarray],
-    coeffs: dict[str, float] | None = None,
     h: float = 1e-5,
     n_coords: int = 200,
     rng: np.random.Generator | None = None,
@@ -397,9 +380,8 @@ def gradient_check(
     gradient are judged on the absolute scale where finite differences are
     trustworthy.
     """
-    coeffs = coeffs or {}
     rng = rng or np.random.default_rng(0)
-    _, grads = model_loss_and_grads(model, x, dense_targets, coeffs)
+    _, grads = model_loss_and_grads(model, x, dense_targets)
     params = model.params
     picks = rng.choice(params.size, size=min(n_coords, params.size), replace=False)
 
@@ -407,9 +389,9 @@ def gradient_check(
     for i in sorted(int(p) for p in picks):
         saved = params[i]
         params[i] = saved + h
-        plus = model_loss(model, x, dense_targets, coeffs)
+        plus = model_loss(model, x, dense_targets)
         params[i] = saved - h
-        minus = model_loss(model, x, dense_targets, coeffs)
+        minus = model_loss(model, x, dense_targets)
         params[i] = saved
         fd = (plus - minus) / (2.0 * h)
         an = float(grads[i])

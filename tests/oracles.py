@@ -185,12 +185,9 @@ def dense_targets_per_row(index_lists, rows, n_classes):
 # the per-segment label path
 
 
-def top_k_full_sort(scores, k, background_floor=None):
+def top_k_full_sort(scores, k):
     """Up to k indices with the largest positive score, by a lexsort of every candidate."""
     scores = np.asarray(scores, dtype=np.float64)
-    if background_floor is not None:
-        if scores.size == 0 or float(np.max(scores)) < background_floor:
-            return []
     candidates = np.nonzero(scores > 0)[0]
     order = np.lexsort((candidates, -scores[candidates]))
     return [int(candidates[i]) for i in order][:k]
@@ -234,7 +231,7 @@ def emit_labels_per_segment(corpus, db, graph, config):
             continue
         for row in np.asarray(video.segments, dtype=np.float64) @ emb.T:
             node_scores = matcher.node_scores_from_headlines(row, assignment)
-            ids = top_k_full_sort(node_scores, config.vnm_top_k, config.background_floor)
+            ids = top_k_full_sort(node_scores, config.vnm_top_k)
             segment_vnm.append([(nid, float(node_scores[nid])) for nid in ids])
             segment_vsm.append([(h, float(row[h])) for h in top_k_full_sort(row, config.vsm_top_k)])
             video_of_segment.append(vi)

@@ -382,14 +382,28 @@ class TestConfigSurface:
             main([stage, "--help"])
         text = capsys.readouterr().out
         assert not [flag for _, flag in REMOVED_FLAGS if flag in text]
-        for flag in ("--config", "--preset", "--seed", "--force"):
+        for flag in ("--config", "--preset", "--seed"):
             assert (flag in text) == (stage != "graph-stats")
+        # only the stages that check an input artifact's config hash can skip that check
+        assert ("--force" in text) == (stage not in ("synth", "graph-stats"))
         assert "--threads" in text
+
+    def test_synth_has_no_force(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "w"), "--force"])
+        assert exc.value.code == 2
+        assert "--force" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestGraphStats:
     @pytest.mark.parametrize(
-        "extra, bad", [(["--nodes", "0,999"], "999"), (["--hops", "-1"], "-1")]
+        "extra, bad",
+        [
+            (["--nodes", "0,999"], "999"),
+            (["--hops", "-1"], "-1"),
+            (["--nodes", "0,x"], "--nodes: 'x'"),
+        ],
     )
     def test_bad_dot_arguments_rejected(self, extra, bad, artifacts, tmp_path, capsys):
         dot, out = tmp_path / "g.dot", tmp_path / "stats.json"

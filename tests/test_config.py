@@ -51,9 +51,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown"):
             PipelineConfig.from_dict({"train": {"bogus": 2}})
 
-    def test_unknown_aggregation_rejected(self):
-        with pytest.raises(ValueError, match="aggregation"):
-            PipelineConfig.from_dict({"downstream": {"aggregation": "max"}})
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            (None, "pool_factor", 1),
+            ("train", "beta1", 0.9),
+            ("train", "beta2", 0.999),
+            ("train", "eps", 1e-8),
+            ("train", "weight_decay", 0.0),
+            ("train", "loss_coefficients", {}),
+            ("downstream", "aggregation", "mean"),
+            ("labels", "background_floor", None),
+        ],
+    )
+    def test_removed_field_rejected(self, section, name, value):
+        # each once held its default only, so even that default is now refused
+        data = {name: value} if section is None else {section: {name: value}}
+        with pytest.raises(ValueError, match=f"unknown .*{name}"):
+            PipelineConfig.from_dict(data)
+
+    def test_integer_spelling_of_a_float_hashes_alike(self):
+        as_int = PipelineConfig.from_dict({"instance_threshold": 360, "world": {"noise_sigma": 1}})
+        as_float = PipelineConfig.from_dict(
+            {"instance_threshold": 360.0, "world": {"noise_sigma": 1.0}}
+        )
+        assert type(as_int.instance_threshold) is float
+        assert type(as_int.world.noise_sigma) is float
+        assert as_int.config_hash() == as_float.config_hash()
+        preset_spelling = PipelineConfig.from_dict({"instance_threshold": 360})
+        assert preset_spelling.config_hash() == synthetic_preset().config_hash()
+
+    @pytest.mark.parametrize("section", ["train", "downstream", "world"])
+    def test_section_seed_must_match_top_level(self, section):
+        with pytest.raises(ValueError, match=rf"{section}\.seed=5 .*top-level seed=0"):
+            PipelineConfig.from_dict({section: {"seed": 5}})
+        with pytest.raises(ValueError, match=rf"{section}\.seed=0 .*top-level seed=3"):
+            PipelineConfig.from_dict({"seed": 3, section: {"seed": 0}})
+        assert PipelineConfig.from_dict({"seed": 3, section: {"seed": 3}}).config_hash() == (
+            PipelineConfig(seed=3).config_hash()
+        )
+
+    def test_pinned_hashes(self):
+        # every artifact embeds this hash: a change here moves every artifact's bytes
+        assert PipelineConfig().config_hash() == "f7ac27d07bf354ea"
+        assert synthetic_preset().config_hash() == "cfcd09d12c6a77b2"
 
     @pytest.mark.parametrize(
         "section, name, value",
@@ -91,7 +132,6 @@ class TestConfig:
         assert cfg.instance_threshold == 1000.0
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.batch_size == 256
-        assert cfg.train.weight_decay == 0.0
         assert cfg.labels.vnm_top_k == 3
         assert cfg.labels.nrl_top_per_hop == (5, 3)
         assert cfg.downstream.weight_decay == 1e-3

@@ -1,4 +1,4 @@
-"""Formats: step database, corpus, feature files, checkpoints, pooling."""
+"""Formats: step database, corpus, feature files, checkpoints."""
 
 import json
 
@@ -165,36 +165,6 @@ class TestSegmentCorpus:
         manifest = corpus_io.save_segment_corpus(corpus_io.SegmentCorpus(videos=[]), tmp_path)
         back = corpus_io.load_segment_corpus(manifest)
         assert back.videos == [] and back.dim is None
-
-
-class TestPooling:
-    def test_mean_of_three(self):
-        out = corpus_io.pool_segments(np.array([[1.0, 1.0], [3.0, 3.0], [5.0, 5.0]]), 3)
-        np.testing.assert_array_equal(out, [[3.0, 3.0]])
-
-    def test_factor_one_is_identity(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(7, 3))
-        np.testing.assert_array_equal(corpus_io.pool_segments(x, 1), x)
-
-    def test_trailing_partial_group(self):
-        x = np.array([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0], [6.0, 6.0]])
-        np.testing.assert_array_equal(
-            corpus_io.pool_segments(x, 3), [[2.0, 2.0], [6.0, 6.0]]
-        )
-
-    def test_empty_input(self):
-        out = corpus_io.pool_segments(np.zeros((0, 4)), 3)
-        assert out.shape == (0, 4)
-
-    def test_mean_conservation_when_divisible(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            factor = int(rng.integers(1, 5))
-            groups = int(rng.integers(1, 6))
-            x = rng.normal(size=(factor * groups, 3))
-            pooled = corpus_io.pool_segments(x, factor)
-            np.testing.assert_allclose(pooled.mean(axis=0), x.mean(axis=0), atol=1e-12)
 
 
 class TestCheckpoints:

@@ -153,14 +153,6 @@ class TestModelMath:
         # mean of (1.1, 0.2) and (-0.1, 1.3) is (0.5, 0.75)
         np.testing.assert_allclose(logits, [0.55, 1.5], atol=1e-12)
 
-    def test_sum_aggregation_option(self):
-        cfg = DownstreamConfig(aggregation="sum", hidden_tr=2)
-        model = DownstreamModel(2, 2, "TR", cfg, None)
-        model.classifier.weights[0][...] = np.eye(2)
-        model.classifier.weights[1][...] = np.eye(2)
-        ex = DownstreamExample(np.array([[1.0, 0.0], [1.0, 2.0]]), 0, "v")
-        np.testing.assert_allclose(model.forward([ex])[0][0], [2.0, 2.0], atol=1e-12)
-
     def test_positional_shift_with_zero_first_layer(self):
         cfg = DownstreamConfig()
         rng = np.random.default_rng(2)

@@ -440,11 +440,10 @@ class TestAgainstPerSegmentPath:
     @given(
         seed=st.integers(0, 2**32 - 1),
         integer_valued=st.booleans(),
-        floor=st.sampled_from([None, 0.5, 1e9]),  # 1e9 lies above every score
         top_k=st.tuples(*[st.integers(1, 3)] * 4),
         nrl_top=st.tuples(st.integers(1, 3), st.integers(1, 3)),
     )
-    def test_records_equal_reference(self, seed, integer_valued, floor, top_k, nrl_top):
+    def test_records_equal_reference(self, seed, integer_valued, top_k, nrl_top):
         db, pkg, corpus = _random_world(np.random.default_rng(seed), integer_valued)
         config = labeler.LabelConfig(
             vnm_top_k=top_k[0],
@@ -453,7 +452,6 @@ class TestAgainstPerSegmentPath:
             vsm_top_k=top_k[3],
             nrl_hops=2,
             nrl_top_per_hop=nrl_top,
-            background_floor=floor,
         )
         header, records = labeler.emit_labels(corpus, db, pkg, config)
         expected = emit_labels_per_segment(corpus, db, pkg, config)
@@ -469,8 +467,6 @@ class TestAgainstPerSegmentPath:
         assert header["skipped_unnamed_videos"] == sum(
             v.corpus_task_name is None for v in corpus.videos
         )
-        if floor == 1e9:
-            assert all(not r.vnm and not r.vtm_db and not r.tcl_corpus for r in records)
 
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "labels.jsonl"

@@ -68,11 +68,6 @@ class TestTopKNodes:
     def test_nonpositive_scores_have_no_support(self):
         assert matcher.top_k_nodes(np.array([-1.0, 0.0, 2.0]), k=3) == [2]
 
-    def test_background_floor(self):
-        scores = np.array([4.0, 3.0])
-        assert matcher.top_k_nodes(scores, k=2, background_floor=5.0) == []
-        assert matcher.top_k_nodes(scores, k=2, background_floor=3.5) == [0, 1]
-
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -86,13 +81,10 @@ class TestPartitionTopK:
     @given(
         values=st.lists(st.integers(-3, 3), max_size=40),
         k=st.integers(1, 8),
-        floor=st.none() | st.integers(-3, 4),
     )
-    def test_equals_full_sort_under_ties(self, values, k, floor):
+    def test_equals_full_sort_under_ties(self, values, k):
         scores = np.array(values, dtype=np.float64)
-        assert matcher.top_k_nodes(scores, k=k, background_floor=floor) == top_k_full_sort(
-            scores, k, floor
-        )
+        assert matcher.top_k_nodes(scores, k=k) == top_k_full_sort(scores, k)
         assert matcher.vsm_top_headlines(scores, k=k) == top_k_full_sort(scores, k)
 
 

@@ -327,7 +327,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(9)
         model, x, dense = _random_model(rng)
         x = np.zeros_like(x)
-        model_loss_and_grads(model, x, dense, {})
+        model_loss_and_grads(model, x, dense)
         w0_grad = model.adapter.weight_grads[0]
         np.testing.assert_array_equal(w0_grad, np.zeros_like(w0_grad))
         assert np.any(model.adapter.bias_grads[0] != 0.0)
@@ -337,10 +337,10 @@ class TestGradientCheck:
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             model, x, dense = _random_model(rng)
-            before, grads = model_loss_and_grads(model, x, dense, {})
+            before, grads = model_loss_and_grads(model, x, dense)
             state = AdamState.for_params(model.params)
             adam_step(model.params, grads, state, lr=1e-6)
-            after = model_loss(model, x, dense, {})
+            after = model_loss(model, x, dense)
             assert after <= before
 
 
