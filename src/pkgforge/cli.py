@@ -93,7 +93,10 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
     truth_path = world / "truth.json"
     if truth_path.exists():
         with open(truth_path, encoding="utf-8") as fh:
-            _check_hash(json.load(fh).get("config_hash"), cfg, str(truth_path), force)
+            truth = json.load(fh)
+        if not isinstance(truth, dict):
+            raise corpus_io.CorpusFormatError(f"{truth_path}: truth file is not a JSON object")
+        _check_hash(truth.get("config_hash"), cfg, str(truth_path), force)
 
 
 def _load_corpus(world: Path) -> corpus_io.SegmentCorpus:

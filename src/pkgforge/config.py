@@ -29,20 +29,42 @@ PAPER_INSTANCE_THRESHOLD = 1000.0
 SYNTH_INSTANCE_THRESHOLD = 360.0
 
 
-def _build(cls, data: dict, tuple_fields: tuple[str, ...] = ()):
+# JSON value types a field annotation accepts; a JSON integer is a valid float
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fits a field annotation such as "float" or "tuple[int, ...]"."""
+    if not annotation.startswith("tuple["):
+        return type(value) in _JSON_TYPES[annotation]
+    items = annotation[len("tuple[") : -1].split(", ")
+    if not isinstance(value, (list, tuple)) or items[-1] != "..." and len(value) != len(items):
+        return False
+    return all(_fits(v, items[0]) for v in value)
+
+
+def _build(cls, data, prefix: str = ""):
+    """A config dataclass from a JSON object; `prefix` names its section in messages."""
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {prefix[:-1]!r} must be a JSON object, got {data!r}")
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     converted = dict(data)
     for name, value in data.items():
+        if not _fits(value, types[name]):
+            raise ValueError(f"{prefix}{name} must be {types[name]}, got {value!r}")
         # JSON 360 and 360.0 are one value, so they must hash alike
-        if types[name] == "float" and type(value) is int:
+        if types[name] == "float":
             converted[name] = float(value)
-    for name in tuple_fields:
-        if name in converted and converted[name] is not None:
-            converted[name] = tuple(converted[name])
+        elif types[name].startswith("tuple["):
+            converted[name] = tuple(value)
     return cls(**converted)
+
+
+_SECTIONS = {"labels": LabelConfig, "train": TrainConfig,
+             "downstream": DownstreamConfig, "world": WorldConfig}
 
 
 @dataclass
@@ -67,28 +89,28 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        data = dict(data)
-        seed = data.get("seed", cls.seed)
-        for section in ("train", "downstream", "world"):
-            given = data.get(section, {}).get("seed", seed)
-            if given != seed:
+        if not isinstance(data, dict):
+            raise ValueError(f"a config must be a JSON object, got {data!r}")
+        cfg = _build(cls, {k: v for k, v in data.items() if k not in _SECTIONS})
+        for name, section_cls in _SECTIONS.items():
+            section = data.get(name, {})
+            setattr(cfg, name, _build(section_cls, section, f"{name}."))
+            given = section.get("seed", cfg.seed)
+            if given != cfg.seed:
                 raise ValueError(
-                    f"{section}.seed={given} disagrees with the top-level seed={seed}; "
+                    f"{name}.seed={given} disagrees with the top-level seed={cfg.seed}; "
                     "one seed drives every stage, so set only the top-level seed"
                 )
-        labels = _build(LabelConfig, data.pop("labels", {}), ("nrl_top_per_hop",))
-        train = _build(TrainConfig, data.pop("train", {}), ("objectives",))
-        downstream = _build(DownstreamConfig, data.pop("downstream", {}))
-        world = _build(WorldConfig, data.pop("world", {}), ("steps_per_task", "segments_per_step"))
-        cfg = _build(cls, data)
-        cfg.labels, cfg.train, cfg.downstream, cfg.world = labels, train, downstream, world
         cfg.__post_init__()
         return cfg
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

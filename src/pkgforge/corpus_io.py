@@ -5,8 +5,9 @@ segment corpus (manifest.jsonl plus binary feature files), and model
 checkpoints (JSON header line plus the f32 cast of a model's flat parameter
 vector).
 
-All floating point payloads are little-endian f32 on disk; everything is
-promoted to f64 the moment it enters memory.
+Feature files and checkpoint weights are little-endian f32 on disk; step
+embeddings are f64 JSON numbers, written with Python's shortest round-trip
+repr. Everything is f64 the moment it enters memory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,89 +59,79 @@ def atomic_write(path: str | Path, binary: bool = False):
 
 
 @dataclass(frozen=True)
-class StepHeadline:
-    headline_text: str
-    embedding: np.ndarray  # (d,) float64
-
-
-@dataclass(frozen=True)
 class Task:
     task_id: str
     task_name: str
-    steps: tuple[StepHeadline, ...]
+    start: int  # the task's first global headline index
+    stop: int  # one past its last
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepDatabase:
-    """Ordered task articles; each step carries one embedded headline.
+    """Ordered task articles over one global headline axis.
 
     Global headline indices run over tasks in order, then steps in order,
-    and are the index space used by the matcher, dedup, and the graph.
+    and are the index space used by the matcher, dedup, and the graph:
+    task t's steps are headlines [t.start, t.stop), and row h of
+    `embeddings` embeds headline h.
     """
 
     tasks: tuple[Task, ...]
-    _embeddings: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.tasks[0].steps[0].embedding.shape[0]
+    headlines: tuple[str, ...]
+    embeddings: np.ndarray  # (num_headlines, d) float64
 
     @property
     def num_headlines(self) -> int:
-        return sum(len(t.steps) for t in self.tasks)
+        return len(self.headlines)
 
-    def headline_index(self) -> list[tuple[int, int]]:
-        """Global headline index -> (task position, step position)."""
-        out = []
-        for ti, task in enumerate(self.tasks):
-            out.extend((ti, si) for si in range(len(task.steps)))
-        return out
+    @classmethod
+    def from_tasks(cls, tasks, source: str = "step database") -> "StepDatabase":
+        """Validate (task_id, task_name, [(headline, embedding), ...]) entries and stack them.
 
-    def embedding_matrix(self) -> np.ndarray:
-        """(num_headlines, d) float64, rows in global headline order."""
-        if self._embeddings is None:
-            rows = [s.embedding for t in self.tasks for s in t.steps]
-            self._embeddings = np.vstack(rows)
-        return self._embeddings
-
-
-def _validate_database(tasks: list[Task], path: str) -> StepDatabase:
-    if not tasks:
-        raise CorpusFormatError(f"{path}: step database contains no tasks")
-    seen_ids = set()
-    dim = None
-    for task in tasks:
-        if task.task_id in seen_ids:
-            raise CorpusFormatError(f"{path}: duplicate task_id {task.task_id!r}")
-        seen_ids.add(task.task_id)
-        if not task.steps:
-            raise CorpusFormatError(f"{path}: task {task.task_id!r} has no steps")
-        for si, step in enumerate(task.steps):
-            emb = step.embedding
-            if dim is None:
-                dim = emb.shape[0]
-                if dim < 1:
-                    raise CorpusFormatError(f"{path}: embeddings must have dimension >= 1")
-            elif emb.shape[0] != dim:
-                raise CorpusFormatError(
-                    f"{path}: task {task.task_id!r} step {si} has dimension "
-                    f"{emb.shape[0]}, expected {dim}"
-                )
-            if not np.all(np.isfinite(emb)):
-                raise CorpusFormatError(
-                    f"{path}: task {task.task_id!r} step {si} has non-finite embedding"
-                )
-            if not np.any(emb):
-                raise CorpusFormatError(
-                    f"{path}: task {task.task_id!r} step {si} has zero embedding"
-                )
-    return StepDatabase(tasks=tuple(tasks))
+        Rejects a database without tasks, a duplicate task id, a task without
+        steps, and an embedding that is not a flat vector of one shared
+        dimension >= 1, non-finite or zero. Messages start with `source`.
+        """
+        if not tasks:
+            raise CorpusFormatError(f"{source}: step database contains no tasks")
+        spans: dict[str, Task] = {}
+        headlines: list[str] = []
+        rows: list[np.ndarray] = []
+        for task_id, task_name, steps in tasks:
+            if task_id in spans:
+                raise CorpusFormatError(f"{source}: duplicate task_id {task_id!r}")
+            if not steps:
+                raise CorpusFormatError(f"{source}: task {task_id!r} has no steps")
+            for si, (headline, embedding) in enumerate(steps):
+                emb = np.asarray(embedding, dtype=np.float64)
+                dim = rows[0].shape[0] if rows else emb.size
+                if emb.shape != (dim,):
+                    raise CorpusFormatError(
+                        f"{source}: task {task_id!r} step {si} has shape {emb.shape}, "
+                        f"expected a flat vector of dimension {dim}"
+                    )
+                headlines.append(headline)
+                rows.append(emb)
+            spans[task_id] = Task(task_id, task_name, len(headlines) - len(steps), len(headlines))
+        if rows[0].shape[0] < 1:
+            raise CorpusFormatError(f"{source}: embeddings must have dimension >= 1")
+        embeddings = np.vstack(rows)
+        finite = np.isfinite(embeddings).all(axis=1)
+        bad = np.flatnonzero(~finite | ~embeddings.any(axis=1))
+        if bad.size:
+            h = int(bad[0])
+            task = next(t for t in spans.values() if h < t.stop)
+            what = "non-finite" if not finite[h] else "zero"
+            raise CorpusFormatError(
+                f"{source}: task {task.task_id!r} step {h - task.start} has {what} embedding"
+            )
+        return cls(tasks=tuple(spans.values()), headlines=tuple(headlines), embeddings=embeddings)
 
 
 def load_step_database(path: str | Path) -> StepDatabase:
     """Parse steps.jsonl (one task object per line) and validate invariants."""
     path = Path(path)
-    tasks: list[Task] = []
+    tasks = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -148,35 +139,30 @@ def load_step_database(path: str | Path) -> StepDatabase:
                 continue
             try:
                 rec = json.loads(line)
-                steps = tuple(
-                    StepHeadline(
-                        headline_text=s["headline"],
-                        embedding=np.asarray(s["embedding"], dtype=np.float64),
-                    )
+                steps = [
+                    (s["headline"], np.asarray(s["embedding"], dtype=np.float64))
                     for s in rec["steps"]
-                )
-                task = Task(task_id=rec["task_id"], task_name=rec["task_name"], steps=steps)
+                ]
+                texts = [rec["task_id"], rec["task_name"], *(h for h, _ in steps)]
+                if not all(isinstance(t, str) for t in texts):
+                    raise TypeError("task_id, task_name and every headline must be strings")
+                for si, (_, emb) in enumerate(steps):
+                    if emb.ndim != 1:
+                        raise ValueError(f"step {si} embedding is not a flat vector")
+                tasks.append((rec["task_id"], rec["task_name"], steps))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: malformed task record: {exc}") from exc
-            for si, step in enumerate(task.steps):
-                if step.embedding.ndim != 1:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: step {si} embedding is not a flat vector"
-                    )
-            tasks.append(task)
-    return _validate_database(tasks, str(path))
+    return StepDatabase.from_tasks(tasks, str(path))
 
 
 def save_step_database(db: StepDatabase, path: str | Path) -> None:
     with atomic_write(path) as fh:
         for task in db.tasks:
+            steps = zip(db.headlines[task.start : task.stop], db.embeddings[task.start : task.stop])
             rec = {
                 "task_id": task.task_id,
                 "task_name": task.task_name,
-                "steps": [
-                    {"headline": s.headline_text, "embedding": [float(v) for v in s.embedding]}
-                    for s in task.steps
-                ],
+                "steps": [{"headline": h, "embedding": row.tolist()} for h, row in steps],
             }
             fh.write(canonical_json(rec) + "\n")
 
@@ -248,6 +234,7 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     videos: list[Video] = []
+    line_of: dict[str, int] = {}
     dim = None
     with open(manifest_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -260,10 +247,19 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
                 task_name = rec["task_name"]
                 num_segments = rec["num_segments"]
                 feature_file = rec["feature_file"]
+                texts = (video_id, feature_file, "" if task_name is None else task_name)
+                if not all(isinstance(t, str) for t in texts):
+                    raise TypeError("video_id, feature_file and any task_name must be strings")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(
                     f"{manifest_path}:{lineno}: malformed manifest record: {exc}"
                 ) from exc
+            if video_id in line_of:
+                raise CorpusFormatError(
+                    f"{manifest_path}:{lineno}: video_id {video_id!r} repeats line "
+                    f"{line_of[video_id]}"
+                )
+            line_of[video_id] = lineno
             features = read_feature_file(base / feature_file)
             if features.shape[0] != num_segments:
                 raise CorpusFormatError(
@@ -352,6 +348,8 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             header = json.loads(header_line.decode("utf-8"))
             shapes = [(str(n), int(r), int(c)) for n, r, c in header["shapes"]]
             metadata = header["metadata"]
+            if not isinstance(metadata, dict):
+                raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}: malformed checkpoint header: {exc}") from exc
         for name, rows, cols in shapes:

@@ -117,6 +117,8 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["video_id"], str):
+                    raise TypeError(f"video_id must be a string, got {obj['video_id']!r}")
                 out.append(
                     VideoAnnotation(
                         video_id=obj["video_id"],
@@ -175,7 +177,12 @@ def build_downstream_dataset(
     missing = [a.video_id for a in annotations if a.video_id not in by_id]
     if missing:
         raise ValueError(f"annotations reference unknown videos: {missing[:3]}")
+    annotated: set[str] = set()
     for ann in annotations:
+        # a video annotated twice could land in two splits
+        if ann.video_id in annotated:
+            raise ValueError(f"video {ann.video_id} is annotated more than once")
+        annotated.add(ann.video_id)
         # a negative class would wrap to the last logit; an empty span is skipped later
         n_segments = by_id[ann.video_id].segments.shape[0]
         if ann.task_class < 0:

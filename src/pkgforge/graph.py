@@ -80,19 +80,17 @@ class ProceduralKnowledgeGraph:
 
     def assignment(self, db: StepDatabase) -> NodeAssignment:
         """Recover the headline partition this graph was built from."""
-        pos = {}
-        for hidx, (ti, si) in enumerate(db.headline_index()):
-            pos[(db.tasks[ti].task_id, si)] = hidx
-        roots = [0] * db.num_headlines
-        covered = 0
+        task_of = {task.task_id: task for task in db.tasks}
+        roots = [-1] * db.num_headlines
         for node in self.nodes:
             for task_id, step_index, _ in node.members:
-                key = (task_id, step_index)
-                if key not in pos:
-                    raise ValueError(f"graph member {key} not present in step database")
-                roots[pos[key]] = node.node_id
-                covered += 1
-        if covered != db.num_headlines:
+                task = task_of.get(task_id)
+                if task is None or not 0 <= step_index < task.stop - task.start:
+                    raise ValueError(
+                        f"graph member {(task_id, step_index)} not present in step database"
+                    )
+                roots[task.start + step_index] = node.node_id
+        if -1 in roots or sum(len(node.members) for node in self.nodes) != db.num_headlines:
             raise ValueError("graph members do not cover the step database")
         return assignment_from_roots(roots)
 
@@ -108,13 +106,9 @@ def database_transitions(db: StepDatabase, assignment: NodeAssignment) -> list[t
     returned pair carries an implicit score of 1.0.
     """
     pairs = set()
-    hidx = 0
     for task in db.tasks:
-        node_ids = [int(assignment.node_of[hidx + si]) for si in range(len(task.steps))]
-        hidx += len(task.steps)
-        for a, b in zip(node_ids, node_ids[1:]):
-            if a != b:
-                pairs.add((a, b))
+        node_ids = assignment.node_of[task.start : task.stop].tolist()
+        pairs.update((a, b) for a, b in zip(node_ids, node_ids[1:]) if a != b)
     return sorted(pairs)
 
 
@@ -125,7 +119,7 @@ def corpus_transitions(
     """Aggregate instance scores of adjacent-segment headline transitions.
 
     video_matches holds, per video and per segment, the matched
-    (headline_index, score) pairs. Each adjacent segment pair contributes
+    (headline index, score) pairs. Each adjacent segment pair contributes
     score_src * score_dst for every cross-product combination with
     differing headlines. Accumulation runs in (video, segment, src index,
     dst index) order so the floating-point sums are reproducible, and pairs
@@ -174,10 +168,11 @@ def assemble_graph(
     mapped through the node assignment here. Per ordered node pair the edge
     keeps the maximum contributing score and the union of sources.
     """
-    headline_meta = []
-    for ti, si in db.headline_index():
-        task = db.tasks[ti]
-        headline_meta.append((task.task_id, si, task.steps[si].headline_text))
+    headline_meta = [
+        (task.task_id, si, text)
+        for task in db.tasks
+        for si, text in enumerate(db.headlines[task.start : task.stop])
+    ]
 
     nodes = [
         StepNode(node_id=nid, members=tuple(headline_meta[h] for h in members))
@@ -224,7 +219,7 @@ def build_graph(
     from . import matcher
     from .dedup import cluster_headlines
 
-    assignment = cluster_headlines(db.embedding_matrix(), dedup_threshold)
+    assignment = cluster_headlines(db.embeddings, dedup_threshold)
 
     def match_video(video):
         if video.segments.shape[0] == 0:

@@ -9,9 +9,9 @@ baseline (vsm).
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
 derives them once per distinct set, and records whose segments match the
-same nodes share those lists. The corpus variants read node-level
-occurrence counts that are summed once, and tcl_corpus ranks each corpus
-task column once.
+same nodes share those lists. The corpus variants read occurrence counts
+taken per node, and tcl_corpus ranks each corpus task column once, before
+any set is derived.
 
 Labels are materialized to labels.jsonl: one header line with the
 class-index spaces, one line per distinct set block (the five set-derived
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -53,42 +53,18 @@ class LabelConfig:
             raise ValueError("nrl_top_per_hop must cover every hop")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OccurrenceMatrix:
-    """Headline x corpus-task-name count matrix.
+    """Node x corpus-task-name count matrix.
 
-    Column order is the lexicographically sorted set of observed task
-    names, which keeps reruns byte-identical. The node-level counts and
-    each column's node ranking are derived on first use and cached, so a
-    matrix must only be queried with the assignment it was counted under.
+    counts[n, c] sums the member count of node n over every segment of a
+    video named task_names[c] that matched n. Column order is the
+    lexicographically sorted set of observed task names, which keeps
+    reruns byte-identical.
     """
 
-    counts: np.ndarray  # (num_headlines, num_corpus_tasks) int64
+    counts: np.ndarray  # (num_nodes, num_corpus_tasks) int64
     task_names: tuple[str, ...]
-    column_of: dict[str, int] = field(init=False)
-    _node_counts: np.ndarray | None = field(init=False, default=None, repr=False)
-    _top_nodes: dict[tuple[int, int], list[int]] = field(
-        init=False, default_factory=dict, repr=False
-    )
-
-    def __post_init__(self):
-        self.column_of = {name: i for i, name in enumerate(self.task_names)}
-
-    def node_counts(self, assignment: NodeAssignment) -> np.ndarray:
-        """(num_nodes, num_corpus_tasks): counts summed over each node's members."""
-        if self._node_counts is None:
-            totals = np.zeros((assignment.num_nodes, self.counts.shape[1]), dtype=np.int64)
-            np.add.at(totals, assignment.node_of, self.counts)
-            self._node_counts = totals
-        return self._node_counts
-
-    def top_nodes(self, name: str, assignment: NodeAssignment, k: int) -> list[int]:
-        """Up to k nodes with the largest nonzero count in a task's column."""
-        key = (self.column_of[name], k)
-        if key not in self._top_nodes:
-            col = self.node_counts(assignment)[:, key[0]]
-            self._top_nodes[key] = matcher.ranked_indices(col, np.nonzero(col > 0)[0])[:k]
-        return self._top_nodes[key]
 
 
 @dataclass
@@ -134,60 +110,52 @@ def build_occurrence_matrix(
 ) -> tuple[OccurrenceMatrix, int]:
     """Count matched-node member headlines against the videos' task names.
 
-    Segments of videos without a task name are skipped; the number of such
-    videos is returned alongside the matrix so callers can report it.
+    Each matched node adds its member count to the column of its segment's
+    video. Segments of videos without a task name are skipped; the number
+    of such videos is returned alongside the matrix so callers can report it.
     """
     names = sorted({n for n in video_task_names if n is not None})
-    column_of = {name: i for i, name in enumerate(names)}
-    counts = np.zeros((assignment.num_headlines, len(names)), dtype=np.int64)
-    skipped = {vi for vi, name in enumerate(video_task_names) if name is None}
-    for seg_idx, nodes in enumerate(segment_vnm):
-        vi = video_of_segment[seg_idx]
-        if vi in skipped:
-            continue
-        col = column_of[video_task_names[vi]]
-        for nid in nodes:
-            for h in assignment.members_of[nid]:
-                counts[h, col] += 1
+    column = {name: i for i, name in enumerate(names)}
+    sizes = [len(members) for members in assignment.members_of]
+    counts = np.zeros((assignment.num_nodes, len(names)), dtype=np.int64)
+    for seg_nodes, vi in zip(segment_vnm, video_of_segment):
+        col = column.get(video_task_names[vi])
+        if col is not None:
+            for nid in seg_nodes:
+                counts[nid, col] += sizes[nid]
+    skipped = sum(1 for name in video_task_names if name is None)
     if skipped:
-        log.warning("occurrence matrix skipped %d videos without task names", len(skipped))
-    return OccurrenceMatrix(counts=counts, task_names=tuple(names)), len(skipped)
+        log.warning("occurrence matrix skipped %d videos without task names", skipped)
+    return OccurrenceMatrix(counts=counts, task_names=tuple(names)), skipped
 
 
-def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix, assignment: NodeAssignment, k: int = 3) -> list[str]:
-    """Top-k corpus task names by summed member-headline occurrence."""
-    if occ.counts.shape[1] == 0 or not vnm_nodes:
-        return []
-    totals = occ.node_counts(assignment)[list(vnm_nodes)].sum(axis=0).tolist()
-    ranked = sorted(
-        (i for i, total in enumerate(totals) if total > 0),
-        key=lambda i: (-totals[i], occ.task_names[i]),
-    )
+def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix, k: int = 3) -> list[str]:
+    """Top-k corpus task names by summed node occurrence, ties by name."""
+    totals = occ.counts[list(vnm_nodes)].sum(axis=0)
+    ranked = matcher.ranked_indices(totals, np.nonzero(totals)[0])
     return [occ.task_names[i] for i in ranked[:k]]
 
 
-def tcl_db_labels(
-    vtm_tasks: list[str],
-    task_nodes: dict[str, tuple[int, ...]],
-) -> list[int]:
-    """Union of the node ids every matched task's steps map to, sorted."""
+def tcl_db_labels(vtm_tasks: list[str], task_nodes: dict[str, tuple[int, ...]]) -> list[int]:
+    """Union of the node ids every matched task maps to, sorted."""
     nodes: set[int] = set()
     for task_id in vtm_tasks:
         nodes.update(task_nodes[task_id])
     return sorted(nodes)
 
 
-def tcl_corpus_labels(
-    vtm_names: list[str],
-    occ: OccurrenceMatrix,
-    assignment: NodeAssignment,
-    k: int = 3,
-) -> list[int]:
-    """Per matched corpus task, the top-k nonzero-occurrence nodes; unioned."""
-    out: set[int] = set()
-    for name in vtm_names:
-        out.update(occ.top_nodes(name, assignment, k))
-    return sorted(out)
+def top_nodes_per_corpus_task(occ: OccurrenceMatrix, k: int = 3) -> dict[str, list[int]]:
+    """Per corpus task name, up to k nodes with the largest nonzero count, ranked."""
+    return {
+        name: matcher.ranked_indices(col, np.nonzero(col)[0])[:k]
+        for name, col in zip(occ.task_names, occ.counts.T)
+    }
+
+
+# tcl_corpus unions the top nodes of each matched corpus task (from
+# top_nodes_per_corpus_task) as tcl_db unions each matched task's own
+# nodes; the two names keep the two label families apart
+tcl_corpus_labels = tcl_db_labels
 
 
 def nrl_labels(
@@ -214,13 +182,10 @@ def nrl_labels(
 
 def task_node_map(db: StepDatabase, assignment: NodeAssignment) -> dict[str, tuple[int, ...]]:
     """task_id -> sorted node ids of the task's own steps."""
-    out: dict[str, tuple[int, ...]] = {}
-    hidx = 0
-    for task in db.tasks:
-        ids = {int(assignment.node_of[hidx + si]) for si in range(len(task.steps))}
-        hidx += len(task.steps)
-        out[task.task_id] = tuple(sorted(ids))
-    return out
+    return {
+        task.task_id: tuple(np.unique(assignment.node_of[task.start : task.stop]).tolist())
+        for task in db.tasks
+    }
 
 
 def emit_labels(
@@ -262,14 +227,16 @@ def emit_labels(
         assignment,
     )
 
+    top_nodes = top_nodes_per_corpus_task(occ, k=config.tcl_corpus_top_k)
+
     def set_labels(nodes: list[int]) -> tuple:
         vtm_db = vtm_db_labels(nodes, graph)
-        vtm_corpus = vtm_corpus_labels(nodes, occ, assignment, k=config.vtm_corpus_top_k)
+        vtm_corpus = vtm_corpus_labels(nodes, occ, k=config.vtm_corpus_top_k)
         return (
             vtm_db,
             vtm_corpus,
             tcl_db_labels(vtm_db, tasks_of),
-            tcl_corpus_labels(vtm_corpus, occ, assignment, k=config.tcl_corpus_top_k),
+            tcl_corpus_labels(vtm_corpus, top_nodes),
             nrl_labels(nodes, graph, config.nrl_hops, config.nrl_top_per_hop),
         )
 
@@ -389,6 +356,8 @@ def _set_block(obj: dict, index: int, num_nodes: int, task_ids: set, corpus_name
     _ids_in_range(tcl_db, num_nodes, "set", index, "tcl_db")
     tcl_corpus = [int(n) for n in obj["tcl_corpus"]]
     _ids_in_range(tcl_corpus, num_nodes, "set", index, "tcl_corpus")
+    if not isinstance(obj["nrl"], dict):
+        raise CorpusFormatError(f"set {index} nrl is not a JSON object")
     nrl = {
         direction: [_ranked_pairs(hop, num_nodes, "set", index, "nrl", direction) for hop in hops]
         for direction, hops in obj["nrl"].items()
@@ -413,6 +382,8 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
             raise CorpusFormatError(f"{path}: empty labels file")
         try:
             header = json.loads(header_line)
+            if not isinstance(header, dict):
+                raise ValueError("the header line is not a JSON object")
             if header.get("kind") != LABELS_KIND:
                 raise ValueError(f"unexpected kind {header.get('kind')!r}")
             if "num_sets" not in header:

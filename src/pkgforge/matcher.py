@@ -20,7 +20,7 @@ DEFAULT_TOP_K = 3
 def score_video(segments: np.ndarray, db: StepDatabase) -> np.ndarray:
     """(L, num_headlines) score matrix for all segments of one video."""
     segments = np.asarray(segments, dtype=np.float64)
-    emb = db.embedding_matrix()
+    emb = db.embeddings
     if segments.shape[1] != emb.shape[1]:
         raise ValueError(
             f"segment dimension {segments.shape[1]} does not match database dimension {emb.shape[1]}"

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus_io import (
-    SegmentCorpus, StepDatabase, StepHeadline, Task, Video, atomic_write, canonical_json,
+    CorpusFormatError, SegmentCorpus, StepDatabase, Video, atomic_write, canonical_json,
 )
 from .dedup import NodeAssignment
 from .downstream import StepSpan, VideoAnnotation
@@ -208,15 +208,10 @@ def generate(config: WorldConfig) -> tuple[GroundTruth, StepDatabase, SegmentCor
         for s in seq:
             j = occurrence_counter[s] % config.paraphrase_count
             occurrence_counter[s] += 1
-            steps.append(
-                StepHeadline(
-                    headline_text=f"perform step {s:04d} (wording {j})",
-                    embedding=variants[s, j].copy(),
-                )
-            )
+            steps.append((f"perform step {s:04d} (wording {j})", variants[s, j]))
             headline_true_step.append(s)
-        tasks.append(Task(task_id=f"t{ti:03d}", task_name=f"task_{ti:03d}", steps=tuple(steps)))
-    db = StepDatabase(tasks=tuple(tasks))
+        tasks.append((f"t{ti:03d}", f"task_{ti:03d}", steps))
+    db = StepDatabase.from_tasks(tasks, "synthetic step database")
 
     canonical = {
         (a, b) for seq in sequences for a, b in zip(seq, seq[1:]) if a != b
@@ -256,7 +251,7 @@ def generate(config: WorldConfig) -> tuple[GroundTruth, StepDatabase, SegmentCor
         videos.append(
             Video(
                 video_id=video_id,
-                corpus_task_name=tasks[task_idx].task_name,
+                corpus_task_name=db.tasks[task_idx].task_name,
                 segments=np.vstack(rows),
             )
         )
@@ -361,19 +356,22 @@ def save_truth(truth: GroundTruth, path: str | Path, config_hash: str | None = N
 def load_truth(path: str | Path) -> GroundTruth:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    wc = obj["world_config"]
-    for key in ("steps_per_task", "segments_per_step"):
-        wc[key] = tuple(wc[key])
-    config = WorldConfig(**wc)
-    return GroundTruth(
-        n_steps=int(obj["n_steps"]),
-        step_embeddings=np.zeros((obj["n_steps"], config.dim)),
-        task_sequences=[[int(s) for s in seq] for seq in obj["task_sequences"]],
-        headline_true_step=[int(s) for s in obj["headline_true_step"]],
-        canonical_transitions={(int(a), int(b)) for a, b in obj["canonical_transitions"]},
-        observed_transitions={
-            (int(a), int(b)): int(c) for a, b, c in obj["observed_transitions"]
-        },
-        annotations=[],
-        config=config,
-    )
+    try:
+        wc = dict(obj["world_config"])
+        for key in ("steps_per_task", "segments_per_step"):
+            wc[key] = tuple(wc[key])
+        config = WorldConfig(**wc)
+        return GroundTruth(
+            n_steps=int(obj["n_steps"]),
+            step_embeddings=np.zeros((obj["n_steps"], config.dim)),
+            task_sequences=[[int(s) for s in seq] for seq in obj["task_sequences"]],
+            headline_true_step=[int(s) for s in obj["headline_true_step"]],
+            canonical_transitions={(int(a), int(b)) for a, b in obj["canonical_transitions"]},
+            observed_transitions={
+                (int(a), int(b)): int(c) for a, b, c in obj["observed_transitions"]
+            },
+            annotations=[],
+            config=config,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CorpusFormatError(f"{path}: malformed truth file: {exc}") from exc

@@ -62,9 +62,13 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("batch_size", "max_epochs"):
+        for name in ("batch_size", "max_epochs", "nrl_hops", "bottleneck"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if not 0 <= self.val_fraction < 1:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if not self.objectives:
             raise ValueError("at least one training objective is required")
         for obj in self.objectives:

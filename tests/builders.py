@@ -6,8 +6,6 @@ from pkgforge.corpus_io import (
     ModelCheckpoint,
     SegmentCorpus,
     StepDatabase,
-    StepHeadline,
-    Task,
     Video,
     checkpoint_from_params,
 )
@@ -21,15 +19,13 @@ def random_database(rng: np.random.Generator, n_tasks=None, dim=None) -> StepDat
     dim = dim or int(rng.integers(2, 7))
     tasks = []
     for t in range(n_tasks):
-        steps = tuple(
-            StepHeadline(
-                headline_text=f"step {t}/{s}",
-                embedding=rng.normal(size=dim) + 0.01,  # keeps norms away from zero
-            )
+        steps = [
+            # the offset keeps norms away from zero
+            (f"step {t}/{s}", rng.normal(size=dim) + 0.01)
             for s in range(int(rng.integers(1, 6)))
-        )
-        tasks.append(Task(task_id=f"t{t}", task_name=f"task {t}", steps=steps))
-    return StepDatabase(tasks=tuple(tasks))
+        ]
+        tasks.append((f"t{t}", f"task {t}", steps))
+    return StepDatabase.from_tasks(tasks)
 
 
 def random_corpus(rng: np.random.Generator, dim: int, n_videos=None) -> SegmentCorpus:

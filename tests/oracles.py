@@ -9,15 +9,16 @@ a time.
 
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
-corpus-variant counting and record loop, and borrows from the package only
-the label operations that did not change with it.
+headline-level corpus counting, node scoring, per-step database walks and
+record loop, and borrows from the package only the label operations that
+did not change with it (vtm_db, tcl_db and nrl).
 """
 
 from collections import defaultdict, deque
 
 import numpy as np
 
-from pkgforge import labeler, matcher
+from pkgforge import labeler
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -193,53 +194,55 @@ def top_k_full_sort(scores, k):
     return [int(candidates[i]) for i in order][:k]
 
 
-def vtm_corpus_per_segment(vnm_nodes, occ, assignment, k):
+def vtm_corpus_per_segment(vnm_nodes, counts, task_names, members_of, k):
     """Top-k corpus task names by summed member-headline occurrence, ties by name."""
-    if occ.counts.shape[1] == 0 or not vnm_nodes:
+    if counts.shape[1] == 0 or not vnm_nodes:
         return []
-    totals = np.zeros(occ.counts.shape[1], dtype=np.int64)
+    totals = np.zeros(counts.shape[1], dtype=np.int64)
     for nid in vnm_nodes:
-        for h in assignment.members_of[nid]:
-            totals += occ.counts[h]
+        for h in members_of[nid]:
+            totals += counts[h]
     ranked = sorted(
         (i for i in range(len(totals)) if totals[i] > 0),
-        key=lambda i: (-totals[i], occ.task_names[i]),
+        key=lambda i: (-totals[i], task_names[i]),
     )
-    return [occ.task_names[i] for i in ranked[:k]]
+    return [task_names[i] for i in ranked[:k]]
 
 
-def tcl_corpus_per_segment(vtm_names, occ, assignment, k):
+def tcl_corpus_per_segment(vtm_names, counts, task_names, members_of, k):
     """Per corpus task, recount node occurrences and keep the top-k nonzero; unioned."""
     out = set()
     for name in vtm_names:
-        col = occ.counts[:, occ.column_of[name]]
-        node_counts = np.zeros(assignment.num_nodes, dtype=np.int64)
-        np.add.at(node_counts, assignment.node_of, col)
-        ranked = sorted(np.nonzero(node_counts > 0)[0], key=lambda n: (-node_counts[n], n))
-        out.update(int(n) for n in ranked[:k])
+        col = counts[:, task_names.index(name)]
+        node_counts = [int(sum(col[h] for h in members)) for members in members_of]
+        ranked = sorted(
+            (n for n in range(len(members_of)) if node_counts[n] > 0),
+            key=lambda n: (-node_counts[n], n),
+        )
+        out.update(ranked[:k])
     return sorted(out)
 
 
 def emit_labels_per_segment(corpus, db, graph, config):
     """Records as the labeler built them before: every family derived per segment."""
-    assignment = graph.assignment(db)
-    tasks_of = labeler.task_node_map(db, assignment)
-    emb = db.embedding_matrix()
+    node_of, members_of = assignment_walk(graph, db)
+    tasks_of = task_node_map_walk(db, node_of)
     segment_vnm, segment_vsm, video_of_segment = [], [], []
     for vi, video in enumerate(corpus.videos):
         if not video.segments.shape[0]:
             continue
-        for row in np.asarray(video.segments, dtype=np.float64) @ emb.T:
-            node_scores = matcher.node_scores_from_headlines(row, assignment)
+        for row in np.asarray(video.segments, dtype=np.float64) @ db.embeddings.T:
+            node_scores = np.array([max(row[h] for h in members) for members in members_of])
             ids = top_k_full_sort(node_scores, config.vnm_top_k)
             segment_vnm.append([(nid, float(node_scores[nid])) for nid in ids])
             segment_vsm.append([(h, float(row[h])) for h in top_k_full_sort(row, config.vsm_top_k)])
             video_of_segment.append(vi)
-    occ, _ = labeler.build_occurrence_matrix(
+    counts, task_names, _ = occurrence_per_headline(
         [[nid for nid, _ in vnm] for vnm in segment_vnm],
         [v.corpus_task_name for v in corpus.videos],
         video_of_segment,
-        assignment,
+        members_of,
+        db.num_headlines,
     )
     records = []
     cursor = 0
@@ -248,7 +251,9 @@ def emit_labels_per_segment(corpus, db, graph, config):
             vnm = segment_vnm[cursor]
             ids = [nid for nid, _ in vnm]
             vtm_db = labeler.vtm_db_labels(ids, graph)
-            vtm_corpus = vtm_corpus_per_segment(ids, occ, assignment, config.vtm_corpus_top_k)
+            vtm_corpus = vtm_corpus_per_segment(
+                ids, counts, task_names, members_of, config.vtm_corpus_top_k
+            )
             records.append(
                 labeler.PseudoLabelSet(
                     video_id=video.video_id,
@@ -258,7 +263,7 @@ def emit_labels_per_segment(corpus, db, graph, config):
                     vtm_corpus=vtm_corpus,
                     tcl_db=labeler.tcl_db_labels(vtm_db, tasks_of),
                     tcl_corpus=tcl_corpus_per_segment(
-                        vtm_corpus, occ, assignment, config.tcl_corpus_top_k
+                        vtm_corpus, counts, task_names, members_of, config.tcl_corpus_top_k
                     ),
                     nrl=labeler.nrl_labels(ids, graph, config.nrl_hops, config.nrl_top_per_hop),
                     vsm=segment_vsm[cursor],
@@ -266,3 +271,90 @@ def emit_labels_per_segment(corpus, db, graph, config):
             )
             cursor += 1
     return records
+
+
+# ---------------------------------------------------------------------------
+# the per-step walks the step database's task ranges replaced
+
+
+def headline_index_walk(db):
+    """Global headline index -> (task position, step position), counting steps one by one."""
+    out = []
+    for ti, task in enumerate(db.tasks):
+        out.extend((ti, si) for si in range(task.stop - task.start))
+    return out
+
+
+def database_transitions_walk(db, node_of):
+    """Node pairs of adjacent steps within each task, deduplicated, self pairs dropped."""
+    pairs = set()
+    hidx = 0
+    for task in db.tasks:
+        n_steps = task.stop - task.start
+        ids = [int(node_of[hidx + si]) for si in range(n_steps)]
+        hidx += n_steps
+        for a, b in zip(ids, ids[1:]):
+            if a != b:
+                pairs.add((a, b))
+    return sorted(pairs)
+
+
+def task_node_map_walk(db, node_of):
+    """task_id -> sorted node ids of the task's own steps."""
+    out = {}
+    hidx = 0
+    for task in db.tasks:
+        n_steps = task.stop - task.start
+        out[task.task_id] = tuple(sorted({int(node_of[hidx + si]) for si in range(n_steps)}))
+        hidx += n_steps
+    return out
+
+
+def assignment_walk(graph, db):
+    """(node_of, members_of) of the headline partition a graph's members spell out.
+
+    Nodes are renumbered by their smallest member headline, as dedup numbers
+    them.
+    """
+    pos = {}
+    for hidx, (ti, si) in enumerate(headline_index_walk(db)):
+        pos[(db.tasks[ti].task_id, si)] = hidx
+    groups = {}
+    for node in graph.nodes:
+        for task_id, step_index, _ in node.members:
+            groups.setdefault(node.node_id, []).append(pos[(task_id, step_index)])
+    members_of = sorted(tuple(sorted(g)) for g in groups.values())
+    node_of = [0] * len(pos)
+    for nid, members in enumerate(members_of):
+        for h in members:
+            node_of[h] = nid
+    return node_of, members_of
+
+
+def occurrence_per_headline(
+    segment_vnm, video_task_names, video_of_segment, members_of, num_headlines
+):
+    """Headline x corpus-task counts, one member headline of a matched node at a time.
+
+    Returns the counts, the sorted task names (the column order) and the
+    number of videos without a task name, whose segments are skipped.
+    """
+    names = sorted({n for n in video_task_names if n is not None})
+    counts = np.zeros((num_headlines, len(names)), dtype=np.int64)
+    for nodes, vi in zip(segment_vnm, video_of_segment):
+        if video_task_names[vi] is None:
+            continue
+        col = names.index(video_task_names[vi])
+        for nid in nodes:
+            for h in members_of[nid]:
+                counts[h, col] += 1
+    return counts, names, sum(n is None for n in video_task_names)
+
+
+def summed_per_node(counts, members_of):
+    """Headline-level counts summed over each node's members."""
+    out = np.zeros((len(members_of), counts.shape[1]), dtype=np.int64)
+    for nid, members in enumerate(members_of):
+        for h in members:
+            out[nid] += counts[h]
+    return out

@@ -414,6 +414,67 @@ class TestGraphStats:
         assert not dot.exists() and not out.exists()
 
 
+def _one_line_error(capsys) -> str:
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1, err_lines  # no traceback
+    return json.loads(err_lines[0])["error"]
+
+
+class TestWrongShapedJson:
+    """Valid JSON in the wrong shape gets the one-line error naming the file or field."""
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ([1], "a config must be a JSON object"),
+            ({"train": None}, "config section 'train'"),
+            ({"train": {"objectives": 5}}, "train.objectives"),
+            ({"labels": {"nrl_top_per_hop": 3}}, "labels.nrl_top_per_hop"),
+        ],
+    )
+    def test_synth_config(self, data, named, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert _run("synth", "--config", path, "--out", tmp_path / "w") == 1
+        error = _one_line_error(capsys)
+        assert "bad.json" in error and named in error
+        assert not (tmp_path / "w").exists()
+
+    def test_pretrain_labels_header_not_an_object(self, artifacts, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        lines = artifacts["labels"].read_text(encoding="utf-8").splitlines()
+        labels.write_text("\n".join(["[]", *lines[1:]]) + "\n", encoding="utf-8")
+        assert _run(
+            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--labels", labels, "--out", tmp_path / "m.pkgc",
+        ) == 1
+        error = _one_line_error(capsys)
+        assert "labels.jsonl" in error and "header line is not a JSON object" in error
+
+    def test_eval_checkpoint_metadata_not_an_object(self, artifacts, tmp_path, capsys):
+        ckpt = corpus_io.load_checkpoint(artifacts["checkpoint"])
+        ckpt.metadata = 5
+        path = tmp_path / "m.pkgc"
+        corpus_io.save_checkpoint(ckpt, path)
+        assert _run(
+            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--checkpoint", path, "--task", "SR", "--features", "adapter",
+        ) == 1
+        error = _one_line_error(capsys)
+        assert "m.pkgc" in error and "metadata" in error
+
+    def test_build_graph_truth_not_an_object(self, artifacts, tmp_path, capsys):
+        world = tmp_path / "world"
+        shutil.copytree(artifacts["world"], world)
+        (world / "truth.json").write_text("[1]\n")
+        assert _run(
+            "build-graph", "--config", artifacts["config"], "--world", world,
+            "--out", tmp_path / "g.json",
+        ) == 1
+        assert "truth.json: truth file is not a JSON object" in _one_line_error(capsys)
+        assert not (tmp_path / "g.json").exists()
+
+
 class TestErrors:
     def test_missing_world_is_single_line_json_error(self, tmp_path, capsys):
         assert _run("build-graph", "--world", tmp_path / "nope", "--out", tmp_path / "g") == 1

@@ -119,6 +119,37 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             PipelineConfig.from_dict({section: {name: value}})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("nrl_hops", 0), ("patience", -3), ("val_fraction", -0.5), ("val_fraction", 1.0),
+         ("bottleneck", 0)],
+    )
+    def test_train_field_that_trains_the_wrong_model_named(self, name, value):
+        # nrl_hops 0 would train no head at all and report a loss of 0.0
+        with pytest.raises(ValueError, match=name):
+            PipelineConfig.from_dict({"train": {name: value}})
+
+    @pytest.mark.parametrize(
+        "data, named",
+        [
+            ([1], "a config must be a JSON object"),
+            ({"train": None}, "config section 'train' must be a JSON object"),
+            ({"train": {"objectives": 5}}, r"train\.objectives must be tuple\[str, \.\.\.\]"),
+            ({"labels": {"nrl_top_per_hop": 3}}, r"labels\.nrl_top_per_hop must be"),
+            ({"world": {"steps_per_task": [1]}}, r"world\.steps_per_task must be tuple\[int, int\]"),
+            ({"train": {"max_epochs": "x"}}, r"train\.max_epochs must be int"),
+            ({"train": {"objectives": ["vnm", 3]}}, r"train\.objectives must be"),
+            ({"seed": True}, "seed must be int"),
+        ],
+    )
+    def test_wrong_shaped_json_named(self, data, named, tmp_path):
+        with pytest.raises(ValueError, match=named):
+            PipelineConfig.from_dict(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="bad.json: "):
+            PipelineConfig.load(path)
+
     def test_downstream_fractions_sum_to_at_most_one(self):
         with pytest.raises(ValueError, match=r"train_fraction \+ val_fraction"):
             PipelineConfig.from_dict({"downstream": {"train_fraction": 0.9, "val_fraction": 0.2}})

@@ -36,8 +36,8 @@ class TestStepDatabase:
         db = corpus_io.load_step_database(path)
         assert len(db.tasks) == 1
         assert db.num_headlines == 2
-        assert db.dim == 4
-        assert db.tasks[0].steps[1].headline_text == "remove the wheel"
+        assert db.embeddings.shape == (2, 4)
+        assert db.headlines[1] == "remove the wheel"
 
     def test_mixed_dimensions_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
@@ -101,6 +101,54 @@ class TestStepDatabase:
             corpus_io.load_step_database(path)
 
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_embedding_rejected(self, tmp_path, bad):
+        path = tmp_path / "steps.jsonl"
+        ok = '{"headline": "a", "embedding": [1.0, 0.0]}'
+        _write(path, [
+            '{"task_id": "t1", "task_name": "x", "steps": [%s]}' % ok,
+            '{"task_id": "t2", "task_name": "y", "steps": [%s, '
+            '{"headline": "b", "embedding": [1.0, %s]}]}' % (ok, bad),
+        ])
+        with pytest.raises(CorpusFormatError, match="task 't2' step 1 has non-finite embedding"):
+            corpus_io.load_step_database(path)
+
+    def test_nested_embedding_rejected(self, tmp_path):
+        path = tmp_path / "steps.jsonl"
+        rec = {"task_id": "t1", "task_name": "x",
+               "steps": [{"headline": "a", "embedding": [[1.0, 0.0], [0.0, 1.0]]}]}
+        _write(path, [json.dumps(rec)])
+        with pytest.raises(CorpusFormatError, match=":1: .*step 0 embedding is not a flat vector"):
+            corpus_io.load_step_database(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "steps.jsonl"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match="contains no tasks"):
+            corpus_io.load_step_database(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("task_id", 7), ("task_name", None), ("headline", ["a"])]
+    )
+    def test_non_string_text_rejected(self, tmp_path, field, value):
+        rec = {"task_id": "t1", "task_name": "x", "steps": [{"headline": "a", "embedding": [1.0]}]}
+        (rec["steps"][0] if field == "headline" else rec)[field] = value
+        path = tmp_path / "steps.jsonl"
+        _write(path, [json.dumps(rec)])
+        with pytest.raises(CorpusFormatError, match=":1: malformed task record: .*strings"):
+            corpus_io.load_step_database(path)
+
+    def test_save_keeps_the_loaded_bytes(self, tmp_path):
+        db = random_database(np.random.default_rng(5))
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        corpus_io.save_step_database(db, first)
+        back = corpus_io.load_step_database(first)
+        np.testing.assert_array_equal(back.embeddings, db.embeddings)
+        assert back.headlines == db.headlines and back.tasks == db.tasks
+        corpus_io.save_step_database(back, second)
+        assert first.read_bytes() == second.read_bytes()
+
+
 class TestFeatureFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -161,6 +209,28 @@ class TestSegmentCorpus:
         with pytest.raises(CorpusFormatError, match="manifest says 4"):
             corpus_io.load_segment_corpus(manifest)
 
+    def test_repeated_video_id_names_both_lines(self, tmp_path):
+        corpus = corpus_io.SegmentCorpus(videos=[
+            corpus_io.Video("a", None, np.ones((3, 2))), corpus_io.Video("b", None, np.ones((1, 2)))
+        ])
+        manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join([*lines, lines[0]]) + "\n")
+        with pytest.raises(CorpusFormatError, match=r":3: video_id 'a' repeats line 1"):
+            corpus_io.load_segment_corpus(manifest)
+
+    @pytest.mark.parametrize(
+        "field, value", [("video_id", 5), ("feature_file", 5), ("task_name", ["a"])]
+    )
+    def test_wrong_typed_manifest_field_rejected(self, tmp_path, field, value):
+        corpus = corpus_io.SegmentCorpus(videos=[corpus_io.Video("a", "t", np.ones((3, 2)))])
+        manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
+        rec = json.loads(manifest.read_text())
+        rec[field] = value
+        manifest.write_text(json.dumps(rec) + "\n")
+        with pytest.raises(CorpusFormatError, match=":1: malformed manifest record"):
+            corpus_io.load_segment_corpus(manifest)
+
     def test_empty_corpus(self, tmp_path):
         manifest = corpus_io.save_segment_corpus(corpus_io.SegmentCorpus(videos=[]), tmp_path)
         back = corpus_io.load_segment_corpus(manifest)
@@ -168,6 +238,14 @@ class TestSegmentCorpus:
 
 
 class TestCheckpoints:
+    def test_metadata_must_be_an_object(self, tmp_path):
+        ckpt = random_checkpoint(np.random.default_rng(6))
+        ckpt.metadata = 5
+        path = tmp_path / "model.pkgc"
+        corpus_io.save_checkpoint(ckpt, path)
+        with pytest.raises(CorpusFormatError, match="model.pkgc: .*metadata must be a JSON object"):
+            corpus_io.load_checkpoint(path)
+
     def test_round_trip_values(self, tmp_path):
         rng = np.random.default_rng(4)
         ckpt = random_checkpoint(rng)

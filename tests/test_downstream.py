@@ -60,6 +60,13 @@ class TestDatasetConstruction:
         assert first.features.shape[0] == anns[0].steps[1].start
         assert first.label == anns[0].steps[1].step_class
 
+    def test_video_annotated_twice_rejected(self):
+        # at most seeds a repeated annotation would put one video in two splits
+        corpus, anns = _corpus_and_annotations(np.random.default_rng(3), n_videos=6)
+        cfg = DownstreamConfig(train_fraction=0.5, val_fraction=0.25)
+        with pytest.raises(ValueError, match="video v0 is annotated more than once"):
+            ds.build_downstream_dataset(corpus, anns + [anns[0]] * 3, "SR", cfg)
+
     def test_video_disjoint_splits(self):
         rng = np.random.default_rng(3)
         corpus, anns = _corpus_and_annotations(rng, n_videos=20)

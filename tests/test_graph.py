@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import graph as G
-from pkgforge.corpus_io import SegmentCorpus, StepDatabase, StepHeadline, Task, Video
+from pkgforge.corpus_io import SegmentCorpus, StepDatabase, Video
 from pkgforge.dedup import assignment_from_roots
 
 from oracles import khop_bruteforce, transitions_bruteforce
@@ -16,11 +16,8 @@ from oracles import khop_bruteforce, transitions_bruteforce
 
 def _db_from_chain(node_roots, dim=2):
     """One task whose steps map (via roots) onto nodes; embeddings distinct."""
-    steps = tuple(
-        StepHeadline(headline_text=f"h{i}", embedding=np.array([1.0, float(i)]))
-        for i in range(len(node_roots))
-    )
-    db = StepDatabase(tasks=(Task(task_id="t0", task_name="t", steps=steps),))
+    steps = [(f"h{i}", np.array([1.0, float(i)])) for i in range(len(node_roots))]
+    db = StepDatabase.from_tasks([("t0", "t", steps)])
     return db, assignment_from_roots(node_roots)
 
 
@@ -34,16 +31,8 @@ class TestDatabaseTransitions:
         assert G.database_transitions(db, assignment) == []
 
     def test_idempotent_across_tasks(self):
-        steps = tuple(
-            StepHeadline(headline_text=f"h{i}", embedding=np.array([1.0, float(i)]))
-            for i in range(2)
-        )
-        db = StepDatabase(
-            tasks=(
-                Task(task_id="t0", task_name="a", steps=steps),
-                Task(task_id="t1", task_name="b", steps=steps),
-            )
-        )
+        steps = [(f"h{i}", np.array([1.0, float(i)])) for i in range(2)]
+        db = StepDatabase.from_tasks([("t0", "a", steps), ("t1", "b", steps)])
         assignment = assignment_from_roots([0, 1, 0, 1])
         assert G.database_transitions(db, assignment) == [(0, 1)]
 
@@ -316,11 +305,8 @@ class TestSerialization:
 
 class TestBuildGraph:
     def _world(self):
-        steps0 = tuple(
-            StepHeadline(headline_text=f"h{i}", embedding=e)
-            for i, e in enumerate(np.eye(3) * 2.0)
-        )
-        db = StepDatabase(tasks=(Task(task_id="t0", task_name="a", steps=steps0),))
+        steps0 = [(f"h{i}", e) for i, e in enumerate(np.eye(3) * 2.0)]
+        db = StepDatabase.from_tasks([("t0", "a", steps0)])
         video = Video(
             video_id="v0",
             corpus_task_name="a",

@@ -15,8 +15,6 @@ from pkgforge.corpus_io import (
     CorpusFormatError,
     SegmentCorpus,
     StepDatabase,
-    StepHeadline,
-    Task,
     Video,
     canonical_json,
 )
@@ -33,20 +31,10 @@ def _tiny_world():
     task t1 steps: h2 -> node 1 (duplicate of h1), h3 -> node 2
     """
     e = np.eye(3) * 2.0
-    steps0 = (
-        StepHeadline(headline_text="h0", embedding=e[0]),
-        StepHeadline(headline_text="h1", embedding=e[1]),
-    )
-    steps1 = (
-        StepHeadline(headline_text="h2", embedding=e[1]),
-        StepHeadline(headline_text="h3", embedding=e[2]),
-    )
-    db = StepDatabase(
-        tasks=(
-            Task(task_id="t0", task_name="task zero", steps=steps0),
-            Task(task_id="t1", task_name="task one", steps=steps1),
-        )
-    )
+    db = StepDatabase.from_tasks([
+        ("t0", "task zero", [("h0", e[0]), ("h1", e[1])]),
+        ("t1", "task one", [("h2", e[1]), ("h3", e[2])]),
+    ])
     assignment = assignment_from_roots([0, 1, 1, 2])
     pkg = assemble_graph(db, assignment, [(0, 1), (1, 2)], {})
     return db, assignment, pkg
@@ -77,9 +65,9 @@ class TestOccurrenceMatrix:
             [[1]], ["task zero"], [0], assignment
         )
         assert skipped == 0
-        # node 1 members are headlines 1 and 2
-        assert occ.counts[1, occ.column_of["task zero"]] == 1
-        assert occ.counts[2, occ.column_of["task zero"]] == 1
+        # node 1 has two members, headlines 1 and 2
+        assert occ.task_names == ("task zero",)
+        assert occ.counts[1, 0] == 2
         assert occ.counts.sum() == 2
 
     def test_additivity(self):
@@ -87,13 +75,13 @@ class TestOccurrenceMatrix:
         occ, _ = labeler.build_occurrence_matrix(
             [[1], [1]], ["task zero"], [0, 0], assignment
         )
-        assert occ.counts[1, 0] == 2 and occ.counts[2, 0] == 2
+        assert occ.counts[1, 0] == 4
 
     def test_unnamed_videos_skipped(self):
         _, assignment, _ = _tiny_world()
         occ, skipped = labeler.build_occurrence_matrix([[0]], [None], [0], assignment)
         assert skipped == 1
-        assert occ.counts.shape == (4, 0)
+        assert occ.counts.shape == (3, 0)
 
     def test_count_conservation(self):
         rng = np.random.default_rng(0)
@@ -112,24 +100,22 @@ class TestOccurrenceMatrix:
 
 class TestCorpusVariants:
     def test_vtm_corpus_ranking(self):
-        _, assignment, _ = _tiny_world()
         occ = labeler.OccurrenceMatrix(
-            counts=np.array([[5, 0], [0, 2], [0, 0], [0, 0]]), task_names=("T1", "T2")
+            counts=np.array([[5, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
-        assert labeler.vtm_corpus_labels([0], occ, assignment) == ["T1"]
-        assert labeler.vtm_corpus_labels([0, 1], occ, assignment) == ["T1", "T2"]
+        assert labeler.vtm_corpus_labels([0], occ) == ["T1"]
+        assert labeler.vtm_corpus_labels([0, 1], occ) == ["T1", "T2"]
 
     def test_vtm_corpus_all_zero(self):
-        _, assignment, _ = _tiny_world()
-        occ = labeler.OccurrenceMatrix(counts=np.zeros((4, 2), dtype=int), task_names=("T1", "T2"))
-        assert labeler.vtm_corpus_labels([0, 1, 2], occ, assignment) == []
+        occ = labeler.OccurrenceMatrix(counts=np.zeros((3, 2), dtype=int), task_names=("T1", "T2"))
+        assert labeler.vtm_corpus_labels([0, 1, 2], occ) == []
 
     def test_vtm_corpus_lexicographic_tie(self):
-        _, assignment, _ = _tiny_world()
+        # column order is the sorted name order, so a tie by column is a tie by name
         occ = labeler.OccurrenceMatrix(
-            counts=np.array([[4, 4], [0, 0], [0, 0], [0, 0]]), task_names=("TB", "TA")
+            counts=np.array([[4, 4], [0, 0], [0, 0]]), task_names=("TA", "TB")
         )
-        assert labeler.vtm_corpus_labels([0], occ, assignment) == ["TA", "TB"]
+        assert labeler.vtm_corpus_labels([0], occ) == ["TA", "TB"]
 
     def test_tcl_db(self):
         db, assignment, pkg = _tiny_world()
@@ -140,20 +126,19 @@ class TestCorpusVariants:
         assert labeler.tcl_db_labels([], tasks_of) == []
 
     def test_tcl_corpus_top3_nonzero(self):
-        _, assignment, _ = _tiny_world()
-        # headline counts chosen so node totals are node0=7, node1=3, node2=0
-        occ = labeler.OccurrenceMatrix(
-            counts=np.array([[7], [1], [2], [0]]), task_names=("T1",)
-        )
-        assert labeler.tcl_corpus_labels(["T1"], occ, assignment, k=3) == [0, 1]
-        assert labeler.tcl_corpus_labels(["T1"], occ, assignment, k=1) == [0]
+        occ = labeler.OccurrenceMatrix(counts=np.array([[7], [3], [0]]), task_names=("T1",))
+        top_nodes = labeler.top_nodes_per_corpus_task(occ, k=3)
+        assert top_nodes == {"T1": [0, 1]}
+        assert labeler.top_nodes_per_corpus_task(occ, k=1) == {"T1": [0]}
+        assert labeler.tcl_corpus_labels(["T1"], top_nodes) == [0, 1]
 
     def test_tcl_corpus_union(self):
-        _, assignment, _ = _tiny_world()
         occ = labeler.OccurrenceMatrix(
-            counts=np.array([[1, 0], [0, 1], [0, 1], [0, 0]]), task_names=("T1", "T2")
+            counts=np.array([[1, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
-        assert labeler.tcl_corpus_labels(["T1", "T2"], occ, assignment) == [0, 1]
+        top_nodes = labeler.top_nodes_per_corpus_task(occ)
+        assert labeler.tcl_corpus_labels(["T1", "T2"], top_nodes) == [0, 1]
+        assert labeler.tcl_corpus_labels([], top_nodes) == []
 
 
 class TestNrl:
@@ -409,9 +394,9 @@ def _random_world(rng, integer_valued):
         for s in range(int(rng.integers(1, 5))):
             emb = values(dim)
             emb[0] = emb[0] or 1.0  # step embeddings are never all zero
-            steps.append(StepHeadline(headline_text=f"h{t}/{s}", embedding=emb))
-        tasks.append(Task(task_id=f"t{t}", task_name=f"task {t}", steps=tuple(steps)))
-    db = StepDatabase(tasks=tuple(tasks))
+            steps.append((f"h{t}/{s}", emb))
+        tasks.append((f"t{t}", f"task {t}", steps))
+    db = StepDatabase.from_tasks(tasks)
 
     n = db.num_headlines
     assignment = assignment_from_roots([int(r) for r in rng.integers(0, max(1, n - 1), size=n)])

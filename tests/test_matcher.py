@@ -6,18 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import matcher
-from pkgforge.corpus_io import StepDatabase, StepHeadline, Task
+from pkgforge.corpus_io import StepDatabase
 from pkgforge.dedup import assignment_from_roots, cluster_headlines
 
 from oracles import top_k_full_sort
 
 
 def _db(vectors):
-    steps = tuple(
-        StepHeadline(headline_text=f"h{i}", embedding=np.asarray(v, dtype=float))
-        for i, v in enumerate(vectors)
-    )
-    return StepDatabase(tasks=(Task(task_id="t0", task_name="t", steps=steps),))
+    steps = [(f"h{i}", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
+    return StepDatabase.from_tasks([("t0", "t", steps)])
 
 
 class TestHeadlineScores:

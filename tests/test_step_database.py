@@ -1,0 +1,132 @@
+"""The step database's task ranges and node-level occurrence counts against per-step walks.
+
+Each property builds a database from nested per-task step lists and checks
+every reader of the task ranges (headline order, database transitions, the
+task -> nodes map, graph.assignment) and the node-level corpus counts
+against the walks and headline-level counting they replaced, which
+`oracles.py` keeps. Step embeddings come from a small palette, so repeats
+are common, also across adjacent tasks, where one node then spans a task
+boundary.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from pkgforge import graph as G
+from pkgforge import labeler
+from pkgforge.corpus_io import CorpusFormatError, StepDatabase
+from pkgforge.dedup import assignment_from_roots, cluster_headlines
+
+from oracles import (
+    assignment_walk,
+    database_transitions_walk,
+    headline_index_walk,
+    occurrence_per_headline,
+    summed_per_node,
+    task_node_map_walk,
+)
+
+# pairwise cosine distances of at least 0.29, far above the 0.09 dedup threshold
+PALETTE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+
+# per task, the palette index of each step's embedding
+task_steps = st.lists(
+    st.lists(st.integers(0, len(PALETTE) - 1), min_size=1, max_size=4), min_size=1, max_size=4
+)
+
+
+def _database(spec) -> StepDatabase:
+    return StepDatabase.from_tasks(
+        [
+            (f"t{t}", f"task {t}", [(f"h{t}/{s}", PALETTE[p]) for s, p in enumerate(steps)])
+            for t, steps in enumerate(spec)
+        ]
+    )
+
+
+class TestTaskRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=task_steps)
+    @example(spec=[[0]])  # one task of one step
+    @example(spec=[[0, 1, 2]])  # a single task
+    @example(spec=[[0, 1], [1, 2]])  # node 1 spans the task boundary
+    @example(spec=[[0, 1], [1, 0]])  # (1, 0) only across the boundary, (0, 1) inside
+    def test_readers_equal_per_step_walks(self, spec):
+        db = _database(spec)
+        walk = headline_index_walk(db)
+        assert [db.tasks[ti].start + si for ti, si in walk] == list(range(db.num_headlines))
+        assert [db.headlines[h] for h in range(db.num_headlines)] == [
+            f"h{t}/{s}" for t, steps in enumerate(spec) for s in range(len(steps))
+        ]
+        np.testing.assert_array_equal(db.embeddings, PALETTE[[p for s in spec for p in s]])
+
+        assignment = cluster_headlines(db.embeddings, 0.09)
+        pairs = G.database_transitions(db, assignment)
+        assert pairs == database_transitions_walk(db, assignment.node_of)
+        assert labeler.task_node_map(db, assignment) == task_node_map_walk(db, assignment.node_of)
+
+        pkg = G.assemble_graph(db, assignment, pairs, {})
+        node_of, members_of = assignment_walk(pkg, db)
+        recovered = pkg.assignment(db)
+        assert recovered.node_of.tolist() == node_of == assignment.node_of.tolist()
+        assert list(recovered.members_of) == members_of == list(assignment.members_of)
+
+    def test_boundary_pair_is_no_transition(self):
+        # t0 = a b, t1 = c d: (b, c) follows in headline order but in no task
+        db = _database([[0, 1], [2, 3]])
+        assignment = assignment_from_roots([0, 1, 2, 3])
+        assert G.database_transitions(db, assignment) == [(0, 1), (2, 3)]
+
+    def test_member_outside_its_task_rejected(self):
+        db = _database([[0, 1], [2]])
+        pkg = G.assemble_graph(_database([[0, 1, 2]]), assignment_from_roots([0, 1, 2]), [], {})
+        with pytest.raises(ValueError, match=r"\('t0', 2\) not present"):
+            pkg.assignment(db)
+
+    @pytest.mark.parametrize(
+        "tasks, message",
+        [
+            ([], "contains no tasks"),
+            ([("t", "x", [("a", [1.0])]), ("t", "y", [("b", [1.0])])], "duplicate task_id 't'"),
+            ([("t", "x", [])], "task 't' has no steps"),
+            ([("t", "x", [("a", [1.0, 0.0]), ("b", [1.0])])], "step 1 has shape"),
+            ([("t", "x", [("a", [[1.0], [0.0]])])], "step 0 has shape"),
+            ([("t", "x", [("a", [])])], "dimension >= 1"),
+            ([("t", "x", [("a", [1.0]), ("b", [np.nan])])], "step 1 has non-finite embedding"),
+            ([("t", "x", [("a", [1.0])]), ("u", "y", [("b", [0.0])])],
+             "task 'u' step 0 has zero embedding"),
+        ],
+    )
+    def test_constructor_rejects(self, tasks, message):
+        with pytest.raises(CorpusFormatError, match=f"^here: .*{message}"):
+            StepDatabase.from_tasks(tasks, "here")
+
+
+class TestNodeOccurrenceCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=task_steps,
+        data=st.data(),
+        names=st.lists(st.sampled_from(["zeta", "alpha", "mu", None]), min_size=1, max_size=5),
+    )
+    def test_equal_headline_counts_summed_per_node(self, spec, data, names):
+        db = _database(spec)
+        assignment = cluster_headlines(db.embeddings, 0.09)
+        n_segments = data.draw(st.integers(0, 12))
+        video_of = sorted(data.draw(st.integers(0, len(names) - 1)) for _ in range(n_segments))
+        # empty vnm lists included; a named video whose lists are all empty
+        # leaves its corpus task column at zero
+        vnm = [
+            data.draw(st.lists(st.integers(0, assignment.num_nodes - 1), max_size=3, unique=True))
+            for _ in range(n_segments)
+        ]
+        occ, skipped = labeler.build_occurrence_matrix(vnm, names, video_of, assignment)
+        counts, task_names, expected_skipped = occurrence_per_headline(
+            vnm, names, video_of, assignment.members_of, db.num_headlines
+        )
+        assert occ.counts.dtype == np.int64
+        np.testing.assert_array_equal(occ.counts, summed_per_node(counts, assignment.members_of))
+        assert list(occ.task_names) == task_names
+        assert skipped == expected_skipped

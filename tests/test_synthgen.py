@@ -51,7 +51,7 @@ class TestGenerate:
 
     def test_zero_noise_top1_is_true_step(self):
         truth, db, corpus = synthgen.generate(_small_config())
-        emb = db.embedding_matrix()
+        emb = db.embeddings
         headline_step = np.array(truth.headline_true_step)
         for video, ann in zip(corpus.videos, truth.annotations):
             for span in ann.steps:
@@ -63,7 +63,7 @@ class TestGenerate:
         truth, db, _ = synthgen.generate(
             _small_config(paraphrase_count=2, n_shared_steps=3, seed=3)
         )
-        assignment = cluster_headlines(db.embedding_matrix(), 0.09)
+        assignment = cluster_headlines(db.embeddings, 0.09)
         assert assignment.num_nodes == truth.n_steps
 
     def test_shared_steps_span_tasks(self):
@@ -96,7 +96,7 @@ class TestGenerate:
     def test_style_is_orthogonal_to_headlines(self):
         cfg = _small_config(style_sigma=5.0, seed=7)
         truth, db, corpus = synthgen.generate(cfg)
-        emb = db.embedding_matrix()
+        emb = db.embeddings
         # headlines live entirely in the signal coordinates
         assert np.all(emb[:, cfg.signal_dim :] == 0.0)
         # with zero noise/jitter the style offset cannot move any score
@@ -123,10 +123,11 @@ class TestRecoveryMetrics:
 
     def _graph(self, db, assignment, pairs):
         nodes = []
-        meta = []
-        for ti, si in db.headline_index():
-            task = db.tasks[ti]
-            meta.append((task.task_id, si, task.steps[si].headline_text))
+        meta = [
+            (task.task_id, h - task.start, db.headlines[h])
+            for task in db.tasks
+            for h in range(task.start, task.stop)
+        ]
         for nid, members in enumerate(assignment.members_of):
             nodes.append(StepNode(nid, tuple(meta[h] for h in members)))
         edges = [DirectedEdge(s, d, 1.0, ("database",)) for s, d in pairs]
