@@ -92,8 +92,10 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
     """Check a synthetic world's truth.json hash; a world without one (real data) passes."""
     truth_path = world / "truth.json"
     if truth_path.exists():
-        with open(truth_path, encoding="utf-8") as fh:
-            truth = json.load(fh)
+        try:
+            truth = json.loads(truth_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise corpus_io.CorpusFormatError(f"{truth_path}: malformed JSON: {exc}") from None
         if not isinstance(truth, dict):
             raise corpus_io.CorpusFormatError(f"{truth_path}: truth file is not a JSON object")
         _check_hash(truth.get("config_hash"), cfg, str(truth_path), force)
@@ -167,7 +169,7 @@ def cmd_labels(args) -> None:
     db, corpus = _load_world(args.world)
     pkg = graph_mod.load_graph(args.graph)
     _check_hash(pkg.config_hash, cfg, str(args.graph), args.force)
-    header, records = labeler.emit_labels(corpus, db, pkg, config=cfg.labels)
+    header, records = labeler.emit_labels(corpus, db, pkg)
     labeler.save_labels(header, records, args.out)
     _emit({k: header[k] for k in ("num_segments", "num_nodes", "config_hash")}, None)
 

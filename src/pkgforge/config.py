@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .corpus_io import canonical_json
 from .downstream import DownstreamConfig
-from .labeler import LabelConfig
 from .synthgen import WorldConfig
 from .trainer import TrainConfig
 
@@ -63,8 +62,7 @@ def _build(cls, data, prefix: str = ""):
     return cls(**converted)
 
 
-_SECTIONS = {"labels": LabelConfig, "train": TrainConfig,
-             "downstream": DownstreamConfig, "world": WorldConfig}
+_SECTIONS = {"train": TrainConfig, "downstream": DownstreamConfig, "world": WorldConfig}
 
 
 @dataclass
@@ -73,7 +71,6 @@ class PipelineConfig:
     dedup_threshold: float = PAPER_DEDUP_THRESHOLD
     match_threshold: float = PAPER_MATCH_THRESHOLD
     instance_threshold: float = PAPER_INSTANCE_THRESHOLD
-    labels: LabelConfig = field(default_factory=LabelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     downstream: DownstreamConfig = field(default_factory=DownstreamConfig)
     world: WorldConfig = field(default_factory=WorldConfig)

@@ -3,23 +3,20 @@
 Examples are sequences of (optionally adapter-refined) segment features.
 The model adds a learned positional vector to each segment, averages the
 sequence, and classifies with a one-hidden-layer MLP under softmax cross
-entropy. The harness path is identical for raw and refined features; only
-the input transform differs.
+entropy, trained through `nn.fit`, the adapter's loop. The harness path is
+identical for raw and refined features; only the input transform differs.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus_io import CorpusFormatError, SegmentCorpus, atomic_write, canonical_json
-from .nn import AdamState, Mlp, adam_step, glorot_uniform, softmax_cross_entropy
-
-log = logging.getLogger(__name__)
+from .nn import AdamState, Mlp, adam_step, fit, glorot_uniform, softmax_cross_entropy
 
 TASK_RECOGNITION = "TR"
 STEP_RECOGNITION = "SR"
@@ -297,7 +294,10 @@ def evaluate(model: DownstreamModel, examples: list[DownstreamExample]) -> float
 def train_downstream(
     splits: DownstreamSplits, dim: int, config: DownstreamConfig
 ) -> tuple[DownstreamModel, dict]:
-    """Cross-entropy training with early stopping on validation accuracy."""
+    """Cross-entropy training through `nn.fit`, early stopping on validation accuracy.
+
+    Without a validation split the last epoch's parameters are kept.
+    """
     if not splits.train:
         raise ValueError("empty training split")
     rng = np.random.default_rng(config.seed)
@@ -305,45 +305,15 @@ def train_downstream(
     params = model.params
     adam = AdamState.for_params(params)
 
-    best_acc = -1.0
-    best = params.copy()
-    stall = 0
-    history = {"train_loss": [], "val_accuracy": []}
-    batch_size = min(config.batch_size, len(splits.train))
+    def step(rows: np.ndarray) -> float:
+        batch = [splits.train[i] for i in rows]
+        logits, cache = model.forward(batch)
+        loss, dlogits = softmax_cross_entropy(logits, np.array([ex.label for ex in batch]))
+        grads = model.backward(batch, cache, dlogits)
+        adam_step(params, grads, adam, lr=config.learning_rate, weight_decay=config.weight_decay)
+        return loss
 
-    for epoch in range(config.max_epochs):
-        order = rng.permutation(len(splits.train))
-        epoch_loss = 0.0
-        for start in range(0, order.size, batch_size):
-            batch = [splits.train[i] for i in order[start : start + batch_size]]
-            labels = np.array([ex.label for ex in batch])
-            logits, cache = model.forward(batch)
-            loss, dlogits = softmax_cross_entropy(logits, labels)
-            grads = model.backward(batch, cache, dlogits)
-            adam_step(
-                params,
-                grads,
-                adam,
-                lr=config.learning_rate,
-                weight_decay=config.weight_decay,
-            )
-            epoch_loss += loss * len(batch)
-        history["train_loss"].append(epoch_loss / len(splits.train))
-
-        if splits.val:
-            acc = evaluate(model, splits.val)
-            history["val_accuracy"].append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                np.copyto(best, params)
-                stall = 0
-            else:
-                stall += 1
-                if stall > config.patience:
-                    log.info("downstream early stop at epoch %d", epoch)
-                    break
-        else:
-            np.copyto(best, params)
-
-    params[...] = best
-    return model, history
+    # fit keeps the lowest score, so it gets the accuracy negated (exact in floats)
+    validate = (lambda: -evaluate(model, splits.val)) if splits.val else None
+    result = fit(params, len(splits.train), config, rng, step, validate)
+    return model, {"train_loss": result.train_loss, "val_accuracy": [-s for s in result.val_score]}

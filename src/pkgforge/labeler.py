@@ -4,7 +4,7 @@ Five label families are produced for every segment: matched step nodes
 (vnm), matched tasks in database and corpus variants (vtm_db, vtm_corpus),
 the step context those tasks imply (tcl_db, tcl_corpus), graph neighbors
 of the matched nodes per hop and direction (nrl), and the headline-level
-baseline (vsm).
+baseline (vsm), each at the paper's fixed size (the constants below).
 
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
@@ -39,18 +39,14 @@ log = logging.getLogger(__name__)
 LABELS_KIND = "pkgforge-labels"
 
 
-@dataclass
-class LabelConfig:
-    vnm_top_k: int = 3
-    vtm_corpus_top_k: int = 3
-    tcl_corpus_top_k: int = 3
-    nrl_hops: int = 2
-    nrl_top_per_hop: tuple[int, ...] = (5, 3)
-    vsm_top_k: int = 3
-
-    def __post_init__(self):
-        if self.nrl_hops > len(self.nrl_top_per_hop):
-            raise ValueError("nrl_top_per_hop must cover every hop")
+# The paper's label sizes: top 3 nodes (vnm), corpus tasks (vtm_corpus), nodes
+# per corpus task (tcl_corpus) and headlines (vsm); top 5 and 3 neighbors (nrl)
+VNM_TOP_K = 3
+VTM_CORPUS_TOP_K = 3
+TCL_CORPUS_TOP_K = 3
+VSM_TOP_K = 3
+NRL_TOP_PER_HOP = (5, 3)
+NRL_HOPS = len(NRL_TOP_PER_HOP)
 
 
 @dataclass(frozen=True)
@@ -189,10 +185,7 @@ def task_node_map(db: StepDatabase, assignment: NodeAssignment) -> dict[str, tup
 
 
 def emit_labels(
-    corpus: SegmentCorpus,
-    db: StepDatabase,
-    graph: ProceduralKnowledgeGraph,
-    config: LabelConfig | None = None,
+    corpus: SegmentCorpus, db: StepDatabase, graph: ProceduralKnowledgeGraph
 ) -> tuple[dict, list[PseudoLabelSet]]:
     """Generate one PseudoLabelSet per segment, in (video, segment) order.
 
@@ -200,9 +193,9 @@ def emit_labels(
     and the records. Each video is scored with one matmul, and vnm and vsm
     come from each segment's score row. The vtm, tcl and nrl families are
     derived once per distinct set of matched nodes, so records whose
-    segments match the same nodes share those label lists.
+    segments match the same nodes share those label lists. The label sizes
+    are the module constants above.
     """
-    config = config or LabelConfig()
     assignment = graph.assignment(db)
     tasks_of = task_node_map(db, assignment)
 
@@ -215,9 +208,8 @@ def emit_labels(
             continue
         for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
             node_scores = matcher.node_scores_from_headlines(row, assignment)
-            vnm = vnm_labels(node_scores, k=config.vnm_top_k)
-            vsm_ids = matcher.vsm_top_headlines(row, k=config.vsm_top_k)
-            vsm = [(h, float(row[h])) for h in vsm_ids]
+            vnm = vnm_labels(node_scores, k=VNM_TOP_K)
+            vsm = [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)]
             scored.append((vi, seg_idx, vnm, vsm))
 
     occ, skipped = build_occurrence_matrix(
@@ -227,17 +219,17 @@ def emit_labels(
         assignment,
     )
 
-    top_nodes = top_nodes_per_corpus_task(occ, k=config.tcl_corpus_top_k)
+    top_nodes = top_nodes_per_corpus_task(occ, k=TCL_CORPUS_TOP_K)
 
     def set_labels(nodes: list[int]) -> tuple:
         vtm_db = vtm_db_labels(nodes, graph)
-        vtm_corpus = vtm_corpus_labels(nodes, occ, k=config.vtm_corpus_top_k)
+        vtm_corpus = vtm_corpus_labels(nodes, occ, k=VTM_CORPUS_TOP_K)
         return (
             vtm_db,
             vtm_corpus,
             tcl_db_labels(vtm_db, tasks_of),
             tcl_corpus_labels(vtm_corpus, top_nodes),
-            nrl_labels(nodes, graph, config.nrl_hops, config.nrl_top_per_hop),
+            nrl_labels(nodes, graph, NRL_HOPS, NRL_TOP_PER_HOP),
         )
 
     derived: dict[tuple[int, ...], tuple] = {}
@@ -271,7 +263,7 @@ def emit_labels(
         "num_headlines": db.num_headlines,
         "task_ids": [t.task_id for t in db.tasks],
         "corpus_task_names": list(occ.task_names),
-        "nrl_hops": config.nrl_hops,
+        "nrl_hops": NRL_HOPS,
         "skipped_unnamed_videos": skipped,
     }
     return header, records

@@ -8,13 +8,20 @@ Adam, snapshots and checkpoints each handle a single array; a checkpoint
 payload is the f32 cast of that vector in declaration order. Adam walks that
 vector in fixed `ADAM_CHUNK`-element slices, so its working set stays in cache
 and its scratch buffers are one slice long whatever the model size.
+
+`fit` is the one training loop (shuffled mini-batches, held-out early
+stopping, best-epoch snapshot) for the adapter and every downstream probe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import logging
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 # Elements per Adam slice: six f64 arrays of this length (param, grad, m, v and
 # two scratch buffers) take 1.5 MiB, which fits a typical per-core L2 cache.
@@ -233,3 +240,56 @@ def adam_step(
         np.divide(m, sc, out=sc)
         sc *= lr / bc1
         p -= sc
+
+
+@dataclass
+class FitResult:
+    """Per-epoch training losses and validation scores, and the best epoch."""
+
+    train_loss: list[float] = field(default_factory=list)
+    val_score: list[float] = field(default_factory=list)
+    best_epoch: int = 0
+    best_score: float = np.inf  # stays inf without validation
+
+
+def fit(
+    params: np.ndarray, n_train: int, config, rng: np.random.Generator,
+    step: Callable[[np.ndarray], float], validate: Callable[[], float] | None = None,
+) -> FitResult:
+    """Mini-batch training with early stopping; leaves `params` at the best epoch.
+
+    `config` (a TrainConfig or DownstreamConfig) gives batch_size, max_epochs
+    and patience. `step` gets each `min(batch_size, n_train)`-row slice of an
+    epoch's `rng.permutation(n_train)`, updates `params` and returns the batch
+    mean loss. `validate` scores an epoch, lower being better; training stops
+    after more than `patience` epochs without strict improvement (NaN never
+    improves). Without `validate` every epoch counts as the best.
+    """
+    result, best, stall = FitResult(), params.copy(), 0
+    batch = min(config.batch_size, n_train)
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for start in range(0, n_train, batch):
+            rows = order[start : start + batch]
+            epoch_loss += step(rows) * rows.size
+        result.train_loss.append(epoch_loss / n_train)
+
+        if validate is None:
+            np.copyto(best, params)
+            result.best_epoch = epoch
+            continue
+        score = validate()
+        result.val_score.append(score)
+        if score < result.best_score:
+            result.best_score = score
+            np.copyto(best, params)
+            result.best_epoch = epoch
+            stall = 0
+        else:
+            stall += 1
+            if stall > config.patience:
+                log.info("early stop at epoch %d (best %d)", epoch, result.best_epoch)
+                break
+    np.copyto(params, best)
+    return result

@@ -354,9 +354,9 @@ def save_truth(truth: GroundTruth, path: str | Path, config_hash: str | None = N
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
         wc = dict(obj["world_config"])
         for key in ("steps_per_task", "segments_per_step"):
             wc[key] = tuple(wc[key])

@@ -15,21 +15,22 @@ The adapter and heads share one flat f64 parameter vector laid out as
 adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
 head in spec order. Adam steps that vector whole, and the checkpoint
 payload is its f32 cast, with that layout as the shape table.
+
+The epochs, early stopping and best-epoch restore are `nn.fit`, the loop
+the downstream probes train through too; `train` supplies the batch step
+and the held-out loss.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from .corpus_io import ModelCheckpoint, checkpoint_from_params
-from .labeler import PseudoLabelSet
-from .nn import AdamState, Mlp, adam_step, bce_with_logits
-
-log = logging.getLogger(__name__)
+from .labeler import NRL_HOPS, PseudoLabelSet
+from .nn import AdamState, Mlp, adam_step, bce_with_logits, fit
 
 BOTTLENECK_DIM = 128
 
@@ -62,9 +63,11 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("batch_size", "max_epochs", "nrl_hops", "bottleneck"):
+        for name in ("batch_size", "max_epochs", "bottleneck"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.nrl_hops <= NRL_HOPS:  # the labels hold NRL_HOPS hops
+            raise ValueError(f"nrl_hops must lie in [1, {NRL_HOPS}], got {self.nrl_hops}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
         if not 0 <= self.val_fraction < 1:
@@ -265,10 +268,11 @@ def train(
 ) -> tuple[ModelCheckpoint, dict]:
     """Mini-batch Adam over shuffled segments with video-disjoint validation.
 
-    Early stopping tracks the held-out total loss: training stops once it
-    has not improved for more than `patience` consecutive epochs, and the
-    best-scoring parameters are the ones checkpointed. The whole procedure
-    is a pure function of (features, targets, config).
+    `nn.fit` runs the epochs with early stopping on the held-out total loss:
+    training stops once it has not improved for more than `patience`
+    consecutive epochs, and the best-scoring parameters are the ones
+    checkpointed. The whole procedure is a pure function of (features,
+    targets, config).
     """
     features = np.asarray(features, dtype=np.float64)
     n, dim = features.shape
@@ -283,49 +287,22 @@ def train(
 
     videos = np.unique(video_of)
     n_val_videos = int(round(config.val_fraction * videos.size))
+    is_val = np.zeros(n, dtype=bool)
     if 0 < n_val_videos < videos.size:
-        shuffled = rng.permutation(videos)
-        val_videos = set(shuffled[:n_val_videos].tolist())
-        val_idx = np.nonzero([v in val_videos for v in video_of])[0]
-        train_idx = np.nonzero([v not in val_videos for v in video_of])[0]
-    else:
-        train_idx = np.arange(n)
-        val_idx = np.zeros(0, dtype=np.int64)
+        is_val = np.isin(video_of, rng.permutation(videos)[:n_val_videos])
+    train_idx, val_idx = np.nonzero(~is_val)[0], np.nonzero(is_val)[0]
 
-    best_val = np.inf
-    best = params.copy()
-    best_epoch = 0
-    stall = 0
-    history = {"train_loss": [], "val_loss": []}
+    def step(batch: np.ndarray) -> float:
+        rows = train_idx[batch]
+        dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
+        loss, grads = model_loss_and_grads(model, features[rows], dense)
+        adam_step(params, grads, adam, lr=config.learning_rate)
+        return loss
 
-    batch = min(config.batch_size, train_idx.size)
-    for epoch in range(config.max_epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        epoch_loss = 0.0
-        for start in range(0, order.size, batch):
-            rows = order[start : start + batch]
-            dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
-            loss, grads = model_loss_and_grads(model, features[rows], dense)
-            adam_step(params, grads, adam, lr=config.learning_rate)
-            epoch_loss += loss * rows.size
-        history["train_loss"].append(epoch_loss / order.size)
+    def validate() -> float:
+        return _dataset_loss(model, features, targets, val_idx)
 
-        if val_idx.size:
-            val_loss = _dataset_loss(model, features, targets, val_idx)
-            history["val_loss"].append(val_loss)
-            if val_loss < best_val:
-                best_val = val_loss
-                np.copyto(best, params)
-                best_epoch = epoch
-                stall = 0
-            else:
-                stall += 1
-                if stall > config.patience:
-                    log.info("early stop at epoch %d (best %d)", epoch, best_epoch)
-                    break
-        else:
-            np.copyto(best, params)
-            best_epoch = epoch
+    result = fit(params, train_idx.size, config, rng, step, validate if val_idx.size else None)
 
     metadata = {
         "dim": dim,
@@ -336,11 +313,11 @@ def train(
         "nrl_hops": config.nrl_hops,
         "seed": config.seed,
         "config_hash": config_hash,
-        "best_epoch": best_epoch,
-        "best_val_loss": None if not val_idx.size else best_val,
+        "best_epoch": result.best_epoch,
+        "best_val_loss": None if not val_idx.size else result.best_score,
     }
-    ckpt = checkpoint_from_params(best, model.shapes(), metadata)
-    return ckpt, history
+    history = {"train_loss": result.train_loss, "val_loss": result.val_score}
+    return checkpoint_from_params(params, model.shapes(), metadata), history
 
 
 # ---------------------------------------------------------------------------

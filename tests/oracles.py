@@ -12,13 +12,21 @@ The one exception is the per-segment label path the labeler replaced
 headline-level corpus counting, node scoring, per-step database walks and
 record loop, and borrows from the package only the label operations that
 did not change with it (vtm_db, tcl_db and nrl).
+
+The training references (`early_stopping_reference`, `train_reference` and
+`train_downstream_reference`) are the two hand-written epoch loops that
+`trainer.train` and `downstream.train_downstream` kept before both moved
+onto `nn.fit`. They call the package's models, losses and Adam, which the
+loop did not change; only the loop around them is under test.
 """
 
 from collections import defaultdict, deque
 
 import numpy as np
 
-from pkgforge import labeler
+from pkgforge import downstream, labeler, trainer
+from pkgforge.corpus_io import checkpoint_from_params
+from pkgforge.nn import AdamState, adam_step, softmax_cross_entropy
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -223,7 +231,8 @@ def tcl_corpus_per_segment(vtm_names, counts, task_names, members_of, k):
     return sorted(out)
 
 
-def emit_labels_per_segment(corpus, db, graph, config):
+def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k, vsm_k,
+                            nrl_top_per_hop):
     """Records as the labeler built them before: every family derived per segment."""
     node_of, members_of = assignment_walk(graph, db)
     tasks_of = task_node_map_walk(db, node_of)
@@ -233,9 +242,9 @@ def emit_labels_per_segment(corpus, db, graph, config):
             continue
         for row in np.asarray(video.segments, dtype=np.float64) @ db.embeddings.T:
             node_scores = np.array([max(row[h] for h in members) for members in members_of])
-            ids = top_k_full_sort(node_scores, config.vnm_top_k)
+            ids = top_k_full_sort(node_scores, vnm_k)
             segment_vnm.append([(nid, float(node_scores[nid])) for nid in ids])
-            segment_vsm.append([(h, float(row[h])) for h in top_k_full_sort(row, config.vsm_top_k)])
+            segment_vsm.append([(h, float(row[h])) for h in top_k_full_sort(row, vsm_k)])
             video_of_segment.append(vi)
     counts, task_names, _ = occurrence_per_headline(
         [[nid for nid, _ in vnm] for vnm in segment_vnm],
@@ -252,7 +261,7 @@ def emit_labels_per_segment(corpus, db, graph, config):
             ids = [nid for nid, _ in vnm]
             vtm_db = labeler.vtm_db_labels(ids, graph)
             vtm_corpus = vtm_corpus_per_segment(
-                ids, counts, task_names, members_of, config.vtm_corpus_top_k
+                ids, counts, task_names, members_of, vtm_corpus_k
             )
             records.append(
                 labeler.PseudoLabelSet(
@@ -263,9 +272,9 @@ def emit_labels_per_segment(corpus, db, graph, config):
                     vtm_corpus=vtm_corpus,
                     tcl_db=labeler.tcl_db_labels(vtm_db, tasks_of),
                     tcl_corpus=tcl_corpus_per_segment(
-                        vtm_corpus, counts, task_names, members_of, config.tcl_corpus_top_k
+                        vtm_corpus, counts, task_names, members_of, tcl_corpus_k
                     ),
-                    nrl=labeler.nrl_labels(ids, graph, config.nrl_hops, config.nrl_top_per_hop),
+                    nrl=labeler.nrl_labels(ids, graph, len(nrl_top_per_hop), nrl_top_per_hop),
                     vsm=segment_vsm[cursor],
                 )
             )
@@ -358,3 +367,168 @@ def summed_per_node(counts, members_of):
         for h in members:
             out[nid] += counts[h]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the two early-stopping loops nn.fit replaced
+
+
+def early_stopping_reference(params, n_train, batch_size, max_epochs, patience, rng, step,
+                             validate):
+    """trainer.train's loop with the batch work and the held-out score passed in.
+
+    Returns (train losses, validation scores, best epoch, best score).
+    """
+    best_val = np.inf
+    best = params.copy()
+    best_epoch = 0
+    stall = 0
+    history = {"train_loss": [], "val_loss": []}
+
+    batch = min(batch_size, n_train)
+    for epoch in range(max_epochs):
+        order = rng.permutation(n_train)
+        epoch_loss = 0.0
+        for start in range(0, order.size, batch):
+            rows = order[start : start + batch]
+            epoch_loss += step(rows) * rows.size
+        history["train_loss"].append(epoch_loss / order.size)
+
+        if validate is not None:
+            val_loss = validate()
+            history["val_loss"].append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                np.copyto(best, params)
+                best_epoch = epoch
+                stall = 0
+            else:
+                stall += 1
+                if stall > patience:
+                    break
+        else:
+            np.copyto(best, params)
+            best_epoch = epoch
+    params[...] = best
+    return history["train_loss"], history["val_loss"], best_epoch, best_val
+
+
+def train_reference(features, video_of, header, targets, config, config_hash=None):
+    """trainer.train as it stood with its own epoch loop."""
+    features = np.asarray(features, dtype=np.float64)
+    n, dim = features.shape
+    specs = trainer.head_specs_from_header(header, config.objectives, config.nrl_hops)
+
+    rng = np.random.default_rng(config.seed)
+    model = trainer.PaprikaModel.build(dim, specs, config.bottleneck, rng)
+    params = model.params
+    adam = AdamState.for_params(params)
+
+    videos = np.unique(video_of)
+    n_val_videos = int(round(config.val_fraction * videos.size))
+    if 0 < n_val_videos < videos.size:
+        shuffled = rng.permutation(videos)
+        val_videos = set(shuffled[:n_val_videos].tolist())
+        val_idx = np.nonzero([v in val_videos for v in video_of])[0]
+        train_idx = np.nonzero([v not in val_videos for v in video_of])[0]
+    else:
+        train_idx = np.arange(n)
+        val_idx = np.zeros(0, dtype=np.int64)
+
+    best_val = np.inf
+    best = params.copy()
+    best_epoch = 0
+    stall = 0
+    history = {"train_loss": [], "val_loss": []}
+
+    batch = min(config.batch_size, train_idx.size)
+    for epoch in range(config.max_epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        epoch_loss = 0.0
+        for start in range(0, order.size, batch):
+            rows = order[start : start + batch]
+            dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
+            loss, grads = trainer.model_loss_and_grads(model, features[rows], dense)
+            adam_step(params, grads, adam, lr=config.learning_rate)
+            epoch_loss += loss * rows.size
+        history["train_loss"].append(epoch_loss / order.size)
+
+        if val_idx.size:
+            val_loss = trainer._dataset_loss(model, features, targets, val_idx)
+            history["val_loss"].append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                np.copyto(best, params)
+                best_epoch = epoch
+                stall = 0
+            else:
+                stall += 1
+                if stall > config.patience:
+                    break
+        else:
+            np.copyto(best, params)
+            best_epoch = epoch
+
+    metadata = {
+        "dim": dim,
+        "bottleneck": config.bottleneck,
+        "heads": {s.name: s.n_classes for s in specs},
+        "head_kinds": {s.name: s.kind for s in specs},
+        "objectives": list(config.objectives),
+        "nrl_hops": config.nrl_hops,
+        "seed": config.seed,
+        "config_hash": config_hash,
+        "best_epoch": best_epoch,
+        "best_val_loss": None if not val_idx.size else best_val,
+    }
+    return checkpoint_from_params(best, model.shapes(), metadata), history
+
+
+def train_downstream_reference(splits, dim, config):
+    """downstream.train_downstream as it stood with its own epoch loop."""
+    rng = np.random.default_rng(config.seed)
+    model = downstream.DownstreamModel(dim, splits.n_classes, splits.kind, config, rng)
+    params = model.params
+    adam = AdamState.for_params(params)
+
+    best_acc = -1.0
+    best = params.copy()
+    stall = 0
+    history = {"train_loss": [], "val_accuracy": []}
+    batch_size = min(config.batch_size, len(splits.train))
+
+    for epoch in range(config.max_epochs):
+        order = rng.permutation(len(splits.train))
+        epoch_loss = 0.0
+        for start in range(0, order.size, batch_size):
+            batch = [splits.train[i] for i in order[start : start + batch_size]]
+            labels = np.array([ex.label for ex in batch])
+            logits, cache = model.forward(batch)
+            loss, dlogits = softmax_cross_entropy(logits, labels)
+            grads = model.backward(batch, cache, dlogits)
+            adam_step(
+                params,
+                grads,
+                adam,
+                lr=config.learning_rate,
+                weight_decay=config.weight_decay,
+            )
+            epoch_loss += loss * len(batch)
+        history["train_loss"].append(epoch_loss / len(splits.train))
+
+        if splits.val:
+            acc = downstream.evaluate(model, splits.val)
+            history["val_accuracy"].append(acc)
+            if acc > best_acc:
+                best_acc = acc
+                np.copyto(best, params)
+                stall = 0
+            else:
+                stall += 1
+                if stall > config.patience:
+                    break
+        else:
+            np.copyto(best, params)
+
+    params[...] = best
+    return model, history

@@ -298,7 +298,7 @@ def test_criterion_08_representation_gain():
             match_threshold=cfg.match_threshold,
             instance_threshold=cfg.instance_threshold,
         )
-        header, records = labeler.emit_labels(corpus, db, pkg, cfg.labels)
+        header, records = labeler.emit_labels(corpus, db, pkg)
         features = np.vstack([v.segments for v in corpus.videos])
         video_of = np.concatenate(
             [np.full(v.segments.shape[0], i) for i, v in enumerate(corpus.videos)]

@@ -429,7 +429,7 @@ class TestWrongShapedJson:
             ([1], "a config must be a JSON object"),
             ({"train": None}, "config section 'train'"),
             ({"train": {"objectives": 5}}, "train.objectives"),
-            ({"labels": {"nrl_top_per_hop": 3}}, "labels.nrl_top_per_hop"),
+            ({"world": {"segments_per_step": 3}}, "world.segments_per_step"),
         ],
     )
     def test_synth_config(self, data, named, tmp_path, capsys):
@@ -473,6 +473,17 @@ class TestWrongShapedJson:
         ) == 1
         assert "truth.json: truth file is not a JSON object" in _one_line_error(capsys)
         assert not (tmp_path / "g.json").exists()
+
+    @pytest.mark.parametrize("stage", ["build-graph", "eval"])
+    def test_truth_not_json_names_the_file(self, stage, artifacts, tmp_path, capsys):
+        world = tmp_path / "world"
+        shutil.copytree(artifacts["world"], world)
+        (world / "truth.json").write_text("{")
+        out = tmp_path / "out.json"
+        assert _run(stage, "--config", artifacts["config"], "--world", world, "--out", out) == 1
+        error = _one_line_error(capsys)
+        assert f"{world / 'truth.json'}: malformed JSON: Expecting property name" in error
+        assert not out.exists()
 
 
 class TestErrors:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pkgforge import labeler
 from pkgforge.config import PipelineConfig, synthetic_preset
 
 
@@ -61,7 +62,7 @@ class TestConfig:
             ("train", "weight_decay", 0.0),
             ("train", "loss_coefficients", {}),
             ("downstream", "aggregation", "mean"),
-            ("labels", "background_floor", None),
+            (None, "labels", {}),
         ],
     )
     def test_removed_field_rejected(self, section, name, value):
@@ -69,6 +70,14 @@ class TestConfig:
         data = {name: value} if section is None else {section: {name: value}}
         with pytest.raises(ValueError, match=f"unknown .*{name}"):
             PipelineConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "labels", [{"vnm_top_k": 0}, {"tcl_corpus_top_k": 0}, {"nrl_top_per_hop": [0, 3]}]
+    )
+    def test_label_sizes_are_not_configurable(self, labels):
+        # the sizes are the paper's constants; a labels section is an unknown field
+        with pytest.raises(ValueError, match=r"unknown PipelineConfig fields: \['labels'\]"):
+            PipelineConfig.from_dict({"labels": labels})
 
     def test_integer_spelling_of_a_float_hashes_alike(self):
         as_int = PipelineConfig.from_dict({"instance_threshold": 360, "world": {"noise_sigma": 1}})
@@ -93,8 +102,8 @@ class TestConfig:
 
     def test_pinned_hashes(self):
         # every artifact embeds this hash: a change here moves every artifact's bytes
-        assert PipelineConfig().config_hash() == "f7ac27d07bf354ea"
-        assert synthetic_preset().config_hash() == "cfcd09d12c6a77b2"
+        assert PipelineConfig().config_hash() == "81942e27ba3385b4"
+        assert synthetic_preset().config_hash() == "a23b401d0af63bc6"
 
     @pytest.mark.parametrize(
         "section, name, value",
@@ -135,7 +144,7 @@ class TestConfig:
             ([1], "a config must be a JSON object"),
             ({"train": None}, "config section 'train' must be a JSON object"),
             ({"train": {"objectives": 5}}, r"train\.objectives must be tuple\[str, \.\.\.\]"),
-            ({"labels": {"nrl_top_per_hop": 3}}, r"labels\.nrl_top_per_hop must be"),
+            ({"world": {"segments_per_step": 3}}, r"world\.segments_per_step must be"),
             ({"world": {"steps_per_task": [1]}}, r"world\.steps_per_task must be tuple\[int, int\]"),
             ({"train": {"max_epochs": "x"}}, r"train\.max_epochs must be int"),
             ({"train": {"objectives": ["vnm", 3]}}, r"train\.objectives must be"),
@@ -163,8 +172,9 @@ class TestConfig:
         assert cfg.instance_threshold == 1000.0
         assert cfg.train.learning_rate == 1e-4
         assert cfg.train.batch_size == 256
-        assert cfg.labels.vnm_top_k == 3
-        assert cfg.labels.nrl_top_per_hop == (5, 3)
+        sizes = (labeler.VNM_TOP_K, labeler.VTM_CORPUS_TOP_K, labeler.TCL_CORPUS_TOP_K)
+        assert sizes + (labeler.VSM_TOP_K,) == (3, 3, 3, 3)
+        assert labeler.NRL_TOP_PER_HOP == (5, 3) and labeler.NRL_HOPS == 2
         assert cfg.downstream.weight_decay == 1e-3
         assert cfg.downstream.batch_size == 16
         assert cfg.downstream.patience == 50

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -430,16 +431,10 @@ class TestAgainstPerSegmentPath:
     )
     def test_records_equal_reference(self, seed, integer_valued, top_k, nrl_top):
         db, pkg, corpus = _random_world(np.random.default_rng(seed), integer_valued)
-        config = labeler.LabelConfig(
-            vnm_top_k=top_k[0],
-            vtm_corpus_top_k=top_k[1],
-            tcl_corpus_top_k=top_k[2],
-            vsm_top_k=top_k[3],
-            nrl_hops=2,
-            nrl_top_per_hop=nrl_top,
-        )
-        header, records = labeler.emit_labels(corpus, db, pkg, config)
-        expected = emit_labels_per_segment(corpus, db, pkg, config)
+        sizes = dict(zip(("VNM_TOP_K", "VTM_CORPUS_TOP_K", "TCL_CORPUS_TOP_K", "VSM_TOP_K"), top_k))
+        with mock.patch.multiple(labeler, NRL_TOP_PER_HOP=nrl_top, **sizes):
+            header, records = labeler.emit_labels(corpus, db, pkg)
+        expected = emit_labels_per_segment(corpus, db, pkg, *top_k, nrl_top)
 
         # serialized form: equal values and plain Python ints and floats
         assert [canonical_json(dataclasses.asdict(r)) for r in records] == [

@@ -1,5 +1,7 @@
 """Synthetic world generation and graph-recovery metrics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,13 @@ class TestTruthSerialization:
         assert back.canonical_transitions == truth.canonical_transitions
         assert back.observed_transitions == truth.observed_transitions
         assert back.headline_true_step == truth.headline_true_step
+
+    @pytest.mark.parametrize("text", ["{", "[1]", '{"n_steps": 2}'])
+    def test_malformed_truth_names_the_file(self, tmp_path, text):
+        path = tmp_path / "truth.json"
+        path.write_text(text)
+        with pytest.raises(corpus_io.CorpusFormatError, match=re.escape(f"{path}: malformed truth file")):
+            synthgen.load_truth(path)
 
 
 class TestEndToEndRecovery:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import trainer
+from pkgforge.config import PipelineConfig
 from pkgforge.corpus_io import ModelCheckpoint, save_checkpoint
 from pkgforge.nn import ADAM_CHUNK, AdamState, Mlp, adam_step, bce_with_logits, sigmoid, softplus
 
@@ -121,6 +122,14 @@ class TestHeadArchitecture:
             head_specs_from_header(header, ("vnm", "nrl"), 3)
         names = [s.name for s in head_specs_from_header(header, ("nrl",), 2)]
         assert names == ["nrl_in_1", "nrl_out_1", "nrl_in_2", "nrl_out_2"]
+
+    def test_nrl_hops_beyond_labels_rejected_when_the_config_loads(self):
+        # the labels always hold two hops, so a third fails before any stage runs
+        with pytest.raises(ValueError, match=r"nrl_hops must lie in \[1, 2\], got 3"):
+            TrainConfig(objectives=("nrl",), nrl_hops=3)
+        with pytest.raises(ValueError, match="nrl_hops"):
+            PipelineConfig.from_dict({"train": {"objectives": ["nrl"], "nrl_hops": 3}})
+        assert TrainConfig(objectives=("nrl",), nrl_hops=2).nrl_hops == 2
 
 
 class TestBce:
