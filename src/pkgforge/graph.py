@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import dedup, matcher
 from .corpus_io import CorpusFormatError, StepDatabase, atomic_write, canonical_json
 from .dedup import NodeAssignment, assignment_from_roots
 
@@ -214,12 +215,7 @@ def build_graph(
     scoring matmuls, and each video keeps its own `score_video` call so its
     scores round the same however many videos the corpus holds.
     """
-    # imported here, not at module level, so that each call looks the
-    # functions up on their modules (where a profiler may have wrapped them)
-    from . import matcher
-    from .dedup import cluster_headlines
-
-    assignment = cluster_headlines(db.embeddings, dedup_threshold)
+    assignment = dedup.cluster_headlines(db.embeddings, dedup_threshold)
 
     def match_video(video):
         if video.segments.shape[0] == 0:
@@ -302,6 +298,19 @@ def save_graph(graph: ProceduralKnowledgeGraph, path: str | Path) -> None:
         fh.write(canonical_json(obj) + "\n")
 
 
+def _int(obj: dict, key: str) -> int:
+    if type(obj[key]) is not int:
+        raise ValueError(f"{key} {obj[key]!r} is not a JSON integer")
+    return obj[key]
+
+
+def _sources(edge: dict) -> tuple[str, ...]:
+    sources = edge["sources"]
+    if type(sources) is not list or not {SOURCE_CORPUS, SOURCE_DATABASE}.issuperset(sources):
+        raise ValueError(f"sources {sources!r} is not a list drawn from 'corpus' and 'database'")
+    return tuple(sources)
+
+
 def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
     path = Path(path)
     try:
@@ -309,19 +318,19 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             obj = json.load(fh)
         nodes = [
             StepNode(
-                node_id=int(n["node_id"]),
+                node_id=_int(n, "node_id"),
                 members=tuple(
-                    (m["task_id"], int(m["step_index"]), m["headline"]) for m in n["members"]
+                    (m["task_id"], _int(m, "step_index"), m["headline"]) for m in n["members"]
                 ),
             )
             for n in obj["nodes"]
         ]
         edges = [
             DirectedEdge(
-                src=int(e["src"]),
-                dst=int(e["dst"]),
+                src=_int(e, "src"),
+                dst=_int(e, "dst"),
                 score=float(e["score"]),
-                sources=tuple(e["sources"]),
+                sources=_sources(e),
             )
             for e in obj["edges"]
         ]

@@ -17,7 +17,9 @@ Labels are materialized to labels.jsonl: one header line with the
 class-index spaces, one line per distinct set block (the five set-derived
 families), then one record per segment in (video, segment) order holding
 vnm, vsm and the index of its set line. Writing and reading therefore
-handle each set block once.
+handle each set block once. `load_labels` is the one place that checks a
+record's shape, so code downstream takes its records, and those
+`emit_labels` builds, as they are.
 """
 
 from __future__ import annotations
@@ -65,9 +67,11 @@ class OccurrenceMatrix:
 
 @dataclass
 class PseudoLabelSet:
-    """One segment's labels. vtm_db, vtm_corpus, tcl_db, tcl_corpus and nrl
-    are the set-derived families: records of one matched-node set share
-    these list objects, so they must not be mutated in place."""
+    """One segment's labels. Ids are ints inside the header's class spaces,
+    and nrl maps "in" and "out" to `nrl_hops` ranked hop lists. vtm_db,
+    vtm_corpus, tcl_db, tcl_corpus and nrl are the set-derived families:
+    records of one matched-node set share these list objects, so they must
+    not be mutated in place."""
 
     video_id: str
     segment_index: int
@@ -272,28 +276,6 @@ def emit_labels(
 # ---------------------------------------------------------------------------
 # serialization
 
-def _set_obj(rec: PseudoLabelSet) -> dict:
-    return {
-        "vtm_db": rec.vtm_db,
-        "vtm_corpus": rec.vtm_corpus,
-        "tcl_db": rec.tcl_db,
-        "tcl_corpus": rec.tcl_corpus,
-        "nrl": {
-            direction: [[[nid, conf] for nid, conf in hop] for hop in hops]
-            for direction, hops in rec.nrl.items()
-        },
-    }
-
-
-def _record_obj(rec: PseudoLabelSet, set_index: int) -> dict:
-    return {
-        "video_id": rec.video_id,
-        "segment_index": rec.segment_index,
-        "vnm": [[nid, score] for nid, score in rec.vnm],
-        "set": set_index,
-        "vsm": [[hid, score] for hid, score in rec.vsm],
-    }
-
 
 def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
     """Write the header, one line per set block, then one line per record.
@@ -307,67 +289,80 @@ def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -
     set_lines: list[str] = []
     record_lines: list[str] = []
     for rec in records:
-        key = (
-            id(rec.vtm_db), id(rec.vtm_corpus), id(rec.tcl_db), id(rec.tcl_corpus), id(rec.nrl)
-        )
+        block = {"vtm_db": rec.vtm_db, "vtm_corpus": rec.vtm_corpus, "tcl_db": rec.tcl_db,
+                 "tcl_corpus": rec.tcl_corpus, "nrl": rec.nrl}
+        key = tuple(map(id, block.values()))
         index = set_of.get(key)
         if index is None:
             index = set_of[key] = len(set_lines)
-            set_lines.append(canonical_json(_set_obj(rec)))
-        record_lines.append(canonical_json(_record_obj(rec, index)))
+            set_lines.append(canonical_json(block))
+        record_lines.append(canonical_json({
+            "video_id": rec.video_id, "segment_index": rec.segment_index,
+            "vnm": rec.vnm, "set": index, "vsm": rec.vsm,
+        }))
     with atomic_write(path) as fh:
         fh.write(canonical_json(dict(header, num_sets=len(set_lines))) + "\n")
         for line in set_lines + record_lines:
             fh.write(line + "\n")
 
 
-def _ids_in_range(ids: list[int], bound: int, *where) -> None:
-    """Raise unless every id lies in [0, bound); `where` names the field for the message."""
+def _ids(ids, bound: int, field: str) -> list[int]:
+    """`ids`, checked to be a list of JSON integers in [0, bound)."""
+    if type(ids) is not list or not {int}.issuperset(map(type, ids)):
+        raise CorpusFormatError(f"{field} {ids!r} is not a list of JSON integers")
     if ids and (min(ids) < 0 or max(ids) >= bound):
-        raise CorpusFormatError(
-            f"{' '.join(map(str, where))} {sorted(ids)} has an id outside [0, {bound})"
-        )
+        raise CorpusFormatError(f"{field} {sorted(ids)} has an id outside [0, {bound})")
+    return ids
 
 
-def _ranked_pairs(items, bound: int, *where) -> list[tuple[int, float]]:
-    pairs = [(int(i), float(s)) for i, s in items]
-    _ids_in_range([i for i, _ in pairs], bound, *where)
+def _strings(names, field: str) -> list[str]:
+    if type(names) is not list or not {str}.issuperset(map(type, names)):
+        raise CorpusFormatError(f"{field} {names!r} is not a list of strings")
+    return names
+
+
+def _ranked_pairs(items, bound: int, field: str) -> list[tuple[int, float]]:
+    pairs = [(i, float(s)) for i, s in items]
+    _ids([i for i, _ in pairs], bound, field)
     return pairs
 
 
-def _set_block(obj: dict, index: int, num_nodes: int, task_ids: set, corpus_names: set) -> tuple:
-    vtm_db = [str(t) for t in obj["vtm_db"]]
-    if not task_ids.issuperset(vtm_db):
-        raise CorpusFormatError(f"set {index} vtm_db names task ids missing from the header: "
-                                f"{sorted(set(vtm_db) - task_ids)}")
-    vtm_corpus = [str(t) for t in obj["vtm_corpus"]]
-    if not corpus_names.issuperset(vtm_corpus):
-        raise CorpusFormatError(f"set {index} vtm_corpus names corpus tasks missing from the "
-                                f"header: {sorted(set(vtm_corpus) - corpus_names)}")
-    tcl_db = [int(n) for n in obj["tcl_db"]]
-    _ids_in_range(tcl_db, num_nodes, "set", index, "tcl_db")
-    tcl_corpus = [int(n) for n in obj["tcl_corpus"]]
-    _ids_in_range(tcl_corpus, num_nodes, "set", index, "tcl_corpus")
-    if not isinstance(obj["nrl"], dict):
-        raise CorpusFormatError(f"set {index} nrl is not a JSON object")
-    nrl = {
-        direction: [_ranked_pairs(hop, num_nodes, "set", index, "nrl", direction) for hop in hops]
-        for direction, hops in obj["nrl"].items()
+def _set_block(obj: dict, header: dict, task_ids: set, corpus_names: set) -> dict:
+    for field, known, space in (("vtm_db", task_ids, "task ids"),
+                                ("vtm_corpus", corpus_names, "corpus tasks")):
+        missing = set(_strings(obj[field], field)) - known
+        if missing:
+            raise CorpusFormatError(f"{field} names {space} missing from the header: "
+                                    f"{sorted(missing)}")
+    nrl, hops = obj["nrl"], header["nrl_hops"]
+    if type(nrl) is not dict or sorted(nrl) != ["in", "out"]:
+        raise CorpusFormatError("nrl is not an object with exactly the keys 'in' and 'out'")
+    for direction, per_hop in nrl.items():
+        if type(per_hop) is not list or list(map(type, per_hop)) != [list] * hops:
+            raise CorpusFormatError(f"nrl {direction} is not a list of {hops} hop lists")
+    num_nodes = header["num_nodes"]
+    return {
+        "vtm_db": obj["vtm_db"], "vtm_corpus": obj["vtm_corpus"],
+        "tcl_db": _ids(obj["tcl_db"], num_nodes, "tcl_db"),
+        "tcl_corpus": _ids(obj["tcl_corpus"], num_nodes, "tcl_corpus"),
+        "nrl": {
+            direction: [_ranked_pairs(hop, num_nodes, f"nrl {direction}") for hop in per_hop]
+            for direction, per_hop in nrl.items()
+        },
     }
-    return vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl
 
 
 def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
     """Read a labels file; records that point at one set line share its lists.
 
-    Every class id is checked against the header's class spaces: node ids
-    below `num_nodes`, headline ids below `num_headlines`, task ids and
-    corpus task names listed in the header. Set-derived ids are checked
-    once per set line.
+    This is the one place that checks a record's shape (README §Formats).
+    Set-derived families are checked once per set line. An error names the
+    file and the header, set, record or line at fault.
     """
     path = Path(path)
-    blocks: list[tuple] = []
+    blocks: list[dict] = []
     records: list[PseudoLabelSet] = []
+    where = "header"
     with open(path, encoding="utf-8") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -375,48 +370,50 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
         try:
             header = json.loads(header_line)
             if not isinstance(header, dict):
-                raise ValueError("the header line is not a JSON object")
+                raise CorpusFormatError("line is not a JSON object")
             if header.get("kind") != LABELS_KIND:
-                raise ValueError(f"unexpected kind {header.get('kind')!r}")
+                raise CorpusFormatError(f"has unexpected kind {header.get('kind')!r}")
             if "num_sets" not in header:
                 raise CorpusFormatError(
-                    "the header has no num_sets, so the file predates the set table; "
+                    "has no num_sets, so the file predates the set table; "
                     "rerun `pkgforge labels` to rewrite it"
                 )
-            task_ids = set(header["task_ids"])
-            corpus_names = set(header["corpus_task_names"])
-            num_nodes, num_headlines = header["num_nodes"], header["num_headlines"]
-            for line in fh:
+            for key in ("num_nodes", "num_headlines", "nrl_hops"):
+                if type(header[key]) is not int:
+                    raise CorpusFormatError(f"{key} {header[key]!r} is not a JSON integer")
+            task_ids = set(_strings(header["task_ids"], "task_ids"))
+            corpus_names = set(_strings(header["corpus_task_names"], "corpus_task_names"))
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
+                where = f"line {lineno}"
                 obj = json.loads(line)
                 if not records and "video_id" not in obj:
-                    blocks.append(_set_block(obj, len(blocks), num_nodes, task_ids, corpus_names))
+                    where = f"set {len(blocks)}"
+                    blocks.append(_set_block(obj, header, task_ids, corpus_names))
                     continue
-                set_index = obj["set"]
+                where = f"record {len(records)}"
+                set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]
                 if type(set_index) is not int or not 0 <= set_index < len(blocks):
                     raise CorpusFormatError(
-                        f"record {len(records)} points at set {set_index!r}, "
-                        f"outside [0, {len(blocks)})"
+                        f"points at set {set_index!r}, outside [0, {len(blocks)})"
                     )
-                vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = blocks[set_index]
-                records.append(
-                    PseudoLabelSet(
-                        video_id=obj["video_id"],
-                        segment_index=int(obj["segment_index"]),
-                        vnm=_ranked_pairs(obj["vnm"], num_nodes, "record", len(records), "vnm"),
-                        vtm_db=vtm_db,
-                        vtm_corpus=vtm_corpus,
-                        tcl_db=tcl_db,
-                        tcl_corpus=tcl_corpus,
-                        nrl=nrl,
-                        vsm=_ranked_pairs(obj["vsm"], num_headlines, "record", len(records), "vsm"),
-                    )
-                )
+                if type(video_id) is not str:
+                    raise CorpusFormatError(f"video_id {video_id!r} is not a string")
+                if type(segment) is not int:
+                    raise CorpusFormatError(f"segment_index {segment!r} is not a JSON integer")
+                records.append(PseudoLabelSet(
+                    video_id=video_id, segment_index=segment,
+                    vnm=_ranked_pairs(obj["vnm"], header["num_nodes"], "vnm"),
+                    vsm=_ranked_pairs(obj["vsm"], header["num_headlines"], "vsm"),
+                    **blocks[set_index],
+                ))
         except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: {exc}") from None
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-            raise CorpusFormatError(f"{path}: malformed labels file: {exc}") from exc
+            raise CorpusFormatError(f"{path}: {where} {exc}") from None
+        except KeyError as exc:
+            raise CorpusFormatError(f"{path}: {where} has no {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CorpusFormatError(f"{path}: malformed {where}: {exc}") from exc
     if header["num_sets"] != len(blocks):
         raise CorpusFormatError(
             f"{path}: header says {header['num_sets']} sets but the file holds "

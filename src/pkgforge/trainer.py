@@ -158,7 +158,7 @@ class SparseTargets:
 def targets_from_labels(
     header: dict, records: list[PseudoLabelSet], specs: list[HeadSpec]
 ) -> dict[str, SparseTargets]:
-    """Positive class ids per head, one CSR row per record."""
+    """Positive class ids per head, one CSR row per record (checked by `load_labels`)."""
     task_index = {tid: i for i, tid in enumerate(header["task_ids"])}
     corpus_index = {name: i for i, name in enumerate(header["corpus_task_names"])}
     targets: dict[str, SparseTargets] = {}
@@ -178,18 +178,10 @@ def targets_from_labels(
             rows = [[hid for hid, _ in rec.vsm] for rec in records]
         elif name.startswith("nrl_"):
             direction, hop = name.split("_")[1:]
-            k = int(hop) - 1
-            rows = [
-                [nid for nid, _ in rec.nrl[direction][k]] if len(rec.nrl[direction]) > k else []
-                for rec in records
-            ]
+            rows = [[nid for nid, _ in rec.nrl[direction][int(hop) - 1]] for rec in records]
         else:
             raise ValueError(f"unknown head {name!r}")
-        target = SparseTargets.from_rows(rows)
-        ids = target.indices
-        if ids.size and (ids.min() < 0 or ids.max() >= spec.n_classes):
-            raise ValueError(f"head {name!r} target out of range for C={spec.n_classes}")
-        targets[name] = target
+        targets[name] = SparseTargets.from_rows(rows)
     return targets
 
 

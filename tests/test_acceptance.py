@@ -284,6 +284,7 @@ def _pretrained_transform(cfg, header, records, features, video_of, objectives, 
     return lambda f: trainer.apply_adapter(adapter, f)
 
 
+@pytest.mark.slow
 def test_criterion_08_representation_gain():
     gain_seeds = 0
     order_seeds = 0

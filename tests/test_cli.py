@@ -451,6 +451,34 @@ class TestWrongShapedJson:
         error = _one_line_error(capsys)
         assert "labels.jsonl" in error and "header line is not a JSON object" in error
 
+    def test_pretrain_labels_set_without_in_direction(self, artifacts, tmp_path, capsys):
+        labels = tmp_path / "labels.jsonl"
+        lines = artifacts["labels"].read_text(encoding="utf-8").splitlines()
+        first_set = json.loads(lines[1])
+        del first_set["nrl"]["in"]
+        labels.write_text("\n".join([lines[0], json.dumps(first_set), *lines[2:]]) + "\n")
+        assert _run(
+            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--labels", labels, "--out", tmp_path / "m.pkgc",
+        ) == 1
+        error = _one_line_error(capsys)
+        assert f"{labels}: set 0 nrl is not an object with exactly the keys" in error
+        assert not (tmp_path / "m.pkgc").exists()
+
+    @pytest.mark.parametrize("stage", ["labels", "graph-stats"])
+    def test_graph_sources_not_a_list(self, stage, artifacts, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        obj = json.loads(artifacts["graph"].read_text(encoding="utf-8"))
+        obj["edges"][0]["sources"] = "database"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "out.json"
+        extra = [] if stage == "graph-stats" else [
+            "--config", artifacts["config"], "--world", artifacts["world"]]
+        assert _run(stage, *extra, "--graph", path, "--out", out) == 1
+        error = _one_line_error(capsys)
+        assert f"{path}: malformed graph file: sources 'database' is not a list" in error
+        assert not out.exists()
+
     def test_eval_checkpoint_metadata_not_an_object(self, artifacts, tmp_path, capsys):
         ckpt = corpus_io.load_checkpoint(artifacts["checkpoint"])
         ckpt.metadata = 5

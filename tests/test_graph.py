@@ -1,5 +1,6 @@
 """Graph construction, normalization, k-hop queries, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import graph as G
-from pkgforge.corpus_io import SegmentCorpus, StepDatabase, Video
+from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, Video
 from pkgforge.dedup import assignment_from_roots
 
 from oracles import khop_bruteforce, transitions_bruteforce
@@ -276,6 +277,25 @@ class TestSerialization:
             G.save_graph(pkg, p1)
             G.save_graph(G.load_graph(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("part, key, value, message", [
+        ("edges", "sources", "database", "sources 'database' is not a list drawn from"),
+        ("edges", "sources", ["bogus"], r"sources \['bogus'\] is not a list drawn from"),
+        ("edges", "src", True, "src True is not a JSON integer"),
+        ("edges", "dst", 1.0, "dst 1.0 is not a JSON integer"),
+        ("nodes", "node_id", "0", "node_id '0' is not a JSON integer"),
+        ("members", "step_index", 0.9, "step_index 0.9 is not a JSON integer"),
+    ])
+    def test_wrong_shape_rejected(self, tmp_path, part, key, value, message):
+        db, assignment = _db_from_chain([0, 1, 2])
+        path = tmp_path / "graph.json"
+        G.save_graph(G.assemble_graph(db, assignment, [(0, 1), (1, 2)], {}), path)
+        obj = json.loads(path.read_text())
+        target = obj["nodes"][0]["members"][0] if part == "members" else obj[part][0]
+        target[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CorpusFormatError, match=rf"graph\.json: malformed graph file: {message}"):
+            G.load_graph(path)
 
     def test_assignment_recovery(self):
         db, assignment = _db_from_chain([0, 1, 0, 2])

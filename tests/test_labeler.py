@@ -1,5 +1,6 @@
 """Pseudo-label operations and the labels.jsonl format."""
 
+import copy
 import dataclasses
 import json
 import tempfile
@@ -324,8 +325,8 @@ class TestLabelsFile:
             labeler.PseudoLabelSet(video_id="v", segment_index=i, vnm=[(i, 2.0)], vsm=[], **b)
             for i, b in enumerate([shared, shared, block()])
         ]
-        header = {"kind": "pkgforge-labels", "num_segments": 3, "num_nodes": 3,
-                  "num_headlines": 1, "task_ids": ["t0"], "corpus_task_names": ["a"]}
+        header = {"kind": "pkgforge-labels", "num_segments": 3, "num_nodes": 3, "num_headlines": 1,
+                  "task_ids": ["t0"], "corpus_task_names": ["a"], "nrl_hops": 2}
         path = tmp_path / "labels.jsonl"
         labeler.save_labels(header, records, path)
         h2, r2 = labeler.load_labels(path)
@@ -374,6 +375,73 @@ class TestLabelsFile:
     def test_header_without_num_sets_asks_for_rerun(self, tmp_path):
         with pytest.raises(CorpusFormatError, match=r"predates the set table; rerun `pkgforge labels`"):
             labeler.load_labels(self._saved(tmp_path, (0, "num_sets", None)))
+
+    @pytest.mark.parametrize("edit, message", [
+        ((1, "nrl", {"out": [[], []]}), r"set 0 nrl is not an object with exactly the keys"),
+        ((1, "nrl", {"in": [[], []], "out": [[], []], "up": [[], []]}),
+         r"set 0 nrl is not an object with exactly the keys"),
+        ((1, "nrl", {"in": [[]], "out": [[], []]}), r"set 0 nrl in is not a list of 2 hop lists"),
+        ((1, "nrl", {"in": [[], []], "out": [[], 5]}), r"set 0 nrl out is not a list of 2 hop"),
+        ((0, "nrl_hops", None), r"header has no 'nrl_hops'"),
+        ((0, "num_nodes", "3"), r"header num_nodes '3' is not a JSON integer"),
+        ((0, "task_ids", ["t0", 1]), r"header task_ids \['t0', 1\] is not a list of strings"),
+        ((1, "tcl_db", [0.7]), r"set 0 tcl_db \[0\.7\] is not a list of JSON integers"),
+        ((-1, "vnm", [[True, 1.0]]), r"record 2 vnm \[True\] is not a list of JSON integers"),
+        ((-1, "vnm", [["2", 1.0]]), r"record 2 vnm \['2'\] is not a list of JSON integers"),
+        ((-1, "segment_index", "0"), r"record 2 segment_index '0' is not a JSON integer"),
+        ((-1, "video_id", 1), r"record 2 video_id 1 is not a string"),
+        ((1, "vtm_db", [5]), r"set 0 vtm_db \[5\] is not a list of strings"),
+    ])
+    def test_wrong_shape_names_the_set_or_record(self, tmp_path, edit, message):
+        with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: {message}"):
+            labeler.load_labels(self._saved(tmp_path, edit))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), nrl_hops=st.integers(1, 2), num_nodes=st.integers(1, 5),
+           num_headlines=st.integers(1, 5))
+    def test_random_records_round_trip(self, data, nrl_hops, num_nodes, num_headlines):
+        task_ids, corpus_names = ["t0", "t1", "t2"], ["a", "b"]
+        score = st.floats(allow_nan=False, allow_infinity=False)
+
+        def pairs(bound):
+            return st.lists(st.tuples(st.integers(0, bound - 1), score), max_size=3)
+
+        def block():
+            return {
+                "vtm_db": data.draw(st.lists(st.sampled_from(task_ids), max_size=3)),
+                "vtm_corpus": data.draw(st.lists(st.sampled_from(corpus_names), max_size=2)),
+                "tcl_db": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
+                "tcl_corpus": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
+                "nrl": {d: [data.draw(pairs(num_nodes)) for _ in range(nrl_hops)]
+                        for d in ("in", "out")},
+            }
+
+        pool = [block() for _ in range(data.draw(st.integers(1, 3)))]
+        records = []
+        for i in range(data.draw(st.integers(0, 6))):
+            shared = pool[data.draw(st.integers(0, len(pool) - 1))]
+            records.append(labeler.PseudoLabelSet(
+                video_id=data.draw(st.text(max_size=3)), segment_index=i,
+                vnm=data.draw(pairs(num_nodes)), vsm=data.draw(pairs(num_headlines)),
+                **(shared if data.draw(st.booleans()) else copy.deepcopy(shared)),
+            ))
+        header = {"kind": "pkgforge-labels", "num_segments": len(records),
+                  "num_nodes": num_nodes, "num_headlines": num_headlines,
+                  "task_ids": task_ids, "corpus_task_names": corpus_names, "nrl_hops": nrl_hops}
+
+        def sharing(recs):
+            first: dict = {}
+            return [first.setdefault(tuple(id(getattr(r, f)) for f in SET_FIELDS), i)
+                    for i, r in enumerate(recs)]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            p1, p2 = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            labeler.save_labels(header, records, p1)
+            h2, r2 = labeler.load_labels(p1)
+            labeler.save_labels(h2, r2, p2)
+            assert p1.read_bytes() == p2.read_bytes()
+        assert h2 == dict(header, num_sets=len(set(sharing(records))))
+        assert r2 == records and sharing(r2) == sharing(records)
 
 
 # ---------------------------------------------------------------------------

@@ -396,18 +396,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="unknown objective"):
             TrainConfig(objectives=("vnm", "bogus"))
 
-    def test_target_out_of_range_rejected(self):
-        header = _header(n_nodes=4)
-        specs = head_specs_from_header(header, ("vnm",), 1)
-        from pkgforge.labeler import PseudoLabelSet
-
-        rec = PseudoLabelSet(
-            video_id="v", segment_index=0, vnm=[(9, 1.0)], vtm_db=[], vtm_corpus=[],
-            tcl_db=[], tcl_corpus=[], nrl={"in": [], "out": []}, vsm=[],
-        )
-        with pytest.raises(ValueError, match="out of range"):
-            trainer.targets_from_labels(header, [rec], specs)
-
     def test_early_stopping_restores_best(self):
         rng = np.random.default_rng(7)
         header, features, video_of, targets = self._data(rng)
