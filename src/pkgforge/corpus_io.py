@@ -1,13 +1,14 @@
 """On-disk formats and in-memory containers for the pipeline.
 
-Three artifact families live here: the step database (steps.jsonl), the
-segment corpus (manifest.jsonl plus binary feature files), and model
-checkpoints (JSON header line plus the f32 cast of a model's flat parameter
-vector).
+Three artifact families live here: the step database (steps.jsonl plus its
+steps.f64 embedding matrix), the segment corpus (manifest.jsonl plus binary
+feature files), and model checkpoints (JSON header line plus the f32 cast
+of a model's flat parameter vector).
 
-Feature files and checkpoint weights are little-endian f32 on disk; step
-embeddings are f64 JSON numbers, written with Python's shortest round-trip
-repr. Everything is f64 the moment it enters memory.
+Feature files and steps.f64 share one binary layout: a four-byte magic,
+u32 version/rows/dim, then the row-major little-endian payload, f32 for
+features and f64 for step embeddings. Checkpoint weights are little-endian
+f32. Everything is f64 the moment it enters memory.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import numpy as np
 
 FEATURE_MAGIC = b"PKGF"
 FEATURE_VERSION = 1
+STEPS_MAGIC = b"PKGS"
+STEPS_VERSION = 1
 
 
 class CorpusFormatError(ValueError):
@@ -128,8 +131,13 @@ class StepDatabase:
         return cls(tasks=tuple(spans.values()), headlines=tuple(headlines), embeddings=embeddings)
 
 
+def _embedding_path(path: str | Path) -> Path:
+    """The steps.f64 matrix that sits beside a steps.jsonl index."""
+    return Path(path).with_suffix(".f64")
+
+
 def load_step_database(path: str | Path) -> StepDatabase:
-    """Parse steps.jsonl (one task object per line) and validate invariants."""
+    """Read steps.jsonl (one task per line) and its steps.f64 matrix, then validate."""
     path = Path(path)
     tasks = []
     with open(path, encoding="utf-8") as fh:
@@ -139,32 +147,92 @@ def load_step_database(path: str | Path) -> StepDatabase:
                 continue
             try:
                 rec = json.loads(line)
-                steps = [
-                    (s["headline"], np.asarray(s["embedding"], dtype=np.float64))
-                    for s in rec["steps"]
-                ]
-                texts = [rec["task_id"], rec["task_name"], *(h for h, _ in steps)]
-                if not all(isinstance(t, str) for t in texts):
+                if isinstance(rec, dict) and "steps" in rec:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: task record holds inline embeddings, a layout "
+                        "this version no longer reads; rerun `pkgforge synth`"
+                    )
+                headlines = rec["headlines"]
+                texts = [rec["task_id"], rec["task_name"], *headlines]
+                if type(headlines) is not list or not all(isinstance(t, str) for t in texts):
                     raise TypeError("task_id, task_name and every headline must be strings")
-                for si, (_, emb) in enumerate(steps):
-                    if emb.ndim != 1:
-                        raise ValueError(f"step {si} embedding is not a flat vector")
-                tasks.append((rec["task_id"], rec["task_name"], steps))
+                tasks.append((rec["task_id"], rec["task_name"], headlines))
+            except CorpusFormatError:
+                raise
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: malformed task record: {exc}") from exc
-    return StepDatabase.from_tasks(tasks, str(path))
+    matrix_path = _embedding_path(path)
+    try:
+        embeddings = _read_matrix(matrix_path, STEPS_MAGIC, STEPS_VERSION, "<f8")
+    except FileNotFoundError:
+        raise CorpusFormatError(f"{matrix_path}: missing embedding matrix for {path}") from None
+    num_headlines = sum(len(headlines) for _, _, headlines in tasks)
+    if embeddings.shape[0] != num_headlines:
+        raise CorpusFormatError(
+            f"{matrix_path}: holds {embeddings.shape[0]} rows but {path} lists "
+            f"{num_headlines} headlines"
+        )
+    steps, start = [], 0
+    for task_id, task_name, headlines in tasks:
+        stop = start + len(headlines)
+        steps.append((task_id, task_name, list(zip(headlines, embeddings[start:stop]))))
+        start = stop
+    return StepDatabase.from_tasks(steps, str(path))
 
 
 def save_step_database(db: StepDatabase, path: str | Path) -> None:
+    """Write the embedding matrix, then the steps.jsonl index that makes it loadable."""
+    with atomic_write(_embedding_path(path), binary=True) as fh:
+        _write_matrix(fh, STEPS_MAGIC, STEPS_VERSION, np.ascontiguousarray(db.embeddings, "<f8"))
     with atomic_write(path) as fh:
         for task in db.tasks:
-            steps = zip(db.headlines[task.start : task.stop], db.embeddings[task.start : task.stop])
             rec = {
                 "task_id": task.task_id,
                 "task_name": task.task_name,
-                "steps": [{"headline": h, "embedding": row.tolist()} for h, row in steps],
+                "headlines": list(db.headlines[task.start : task.stop]),
             }
             fh.write(canonical_json(rec) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# binary matrices: feature files and steps.f64
+
+
+def _write_matrix(fh, magic: bytes, version: int, data: np.ndarray) -> None:
+    """Write magic, u32 version/rows/dim, then the 2-D `data`'s row-major bytes."""
+    fh.write(magic)
+    fh.write(struct.pack("<III", version, *data.shape))
+    fh.write(data.tobytes())
+
+
+def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarray:
+    """Read a read-only (rows, dim) matrix that `_write_matrix` wrote.
+
+    Rejects a short or foreign header, a payload shorter or longer than the
+    header declares, and a row holding a non-finite value.
+    """
+    with open(path, "rb") as fh:
+        header = fh.read(16)
+        if len(header) < 16:
+            raise CorpusFormatError(f"{path}: truncated header")
+        if header[:4] != magic:
+            raise CorpusFormatError(f"{path}: bad magic {header[:4]!r}")
+        found, rows, dim = struct.unpack("<III", header[4:])
+        if found != version:
+            raise CorpusFormatError(f"{path}: unsupported version {found}")
+        # sized from the file, so a damaged header never asks read() for gigabytes
+        size = rows * dim * np.dtype(dtype).itemsize
+        held = os.fstat(fh.fileno()).st_size - 16
+        if held < size:
+            raise CorpusFormatError(f"{path}: truncated payload, expected {size} bytes, got {held}")
+        if held > size:
+            raise CorpusFormatError(f"{path}: trailing bytes after payload")
+        payload = fh.read(size)
+    data = np.frombuffer(payload, dtype=dtype).reshape(rows, dim)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise CorpusFormatError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +264,13 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2:
         raise CorpusFormatError(f"{path}: feature payload must be 2-D")
-    rows, dim = features.shape
     with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, rows, dim))
-        fh.write(features.tobytes())
+        _write_matrix(fh, FEATURE_MAGIC, FEATURE_VERSION, features)
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
     """Read a feature file back as (rows, dim) float64."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise CorpusFormatError(f"{path}: truncated header")
-        if header[:4] != FEATURE_MAGIC:
-            raise CorpusFormatError(f"{path}: bad magic {header[:4]!r}")
-        version, rows, dim = struct.unpack("<III", header[4:])
-        if version != FEATURE_VERSION:
-            raise CorpusFormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(rows * dim * 4)
-        if len(payload) < rows * dim * 4:
-            raise CorpusFormatError(
-                f"{path}: truncated payload, expected {rows * dim * 4} bytes, got {len(payload)}"
-            )
-        if fh.read(1):
-            raise CorpusFormatError(f"{path}: trailing bytes after payload")
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        raise CorpusFormatError(f"{path}: row {int(np.argmin(finite))} holds a non-finite feature")
-    return data.astype(np.float64)
+    return _read_matrix(Path(path), FEATURE_MAGIC, FEATURE_VERSION, "<f4").astype(np.float64)
 
 
 def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:

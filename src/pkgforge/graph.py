@@ -304,6 +304,20 @@ def _int(obj: dict, key: str) -> int:
     return obj[key]
 
 
+def _str(obj: dict, key: str) -> str:
+    if type(obj[key]) is not str:
+        raise ValueError(f"{key} {obj[key]!r} is not a string")
+    return obj[key]
+
+
+def _score(edge: dict) -> float:
+    if type(edge["score"]) not in (int, float):
+        raise ValueError(
+            f"edge {edge['src']!r}->{edge['dst']!r} score {edge['score']!r} is not a JSON number"
+        )
+    return float(edge["score"])
+
+
 def _sources(edge: dict) -> tuple[str, ...]:
     sources = edge["sources"]
     if type(sources) is not list or not {SOURCE_CORPUS, SOURCE_DATABASE}.issuperset(sources):
@@ -320,7 +334,8 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             StepNode(
                 node_id=_int(n, "node_id"),
                 members=tuple(
-                    (m["task_id"], _int(m, "step_index"), m["headline"]) for m in n["members"]
+                    (_str(m, "task_id"), _int(m, "step_index"), _str(m, "headline"))
+                    for m in n["members"]
                 ),
             )
             for n in obj["nodes"]
@@ -329,7 +344,7 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             DirectedEdge(
                 src=_int(e, "src"),
                 dst=_int(e, "dst"),
-                score=float(e["score"]),
+                score=_score(e),
                 sources=_sources(e),
             )
             for e in obj["edges"]

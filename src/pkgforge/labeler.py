@@ -322,7 +322,13 @@ def _strings(names, field: str) -> list[str]:
 
 
 def _ranked_pairs(items, bound: int, field: str) -> list[tuple[int, float]]:
-    pairs = [(i, float(s)) for i, s in items]
+    """`[id, score]` items with JSON-number scores, read as (id, float) pairs."""
+    # the type filter rides in the one pass that builds the pairs: a separate
+    # check per list costs about 1 us more a call, and this runs per record
+    pairs = [(i, float(s)) for i, s in items if type(s) is float or type(s) is int]
+    if len(pairs) != len(items):
+        scores = [s for _, s in items]
+        raise CorpusFormatError(f"{field} scores {scores!r} are not all JSON numbers")
     _ids([i for i, _ in pairs], bound, field)
     return pairs
 

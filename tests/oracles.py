@@ -13,6 +13,11 @@ headline-level corpus counting, node scoring, per-step database walks and
 record loop, and borrows from the package only the label operations that
 did not change with it (vtm_db, tcl_db and nrl).
 
+`save_step_database_json` and `load_step_database_json` are the
+steps.jsonl layout with inline JSON embeddings that the binary steps.f64
+matrix replaced; the loader builds through `StepDatabase.from_tasks`, which
+the format change did not touch.
+
 The training references (`early_stopping_reference`, `train_reference` and
 `train_downstream_reference`) are the two hand-written epoch loops that
 `trainer.train` and `downstream.train_downstream` kept before both moved
@@ -20,12 +25,13 @@ onto `nn.fit`. They call the package's models, losses and Adam, which the
 loop did not change; only the loop around them is under test.
 """
 
+import json
 from collections import defaultdict, deque
 
 import numpy as np
 
 from pkgforge import downstream, labeler, trainer
-from pkgforge.corpus_io import checkpoint_from_params
+from pkgforge.corpus_io import StepDatabase, checkpoint_from_params
 from pkgforge.nn import AdamState, adam_step, softmax_cross_entropy
 
 
@@ -280,6 +286,35 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
             )
             cursor += 1
     return records
+
+
+# ---------------------------------------------------------------------------
+# the inline-JSON steps.jsonl layout the steps.f64 matrix replaced
+
+
+def save_step_database_json(db, path):
+    """One task per line, each step's embedding inline as JSON numbers (shortest repr)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for task in db.tasks:
+            steps = zip(db.headlines[task.start : task.stop], db.embeddings[task.start : task.stop])
+            rec = {
+                "task_id": task.task_id,
+                "task_name": task.task_name,
+                "steps": [{"headline": h, "embedding": row.tolist()} for h, row in steps],
+            }
+            fh.write(json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def load_step_database_json(path):
+    """Parse the inline layout back through the package's one validating constructor."""
+    tasks = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            steps = [(s["headline"], np.asarray(s["embedding"], dtype=np.float64))
+                     for s in rec["steps"]]
+            tasks.append((rec["task_id"], rec["task_name"], steps))
+    return StepDatabase.from_tasks(tasks, str(path))
 
 
 # ---------------------------------------------------------------------------

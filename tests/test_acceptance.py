@@ -414,12 +414,13 @@ def test_criterion_10_format_round_trips(tmp_path):
     for seed in range(20):
         rng = np.random.default_rng(5000 + seed)
 
-        # steps.jsonl
+        # steps.jsonl + steps.f64
         db = random_database(rng)
         p1, p2 = tmp_path / f"s{seed}a.jsonl", tmp_path / f"s{seed}b.jsonl"
         save_step_database(db, p1)
         save_step_database(load_step_database(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        for suffix in (".jsonl", ".f64"):
+            assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
 
         # corpus manifest + binary feature files
         corpus = random_corpus(rng, dim=4, n_videos=int(rng.integers(1, 4)))

@@ -60,7 +60,8 @@ class TestPipeline:
     def test_full_pipeline(self, tmp_path, config_path, capsys):
         world = tmp_path / "world"
         assert _run("synth", "--config", config_path, "--out", world) == 0
-        for name in ("steps.jsonl", "manifest.jsonl", "truth.json", "downstream_labels.jsonl"):
+        for name in ("steps.jsonl", "steps.f64", "manifest.jsonl", "truth.json",
+                     "downstream_labels.jsonl"):
             assert (world / name).exists()
 
         graph = tmp_path / "graph.json"
@@ -111,6 +112,7 @@ class TestPipeline:
             "labels", "--config", config_path, "--world", world, "--graph", graph, "--out", labels
         ) == 0
         (world / "steps.jsonl").unlink()
+        (world / "steps.f64").unlink()
         assert _run(
             "pretrain", "--config", config_path, "--world", world, "--labels", labels,
             "--out", ckpt,
@@ -478,6 +480,17 @@ class TestWrongShapedJson:
         error = _one_line_error(capsys)
         assert f"{path}: malformed graph file: sources 'database' is not a list" in error
         assert not out.exists()
+
+    def test_graph_stats_dot_member_headline_not_a_string(self, artifacts, tmp_path, capsys):
+        path = tmp_path / "graph.json"
+        obj = json.loads(artifacts["graph"].read_text(encoding="utf-8"))
+        obj["nodes"][0]["members"][0]["headline"] = 5
+        path.write_text(json.dumps(obj))
+        dot = tmp_path / "graph.dot"
+        assert _run("graph-stats", "--graph", path, "--dot", dot) == 1
+        error = _one_line_error(capsys)
+        assert f"{path}: malformed graph file: headline 5 is not a string" in error
+        assert not dot.exists()
 
     def test_eval_checkpoint_metadata_not_an_object(self, artifacts, tmp_path, capsys):
         ckpt = corpus_io.load_checkpoint(artifacts["checkpoint"])

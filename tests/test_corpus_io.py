@@ -1,142 +1,185 @@
 """Formats: step database, corpus, feature files, checkpoints."""
 
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pkgforge import corpus_io
 from pkgforge.corpus_io import CorpusFormatError
 
 from builders import random_checkpoint, random_corpus, random_database
+from oracles import load_step_database_json, save_step_database_json
 
 
 def _write(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _write_db(path, records, matrix, magic=b"PKGS"):
+    """Hand-write a steps.jsonl index and the steps.f64 matrix beside it."""
+    _write(path, [json.dumps(r) for r in records])
+    matrix = np.asarray(matrix, dtype="<f8")
+    header = magic + struct.pack("<III", 1, *matrix.shape)
+    path.with_suffix(".f64").write_bytes(header + matrix.tobytes())
+
+
+def _task(task_id="t1", headlines=("a",), task_name="x"):
+    return {"task_id": task_id, "task_name": task_name, "headlines": list(headlines)}
+
+
 class TestStepDatabase:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        _write(
+        _write_db(
             path,
-            [
-                json.dumps(
-                    {
-                        "task_id": "t1",
-                        "task_name": "jack up a car",
-                        "steps": [
-                            {"headline": "jack up the car", "embedding": [1.0, 0.0, 0.0, 2.0]},
-                            {"headline": "remove the wheel", "embedding": [0.0, 1.0, 0.5, 0.0]},
-                        ],
-                    }
-                )
-            ],
+            [_task("t1", ["jack up the car", "remove the wheel"], "jack up a car")],
+            [[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 0.5, 0.0]],
         )
         db = corpus_io.load_step_database(path)
         assert len(db.tasks) == 1
         assert db.num_headlines == 2
         assert db.embeddings.shape == (2, 4)
         assert db.headlines[1] == "remove the wheel"
+        assert db.embeddings.flags.writeable
 
-    def test_mixed_dimensions_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_row_count_differs_from_headline_count(self, tmp_path, rows):
         path = tmp_path / "steps.jsonl"
-        _write(
-            path,
-            [
-                json.dumps(
-                    {
-                        "task_id": "t1",
-                        "task_name": "x",
-                        "steps": [
-                            {"headline": "a", "embedding": [1.0, 0.0, 0.0, 1.0]},
-                            {"headline": "b", "embedding": [1.0, 0.0, 0.0, 1.0, 1.0]},
-                        ],
-                    }
-                )
-            ],
-        )
-        with pytest.raises(CorpusFormatError, match="dimension"):
+        _write_db(path, [_task("t1", ["a", "b"]), _task("t2", ["c"])], np.ones((rows, 4)))
+        with pytest.raises(CorpusFormatError, match=rf"steps\.f64: holds {rows} rows but "
+                           r".*steps\.jsonl lists 3 headlines"):
             corpus_io.load_step_database(path)
 
     def test_empty_task_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        _write(path, [json.dumps({"task_id": "t1", "task_name": "x", "steps": []})])
-        with pytest.raises(CorpusFormatError, match="no steps"):
+        _write_db(path, [_task("t1", [])], np.ones((0, 2)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl: task 't1' has no steps"):
             corpus_io.load_step_database(path)
 
     def test_zero_embedding_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        _write(
-            path,
-            [
-                json.dumps(
-                    {
-                        "task_id": "t1",
-                        "task_name": "x",
-                        "steps": [{"headline": "a", "embedding": [0.0, 0.0]}],
-                    }
-                )
-            ],
-        )
-        with pytest.raises(CorpusFormatError, match="zero embedding"):
+        _write_db(path, [_task("t1", ["a", "b"])], [[1.0, 0.0], [0.0, -0.0]])
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl: task 't1' step 1 has zero"):
             corpus_io.load_step_database(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        good = json.dumps(
-            {"task_id": "t1", "task_name": "x", "steps": [{"headline": "a", "embedding": [1.0]}]}
-        )
-        _write(path, [good, '{"task_id": "t2"}'])
-        with pytest.raises(CorpusFormatError, match=":2:"):
+        _write_db(path, [_task("t1"), {"task_id": "t2"}], np.ones((1, 1)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl:2: malformed task record"):
             corpus_io.load_step_database(path)
 
     def test_duplicate_task_id_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        rec = json.dumps(
-            {"task_id": "t1", "task_name": "x", "steps": [{"headline": "a", "embedding": [1.0]}]}
-        )
-        _write(path, [rec, rec])
-        with pytest.raises(CorpusFormatError, match="duplicate"):
+        _write_db(path, [_task("t1"), _task("t1")], np.ones((2, 1)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl: duplicate task_id 't1'"):
             corpus_io.load_step_database(path)
-
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_embedding_rejected(self, tmp_path, bad):
         path = tmp_path / "steps.jsonl"
-        ok = '{"headline": "a", "embedding": [1.0, 0.0]}'
-        _write(path, [
-            '{"task_id": "t1", "task_name": "x", "steps": [%s]}' % ok,
-            '{"task_id": "t2", "task_name": "y", "steps": [%s, '
-            '{"headline": "b", "embedding": [1.0, %s]}]}' % (ok, bad),
-        ])
-        with pytest.raises(CorpusFormatError, match="task 't2' step 1 has non-finite embedding"):
+        matrix = np.ones((3, 2))
+        matrix[2, 1] = float(bad)
+        _write_db(path, [_task("t1"), _task("t2", ["a", "b"], "y")], matrix)
+        with pytest.raises(CorpusFormatError, match=r"steps\.f64: row 2 holds a non-finite value"):
             corpus_io.load_step_database(path)
 
-    def test_nested_embedding_rejected(self, tmp_path):
+    def test_zero_dimension_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
-        rec = {"task_id": "t1", "task_name": "x",
-               "steps": [{"headline": "a", "embedding": [[1.0, 0.0], [0.0, 1.0]]}]}
-        _write(path, [json.dumps(rec)])
-        with pytest.raises(CorpusFormatError, match=":1: .*step 0 embedding is not a flat vector"):
+        _write_db(path, [_task("t1", ["a", "b"])], np.ones((2, 0)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl: embeddings must have dim"):
             corpus_io.load_step_database(path)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "steps.jsonl"
+        _write_db(path, [], np.ones((0, 3)))
         path.write_text("", encoding="utf-8")
-        with pytest.raises(CorpusFormatError, match="contains no tasks"):
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl: step database contains no"):
             corpus_io.load_step_database(path)
 
     @pytest.mark.parametrize(
         "field, value", [("task_id", 7), ("task_name", None), ("headline", ["a"])]
     )
     def test_non_string_text_rejected(self, tmp_path, field, value):
-        rec = {"task_id": "t1", "task_name": "x", "steps": [{"headline": "a", "embedding": [1.0]}]}
-        (rec["steps"][0] if field == "headline" else rec)[field] = value
+        rec = _task()
+        if field == "headline":
+            rec["headlines"] = [value]
+        else:
+            rec[field] = value
         path = tmp_path / "steps.jsonl"
-        _write(path, [json.dumps(rec)])
-        with pytest.raises(CorpusFormatError, match=":1: malformed task record: .*strings"):
+        _write_db(path, [rec], np.ones((1, 1)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl:1: malformed .*strings"):
             corpus_io.load_step_database(path)
+
+    def test_headlines_not_a_list_rejected(self, tmp_path):
+        # a string would otherwise unpack into one-letter headlines
+        rec = _task()
+        rec["headlines"] = "ab"
+        path = tmp_path / "steps.jsonl"
+        _write_db(path, [rec], np.ones((2, 1)))
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl:1: malformed task record"):
+            corpus_io.load_step_database(path)
+
+    def test_inline_embedding_layout_asks_for_rerun(self, tmp_path):
+        path = tmp_path / "steps.jsonl"
+        rec = {"task_id": "t1", "task_name": "x",
+               "steps": [{"headline": "a", "embedding": [1.0, 0.0]}]}
+        _write(path, [json.dumps(rec)])
+        with pytest.raises(CorpusFormatError, match=r"steps\.jsonl:1: .*inline embeddings.*"
+                           "rerun `pkgforge synth`"):
+            corpus_io.load_step_database(path)
+
+    def test_missing_matrix_names_file(self, tmp_path):
+        path = tmp_path / "steps.jsonl"
+        _write_db(path, [_task()], np.ones((1, 2)))
+        (tmp_path / "steps.f64").unlink()
+        with pytest.raises(CorpusFormatError, match=r"steps\.f64: missing embedding matrix"):
+            corpus_io.load_step_database(path)
+
+    def test_bad_magic_names_file(self, tmp_path):
+        # a feature file's magic is not a step matrix's
+        path = tmp_path / "steps.jsonl"
+        _write_db(path, [_task()], np.ones((1, 2)), magic=b"PKGF")
+        with pytest.raises(CorpusFormatError, match=r"steps\.f64: bad magic b'PKGF'"):
+            corpus_io.load_step_database(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda b: b[:-1], r"steps\.f64: truncated payload, expected 32 bytes, got 31"),
+            (lambda b: b[:10], r"steps\.f64: truncated header"),
+            (lambda b: b + b"\x00", r"steps\.f64: trailing bytes after payload"),
+            (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], r"steps\.f64: unsupported version 2"),
+        ],
+    )
+    def test_damaged_matrix_names_file(self, tmp_path, edit, message):
+        path = tmp_path / "steps.jsonl"
+        _write_db(path, [_task("t1", ["a", "b"])], np.ones((2, 2)))
+        matrix = tmp_path / "steps.f64"
+        matrix.write_bytes(edit(matrix.read_bytes()))
+        with pytest.raises(CorpusFormatError, match=message):
+            corpus_io.load_step_database(path)
+
+    def test_layout(self, tmp_path):
+        db = corpus_io.StepDatabase.from_tasks(
+            [("t1", "x", [("a", [1.0, -0.0]), ("b", [5e-324, 2.0])]),
+             ("t2", "y", [("c", [3.0, 4.0])])]
+        )
+        path = tmp_path / "steps.jsonl"
+        corpus_io.save_step_database(db, path)
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            '{"task_id":"t1","task_name":"x","headlines":["a","b"]}',
+            '{"task_id":"t2","task_name":"y","headlines":["c"]}',
+        ]
+        raw = (tmp_path / "steps.f64").read_bytes()
+        assert raw[:16] == b"PKGS" + struct.pack("<III", 1, 3, 2)
+        assert raw[16:] == db.embeddings.astype("<f8").tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["steps.f64", "steps.jsonl"]
 
     def test_save_keeps_the_loaded_bytes(self, tmp_path):
         db = random_database(np.random.default_rng(5))
@@ -146,7 +189,49 @@ class TestStepDatabase:
         np.testing.assert_array_equal(back.embeddings, db.embeddings)
         assert back.headlines == db.headlines and back.tasks == db.tasks
         corpus_io.save_step_database(back, second)
-        assert first.read_bytes() == second.read_bytes()
+        for suffix in (".jsonl", ".f64"):
+            assert first.with_suffix(suffix).read_bytes() == second.with_suffix(suffix).read_bytes()
+
+
+# signed zeros, subnormals and the edges of the f64 range, beside arbitrary finite values
+entries = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.1e-308, 1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def step_tasks(draw):
+    dim = draw(st.integers(1, 6))
+    tasks = []
+    for t in range(draw(st.integers(1, 4))):
+        steps = []
+        for _ in range(draw(st.integers(1, 4))):
+            row = draw(st.lists(entries, min_size=dim, max_size=dim))
+            if not any(row):  # the constructor rejects a zero row
+                row[-1] = 1.0
+            steps.append((draw(st.text(max_size=8)), row))
+        tasks.append((f"t{t}", draw(st.text(max_size=8)), steps))
+    return tasks
+
+
+class TestAgainstInlineJsonLayout:
+    @settings(max_examples=150, deadline=None)
+    @given(tasks=step_tasks())
+    @example(tasks=[("t0", "x", [("a", [-0.0, 5e-324, 1e308]), ("b", [-1e308, 0.0, -5e-324])])])
+    @example(tasks=[("t0", "", [("\"\\\n", [1.1e-308])]), ("t1", "é", [("", [-1.0])])])
+    def test_round_trip_equals_oracle(self, tasks):
+        db = corpus_io.StepDatabase.from_tasks(tasks)
+        with tempfile.TemporaryDirectory() as tmp:
+            binary, inline = Path(tmp) / "steps.jsonl", Path(tmp) / "inline.jsonl"
+            corpus_io.save_step_database(db, binary)
+            save_step_database_json(db, inline)
+            got, want = corpus_io.load_step_database(binary), load_step_database_json(inline)
+        assert got.tasks == want.tasks
+        assert got.headlines == want.headlines
+        assert got.embeddings.dtype == want.embeddings.dtype == np.float64
+        assert got.embeddings.shape == want.embeddings.shape
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
 
 
 class TestFeatureFiles:
@@ -162,7 +247,7 @@ class TestFeatureFiles:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "f.pkgf"
         path.write_bytes(b"NOPE" + b"\x00" * 12)
-        with pytest.raises(CorpusFormatError, match="magic"):
+        with pytest.raises(CorpusFormatError, match=r"f\.pkgf: bad magic b'NOPE'"):
             corpus_io.read_feature_file(path)
 
     def test_truncated_payload_names_file(self, tmp_path):
@@ -170,6 +255,12 @@ class TestFeatureFiles:
         corpus_io.write_feature_file(path, np.ones((4, 4)))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CorpusFormatError, match="f.pkgf"):
+            corpus_io.read_feature_file(path)
+
+    def test_header_declaring_more_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "f.pkgf"
+        path.write_bytes(b"PKGF" + struct.pack("<III", 1, 2**32 - 1, 2**32 - 1) + bytes(8))
+        with pytest.raises(CorpusFormatError, match=r"f\.pkgf: truncated payload, .* got 8$"):
             corpus_io.read_feature_file(path)
 
     def test_non_finite_rejected_with_file_and_first_row(self, tmp_path):
@@ -274,7 +365,7 @@ class TestCheckpoints:
         path = tmp_path / "model.pkgc"
         corpus_io.save_checkpoint(random_checkpoint(np.random.default_rng(5)), path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(CorpusFormatError, match="truncated"):
+        with pytest.raises(CorpusFormatError, match=r"model\.pkgc: truncated weights"):
             corpus_io.load_checkpoint(path)
 
     @pytest.mark.parametrize("rows, cols", [(-1, 4), (0, 4), (2, 0)])
@@ -307,7 +398,8 @@ class TestRoundTripBytes:
             p1, p2 = tmp_path / f"a{seed}.jsonl", tmp_path / f"b{seed}.jsonl"
             corpus_io.save_step_database(db, p1)
             corpus_io.save_step_database(corpus_io.load_step_database(p1), p2)
-            assert p1.read_bytes() == p2.read_bytes()
+            for suffix in (".jsonl", ".f64"):
+                assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
 
     def test_corpus(self, tmp_path):
         for seed in range(5):

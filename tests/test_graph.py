@@ -285,6 +285,10 @@ class TestSerialization:
         ("edges", "dst", 1.0, "dst 1.0 is not a JSON integer"),
         ("nodes", "node_id", "0", "node_id '0' is not a JSON integer"),
         ("members", "step_index", 0.9, "step_index 0.9 is not a JSON integer"),
+        ("members", "headline", 5, "headline 5 is not a string"),
+        ("members", "task_id", None, "task_id None is not a string"),
+        ("edges", "score", "0.5", r"edge 0->1 score '0\.5' is not a JSON number"),
+        ("edges", "score", True, "edge 0->1 score True is not a JSON number"),
     ])
     def test_wrong_shape_rejected(self, tmp_path, part, key, value, message):
         db, assignment = _db_from_chain([0, 1, 2])
@@ -296,6 +300,16 @@ class TestSerialization:
         path.write_text(json.dumps(obj))
         with pytest.raises(CorpusFormatError, match=rf"graph\.json: malformed graph file: {message}"):
             G.load_graph(path)
+
+    def test_integer_score_loads_as_float(self, tmp_path):
+        db, assignment = _db_from_chain([0, 1, 2])
+        path = tmp_path / "graph.json"
+        G.save_graph(G.assemble_graph(db, assignment, [(0, 1), (1, 2)], {}), path)
+        obj = json.loads(path.read_text())
+        obj["edges"][0]["score"] = 1
+        path.write_text(json.dumps(obj))
+        score = G.load_graph(path).edges[0].score
+        assert type(score) is float and score == 1.0
 
     def test_assignment_recovery(self):
         db, assignment = _db_from_chain([0, 1, 0, 2])

@@ -391,10 +391,19 @@ class TestLabelsFile:
         ((-1, "segment_index", "0"), r"record 2 segment_index '0' is not a JSON integer"),
         ((-1, "video_id", 1), r"record 2 video_id 1 is not a string"),
         ((1, "vtm_db", [5]), r"set 0 vtm_db \[5\] is not a list of strings"),
+        ((-1, "vnm", [[0, "7.5"]]), r"record 2 vnm scores \['7\.5'\] are not all JSON numbers"),
+        ((-1, "vsm", [[0, True]]), r"record 2 vsm scores \[True\] are not all JSON numbers"),
+        ((1, "nrl", {"in": [[[0, None]], []], "out": [[], []]}),
+         r"set 0 nrl in scores \[None\] are not all JSON numbers"),
     ])
     def test_wrong_shape_names_the_set_or_record(self, tmp_path, edit, message):
         with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: {message}"):
             labeler.load_labels(self._saved(tmp_path, edit))
+
+    def test_integer_score_loads_as_float(self, tmp_path):
+        _, records = labeler.load_labels(self._saved(tmp_path, (-1, "vnm", [[0, 2], [1, 0.5]])))
+        assert records[-1].vnm == [(0, 2.0), (1, 0.5)]
+        assert [type(s) for _, s in records[-1].vnm] == [float, float]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), nrl_hops=st.integers(1, 2), num_nodes=st.integers(1, 5),

@@ -41,7 +41,7 @@ class TestGenerate:
             d.mkdir()
             save_step_database(db, d / "steps.jsonl")
             save_segment_corpus(corpus, d)
-        for name in ["steps.jsonl", "manifest.jsonl"]:
+        for name in ["steps.jsonl", "steps.f64", "manifest.jsonl"]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         for f in sorted((tmp_path / "a" / "features").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / "features" / f.name).read_bytes()
@@ -219,29 +219,44 @@ class TestEndToEndRecovery:
 
 class TestWorldFiles:
     @pytest.mark.parametrize(
-        "name", ["steps.jsonl", "manifest.jsonl", "truth.json", "downstream_labels.jsonl"]
+        "name",
+        ["steps.f64", "steps.jsonl", "manifest.jsonl", "truth.json", "downstream_labels.jsonl"],
     )
     def test_raise_mid_write_leaves_no_file(self, tmp_path, monkeypatch, name):
         truth, db, corpus = synthgen.generate(_small_config())
+
+        def save_steps():
+            save_step_database(db, tmp_path / "steps.jsonl")
+
         module, write = {
-            "steps.jsonl": (corpus_io, lambda: save_step_database(db, tmp_path / name)),
+            "steps.f64": (corpus_io, save_steps),
+            "steps.jsonl": (corpus_io, save_steps),
             "manifest.jsonl": (corpus_io, lambda: save_segment_corpus(corpus, tmp_path)),
             "truth.json": (synthgen, lambda: synthgen.save_truth(truth, tmp_path / name)),
             "downstream_labels.jsonl": (
                 downstream, lambda: downstream.save_annotations(truth.annotations, tmp_path / name)
             ),
         }[name]
-        # truth.json is one record; the others fail after their first line is written
-        fail_at = 1 if name == "truth.json" else 2
-        encode, calls = module.canonical_json, []
-
-        def interrupted(obj):
-            calls.append(obj)
-            if len(calls) == fail_at:
+        if name == "steps.f64":
+            def interrupted(fh, magic, version, data):
+                fh.write(magic)
                 raise RuntimeError("interrupted")
-            return encode(obj)
 
-        monkeypatch.setattr(module, "canonical_json", interrupted)
+            monkeypatch.setattr(corpus_io, "_write_matrix", interrupted)
+        else:
+            # truth.json is one record; the others fail after their first line is written
+            fail_at = 1 if name == "truth.json" else 2
+            encode, calls = module.canonical_json, []
+
+            def interrupted(obj):
+                calls.append(obj)
+                if len(calls) == fail_at:
+                    raise RuntimeError("interrupted")
+                return encode(obj)
+
+            monkeypatch.setattr(module, "canonical_json", interrupted)
         with pytest.raises(RuntimeError, match="interrupted"):
             write()
-        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == []
+        # steps.f64 is written first; without steps.jsonl the database does not load
+        left = [p.name for p in tmp_path.iterdir() if p.is_file()]
+        assert left == (["steps.f64"] if name == "steps.jsonl" else [])
