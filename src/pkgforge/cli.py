@@ -96,7 +96,7 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
             truth = json.loads(truth_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise corpus_io.CorpusFormatError(f"{truth_path}: malformed JSON: {exc}") from None
-        if not isinstance(truth, dict):
+        if not corpus_io.fits_json(truth, "object"):
             raise corpus_io.CorpusFormatError(f"{truth_path}: truth file is not a JSON object")
         _check_hash(truth.get("config_hash"), cfg, str(truth_path), force)
 

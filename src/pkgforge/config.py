@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .corpus_io import canonical_json
+from .corpus_io import canonical_json, dataclass_from_json, fits_json
 from .downstream import DownstreamConfig
 from .synthgen import WorldConfig
 from .trainer import TrainConfig
@@ -26,40 +26,6 @@ PAPER_INSTANCE_THRESHOLD = 1000.0
 # 200-video synthetic preset the same "keep transitions seen a few times"
 # intent lands at nominal-instance-score (12*12=144) times 2.5 occurrences.
 SYNTH_INSTANCE_THRESHOLD = 360.0
-
-
-# JSON value types a field annotation accepts; a JSON integer is a valid float
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
-
-
-def _fits(value, annotation: str) -> bool:
-    """Whether a JSON value fits a field annotation such as "float" or "tuple[int, ...]"."""
-    if not annotation.startswith("tuple["):
-        return type(value) in _JSON_TYPES[annotation]
-    items = annotation[len("tuple[") : -1].split(", ")
-    if not isinstance(value, (list, tuple)) or items[-1] != "..." and len(value) != len(items):
-        return False
-    return all(_fits(v, items[0]) for v in value)
-
-
-def _build(cls, data, prefix: str = ""):
-    """A config dataclass from a JSON object; `prefix` names its section in messages."""
-    if not isinstance(data, dict):
-        raise ValueError(f"config section {prefix[:-1]!r} must be a JSON object, got {data!r}")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    converted = dict(data)
-    for name, value in data.items():
-        if not _fits(value, types[name]):
-            raise ValueError(f"{prefix}{name} must be {types[name]}, got {value!r}")
-        # JSON 360 and 360.0 are one value, so they must hash alike
-        if types[name] == "float":
-            converted[name] = float(value)
-        elif types[name].startswith("tuple["):
-            converted[name] = tuple(value)
-    return cls(**converted)
 
 
 _SECTIONS = {"train": TrainConfig, "downstream": DownstreamConfig, "world": WorldConfig}
@@ -86,12 +52,12 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        if not isinstance(data, dict):
+        if not fits_json(data, "object"):
             raise ValueError(f"a config must be a JSON object, got {data!r}")
-        cfg = _build(cls, {k: v for k, v in data.items() if k not in _SECTIONS})
+        cfg = dataclass_from_json(cls, {k: v for k, v in data.items() if k not in _SECTIONS})
         for name, section_cls in _SECTIONS.items():
             section = data.get(name, {})
-            setattr(cfg, name, _build(section_cls, section, f"{name}."))
+            setattr(cfg, name, dataclass_from_json(section_cls, section, f"{name}."))
             given = section.get("seed", cfg.seed)
             if given != cfg.seed:
                 raise ValueError(

@@ -9,6 +9,9 @@ Feature files and steps.f64 share one binary layout: a four-byte magic,
 u32 version/rows/dim, then the row-major little-endian payload, f32 for
 features and f64 for step embeddings. Checkpoint weights are little-endian
 f32. Everything is f64 the moment it enters memory.
+
+Every JSON value a reader takes from an artifact or a config file is
+checked by `fits_json` and the checks built on it (README §Formats).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +38,86 @@ class CorpusFormatError(ValueError):
 def canonical_json(obj) -> str:
     """Serialize with a fixed, compact layout so rewrites are byte-identical."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# JSON values
+
+
+# what each annotation accepts: a bool is no JSON integer, a JSON integer is a number
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "list": {list}, "object": {dict}}
+_JSON_NOUNS = {"int": "JSON integer", "float": "JSON number", "str": "string"}
+
+
+def _tuple_items(annotation: str) -> list[str] | None:
+    """The item annotations of "tuple[int, int]" or "tuple[str, ...]"; None for a scalar."""
+    return annotation[len("tuple[") : -1].split(", ") if annotation.startswith("tuple[") else None
+
+
+def fits_json(value, annotation: str) -> bool:
+    """Whether a JSON value fits an annotation such as "float", "tuple[int, int]" (an array
+    of two) or "tuple[str, ...]" (an array of any length)."""
+    types = _JSON_TYPES.get(annotation)
+    if types is not None:
+        return type(value) in types
+    items = _tuple_items(annotation)
+    if not isinstance(value, (list, tuple)) or items[-1] != "..." and len(value) != len(items):
+        return False
+    return _JSON_TYPES[items[0]].issuperset(map(type, value))
+
+
+def check_json(value, annotation: str, name: str):
+    """`value` itself if it fits `annotation`, else an error like "x 1.5 is not a JSON integer"."""
+    if fits_json(value, annotation):
+        return value
+    items = _tuple_items(annotation)
+    if items is None:
+        raise CorpusFormatError(f"{name} {value!r} is not a {_JSON_NOUNS[annotation]}")
+    count = "" if items[-1] == "..." else f"{len(items)} "
+    raise CorpusFormatError(f"{name} {value!r} is not a list of {count}{_JSON_NOUNS[items[0]]}s")
+
+
+def check_ids(ids, bound: int, name: str) -> list[int]:
+    """`ids`, checked to be a list of JSON integers in [0, bound)."""
+    if check_json(ids, "tuple[int, ...]", name) and (min(ids) < 0 or max(ids) >= bound):
+        raise CorpusFormatError(f"{name} {sorted(ids)} has an id outside [0, {bound})")
+    return ids
+
+
+def check_ranked_ids(items, bound: int, name: str) -> list[tuple[int, float]]:
+    """`[id, score]` items with ids in [0, bound) and JSON-number scores, as (id, float) pairs."""
+    # the type checks ride in the one pass that builds the pairs: a separate
+    # pass per list costs about 1 us more a call, and labels run this per record
+    ints, numbers = _JSON_TYPES["int"], _JSON_TYPES["float"]
+    pairs = [(i, float(s)) for i, s in items if type(i) in ints and type(s) in numbers]
+    if len(pairs) != len(items) or pairs and (min(pairs)[0] < 0 or max(pairs)[0] >= bound):
+        check_ids([i for i, _ in items], bound, name)  # raises if the ids are at fault
+        raise CorpusFormatError(f"{name} scores {[s for _, s in items]!r} are not all JSON numbers")
+    return pairs
+
+
+def dataclass_from_json(cls, data, prefix: str = ""):
+    """A dataclass, annotated as `fits_json` reads, from a JSON object `prefix` names.
+
+    A float field holds a float (JSON 360 and 360.0 must hash alike), a tuple field a tuple.
+    """
+    if not fits_json(data, "object"):
+        raise CorpusFormatError(
+            f"config section {prefix[:-1]!r} must be a JSON object, got {data!r}"
+        )
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
+    if unknown:
+        raise CorpusFormatError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    converted = dict(data)
+    for name, value in data.items():
+        if not fits_json(value, types[name]):
+            raise CorpusFormatError(f"{prefix}{name} must be {types[name]}, got {value!r}")
+        if types[name] == "float":
+            converted[name] = float(value)
+        elif _tuple_items(types[name]):
+            converted[name] = tuple(value)
+    return cls(**converted)
 
 
 @contextmanager
@@ -88,37 +171,32 @@ class StepDatabase:
         return len(self.headlines)
 
     @classmethod
-    def from_tasks(cls, tasks, source: str = "step database") -> "StepDatabase":
-        """Validate (task_id, task_name, [(headline, embedding), ...]) entries and stack them.
+    def from_tasks(cls, tasks, embeddings, source: str = "step database") -> "StepDatabase":
+        """Validate (task_id, task_name, [headline, ...]) entries and their (H, d) matrix.
 
-        Rejects a database without tasks, a duplicate task id, a task without
-        steps, and an embedding that is not a flat vector of one shared
-        dimension >= 1, non-finite or zero. Messages start with `source`.
+        Row h of `embeddings` embeds the h-th headline in task order, and an f64
+        matrix is kept without a copy. Rejects a database without tasks, a
+        duplicate task id, a task without steps, a matrix that is not one row
+        per headline of dimension >= 1, and a non-finite or zero row.
+        Messages start with `source`.
         """
         if not tasks:
             raise CorpusFormatError(f"{source}: step database contains no tasks")
         spans: dict[str, Task] = {}
         headlines: list[str] = []
-        rows: list[np.ndarray] = []
-        for task_id, task_name, steps in tasks:
+        for task_id, task_name, texts in tasks:
             if task_id in spans:
                 raise CorpusFormatError(f"{source}: duplicate task_id {task_id!r}")
-            if not steps:
+            if not texts:
                 raise CorpusFormatError(f"{source}: task {task_id!r} has no steps")
-            for si, (headline, embedding) in enumerate(steps):
-                emb = np.asarray(embedding, dtype=np.float64)
-                dim = rows[0].shape[0] if rows else emb.size
-                if emb.shape != (dim,):
-                    raise CorpusFormatError(
-                        f"{source}: task {task_id!r} step {si} has shape {emb.shape}, "
-                        f"expected a flat vector of dimension {dim}"
-                    )
-                headlines.append(headline)
-                rows.append(emb)
-            spans[task_id] = Task(task_id, task_name, len(headlines) - len(steps), len(headlines))
-        if rows[0].shape[0] < 1:
+            spans[task_id] = Task(task_id, task_name, len(headlines), len(headlines) + len(texts))
+            headlines.extend(texts)
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+        if embeddings.ndim != 2 or embeddings.shape[0] != len(headlines):
+            raise CorpusFormatError(f"{source}: embeddings of shape {embeddings.shape} are not "
+                                    f"one row for each of {len(headlines)} headlines")
+        if embeddings.shape[1] < 1:
             raise CorpusFormatError(f"{source}: embeddings must have dimension >= 1")
-        embeddings = np.vstack(rows)
         finite = np.isfinite(embeddings).all(axis=1)
         bad = np.flatnonzero(~finite | ~embeddings.any(axis=1))
         if bad.size:
@@ -147,20 +225,19 @@ def load_step_database(path: str | Path) -> StepDatabase:
                 continue
             try:
                 rec = json.loads(line)
-                if isinstance(rec, dict) and "steps" in rec:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: task record holds inline embeddings, a layout "
-                        "this version no longer reads; rerun `pkgforge synth`"
-                    )
-                headlines = rec["headlines"]
-                texts = [rec["task_id"], rec["task_name"], *headlines]
-                if type(headlines) is not list or not all(isinstance(t, str) for t in texts):
-                    raise TypeError("task_id, task_name and every headline must be strings")
-                tasks.append((rec["task_id"], rec["task_name"], headlines))
-            except CorpusFormatError:
-                raise
+                inline = fits_json(rec, "object") and "steps" in rec
+                if not inline:
+                    names = check_json([rec["task_id"], rec["task_name"]], "tuple[str, str]",
+                                       "task_id and task_name")
+                    headlines = check_json(rec["headlines"], "tuple[str, ...]", "headlines")
+                    tasks.append((*names, headlines))
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: malformed task record: {exc}") from exc
+            if inline:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: task record holds inline embeddings, a layout "
+                    "this version no longer reads; rerun `pkgforge synth`"
+                )
     matrix_path = _embedding_path(path)
     try:
         embeddings = _read_matrix(matrix_path, STEPS_MAGIC, STEPS_VERSION, "<f8")
@@ -172,12 +249,7 @@ def load_step_database(path: str | Path) -> StepDatabase:
             f"{matrix_path}: holds {embeddings.shape[0]} rows but {path} lists "
             f"{num_headlines} headlines"
         )
-    steps, start = [], 0
-    for task_id, task_name, headlines in tasks:
-        stop = start + len(headlines)
-        steps.append((task_id, task_name, list(zip(headlines, embeddings[start:stop]))))
-        start = stop
-    return StepDatabase.from_tasks(steps, str(path))
+    return StepDatabase.from_tasks(tasks, embeddings, str(path))
 
 
 def save_step_database(db: StepDatabase, path: str | Path) -> None:
@@ -206,7 +278,7 @@ def _write_matrix(fh, magic: bytes, version: int, data: np.ndarray) -> None:
 
 
 def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarray:
-    """Read a read-only (rows, dim) matrix that `_write_matrix` wrote.
+    """Read a writeable (rows, dim) matrix that `_write_matrix` wrote, in one copy.
 
     Rejects a short or foreign header, a payload shorter or longer than the
     header declares, and a row holding a non-finite value.
@@ -227,7 +299,8 @@ def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarr
             raise CorpusFormatError(f"{path}: truncated payload, expected {size} bytes, got {held}")
         if held > size:
             raise CorpusFormatError(f"{path}: trailing bytes after payload")
-        payload = fh.read(size)
+        payload = bytearray(size)
+        fh.readinto(payload)
     data = np.frombuffer(payload, dtype=dtype).reshape(rows, dim)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
@@ -287,13 +360,12 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
                 continue
             try:
                 rec = json.loads(line)
-                video_id = rec["video_id"]
+                video_id = check_json(rec["video_id"], "str", "video_id")
                 task_name = rec["task_name"]
-                num_segments = rec["num_segments"]
-                feature_file = rec["feature_file"]
-                texts = (video_id, feature_file, "" if task_name is None else task_name)
-                if not all(isinstance(t, str) for t in texts):
-                    raise TypeError("video_id, feature_file and any task_name must be strings")
+                if task_name is not None:
+                    check_json(task_name, "str", "task_name")
+                num_segments = check_json(rec["num_segments"], "int", "num_segments")
+                feature_file = check_json(rec["feature_file"], "str", "feature_file")
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(
                     f"{manifest_path}:{lineno}: malformed manifest record: {exc}"
@@ -390,9 +462,13 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             raise CorpusFormatError(f"{path}: missing checkpoint header line")
         try:
             header = json.loads(header_line.decode("utf-8"))
-            shapes = [(str(n), int(r), int(c)) for n, r, c in header["shapes"]]
+            shapes = [
+                (check_json(name, "str", "shape name"), check_json(rows, "int", f"{name!r} rows"),
+                 check_json(cols, "int", f"{name!r} cols"))
+                for name, rows, cols in header["shapes"]
+            ]
             metadata = header["metadata"]
-            if not isinstance(metadata, dict):
+            if not fits_json(metadata, "object"):
                 raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
         except (KeyError, TypeError, ValueError) as exc:
             raise CorpusFormatError(f"{path}: malformed checkpoint header: {exc}") from exc

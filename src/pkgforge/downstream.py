@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import CorpusFormatError, SegmentCorpus, atomic_write, canonical_json
+from .corpus_io import CorpusFormatError, SegmentCorpus, atomic_write, canonical_json, check_json
 from .nn import AdamState, Mlp, adam_step, fit, glorot_uniform, softmax_cross_entropy
 
 TASK_RECOGNITION = "TR"
@@ -114,19 +114,12 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
                 continue
             try:
                 obj = json.loads(line)
-                if not isinstance(obj["video_id"], str):
-                    raise TypeError(f"video_id must be a string, got {obj['video_id']!r}")
-                out.append(
-                    VideoAnnotation(
-                        video_id=obj["video_id"],
-                        task_class=int(obj["task_class"]),
-                        steps=[
-                            StepSpan(int(s["class"]), int(s["start"]), int(s["end"]))
-                            for s in obj["steps"]
-                        ],
-                    )
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+                video_id = check_json(obj["video_id"], "str", "video_id")
+                task_class = check_json(obj["task_class"], "int", "task_class")
+                steps = [StepSpan(*(check_json(s[key], "int", f"step {key}")
+                                    for key in ("class", "start", "end"))) for s in obj["steps"]]
+                out.append(VideoAnnotation(video_id, task_class, steps))
+            except (KeyError, TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: malformed annotation: {exc}") from exc
     return out
 

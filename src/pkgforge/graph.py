@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import dedup, matcher
-from .corpus_io import CorpusFormatError, StepDatabase, atomic_write, canonical_json
+from .corpus_io import (
+    CorpusFormatError, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
+)
 from .dedup import NodeAssignment, assignment_from_roots
 
 SOURCE_DATABASE = "database"
 SOURCE_CORPUS = "corpus"
+_SOURCES = frozenset({SOURCE_DATABASE, SOURCE_CORPUS})
 
 DEFAULT_INSTANCE_THRESHOLD = 1000.0
 
@@ -298,31 +301,13 @@ def save_graph(graph: ProceduralKnowledgeGraph, path: str | Path) -> None:
         fh.write(canonical_json(obj) + "\n")
 
 
-def _int(obj: dict, key: str) -> int:
-    if type(obj[key]) is not int:
-        raise ValueError(f"{key} {obj[key]!r} is not a JSON integer")
-    return obj[key]
-
-
-def _str(obj: dict, key: str) -> str:
-    if type(obj[key]) is not str:
-        raise ValueError(f"{key} {obj[key]!r} is not a string")
-    return obj[key]
-
-
-def _score(edge: dict) -> float:
-    if type(edge["score"]) not in (int, float):
-        raise ValueError(
-            f"edge {edge['src']!r}->{edge['dst']!r} score {edge['score']!r} is not a JSON number"
-        )
-    return float(edge["score"])
-
-
-def _sources(edge: dict) -> tuple[str, ...]:
-    sources = edge["sources"]
-    if type(sources) is not list or not {SOURCE_CORPUS, SOURCE_DATABASE}.issuperset(sources):
+def _edge(obj: dict) -> DirectedEdge:
+    src, dst, sources = obj["src"], obj["dst"], obj["sources"]
+    if not fits_json(sources, "tuple[str, ...]") or not _SOURCES.issuperset(sources):
         raise ValueError(f"sources {sources!r} is not a list drawn from 'corpus' and 'database'")
-    return tuple(sources)
+    score = check_json(obj["score"], "float", f"edge {src!r}->{dst!r} score")
+    return DirectedEdge(check_json(src, "int", "src"), check_json(dst, "int", "dst"),
+                        float(score), tuple(sources))
 
 
 def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
@@ -332,25 +317,19 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             obj = json.load(fh)
         nodes = [
             StepNode(
-                node_id=_int(n, "node_id"),
+                node_id=check_json(n["node_id"], "int", "node_id"),
                 members=tuple(
-                    (_str(m, "task_id"), _int(m, "step_index"), _str(m, "headline"))
+                    (check_json(m["task_id"], "str", "task_id"),
+                     check_json(m["step_index"], "int", "step_index"),
+                     check_json(m["headline"], "str", "headline"))
                     for m in n["members"]
                 ),
             )
             for n in obj["nodes"]
         ]
-        edges = [
-            DirectedEdge(
-                src=_int(e, "src"),
-                dst=_int(e, "dst"),
-                score=_score(e),
-                sources=_sources(e),
-            )
-            for e in obj["edges"]
-        ]
+        edges = [_edge(e) for e in obj["edges"]]
         config_hash = obj.get("config_hash")
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{path}: malformed graph file: {exc}") from exc
     return ProceduralKnowledgeGraph(nodes=nodes, edges=edges, config_hash=config_hash)
 

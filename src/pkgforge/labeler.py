@@ -32,7 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import matcher
-from .corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, atomic_write, canonical_json
+from .corpus_io import (
+    CorpusFormatError, SegmentCorpus, StepDatabase, atomic_write, canonical_json, check_ids,
+    check_json, check_ranked_ids, fits_json,
+)
 from .dedup import NodeAssignment
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
@@ -306,53 +309,26 @@ def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -
             fh.write(line + "\n")
 
 
-def _ids(ids, bound: int, field: str) -> list[int]:
-    """`ids`, checked to be a list of JSON integers in [0, bound)."""
-    if type(ids) is not list or not {int}.issuperset(map(type, ids)):
-        raise CorpusFormatError(f"{field} {ids!r} is not a list of JSON integers")
-    if ids and (min(ids) < 0 or max(ids) >= bound):
-        raise CorpusFormatError(f"{field} {sorted(ids)} has an id outside [0, {bound})")
-    return ids
-
-
-def _strings(names, field: str) -> list[str]:
-    if type(names) is not list or not {str}.issuperset(map(type, names)):
-        raise CorpusFormatError(f"{field} {names!r} is not a list of strings")
-    return names
-
-
-def _ranked_pairs(items, bound: int, field: str) -> list[tuple[int, float]]:
-    """`[id, score]` items with JSON-number scores, read as (id, float) pairs."""
-    # the type filter rides in the one pass that builds the pairs: a separate
-    # check per list costs about 1 us more a call, and this runs per record
-    pairs = [(i, float(s)) for i, s in items if type(s) is float or type(s) is int]
-    if len(pairs) != len(items):
-        scores = [s for _, s in items]
-        raise CorpusFormatError(f"{field} scores {scores!r} are not all JSON numbers")
-    _ids([i for i, _ in pairs], bound, field)
-    return pairs
-
-
 def _set_block(obj: dict, header: dict, task_ids: set, corpus_names: set) -> dict:
     for field, known, space in (("vtm_db", task_ids, "task ids"),
                                 ("vtm_corpus", corpus_names, "corpus tasks")):
-        missing = set(_strings(obj[field], field)) - known
+        missing = set(check_json(obj[field], "tuple[str, ...]", field)) - known
         if missing:
             raise CorpusFormatError(f"{field} names {space} missing from the header: "
                                     f"{sorted(missing)}")
     nrl, hops = obj["nrl"], header["nrl_hops"]
-    if type(nrl) is not dict or sorted(nrl) != ["in", "out"]:
+    if not fits_json(nrl, "object") or sorted(nrl) != ["in", "out"]:
         raise CorpusFormatError("nrl is not an object with exactly the keys 'in' and 'out'")
     for direction, per_hop in nrl.items():
-        if type(per_hop) is not list or list(map(type, per_hop)) != [list] * hops:
+        if not fits_json(per_hop, "tuple[list, ...]") or len(per_hop) != hops:
             raise CorpusFormatError(f"nrl {direction} is not a list of {hops} hop lists")
     num_nodes = header["num_nodes"]
     return {
         "vtm_db": obj["vtm_db"], "vtm_corpus": obj["vtm_corpus"],
-        "tcl_db": _ids(obj["tcl_db"], num_nodes, "tcl_db"),
-        "tcl_corpus": _ids(obj["tcl_corpus"], num_nodes, "tcl_corpus"),
+        "tcl_db": check_ids(obj["tcl_db"], num_nodes, "tcl_db"),
+        "tcl_corpus": check_ids(obj["tcl_corpus"], num_nodes, "tcl_corpus"),
         "nrl": {
-            direction: [_ranked_pairs(hop, num_nodes, f"nrl {direction}") for hop in per_hop]
+            direction: [check_ranked_ids(hop, num_nodes, f"nrl {direction}") for hop in per_hop]
             for direction, per_hop in nrl.items()
         },
     }
@@ -375,7 +351,7 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
             raise CorpusFormatError(f"{path}: empty labels file")
         try:
             header = json.loads(header_line)
-            if not isinstance(header, dict):
+            if not fits_json(header, "object"):
                 raise CorpusFormatError("line is not a JSON object")
             if header.get("kind") != LABELS_KIND:
                 raise CorpusFormatError(f"has unexpected kind {header.get('kind')!r}")
@@ -384,11 +360,11 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                     "has no num_sets, so the file predates the set table; "
                     "rerun `pkgforge labels` to rewrite it"
                 )
-            for key in ("num_nodes", "num_headlines", "nrl_hops"):
-                if type(header[key]) is not int:
-                    raise CorpusFormatError(f"{key} {header[key]!r} is not a JSON integer")
-            task_ids = set(_strings(header["task_ids"], "task_ids"))
-            corpus_names = set(_strings(header["corpus_task_names"], "corpus_task_names"))
+            for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
+                check_json(header[key], "int", key)
+            task_ids = set(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))
+            corpus_names = set(check_json(header["corpus_task_names"], "tuple[str, ...]",
+                                          "corpus_task_names"))
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -400,18 +376,15 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                     continue
                 where = f"record {len(records)}"
                 set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]
-                if type(set_index) is not int or not 0 <= set_index < len(blocks):
+                if not fits_json(set_index, "int") or not 0 <= set_index < len(blocks):
                     raise CorpusFormatError(
                         f"points at set {set_index!r}, outside [0, {len(blocks)})"
                     )
-                if type(video_id) is not str:
-                    raise CorpusFormatError(f"video_id {video_id!r} is not a string")
-                if type(segment) is not int:
-                    raise CorpusFormatError(f"segment_index {segment!r} is not a JSON integer")
                 records.append(PseudoLabelSet(
-                    video_id=video_id, segment_index=segment,
-                    vnm=_ranked_pairs(obj["vnm"], header["num_nodes"], "vnm"),
-                    vsm=_ranked_pairs(obj["vsm"], header["num_headlines"], "vsm"),
+                    video_id=check_json(video_id, "str", "video_id"),
+                    segment_index=check_json(segment, "int", "segment_index"),
+                    vnm=check_ranked_ids(obj["vnm"], header["num_nodes"], "vnm"),
+                    vsm=check_ranked_ids(obj["vsm"], header["num_headlines"], "vsm"),
                     **blocks[set_index],
                 ))
         except CorpusFormatError as exc:
@@ -425,9 +398,9 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
             f"{path}: header says {header['num_sets']} sets but the file holds "
             f"{len(blocks)} set lines"
         )
-    if header.get("num_segments") != len(records):
+    if header["num_segments"] != len(records):
         raise CorpusFormatError(
-            f"{path}: header says {header.get('num_segments')} segments but the file holds "
+            f"{path}: header says {header['num_segments']} segments but the file holds "
             f"{len(records)} records"
         )
     return header, records

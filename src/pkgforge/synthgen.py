@@ -29,6 +29,7 @@ import numpy as np
 
 from .corpus_io import (
     CorpusFormatError, SegmentCorpus, StepDatabase, Video, atomic_write, canonical_json,
+    check_json, dataclass_from_json,
 )
 from .dedup import NodeAssignment
 from .downstream import StepSpan, VideoAnnotation
@@ -203,15 +204,18 @@ def generate(config: WorldConfig) -> tuple[GroundTruth, StepDatabase, SegmentCor
     occurrence_counter = [0] * n_steps
     tasks = []
     headline_true_step: list[int] = []
+    wordings: list[int] = []
     for ti, seq in enumerate(sequences):
-        steps = []
+        headlines = []
         for s in seq:
             j = occurrence_counter[s] % config.paraphrase_count
             occurrence_counter[s] += 1
-            steps.append((f"perform step {s:04d} (wording {j})", variants[s, j]))
+            headlines.append(f"perform step {s:04d} (wording {j})")
             headline_true_step.append(s)
-        tasks.append((f"t{ti:03d}", f"task_{ti:03d}", steps))
-    db = StepDatabase.from_tasks(tasks, "synthetic step database")
+            wordings.append(j)
+        tasks.append((f"t{ti:03d}", f"task_{ti:03d}", headlines))
+    db = StepDatabase.from_tasks(tasks, variants[headline_true_step, wordings],
+                                 "synthetic step database")
 
     canonical = {
         (a, b) for seq in sequences for a, b in zip(seq, seq[1:]) if a != b
@@ -357,19 +361,23 @@ def load_truth(path: str | Path) -> GroundTruth:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        wc = dict(obj["world_config"])
-        for key in ("steps_per_task", "segments_per_step"):
-            wc[key] = tuple(wc[key])
-        config = WorldConfig(**wc)
+        # the section check that --config's world section goes through
+        config = dataclass_from_json(WorldConfig, obj["world_config"], "world_config.")
+        n_steps = check_json(obj["n_steps"], "int", "n_steps")
+        observed = [check_json(t, "tuple[int, int, int]", "observed transition")
+                    for t in obj["observed_transitions"]]
         return GroundTruth(
-            n_steps=int(obj["n_steps"]),
-            step_embeddings=np.zeros((obj["n_steps"], config.dim)),
-            task_sequences=[[int(s) for s in seq] for seq in obj["task_sequences"]],
-            headline_true_step=[int(s) for s in obj["headline_true_step"]],
-            canonical_transitions={(int(a), int(b)) for a, b in obj["canonical_transitions"]},
-            observed_transitions={
-                (int(a), int(b)): int(c) for a, b, c in obj["observed_transitions"]
+            n_steps=n_steps,
+            step_embeddings=np.zeros((n_steps, config.dim)),
+            task_sequences=[check_json(seq, "tuple[int, ...]", "task sequence")
+                            for seq in obj["task_sequences"]],
+            headline_true_step=check_json(obj["headline_true_step"], "tuple[int, ...]",
+                                          "headline_true_step"),
+            canonical_transitions={
+                tuple(check_json(pair, "tuple[int, int]", "canonical transition"))
+                for pair in obj["canonical_transitions"]
             },
+            observed_transitions={(a, b): c for a, b, c in observed},
             annotations=[],
             config=config,
         )

@@ -18,14 +18,13 @@ def random_database(rng: np.random.Generator, n_tasks=None, dim=None) -> StepDat
     n_tasks = n_tasks or int(rng.integers(1, 5))
     dim = dim or int(rng.integers(2, 7))
     tasks = []
+    rows = []
     for t in range(n_tasks):
-        steps = [
-            # the offset keeps norms away from zero
-            (f"step {t}/{s}", rng.normal(size=dim) + 0.01)
-            for s in range(int(rng.integers(1, 6)))
-        ]
-        tasks.append((f"t{t}", f"task {t}", steps))
-    return StepDatabase.from_tasks(tasks)
+        steps = int(rng.integers(1, 6))
+        tasks.append((f"t{t}", f"task {t}", [f"step {t}/{s}" for s in range(steps)]))
+        # the offset keeps norms away from zero
+        rows.extend(rng.normal(size=dim) + 0.01 for _ in range(steps))
+    return StepDatabase.from_tasks(tasks, np.array(rows))
 
 
 def random_corpus(rng: np.random.Generator, dim: int, n_videos=None) -> SegmentCorpus:

@@ -15,8 +15,8 @@ did not change with it (vtm_db, tcl_db and nrl).
 
 `save_step_database_json` and `load_step_database_json` are the
 steps.jsonl layout with inline JSON embeddings that the binary steps.f64
-matrix replaced; the loader builds through `StepDatabase.from_tasks`, which
-the format change did not touch.
+matrix replaced; the loader stacks the inline rows into one matrix and builds
+through `StepDatabase.from_tasks`, the package's one validating constructor.
 
 The training references (`early_stopping_reference`, `train_reference` and
 `train_downstream_reference`) are the two hand-written epoch loops that
@@ -307,14 +307,13 @@ def save_step_database_json(db, path):
 
 def load_step_database_json(path):
     """Parse the inline layout back through the package's one validating constructor."""
-    tasks = []
+    tasks, rows = [], []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             rec = json.loads(line)
-            steps = [(s["headline"], np.asarray(s["embedding"], dtype=np.float64))
-                     for s in rec["steps"]]
-            tasks.append((rec["task_id"], rec["task_name"], steps))
-    return StepDatabase.from_tasks(tasks, str(path))
+            tasks.append((rec["task_id"], rec["task_name"], [s["headline"] for s in rec["steps"]]))
+            rows.extend(s["embedding"] for s in rec["steps"])
+    return StepDatabase.from_tasks(tasks, np.array(rows, dtype=np.float64), str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -167,8 +167,8 @@ class TestStepDatabase:
 
     def test_layout(self, tmp_path):
         db = corpus_io.StepDatabase.from_tasks(
-            [("t1", "x", [("a", [1.0, -0.0]), ("b", [5e-324, 2.0])]),
-             ("t2", "y", [("c", [3.0, 4.0])])]
+            [("t1", "x", ["a", "b"]), ("t2", "y", ["c"])],
+            [[1.0, -0.0], [5e-324, 2.0], [3.0, 4.0]],
         )
         path = tmp_path / "steps.jsonl"
         corpus_io.save_step_database(db, path)
@@ -202,26 +202,29 @@ entries = st.one_of(
 
 @st.composite
 def step_tasks(draw):
+    """(task entries, embedding rows) for `StepDatabase.from_tasks`."""
     dim = draw(st.integers(1, 6))
-    tasks = []
+    tasks, rows = [], []
     for t in range(draw(st.integers(1, 4))):
-        steps = []
+        headlines = []
         for _ in range(draw(st.integers(1, 4))):
             row = draw(st.lists(entries, min_size=dim, max_size=dim))
             if not any(row):  # the constructor rejects a zero row
                 row[-1] = 1.0
-            steps.append((draw(st.text(max_size=8)), row))
-        tasks.append((f"t{t}", draw(st.text(max_size=8)), steps))
-    return tasks
+            headlines.append(draw(st.text(max_size=8)))
+            rows.append(row)
+        tasks.append((f"t{t}", draw(st.text(max_size=8)), headlines))
+    return tasks, rows
 
 
 class TestAgainstInlineJsonLayout:
     @settings(max_examples=150, deadline=None)
-    @given(tasks=step_tasks())
-    @example(tasks=[("t0", "x", [("a", [-0.0, 5e-324, 1e308]), ("b", [-1e308, 0.0, -5e-324])])])
-    @example(tasks=[("t0", "", [("\"\\\n", [1.1e-308])]), ("t1", "é", [("", [-1.0])])])
-    def test_round_trip_equals_oracle(self, tasks):
-        db = corpus_io.StepDatabase.from_tasks(tasks)
+    @given(database=step_tasks())
+    @example(database=([("t0", "x", ["a", "b"])],
+                       [[-0.0, 5e-324, 1e308], [-1e308, 0.0, -5e-324]]))
+    @example(database=([("t0", "", ["\"\\\n"]), ("t1", "é", [""])], [[1.1e-308], [-1.0]]))
+    def test_round_trip_equals_oracle(self, database):
+        db = corpus_io.StepDatabase.from_tasks(*database)
         with tempfile.TemporaryDirectory() as tmp:
             binary, inline = Path(tmp) / "steps.jsonl", Path(tmp) / "inline.jsonl"
             corpus_io.save_step_database(db, binary)
@@ -311,7 +314,8 @@ class TestSegmentCorpus:
             corpus_io.load_segment_corpus(manifest)
 
     @pytest.mark.parametrize(
-        "field, value", [("video_id", 5), ("feature_file", 5), ("task_name", ["a"])]
+        "field, value",
+        [("video_id", 5), ("feature_file", 5), ("task_name", ["a"]), ("num_segments", 3.0)],
     )
     def test_wrong_typed_manifest_field_rejected(self, tmp_path, field, value):
         corpus = corpus_io.SegmentCorpus(videos=[corpus_io.Video("a", "t", np.ones((3, 2)))])
@@ -375,6 +379,20 @@ class TestCheckpoints:
         header = {"shapes": [["a", rows, cols], ["b", 2, 4]], "metadata": {}}
         path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
         with pytest.raises(CorpusFormatError, match=f"'a' is {rows}x{cols}"):
+            corpus_io.load_checkpoint(path)
+
+    @pytest.mark.parametrize("shapes, message", [
+        ([["a", "2", 1], ["b", 2, 4]], "'a' rows '2' is not a JSON integer"),
+        ([["a", 2, 1.5], ["b", 2, 4]], "'a' cols 1.5 is not a JSON integer"),
+        ([["a", 1, 2], [7, True, 2]], "shape name 7 is not a string"),
+        ([["a", 1, 2], ["7", True, 2]], "'7' rows True is not a JSON integer"),
+    ])
+    def test_wrong_typed_shape_entry(self, tmp_path, shapes, message):
+        # these once loaded coerced: "2" as 2, 1.5 as 1, 7 as "7", True as 1
+        path = tmp_path / "model.pkgc"
+        header = {"shapes": shapes, "metadata": {}}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(64))
+        with pytest.raises(CorpusFormatError, match=f"malformed checkpoint header: {message}"):
             corpus_io.load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

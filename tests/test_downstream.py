@@ -1,10 +1,12 @@
 """Downstream harness: dataset construction, model math, training, evaluation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from pkgforge import downstream as ds
-from pkgforge.corpus_io import SegmentCorpus, Video
+from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, Video
 from pkgforge.downstream import (
     DownstreamConfig,
     DownstreamExample,
@@ -307,3 +309,21 @@ class TestAnnotationsFormat:
         ds.save_annotations(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert back == anns
+
+    @pytest.mark.parametrize("step, key, value, message", [
+        (False, "task_class", 2.7, "task_class 2.7 is not a JSON integer"),
+        (False, "task_class", "1", "task_class '1' is not a JSON integer"),
+        (True, "class", True, "step class True is not a JSON integer"),
+        (True, "start", "0", "step start '0' is not a JSON integer"),
+        (True, "end", 1.9, "step end 1.9 is not a JSON integer"),
+    ])
+    def test_wrong_typed_value_rejected(self, tmp_path, step, key, value, message):
+        # each of these once loaded coerced: 2.7 as 2, True as 1, "0" as 0
+        path = tmp_path / "a.jsonl"
+        ds.save_annotations([VideoAnnotation("v0", 1, [StepSpan(0, 0, 2), StepSpan(1, 2, 3)])],
+                            path)
+        obj = json.loads(path.read_text())
+        (obj["steps"][1] if step else obj)[key] = value
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(CorpusFormatError, match=rf"a\.jsonl:1: malformed annotation: {message}"):
+            ds.load_annotations(path)

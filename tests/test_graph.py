@@ -17,8 +17,9 @@ from oracles import khop_bruteforce, transitions_bruteforce
 
 def _db_from_chain(node_roots, dim=2):
     """One task whose steps map (via roots) onto nodes; embeddings distinct."""
-    steps = [(f"h{i}", np.array([1.0, float(i)])) for i in range(len(node_roots))]
-    db = StepDatabase.from_tasks([("t0", "t", steps)])
+    n = len(node_roots)
+    embeddings = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
+    db = StepDatabase.from_tasks([("t0", "t", [f"h{i}" for i in range(n)])], embeddings)
     return db, assignment_from_roots(node_roots)
 
 
@@ -32,8 +33,9 @@ class TestDatabaseTransitions:
         assert G.database_transitions(db, assignment) == []
 
     def test_idempotent_across_tasks(self):
-        steps = [(f"h{i}", np.array([1.0, float(i)])) for i in range(2)]
-        db = StepDatabase.from_tasks([("t0", "a", steps), ("t1", "b", steps)])
+        embeddings = np.array([[1.0, 0.0], [1.0, 1.0]] * 2)
+        db = StepDatabase.from_tasks([("t0", "a", ["h0", "h1"]), ("t1", "b", ["h0", "h1"])],
+                                     embeddings)
         assignment = assignment_from_roots([0, 1, 0, 1])
         assert G.database_transitions(db, assignment) == [(0, 1)]
 
@@ -339,8 +341,7 @@ class TestSerialization:
 
 class TestBuildGraph:
     def _world(self):
-        steps0 = [(f"h{i}", e) for i, e in enumerate(np.eye(3) * 2.0)]
-        db = StepDatabase.from_tasks([("t0", "a", steps0)])
+        db = StepDatabase.from_tasks([("t0", "a", ["h0", "h1", "h2"])], np.eye(3) * 2.0)
         video = Video(
             video_id="v0",
             corpus_task_name="a",

@@ -33,10 +33,9 @@ def _tiny_world():
     task t1 steps: h2 -> node 1 (duplicate of h1), h3 -> node 2
     """
     e = np.eye(3) * 2.0
-    db = StepDatabase.from_tasks([
-        ("t0", "task zero", [("h0", e[0]), ("h1", e[1])]),
-        ("t1", "task one", [("h2", e[1]), ("h3", e[2])]),
-    ])
+    db = StepDatabase.from_tasks(
+        [("t0", "task zero", ["h0", "h1"]), ("t1", "task one", ["h2", "h3"])], e[[0, 1, 1, 2]]
+    )
     assignment = assignment_from_roots([0, 1, 1, 2])
     pkg = assemble_graph(db, assignment, [(0, 1), (1, 2)], {})
     return db, assignment, pkg
@@ -395,6 +394,8 @@ class TestLabelsFile:
         ((-1, "vsm", [[0, True]]), r"record 2 vsm scores \[True\] are not all JSON numbers"),
         ((1, "nrl", {"in": [[[0, None]], []], "out": [[], []]}),
          r"set 0 nrl in scores \[None\] are not all JSON numbers"),
+        ((0, "num_segments", 3.0), r"header num_segments 3\.0 is not a JSON integer"),
+        ((0, "num_sets", 3.0), r"header num_sets 3\.0 is not a JSON integer"),
     ])
     def test_wrong_shape_names_the_set_or_record(self, tmp_path, edit, message):
         with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: {message}"):
@@ -466,15 +467,16 @@ def _random_world(rng, integer_valued):
             return rng.integers(-2, 3, size=shape).astype(np.float64)
         return rng.normal(size=shape)
 
-    tasks = []
+    tasks, rows = [], []
     for t in range(int(rng.integers(1, 4))):
-        steps = []
+        headlines = []
         for s in range(int(rng.integers(1, 5))):
             emb = values(dim)
             emb[0] = emb[0] or 1.0  # step embeddings are never all zero
-            steps.append((f"h{t}/{s}", emb))
-        tasks.append((f"t{t}", f"task {t}", steps))
-    db = StepDatabase.from_tasks(tasks)
+            headlines.append(f"h{t}/{s}")
+            rows.append(emb)
+        tasks.append((f"t{t}", f"task {t}", headlines))
+    db = StepDatabase.from_tasks(tasks, np.array(rows))
 
     n = db.num_headlines
     assignment = assignment_from_roots([int(r) for r in rng.integers(0, max(1, n - 1), size=n)])

@@ -13,8 +13,8 @@ from oracles import top_k_full_sort
 
 
 def _db(vectors):
-    steps = [(f"h{i}", np.asarray(v, dtype=float)) for i, v in enumerate(vectors)]
-    return StepDatabase.from_tasks([("t0", "t", steps)])
+    headlines = [f"h{i}" for i in range(len(vectors))]
+    return StepDatabase.from_tasks([("t0", "t", headlines)], np.asarray(vectors, dtype=float))
 
 
 class TestHeadlineScores:

@@ -39,10 +39,9 @@ task_steps = st.lists(
 
 def _database(spec) -> StepDatabase:
     return StepDatabase.from_tasks(
-        [
-            (f"t{t}", f"task {t}", [(f"h{t}/{s}", PALETTE[p]) for s, p in enumerate(steps)])
-            for t, steps in enumerate(spec)
-        ]
+        [(f"t{t}", f"task {t}", [f"h{t}/{s}" for s in range(len(steps))])
+         for t, steps in enumerate(spec)],
+        PALETTE[[p for steps in spec for p in steps]],
     )
 
 
@@ -87,21 +86,27 @@ class TestTaskRanges:
 
     @pytest.mark.parametrize(
         "tasks, message",
+        # (task entries, embedding matrix) pairs
         [
-            ([], "contains no tasks"),
-            ([("t", "x", [("a", [1.0])]), ("t", "y", [("b", [1.0])])], "duplicate task_id 't'"),
-            ([("t", "x", [])], "task 't' has no steps"),
-            ([("t", "x", [("a", [1.0, 0.0]), ("b", [1.0])])], "step 1 has shape"),
-            ([("t", "x", [("a", [[1.0], [0.0]])])], "step 0 has shape"),
-            ([("t", "x", [("a", [])])], "dimension >= 1"),
-            ([("t", "x", [("a", [1.0]), ("b", [np.nan])])], "step 1 has non-finite embedding"),
-            ([("t", "x", [("a", [1.0])]), ("u", "y", [("b", [0.0])])],
+            (([], np.ones((0, 1))), "contains no tasks"),
+            (([("t", "x", ["a"]), ("t", "y", ["b"])], [[1.0], [1.0]]), "duplicate task_id 't'"),
+            (([("t", "x", [])], np.ones((0, 1))), "task 't' has no steps"),
+            (([("t", "x", ["a", "b"])], [[1.0]]), "each of 2 headlines"),
+            (([("t", "x", ["a"])], [1.0]), "each of 1 headlines"),  # not 2-D
+            (([("t", "x", ["a"])], np.ones((1, 0))), "dimension >= 1"),
+            (([("t", "x", ["a", "b"])], [[1.0], [np.nan]]), "step 1 has non-finite embedding"),
+            (([("t", "x", ["a"]), ("u", "y", ["b"])], [[1.0], [0.0]]),
              "task 'u' step 0 has zero embedding"),
         ],
     )
     def test_constructor_rejects(self, tasks, message):
         with pytest.raises(CorpusFormatError, match=f"^here: .*{message}"):
-            StepDatabase.from_tasks(tasks, "here")
+            StepDatabase.from_tasks(*tasks, "here")
+
+    def test_float64_matrix_kept_without_a_copy(self):
+        matrix = np.array([[1.0, 0.0], [0.0, 2.0]])
+        db = StepDatabase.from_tasks([("t", "x", ["a", "b"])], matrix)
+        assert db.embeddings is matrix
 
 
 class TestNodeOccurrenceCounts:

@@ -1,5 +1,7 @@
 """Synthetic world generation and graph-recovery metrics."""
 
+import dataclasses
+import json
 import re
 
 import numpy as np
@@ -171,7 +173,26 @@ class TestRecoveryMetrics:
         assert synthgen.implied_min_support(100.0, 12.0) == 1
 
 
+def _truth_text(**edits) -> str:
+    """A small valid truth.json with `edits` applied at the top level or in world_config."""
+    world = dataclasses.asdict(WorldConfig())
+    obj = {"config_hash": None, "world_config": world, "n_steps": 2, "headline_true_step": [0, 1],
+           "task_sequences": [[0, 1]], "canonical_transitions": [[0, 1]],
+           "observed_transitions": [[0, 1, 3]]}
+    for key, value in edits.items():
+        (world if key in world else obj)[key] = value
+    return json.dumps(obj)
+
+
 class TestTruthSerialization:
+    def test_hand_written_truth_loads(self, tmp_path):
+        path = tmp_path / "truth.json"
+        path.write_text(_truth_text())
+        truth = synthgen.load_truth(path)
+        assert truth.canonical_transitions == {(0, 1)}
+        assert truth.observed_transitions == {(0, 1): 3}
+        assert truth.config == WorldConfig()
+
     def test_round_trip(self, tmp_path):
         truth, _, _ = synthgen.generate(_small_config(skip_prob=0.2, seed=9))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -183,7 +204,16 @@ class TestTruthSerialization:
         assert back.observed_transitions == truth.observed_transitions
         assert back.headline_true_step == truth.headline_true_step
 
-    @pytest.mark.parametrize("text", ["{", "[1]", '{"n_steps": 2}'])
+    @pytest.mark.parametrize("text", [
+        "{", "[1]", '{"n_steps": 2}',
+        # each of these once loaded coerced, or crashed on the one-item range
+        pytest.param(_truth_text(canonical_transitions=[[0.5, True]]), id="transition"),
+        pytest.param(_truth_text(observed_transitions=[[0, 1, 2.0]]), id="observed-count"),
+        pytest.param(_truth_text(headline_true_step=[0, 1.9]), id="true-step"),
+        pytest.param(_truth_text(task_sequences=[[0, "1"]]), id="sequence"),
+        pytest.param(_truth_text(noise_sigma=True), id="world-noise"),
+        pytest.param(_truth_text(steps_per_task=[3]), id="world-range"),
+    ])
     def test_malformed_truth_names_the_file(self, tmp_path, text):
         path = tmp_path / "truth.json"
         path.write_text(text)
