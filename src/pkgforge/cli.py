@@ -14,7 +14,6 @@ for progress logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -93,7 +92,7 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
     truth_path = world / "truth.json"
     if truth_path.exists():
         try:
-            truth = json.loads(truth_path.read_text(encoding="utf-8"))
+            truth = corpus_io.parse_json(truth_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise corpus_io.CorpusFormatError(f"{truth_path}: malformed JSON: {exc}") from None
         if not corpus_io.fits_json(truth, "object"):

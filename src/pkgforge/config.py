@@ -9,11 +9,10 @@ counts) deliberately do not.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .corpus_io import canonical_json, dataclass_from_json, fits_json
+from .corpus_io import canonical_json, dataclass_from_json, fits_json, parse_json
 from .downstream import DownstreamConfig
 from .synthgen import WorldConfig
 from .trainer import TrainConfig
@@ -42,6 +41,8 @@ class PipelineConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
 
     def __post_init__(self):
+        if not self.dedup_threshold > 0:  # single linkage merges nothing at or below 0
+            raise ValueError(f"dedup_threshold must be > 0, got {self.dedup_threshold}")
         # one seed drives every stage
         self.train.seed = self.seed
         self.downstream.seed = self.seed
@@ -71,7 +72,7 @@ class PipelineConfig:
     def load(cls, path: str | Path) -> "PipelineConfig":
         with open(path, encoding="utf-8") as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                return cls.from_dict(parse_json(fh.read()))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
 

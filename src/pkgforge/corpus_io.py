@@ -40,6 +40,16 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+# Every reader decodes through this one function. Python's json reads the
+# non-standard NaN, Infinity and -Infinity tokens, which canonical_json
+# never writes, so they are rejected here.
+parse_json = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
 # ---------------------------------------------------------------------------
 # JSON values
 
@@ -224,7 +234,7 @@ def load_step_database(path: str | Path) -> StepDatabase:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = parse_json(line)
                 inline = fits_json(rec, "object") and "steps" in rec
                 if not inline:
                     names = check_json([rec["task_id"], rec["task_name"]], "tuple[str, str]",
@@ -359,7 +369,7 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = parse_json(line)
                 video_id = check_json(rec["video_id"], "str", "video_id")
                 task_name = rec["task_name"]
                 if task_name is not None:
@@ -461,7 +471,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         if not header_line.endswith(b"\n"):
             raise CorpusFormatError(f"{path}: missing checkpoint header line")
         try:
-            header = json.loads(header_line.decode("utf-8"))
+            header = parse_json(header_line.decode("utf-8"))
             shapes = [
                 (check_json(name, "str", "shape name"), check_json(rows, "int", f"{name!r} rows"),
                  check_json(cols, "int", f"{name!r} cols"))

@@ -10,29 +10,7 @@ blockwise and only the sub-threshold pairs are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NodeAssignment:
-    """Partition of headline indices into step nodes.
-
-    Node ids are dense 0..N-1 and ordered by each cluster's smallest member
-    headline index, so identical inputs always number identically.
-    """
-
-    node_of: np.ndarray  # (num_headlines,) int64
-    members_of: tuple[tuple[int, ...], ...]  # node_id -> sorted headline indices
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.members_of)
-
-    @property
-    def num_headlines(self) -> int:
-        return self.node_of.shape[0]
 
 
 class _UnionFind:
@@ -86,8 +64,12 @@ def sub_threshold_pairs(embeddings: np.ndarray, distance_threshold: float):
         yield rows[upper], cols[upper]
 
 
-def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) -> NodeAssignment:
+def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) -> np.ndarray:
     """Single-linkage agglomerative clustering, merging strictly below threshold.
+
+    Returns node_of, the (num_headlines,) int64 node id of each headline.
+    Node ids are dense 0..N-1 and ordered by each cluster's smallest member
+    headline index, so identical inputs always number identically.
 
     Only the sub-threshold pairs are ever materialized, one block of rows at
     a time; union-find over them gives the connected components, whatever
@@ -96,7 +78,7 @@ def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) 
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
         raise ValueError("need at least one embedding of shape (n, d)")
-    if distance_threshold <= 0:
+    if not distance_threshold > 0:
         raise ValueError(f"distance_threshold must be > 0, got {distance_threshold}")
 
     uf = _UnionFind(embeddings.shape[0])
@@ -104,17 +86,7 @@ def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) 
         for i, j in zip(rows.tolist(), cols.tolist()):
             uf.union(i, j)
 
-    return assignment_from_roots([uf.find(i) for i in range(embeddings.shape[0])])
-
-
-def assignment_from_roots(roots: list[int]) -> NodeAssignment:
-    """Build a NodeAssignment from an arbitrary headline -> group-key list."""
-    clusters: dict[int, list[int]] = {}
-    for idx, root in enumerate(roots):
-        clusters.setdefault(root, []).append(idx)
-    ordered = sorted(clusters.values(), key=lambda members: members[0])
-    node_of = np.empty(len(roots), dtype=np.int64)
-    for node_id, members in enumerate(ordered):
-        for idx in members:
-            node_of[idx] = node_id
-    return NodeAssignment(node_of=node_of, members_of=tuple(tuple(m) for m in ordered))
+    # each root is its cluster's smallest headline, so numbering the sorted
+    # roots densely orders nodes by their smallest member headline
+    roots = np.array([uf.find(i) for i in range(embeddings.shape[0])], dtype=np.int64)
+    return np.unique(roots, return_inverse=True)[1].astype(np.int64, copy=False)

@@ -9,13 +9,14 @@ identical for raw and refined features; only the input transform differs.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import CorpusFormatError, SegmentCorpus, atomic_write, canonical_json, check_json
+from .corpus_io import (
+    CorpusFormatError, SegmentCorpus, atomic_write, canonical_json, check_json, parse_json,
+)
 from .nn import AdamState, Mlp, adam_step, fit, glorot_uniform, softmax_cross_entropy
 
 TASK_RECOGNITION = "TR"
@@ -113,7 +114,7 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
                 video_id = check_json(obj["video_id"], "str", "video_id")
                 task_class = check_json(obj["task_class"], "int", "task_class")
                 steps = [StepSpan(*(check_json(s[key], "int", f"step {key}")

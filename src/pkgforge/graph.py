@@ -7,16 +7,17 @@ the video corpus (log min-max normalized aggregate), or both.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import dedup, matcher
 from .corpus_io import (
     CorpusFormatError, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
+    parse_json,
 )
-from .dedup import NodeAssignment, assignment_from_roots
 
 SOURCE_DATABASE = "database"
 SOURCE_CORPUS = "corpus"
@@ -59,6 +60,9 @@ class ProceduralKnowledgeGraph:
         ids = [n.node_id for n in self.nodes]
         if ids != list(range(len(ids))):
             raise ValueError("node ids must be dense 0..N-1 in order")
+        for node in self.nodes:
+            if not node.members:
+                raise ValueError(f"node {node.node_id} has no members")
         seen = set()
         for e in self.edges:
             if e.src == e.dst:
@@ -82,10 +86,10 @@ class ProceduralKnowledgeGraph:
     def num_nodes(self) -> int:
         return len(self.nodes)
 
-    def assignment(self, db: StepDatabase) -> NodeAssignment:
-        """Recover the headline partition this graph was built from."""
+    def node_of(self, db: StepDatabase) -> np.ndarray:
+        """Each headline's node id, as this graph's members name it."""
         task_of = {task.task_id: task for task in db.tasks}
-        roots = [-1] * db.num_headlines
+        node_of = np.full(db.num_headlines, -1, dtype=np.int64)
         for node in self.nodes:
             for task_id, step_index, _ in node.members:
                 task = task_of.get(task_id)
@@ -93,17 +97,17 @@ class ProceduralKnowledgeGraph:
                     raise ValueError(
                         f"graph member {(task_id, step_index)} not present in step database"
                     )
-                roots[task.start + step_index] = node.node_id
-        if -1 in roots or sum(len(node.members) for node in self.nodes) != db.num_headlines:
+                node_of[task.start + step_index] = node.node_id
+        if (node_of < 0).any() or sum(len(node.members) for node in self.nodes) != db.num_headlines:
             raise ValueError("graph members do not cover the step database")
-        return assignment_from_roots(roots)
+        return node_of
 
 
 # ---------------------------------------------------------------------------
 # construction
 
 
-def database_transitions(db: StepDatabase, assignment: NodeAssignment) -> list[tuple[int, int]]:
+def database_transitions(db: StepDatabase, node_of: np.ndarray) -> list[tuple[int, int]]:
     """Node pairs for each adjacent headline pair of every task, deduplicated.
 
     Pairs that collapse onto one node after dedup are dropped; every
@@ -111,7 +115,7 @@ def database_transitions(db: StepDatabase, assignment: NodeAssignment) -> list[t
     """
     pairs = set()
     for task in db.tasks:
-        node_ids = assignment.node_of[task.start : task.stop].tolist()
+        node_ids = node_of[task.start : task.stop].tolist()
         pairs.update((a, b) for a, b in zip(node_ids, node_ids[1:]) if a != b)
     return sorted(pairs)
 
@@ -161,27 +165,24 @@ def normalize_scores(aggregates: dict[tuple[int, int], float]) -> dict[tuple[int
 
 def assemble_graph(
     db: StepDatabase,
-    assignment: NodeAssignment,
+    node_of: np.ndarray,
     db_pairs: list[tuple[int, int]],
     corpus_scores: dict[tuple[int, int], float],
     config_hash: str | None = None,
 ) -> ProceduralKnowledgeGraph:
     """Merge database and corpus transitions into the final edge list.
 
-    Corpus scores arrive per headline pair (already normalized); they are
-    mapped through the node assignment here. Per ordered node pair the edge
-    keeps the maximum contributing score and the union of sources.
+    node_of numbers the nodes; each node lists its members in headline
+    order. Corpus scores arrive per headline pair (already normalized) and
+    are mapped through node_of here. Per ordered node pair the edge keeps
+    the maximum contributing score and the union of sources.
     """
-    headline_meta = [
-        (task.task_id, si, text)
-        for task in db.tasks
-        for si, text in enumerate(db.headlines[task.start : task.stop])
-    ]
-
-    nodes = [
-        StepNode(node_id=nid, members=tuple(headline_meta[h] for h in members))
-        for nid, members in enumerate(assignment.members_of)
-    ]
+    node_ids = node_of.tolist()
+    members: list[list[tuple[str, int, str]]] = [[] for _ in range(max(node_ids) + 1)]
+    for task in db.tasks:
+        for h in range(task.start, task.stop):
+            members[node_ids[h]].append((task.task_id, h - task.start, db.headlines[h]))
+    nodes = [StepNode(node_id=nid, members=tuple(m)) for nid, m in enumerate(members)]
 
     best: dict[tuple[int, int], float] = {}
     sources: dict[tuple[int, int], set[str]] = {}
@@ -189,7 +190,7 @@ def assemble_graph(
         best[pair] = 1.0
         sources.setdefault(pair, set()).add(SOURCE_DATABASE)
     for (hs, hd), score in sorted(corpus_scores.items()):
-        ns, nd = int(assignment.node_of[hs]), int(assignment.node_of[hd])
+        ns, nd = node_ids[hs], node_ids[hd]
         if ns == nd:
             continue
         key = (ns, nd)
@@ -218,7 +219,7 @@ def build_graph(
     scoring matmuls, and each video keeps its own `score_video` call so its
     scores round the same however many videos the corpus holds.
     """
-    assignment = dedup.cluster_headlines(db.embeddings, dedup_threshold)
+    node_of = dedup.cluster_headlines(db.embeddings, dedup_threshold)
 
     def match_video(video):
         if video.segments.shape[0] == 0:
@@ -232,8 +233,8 @@ def build_graph(
     video_matches = [match_video(v) for v in corpus.videos]
     aggregates = corpus_transitions(video_matches, instance_threshold)
     normalized = normalize_scores(aggregates)
-    db_pairs = database_transitions(db, assignment)
-    return assemble_graph(db, assignment, db_pairs, normalized, config_hash=config_hash)
+    db_pairs = database_transitions(db, node_of)
+    return assemble_graph(db, node_of, db_pairs, normalized, config_hash=config_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +315,7 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = parse_json(fh.read())
         nodes = [
             StepNode(
                 node_id=check_json(n["node_id"], "int", "node_id"),
@@ -328,10 +329,9 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             for n in obj["nodes"]
         ]
         edges = [_edge(e) for e in obj["edges"]]
-        config_hash = obj.get("config_hash")
+        return ProceduralKnowledgeGraph(nodes, edges, obj.get("config_hash"))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusFormatError(f"{path}: malformed graph file: {exc}") from exc
-    return ProceduralKnowledgeGraph(nodes=nodes, edges=edges, config_hash=config_hash)
 
 
 def graph_stats(graph: ProceduralKnowledgeGraph, bins: int = 10) -> dict:

@@ -24,7 +24,6 @@ record's shape, so code downstream takes its records, and those
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +33,8 @@ import numpy as np
 from . import matcher
 from .corpus_io import (
     CorpusFormatError, SegmentCorpus, StepDatabase, atomic_write, canonical_json, check_ids,
-    check_json, check_ranked_ids, fits_json,
+    check_json, check_ranked_ids, fits_json, parse_json,
 )
-from .dedup import NodeAssignment
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
 log = logging.getLogger(__name__)
@@ -109,7 +107,7 @@ def build_occurrence_matrix(
     segment_vnm: list[list[int]],
     video_task_names: list[str | None],
     video_of_segment: list[int],
-    assignment: NodeAssignment,
+    node_of: np.ndarray,
 ) -> tuple[OccurrenceMatrix, int]:
     """Count matched-node member headlines against the videos' task names.
 
@@ -119,8 +117,8 @@ def build_occurrence_matrix(
     """
     names = sorted({n for n in video_task_names if n is not None})
     column = {name: i for i, name in enumerate(names)}
-    sizes = [len(members) for members in assignment.members_of]
-    counts = np.zeros((assignment.num_nodes, len(names)), dtype=np.int64)
+    sizes = np.bincount(node_of).tolist()
+    counts = np.zeros((len(sizes), len(names)), dtype=np.int64)
     for seg_nodes, vi in zip(segment_vnm, video_of_segment):
         col = column.get(video_task_names[vi])
         if col is not None:
@@ -183,10 +181,10 @@ def nrl_labels(
 # orchestration
 
 
-def task_node_map(db: StepDatabase, assignment: NodeAssignment) -> dict[str, tuple[int, ...]]:
+def task_node_map(db: StepDatabase, node_of: np.ndarray) -> dict[str, tuple[int, ...]]:
     """task_id -> sorted node ids of the task's own steps."""
     return {
-        task.task_id: tuple(np.unique(assignment.node_of[task.start : task.stop]).tolist())
+        task.task_id: tuple(np.unique(node_of[task.start : task.stop]).tolist())
         for task in db.tasks
     }
 
@@ -203,8 +201,8 @@ def emit_labels(
     segments match the same nodes share those label lists. The label sizes
     are the module constants above.
     """
-    assignment = graph.assignment(db)
-    tasks_of = task_node_map(db, assignment)
+    node_of = graph.node_of(db)
+    tasks_of = task_node_map(db, node_of)
 
     # (video index, segment index, vnm, vsm) per segment. Videos are scored
     # one call each: BLAS may round a short video's rows differently once
@@ -214,7 +212,7 @@ def emit_labels(
         if not video.segments.shape[0]:
             continue
         for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
-            node_scores = matcher.node_scores_from_headlines(row, assignment)
+            node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
             vnm = vnm_labels(node_scores, k=VNM_TOP_K)
             vsm = [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)]
             scored.append((vi, seg_idx, vnm, vsm))
@@ -223,7 +221,7 @@ def emit_labels(
         [[nid for nid, _ in vnm] for _, _, vnm, _ in scored],
         [v.corpus_task_name for v in corpus.videos],
         [vi for vi, _, _, _ in scored],
-        assignment,
+        node_of,
     )
 
     top_nodes = top_nodes_per_corpus_task(occ, k=TCL_CORPUS_TOP_K)
@@ -350,7 +348,7 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
         if not header_line:
             raise CorpusFormatError(f"{path}: empty labels file")
         try:
-            header = json.loads(header_line)
+            header = parse_json(header_line)
             if not fits_json(header, "object"):
                 raise CorpusFormatError("line is not a JSON object")
             if header.get("kind") != LABELS_KIND:
@@ -369,7 +367,7 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                 if not line.strip():
                     continue
                 where = f"line {lineno}"
-                obj = json.loads(line)
+                obj = parse_json(line)
                 if not records and "video_id" not in obj:
                     where = f"set {len(blocks)}"
                     blocks.append(_set_block(obj, header, task_ids, corpus_names))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus_io import StepDatabase
-from .dedup import NodeAssignment
 
 DEFAULT_MATCH_THRESHOLD = 10.0
 DEFAULT_TOP_K = 3
@@ -42,10 +41,12 @@ def matched_headlines(
     return ranked_indices(scores, candidates)
 
 
-def node_scores_from_headlines(scores: np.ndarray, assignment: NodeAssignment) -> np.ndarray:
+def node_scores_from_headlines(
+    scores: np.ndarray, node_of: np.ndarray, num_nodes: int
+) -> np.ndarray:
     """Aggregate headline scores to nodes by taking the member-wise max."""
-    node_scores = np.full(assignment.num_nodes, -np.inf)
-    np.maximum.at(node_scores, assignment.node_of, scores)
+    node_scores = np.full(num_nodes, -np.inf)
+    np.maximum.at(node_scores, node_of, scores)
     return node_scores
 
 

@@ -20,7 +20,6 @@ streams are sub-seeded so emission order cannot perturb the draw.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -29,9 +28,8 @@ import numpy as np
 
 from .corpus_io import (
     CorpusFormatError, SegmentCorpus, StepDatabase, Video, atomic_write, canonical_json,
-    check_json, dataclass_from_json,
+    check_ids, check_json, dataclass_from_json, parse_json,
 )
-from .dedup import NodeAssignment
 from .downstream import StepSpan, VideoAnnotation
 from .graph import ProceduralKnowledgeGraph
 
@@ -280,16 +278,11 @@ def generate(config: WorldConfig) -> tuple[GroundTruth, StepDatabase, SegmentCor
 # recovery metrics
 
 
-def node_majority_steps(assignment: NodeAssignment, headline_true_step: list[int]) -> list[int]:
+def node_majority_steps(node_of: np.ndarray, headline_true_step: list[int]) -> np.ndarray:
     """Per node, the most common true step among members (ties: smallest id)."""
-    out = []
-    for members in assignment.members_of:
-        votes: dict[int, int] = {}
-        for h in members:
-            s = headline_true_step[h]
-            votes[s] = votes.get(s, 0) + 1
-        out.append(min(votes, key=lambda s: (-votes[s], s)))
-    return out
+    votes = np.zeros((node_of.max() + 1, max(headline_true_step) + 1), dtype=np.int64)
+    np.add.at(votes, (node_of, headline_true_step), 1)
+    return votes.argmax(axis=1)  # the first maximum: the smallest step id
 
 
 def graph_recovery_metrics(
@@ -305,17 +298,13 @@ def graph_recovery_metrics(
     or was observed at least once; recall is measured against canonical
     transitions plus observed ones with multiplicity >= min_support.
     """
-    assignment = graph.assignment(db)
-    majority = node_majority_steps(assignment, truth.headline_true_step)
+    node_of = graph.node_of(db)
+    majority = node_majority_steps(node_of, truth.headline_true_step)
+    purity_hits = int(np.count_nonzero(majority[node_of] == truth.headline_true_step))
+    node_purity = purity_hits / node_of.size
 
-    purity_hits = sum(
-        1
-        for h in range(assignment.num_headlines)
-        if majority[int(assignment.node_of[h])] == truth.headline_true_step[h]
-    )
-    node_purity = purity_hits / assignment.num_headlines
-
-    predicted = {(majority[e.src], majority[e.dst]) for e in graph.edges}
+    step_of = majority.tolist()
+    predicted = {(step_of[e.src], step_of[e.dst]) for e in graph.edges}
     truth_all = truth.canonical_transitions | set(truth.observed_transitions)
     target = truth.canonical_transitions | {
         pair for pair, count in truth.observed_transitions.items() if count >= min_support
@@ -360,7 +349,7 @@ def save_truth(truth: GroundTruth, path: str | Path, config_hash: str | None = N
 def load_truth(path: str | Path) -> GroundTruth:
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = parse_json(fh.read())
         # the section check that --config's world section goes through
         config = dataclass_from_json(WorldConfig, obj["world_config"], "world_config.")
         n_steps = check_json(obj["n_steps"], "int", "n_steps")
@@ -371,8 +360,8 @@ def load_truth(path: str | Path) -> GroundTruth:
             step_embeddings=np.zeros((n_steps, config.dim)),
             task_sequences=[check_json(seq, "tuple[int, ...]", "task sequence")
                             for seq in obj["task_sequences"]],
-            headline_true_step=check_json(obj["headline_true_step"], "tuple[int, ...]",
-                                          "headline_true_step"),
+            headline_true_step=check_ids(obj["headline_true_step"], n_steps,
+                                         "headline_true_step"),
             canonical_transitions={
                 tuple(check_json(pair, "tuple[int, int]", "canonical transition"))
                 for pair in obj["canonical_transitions"]

@@ -9,7 +9,6 @@ from pkgforge.corpus_io import (
     Video,
     checkpoint_from_params,
 )
-from pkgforge.dedup import NodeAssignment, assignment_from_roots
 from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode
 from pkgforge.trainer import SparseTargets
 
@@ -75,8 +74,9 @@ def random_checkpoint(rng: np.random.Generator) -> ModelCheckpoint:
     )
 
 
-def identity_assignment(n: int) -> NodeAssignment:
-    return assignment_from_roots(list(range(n)))
+def identity_assignment(n: int) -> np.ndarray:
+    """node_of for a partition with one headline per node."""
+    return np.arange(n)
 
 
 def row_targets(per_row: dict) -> dict[str, SparseTargets]:

@@ -98,6 +98,22 @@ def components_partition(embeddings: np.ndarray, threshold: float) -> set[frozen
     return parts
 
 
+def members_walk(node_of) -> list[tuple[int, ...]]:
+    """Node id -> its headlines in ascending order, one headline at a time."""
+    members_of = [[] for _ in range(max(node_of) + 1)]
+    for h, node in enumerate(node_of):
+        members_of[int(node)].append(h)
+    return [tuple(members) for members in members_of]
+
+
+def partition_of(node_of) -> set[frozenset]:
+    """The headline partition a node_of array spells out, in components_partition's form.
+
+    An unused id below the largest one shows up as an empty part.
+    """
+    return {frozenset(members) for members in members_walk(node_of)}
+
+
 def transitions_bruteforce(video_matches, instance_threshold: float):
     """Naive enumeration of adjacent-segment headline transition aggregates."""
     totals = defaultdict(float)
@@ -356,22 +372,17 @@ def task_node_map_walk(db, node_of):
 def assignment_walk(graph, db):
     """(node_of, members_of) of the headline partition a graph's members spell out.
 
-    Nodes are renumbered by their smallest member headline, as dedup numbers
-    them.
+    Nodes keep the ids the graph gives them: members_of[node_id] lists that
+    node's headlines in ascending order.
     """
     pos = {}
     for hidx, (ti, si) in enumerate(headline_index_walk(db)):
         pos[(db.tasks[ti].task_id, si)] = hidx
-    groups = {}
+    node_of = [0] * len(pos)
     for node in graph.nodes:
         for task_id, step_index, _ in node.members:
-            groups.setdefault(node.node_id, []).append(pos[(task_id, step_index)])
-    members_of = sorted(tuple(sorted(g)) for g in groups.values())
-    node_of = [0] * len(pos)
-    for nid, members in enumerate(members_of):
-        for h in members:
-            node_of[h] = nid
-    return node_of, members_of
+            node_of[pos[(task_id, step_index)]] = node.node_id
+    return node_of, members_walk(node_of)
 
 
 def occurrence_per_headline(

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
-from pkgforge import corpus_io
+from pkgforge import cli, corpus_io, downstream, graph, labeler, synthgen
 from pkgforge.cli import main
+from pkgforge.config import PipelineConfig
 
 SMALL_CONFIG = {
     "seed": 0,
@@ -432,6 +434,8 @@ class TestWrongShapedJson:
             ({"train": None}, "config section 'train'"),
             ({"train": {"objectives": 5}}, "train.objectives"),
             ({"world": {"segments_per_step": 3}}, "world.segments_per_step"),
+            ({"dedup_threshold": -1.0}, "dedup_threshold must be > 0, got -1.0"),
+            ({"dedup_threshold": float("nan")}, "NaN is not valid JSON"),
         ],
     )
     def test_synth_config(self, data, named, tmp_path, capsys):
@@ -491,6 +495,53 @@ class TestWrongShapedJson:
         error = _one_line_error(capsys)
         assert f"{path}: malformed graph file: headline 5 is not a string" in error
         assert not dot.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda obj: obj["nodes"][0].update(members=[]), "node 0 has no members",
+                     id="node-without-members"),
+        pytest.param(lambda obj: obj["edges"].append(obj["edges"][0]), "duplicate edge",
+                     id="duplicate-edge"),
+    ])
+    def test_graph_stats_dot_graph_that_is_no_graph(self, edit, message, artifacts, tmp_path,
+                                                    capsys):
+        path = tmp_path / "graph.json"
+        obj = json.loads(artifacts["graph"].read_text(encoding="utf-8"))
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        dot = tmp_path / "graph.dot"
+        assert _run("graph-stats", "--graph", path, "--dot", dot) == 1
+        assert f"{path}: malformed graph file: {message}" in _one_line_error(capsys)
+        assert not dot.exists()
+
+    @pytest.mark.parametrize("name, line, key, value, reader", [
+        ("config.json", 0, "dedup_threshold", float("nan"), PipelineConfig.load),
+        ("world/steps.jsonl", 0, "task_name", float("nan"), corpus_io.load_step_database),
+        ("world/manifest.jsonl", 0, "num_segments", float("inf"), corpus_io.load_segment_corpus),
+        ("world/downstream_labels.jsonl", 0, "task_class", float("-inf"),
+         downstream.load_annotations),
+        ("world/truth.json", 0, "n_steps", float("nan"), synthgen.load_truth),
+        ("world/truth.json", 0, "n_steps", float("nan"),
+         lambda path: cli._check_world(path.parent, PipelineConfig(), force=True)),
+        ("graph.json", 0, "config_hash", float("nan"), graph.load_graph),
+        ("labels.jsonl", -1, "vnm", [[0, float("nan")]], labeler.load_labels),
+        ("model.pkgc", 0, "metadata", {"seed": float("inf")}, corpus_io.load_checkpoint),
+    ], ids=["config", "steps", "manifest", "annotations", "truth", "check-world", "graph",
+            "labels", "checkpoint"])
+    def test_non_standard_json_token_names_the_file(self, name, line, key, value, reader,
+                                                     artifacts, tmp_path):
+        # Python's json reads NaN, Infinity and -Infinity; no pkgforge writer emits them
+        root = artifacts["config"].parent
+        shutil.copytree(root, tmp_path, dirs_exist_ok=True)
+        path = tmp_path / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        obj = json.loads(lines[line])
+        obj[key] = value
+        lines[line] = json.dumps(obj).encode("utf-8") + b"\n"
+        path.write_bytes(b"".join(lines))
+        token = re.search(r"NaN|-?Infinity", json.dumps(value)).group()
+        message = rf"{re.escape(str(path))}.* {token} is not valid JSON"
+        with pytest.raises(ValueError, match=message):
+            reader(path)
 
     def test_eval_checkpoint_metadata_not_an_object(self, artifacts, tmp_path, capsys):
         ckpt = corpus_io.load_checkpoint(artifacts["checkpoint"])

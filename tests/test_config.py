@@ -122,11 +122,15 @@ class TestConfig:
             ("downstream", "patience", -1),
             ("downstream", "train_fraction", 0.0),
             ("downstream", "val_fraction", -0.1),
+            # section None: a top-level field
+            (None, "dedup_threshold", 0.0),
+            (None, "dedup_threshold", -1.0),
+            (None, "dedup_threshold", float("nan")),
         ],
     )
     def test_out_of_range_training_field_named(self, section, name, value):
         with pytest.raises(ValueError, match=name):
-            PipelineConfig.from_dict({section: {name: value}})
+            PipelineConfig.from_dict({section: {name: value}} if section else {name: value})
 
     @pytest.mark.parametrize(
         "name, value",

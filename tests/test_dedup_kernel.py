@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from pkgforge.dedup import cluster_headlines, sub_threshold_pairs
 
-from oracles import components_partition, sub_threshold_pairs_reference
+from oracles import components_partition, partition_of, sub_threshold_pairs_reference
 
 
 def _pairs(embeddings, threshold):
@@ -21,7 +21,7 @@ def _pairs(embeddings, threshold):
 
 def _check_against_oracles(embeddings, threshold):
     assert _pairs(embeddings, threshold) == sub_threshold_pairs_reference(embeddings, threshold)
-    got = {frozenset(m) for m in cluster_headlines(embeddings, threshold).members_of}
+    got = partition_of(cluster_headlines(embeddings, threshold))
     assert got == components_partition(embeddings, threshold)
 
 
@@ -36,8 +36,8 @@ class TestInputs:
 
     def test_pair_exactly_at_threshold_does_not_merge(self):
         emb = np.array([[1.0, 0.0], [0.0, 2.0]])  # distance exactly 1.0
-        assert cluster_headlines(emb, 1.0).num_nodes == 2
-        assert cluster_headlines(emb, np.nextafter(1.0, 2.0)).num_nodes == 1
+        assert cluster_headlines(emb, 1.0).tolist() == [0, 1]
+        assert cluster_headlines(emb, np.nextafter(1.0, 2.0)).tolist() == [0, 0]
 
 
 class TestAgainstOracles:

@@ -10,34 +10,32 @@ from hypothesis import strategies as st
 
 from pkgforge import graph as G
 from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, Video
-from pkgforge.dedup import assignment_from_roots
 
 from oracles import khop_bruteforce, transitions_bruteforce
 
 
-def _db_from_chain(node_roots, dim=2):
-    """One task whose steps map (via roots) onto nodes; embeddings distinct."""
-    n = len(node_roots)
+def _db_from_chain(node_of, dim=2):
+    """One task whose steps map onto the given nodes; embeddings distinct."""
+    n = len(node_of)
     embeddings = np.column_stack([np.ones(n), np.arange(n, dtype=float)])
     db = StepDatabase.from_tasks([("t0", "t", [f"h{i}" for i in range(n)])], embeddings)
-    return db, assignment_from_roots(node_roots)
+    return db, np.array(node_of)
 
 
 class TestDatabaseTransitions:
     def test_chain(self):
-        db, assignment = _db_from_chain([0, 1, 2])
-        assert G.database_transitions(db, assignment) == [(0, 1), (1, 2)]
+        db, node_of = _db_from_chain([0, 1, 2])
+        assert G.database_transitions(db, node_of) == [(0, 1), (1, 2)]
 
     def test_self_loop_dropped(self):
-        db, assignment = _db_from_chain([0, 0])
-        assert G.database_transitions(db, assignment) == []
+        db, node_of = _db_from_chain([0, 0])
+        assert G.database_transitions(db, node_of) == []
 
     def test_idempotent_across_tasks(self):
         embeddings = np.array([[1.0, 0.0], [1.0, 1.0]] * 2)
         db = StepDatabase.from_tasks([("t0", "a", ["h0", "h1"]), ("t1", "b", ["h0", "h1"])],
                                      embeddings)
-        assignment = assignment_from_roots([0, 1, 0, 1])
-        assert G.database_transitions(db, assignment) == [(0, 1)]
+        assert G.database_transitions(db, np.array([0, 1, 0, 1])) == [(0, 1)]
 
 
 class TestCorpusTransitions:
@@ -147,28 +145,28 @@ class TestNormalizeScores:
 
 class TestAssembleGraph:
     def test_database_wins_max(self):
-        db, assignment = _db_from_chain([0, 1])
-        pkg = G.assemble_graph(db, assignment, [(0, 1)], {(0, 1): 0.4})
+        db, node_of = _db_from_chain([0, 1])
+        pkg = G.assemble_graph(db, node_of, [(0, 1)], {(0, 1): 0.4})
         assert len(pkg.edges) == 1
         edge = pkg.edges[0]
         assert edge.score == 1.0
         assert edge.sources == ("corpus", "database")
 
     def test_corpus_only_passthrough(self):
-        db, assignment = _db_from_chain([0, 1])
-        pkg = G.assemble_graph(db, assignment, [], {(0, 1): 0.37})
+        db, node_of = _db_from_chain([0, 1])
+        pkg = G.assemble_graph(db, node_of, [], {(0, 1): 0.37})
         assert pkg.edges[0].score == 0.37
         assert pkg.edges[0].sources == ("corpus",)
 
     def test_node_level_self_loop_dropped(self):
         # two distinct headlines dedup'd into one node
-        db, assignment = _db_from_chain([0, 0])
-        pkg = G.assemble_graph(db, assignment, [], {(0, 1): 0.8})
+        db, node_of = _db_from_chain([0, 0])
+        pkg = G.assemble_graph(db, node_of, [], {(0, 1): 0.8})
         assert pkg.edges == []
 
     def test_members_carry_provenance(self):
-        db, assignment = _db_from_chain([0, 1, 0])
-        pkg = G.assemble_graph(db, assignment, [], {})
+        db, node_of = _db_from_chain([0, 1, 0])
+        pkg = G.assemble_graph(db, node_of, [], {})
         assert pkg.nodes[0].members == (("t0", 0, "h0"), ("t0", 2, "h2"))
         assert pkg.nodes[0].task_ids == ("t0",)
 
@@ -291,11 +289,22 @@ class TestSerialization:
         ("members", "task_id", None, "task_id None is not a string"),
         ("edges", "score", "0.5", r"edge 0->1 score '0\.5' is not a JSON number"),
         ("edges", "score", True, "edge 0->1 score True is not a JSON number"),
+        # valid JSON values that make no graph; the graph holds edges (0, 1), (0, 2), (1, 2)
+        ("nodes", "members", [], "node 0 has no members"),
+        ("nodes", "node_id", 5, r"node ids must be dense 0\.\.N-1 in order"),
+        ("edges", "dst", 0, "self-loop on node 0"),
+        ("edges", "dst", 2, r"duplicate edge \(0, 2\)"),
+        ("edges", "dst", 7, r"edge \(0, 7\) references unknown node"),
+        ("edges", "score", 1.5, r"edge \(0, 1\) score 1\.5 outside \[0, 1\]"),
+        # tokens Python's json reads but JSON does not have
+        ("edges", "score", float("nan"), "NaN is not valid JSON"),
+        ("edges", "score", float("inf"), "Infinity is not valid JSON"),
+        ("members", "step_index", float("-inf"), "-Infinity is not valid JSON"),
     ])
     def test_wrong_shape_rejected(self, tmp_path, part, key, value, message):
-        db, assignment = _db_from_chain([0, 1, 2])
+        db, node_of = _db_from_chain([0, 1, 2])
         path = tmp_path / "graph.json"
-        G.save_graph(G.assemble_graph(db, assignment, [(0, 1), (1, 2)], {}), path)
+        G.save_graph(G.assemble_graph(db, node_of, [(0, 1), (1, 2)], {(0, 2): 0.5}), path)
         obj = json.loads(path.read_text())
         target = obj["nodes"][0]["members"][0] if part == "members" else obj[part][0]
         target[key] = value
@@ -304,9 +313,9 @@ class TestSerialization:
             G.load_graph(path)
 
     def test_integer_score_loads_as_float(self, tmp_path):
-        db, assignment = _db_from_chain([0, 1, 2])
+        db, node_of = _db_from_chain([0, 1, 2])
         path = tmp_path / "graph.json"
-        G.save_graph(G.assemble_graph(db, assignment, [(0, 1), (1, 2)], {}), path)
+        G.save_graph(G.assemble_graph(db, node_of, [(0, 1), (1, 2)], {}), path)
         obj = json.loads(path.read_text())
         obj["edges"][0]["score"] = 1
         path.write_text(json.dumps(obj))
@@ -314,15 +323,19 @@ class TestSerialization:
         assert type(score) is float and score == 1.0
 
     def test_assignment_recovery(self):
-        db, assignment = _db_from_chain([0, 1, 0, 2])
-        pkg = G.assemble_graph(db, assignment, [], {})
-        recovered = pkg.assignment(db)
-        assert recovered.members_of == assignment.members_of
-        assert np.array_equal(recovered.node_of, assignment.node_of)
+        # any dense numbering reads back as written, not renumbered by first member
+        for numbering in ([0, 1, 0, 2], [2, 0, 2, 1]):
+            db, node_of = _db_from_chain(numbering)
+            pkg = G.assemble_graph(db, node_of, [], {})
+            assert [[m[1] for m in node.members] for node in pkg.nodes] == [
+                np.flatnonzero(node_of == n).tolist() for n in range(3)
+            ]
+            assert pkg.node_of(db).dtype == np.int64
+            assert pkg.node_of(db).tolist() == numbering
 
     def test_stats(self):
-        db, assignment = _db_from_chain([0, 1, 0])
-        pkg = G.assemble_graph(db, assignment, [(0, 1)], {(0, 1): 0.4, (1, 0): 0.2})
+        db, node_of = _db_from_chain([0, 1, 0])
+        pkg = G.assemble_graph(db, node_of, [(0, 1)], {(0, 1): 0.4, (1, 0): 0.2})
         stats = G.graph_stats(pkg)
         assert stats["num_nodes"] == 2
         assert stats["num_multi_member_nodes"] == 1
@@ -330,8 +343,8 @@ class TestSerialization:
         assert sum(stats["score_histogram"]) == 2
 
     def test_dot_export(self):
-        db, assignment = _db_from_chain([0, 1, 2])
-        pkg = G.assemble_graph(db, assignment, [(0, 1), (1, 2)], {})
+        db, node_of = _db_from_chain([0, 1, 2])
+        pkg = G.assemble_graph(db, node_of, [(0, 1), (1, 2)], {})
         dot = G.export_dot(pkg)
         assert dot.startswith("digraph")
         assert "n0 -> n1" in dot and "n1 -> n2" in dot

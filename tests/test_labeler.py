@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkgforge import labeler
+from pkgforge import labeler, synthgen
 from pkgforge.corpus_io import (
     CorpusFormatError,
     SegmentCorpus,
@@ -20,10 +20,13 @@ from pkgforge.corpus_io import (
     Video,
     canonical_json,
 )
-from pkgforge.dedup import assignment_from_roots
-from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode, assemble_graph
+from pkgforge.graph import (
+    DirectedEdge, ProceduralKnowledgeGraph, StepNode, assemble_graph, build_graph, load_graph,
+    save_graph,
+)
+from pkgforge.synthgen import WorldConfig, graph_recovery_metrics
 
-from oracles import emit_labels_per_segment
+from oracles import assignment_walk, emit_labels_per_segment
 
 
 def _tiny_world():
@@ -36,9 +39,9 @@ def _tiny_world():
     db = StepDatabase.from_tasks(
         [("t0", "task zero", ["h0", "h1"]), ("t1", "task one", ["h2", "h3"])], e[[0, 1, 1, 2]]
     )
-    assignment = assignment_from_roots([0, 1, 1, 2])
-    pkg = assemble_graph(db, assignment, [(0, 1), (1, 2)], {})
-    return db, assignment, pkg
+    node_of = np.array([0, 1, 1, 2])
+    pkg = assemble_graph(db, node_of, [(0, 1), (1, 2)], {})
+    return db, node_of, pkg
 
 
 class TestVnmAndVtm:
@@ -61,9 +64,9 @@ class TestVnmAndVtm:
 
 class TestOccurrenceMatrix:
     def test_single_increment(self):
-        _, assignment, _ = _tiny_world()
+        _, node_of, _ = _tiny_world()
         occ, skipped = labeler.build_occurrence_matrix(
-            [[1]], ["task zero"], [0], assignment
+            [[1]], ["task zero"], [0], node_of
         )
         assert skipped == 0
         # node 1 has two members, headlines 1 and 2
@@ -72,27 +75,28 @@ class TestOccurrenceMatrix:
         assert occ.counts.sum() == 2
 
     def test_additivity(self):
-        _, assignment, _ = _tiny_world()
+        _, node_of, _ = _tiny_world()
         occ, _ = labeler.build_occurrence_matrix(
-            [[1], [1]], ["task zero"], [0, 0], assignment
+            [[1], [1]], ["task zero"], [0, 0], node_of
         )
         assert occ.counts[1, 0] == 4
 
     def test_unnamed_videos_skipped(self):
-        _, assignment, _ = _tiny_world()
-        occ, skipped = labeler.build_occurrence_matrix([[0]], [None], [0], assignment)
+        _, node_of, _ = _tiny_world()
+        occ, skipped = labeler.build_occurrence_matrix([[0]], [None], [0], node_of)
         assert skipped == 1
         assert occ.counts.shape == (3, 0)
 
     def test_count_conservation(self):
         rng = np.random.default_rng(0)
-        _, assignment, _ = _tiny_world()
+        _, node_of, _ = _tiny_world()
         names = ["a", "b", None]
         video_of = [int(rng.integers(0, 3)) for _ in range(30)]
         vnm = [list(rng.choice(3, size=int(rng.integers(0, 3)), replace=False)) for _ in range(30)]
-        occ, _ = labeler.build_occurrence_matrix(vnm, names, video_of, assignment)
+        occ, _ = labeler.build_occurrence_matrix(vnm, names, video_of, node_of)
+        sizes = [1, 2, 1]  # node 1 holds headlines 1 and 2
         expected = sum(
-            sum(len(assignment.members_of[n]) for n in nodes)
+            sum(sizes[n] for n in nodes)
             for nodes, vi in zip(vnm, video_of)
             if names[vi] is not None
         )
@@ -119,8 +123,8 @@ class TestCorpusVariants:
         assert labeler.vtm_corpus_labels([0], occ) == ["TA", "TB"]
 
     def test_tcl_db(self):
-        db, assignment, pkg = _tiny_world()
-        tasks_of = labeler.task_node_map(db, assignment)
+        db, node_of, pkg = _tiny_world()
+        tasks_of = labeler.task_node_map(db, node_of)
         assert tasks_of == {"t0": (0, 1), "t1": (1, 2)}
         assert labeler.tcl_db_labels(["t0"], tasks_of) == [0, 1]
         assert labeler.tcl_db_labels(["t0", "t1"], tasks_of) == [0, 1, 2]
@@ -479,13 +483,15 @@ def _random_world(rng, integer_valued):
     db = StepDatabase.from_tasks(tasks, np.array(rows))
 
     n = db.num_headlines
-    assignment = assignment_from_roots([int(r) for r in rng.integers(0, max(1, n - 1), size=n)])
+    groups = np.unique(rng.integers(0, max(1, n - 1), size=n), return_inverse=True)[1]
+    # any dense numbering of the groups, not only dedup's smallest-member order
+    node_of = rng.permutation(groups.max() + 1)[groups]
     corpus_scores = {
         (int(a), int(b)): float(rng.choice([0.25, 0.5, 1.0]))
         for a, b in rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
         if a != b
     }
-    pkg = assemble_graph(db, assignment, [], corpus_scores)
+    pkg = assemble_graph(db, node_of, [], corpus_scores)
 
     videos = []
     for v in range(int(rng.integers(0, 6))):
@@ -531,3 +537,83 @@ class TestAgainstPerSegmentPath:
             path = Path(tmp) / "labels.jsonl"
             labeler.save_labels(header, records, path)
             assert labeler.load_labels(path) == (header, expected)
+
+
+def _renumbered(pkg, perm):
+    """The graph with node n renamed perm[n], on its nodes and its edges."""
+    nodes = sorted((StepNode(perm[n.node_id], n.members) for n in pkg.nodes),
+                   key=lambda n: n.node_id)
+    edges = [DirectedEdge(perm[e.src], perm[e.dst], e.score, e.sources) for e in pkg.edges]
+    return ProceduralKnowledgeGraph(nodes=nodes, edges=edges, config_hash=pkg.config_hash)
+
+
+def _assert_renamed_ranking(old, new, perm, k):
+    """`new` is the ranked (id, score) list `old` becomes once node n is named perm[n].
+
+    Tied ids rank by ascending id, so a renaming may reorder a tie and, where
+    a full list of k cuts through a tie, change which tied ids make the cut.
+    """
+    assert [s for _, s in new] == [s for _, s in old]
+    cut = old[-1][1] if len(old) == k else None
+    for score in {s for _, s in old} - {cut}:
+        assert sorted(perm[i] for i, s in old if s == score) == sorted(
+            i for i, s in new if s == score
+        )
+
+
+class TestRenumberedGraph:
+    """A graph.json may number its nodes in any dense order; labels and
+    recovery metrics follow the numbering it was written with."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), noise=st.sampled_from([0.0, 1.0, 3.0]), data=st.data())
+    def test_labels_follow_the_graph_numbering(self, seed, noise, data):
+        world = WorldConfig(n_tasks=3, steps_per_task=(3, 4), n_shared_steps=1, n_videos=6,
+                            segments_per_step=(1, 2), dim=16, signal_dim=12, noise_sigma=noise,
+                            paraphrase_count=2, seed=seed)
+        truth, db, corpus = synthgen.generate(world)
+        pkg = build_graph(db, corpus, instance_threshold=100.0)
+        perm = data.draw(st.permutations(range(pkg.num_nodes)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            save_graph(_renumbered(pkg, perm), path)
+            moved = load_graph(path)
+
+        header, records = labeler.emit_labels(corpus, db, pkg)
+        moved_header, moved_records = labeler.emit_labels(corpus, db, moved)
+        assert moved_header == header
+        expected = emit_labels_per_segment(
+            corpus, db, moved, labeler.VNM_TOP_K, labeler.VTM_CORPUS_TOP_K,
+            labeler.TCL_CORPUS_TOP_K, labeler.VSM_TOP_K, labeler.NRL_TOP_PER_HOP,
+        )
+        assert [canonical_json(dataclasses.asdict(r)) for r in moved_records] == [
+            canonical_json(dataclasses.asdict(r)) for r in expected
+        ]
+
+        # per corpus task, the nodes that must and the nodes that may rank in its top k
+        video_of = {v.video_id: i for i, v in enumerate(corpus.videos)}
+        occ, _ = labeler.build_occurrence_matrix(
+            [[n for n, _ in r.vnm] for r in records], [v.corpus_task_name for v in corpus.videos],
+            [video_of[r.video_id] for r in records], np.array(assignment_walk(pkg, db)[0]),
+        )
+        must, may = {}, {}
+        for name, col in zip(occ.task_names, occ.counts.T):
+            ranked = np.sort(col[col > 0])[::-1]
+            k = labeler.TCL_CORPUS_TOP_K
+            kth = ranked[k - 1] if ranked.size >= k else 0
+            must[name] = {perm[n] for n in np.flatnonzero(col > kth)}
+            may[name] = {perm[n] for n in np.flatnonzero((col >= kth) & (col > 0))}
+
+        for old, new in zip(records, moved_records):
+            assert (new.vtm_db, new.vtm_corpus, new.vsm) == (old.vtm_db, old.vtm_corpus, old.vsm)
+            assert new.tcl_db == sorted(perm[n] for n in old.tcl_db)
+            assert set().union(*(must[t] for t in old.vtm_corpus)) <= set(new.tcl_corpus)
+            assert set(new.tcl_corpus) <= set().union(*(may[t] for t in old.vtm_corpus))
+            _assert_renamed_ranking(old.vnm, new.vnm, perm, labeler.VNM_TOP_K)
+            for direction in ("in", "out"):
+                for hop, k in enumerate(labeler.NRL_TOP_PER_HOP):
+                    _assert_renamed_ranking(
+                        old.nrl[direction][hop], new.nrl[direction][hop], perm, k
+                    )
+
+        assert graph_recovery_metrics(moved, db, truth) == graph_recovery_metrics(pkg, db, truth)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from pkgforge import matcher
 from pkgforge.corpus_io import StepDatabase
-from pkgforge.dedup import assignment_from_roots, cluster_headlines
+from pkgforge.dedup import cluster_headlines
 
-from oracles import top_k_full_sort
+from oracles import members_walk, top_k_full_sort
 
 
 def _db(vectors):
@@ -98,10 +98,9 @@ class TestVsmTopHeadlines:
 
 class TestNodeAggregation:
     def test_max_over_members(self):
-        assignment = assignment_from_roots([0, 0, 1])
         scores = np.array([1.0, 5.0, 2.0])
         np.testing.assert_array_equal(
-            matcher.node_scores_from_headlines(scores, assignment), [5.0, 2.0]
+            matcher.node_scores_from_headlines(scores, np.array([0, 0, 1]), 2), [5.0, 2.0]
         )
 
     def test_aggregation_law_random(self):
@@ -109,18 +108,19 @@ class TestNodeAggregation:
         for _ in range(30):
             n = int(rng.integers(2, 20))
             emb = rng.normal(size=(n, 3))
-            assignment = cluster_headlines(emb, float(rng.uniform(0.05, 0.9)))
+            node_of = cluster_headlines(emb, float(rng.uniform(0.05, 0.9)))
             scores = rng.normal(size=n)
-            node_scores = matcher.node_scores_from_headlines(scores, assignment)
-            for nid, members in enumerate(assignment.members_of):
+            members_of = members_walk(node_of)
+            node_scores = matcher.node_scores_from_headlines(scores, node_of, len(members_of))
+            for nid, members in enumerate(members_of):
                 assert node_scores[nid] == max(scores[m] for m in members)
 
     def test_match_segment_consistency(self):
         rng = np.random.default_rng(2)
         db = _db(rng.normal(size=(6, 4)))
-        assignment = assignment_from_roots([0, 0, 1, 2, 2, 3])
+        node_of = np.array([0, 0, 1, 2, 2, 3])
         scores = matcher.score_video(rng.normal(size=(1, 4)) * 10, db)[0]
         matched = matcher.matched_headlines(scores, 5.0)
         assert set(matched) <= set(range(6))
         assert all(scores[h] > 5.0 for h in matched)
-        assert matcher.node_scores_from_headlines(scores, assignment).shape == (4,)
+        assert matcher.node_scores_from_headlines(scores, node_of, 4).shape == (4,)

@@ -2,7 +2,7 @@
 
 Each property builds a database from nested per-task step lists and checks
 every reader of the task ranges (headline order, database transitions, the
-task -> nodes map, graph.assignment) and the node-level corpus counts
+task -> nodes map, graph.node_of) and the node-level corpus counts
 against the walks and headline-level counting they replaced, which
 `oracles.py` keeps. Step embeddings come from a small palette, so repeats
 are common, also across adjacent tasks, where one node then spans a task
@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from pkgforge import graph as G
 from pkgforge import labeler
 from pkgforge.corpus_io import CorpusFormatError, StepDatabase
-from pkgforge.dedup import assignment_from_roots, cluster_headlines
+from pkgforge.dedup import cluster_headlines
 
 from oracles import (
     assignment_walk,
     database_transitions_walk,
     headline_index_walk,
+    members_walk,
     occurrence_per_headline,
     summed_per_node,
     task_node_map_walk,
@@ -61,28 +62,25 @@ class TestTaskRanges:
         ]
         np.testing.assert_array_equal(db.embeddings, PALETTE[[p for s in spec for p in s]])
 
-        assignment = cluster_headlines(db.embeddings, 0.09)
-        pairs = G.database_transitions(db, assignment)
-        assert pairs == database_transitions_walk(db, assignment.node_of)
-        assert labeler.task_node_map(db, assignment) == task_node_map_walk(db, assignment.node_of)
+        node_of = cluster_headlines(db.embeddings, 0.09)
+        pairs = G.database_transitions(db, node_of)
+        assert pairs == database_transitions_walk(db, node_of)
+        assert labeler.task_node_map(db, node_of) == task_node_map_walk(db, node_of)
 
-        pkg = G.assemble_graph(db, assignment, pairs, {})
-        node_of, members_of = assignment_walk(pkg, db)
-        recovered = pkg.assignment(db)
-        assert recovered.node_of.tolist() == node_of == assignment.node_of.tolist()
-        assert list(recovered.members_of) == members_of == list(assignment.members_of)
+        pkg = G.assemble_graph(db, node_of, pairs, {})
+        walked, _ = assignment_walk(pkg, db)
+        assert pkg.node_of(db).tolist() == walked == node_of.tolist()
 
     def test_boundary_pair_is_no_transition(self):
         # t0 = a b, t1 = c d: (b, c) follows in headline order but in no task
         db = _database([[0, 1], [2, 3]])
-        assignment = assignment_from_roots([0, 1, 2, 3])
-        assert G.database_transitions(db, assignment) == [(0, 1), (2, 3)]
+        assert G.database_transitions(db, np.arange(4)) == [(0, 1), (2, 3)]
 
     def test_member_outside_its_task_rejected(self):
         db = _database([[0, 1], [2]])
-        pkg = G.assemble_graph(_database([[0, 1, 2]]), assignment_from_roots([0, 1, 2]), [], {})
+        pkg = G.assemble_graph(_database([[0, 1, 2]]), np.arange(3), [], {})
         with pytest.raises(ValueError, match=r"\('t0', 2\) not present"):
-            pkg.assignment(db)
+            pkg.node_of(db)
 
     @pytest.mark.parametrize(
         "tasks, message",
@@ -118,20 +116,21 @@ class TestNodeOccurrenceCounts:
     )
     def test_equal_headline_counts_summed_per_node(self, spec, data, names):
         db = _database(spec)
-        assignment = cluster_headlines(db.embeddings, 0.09)
+        node_of = cluster_headlines(db.embeddings, 0.09)
+        members_of = members_walk(node_of)
         n_segments = data.draw(st.integers(0, 12))
         video_of = sorted(data.draw(st.integers(0, len(names) - 1)) for _ in range(n_segments))
         # empty vnm lists included; a named video whose lists are all empty
         # leaves its corpus task column at zero
         vnm = [
-            data.draw(st.lists(st.integers(0, assignment.num_nodes - 1), max_size=3, unique=True))
+            data.draw(st.lists(st.integers(0, len(members_of) - 1), max_size=3, unique=True))
             for _ in range(n_segments)
         ]
-        occ, skipped = labeler.build_occurrence_matrix(vnm, names, video_of, assignment)
+        occ, skipped = labeler.build_occurrence_matrix(vnm, names, video_of, node_of)
         counts, task_names, expected_skipped = occurrence_per_headline(
-            vnm, names, video_of, assignment.members_of, db.num_headlines
+            vnm, names, video_of, members_of, db.num_headlines
         )
         assert occ.counts.dtype == np.int64
-        np.testing.assert_array_equal(occ.counts, summed_per_node(counts, assignment.members_of))
+        np.testing.assert_array_equal(occ.counts, summed_per_node(counts, members_of))
         assert list(occ.task_names) == task_names
         assert skipped == expected_skipped

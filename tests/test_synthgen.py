@@ -9,9 +9,11 @@ import pytest
 
 from pkgforge import corpus_io, downstream, synthgen
 from pkgforge.corpus_io import save_segment_corpus, save_step_database
-from pkgforge.dedup import assignment_from_roots, cluster_headlines
-from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode, build_graph
+from pkgforge.dedup import cluster_headlines
+from pkgforge.graph import assemble_graph, build_graph
 from pkgforge.synthgen import GroundTruth, WorldConfig, graph_recovery_metrics
+
+from builders import identity_assignment
 
 
 def _small_config(**overrides):
@@ -67,8 +69,7 @@ class TestGenerate:
         truth, db, _ = synthgen.generate(
             _small_config(paraphrase_count=2, n_shared_steps=3, seed=3)
         )
-        assignment = cluster_headlines(db.embeddings, 0.09)
-        assert assignment.num_nodes == truth.n_steps
+        assert cluster_headlines(db.embeddings, 0.09).max() + 1 == truth.n_steps
 
     def test_shared_steps_span_tasks(self):
         truth, _, _ = synthgen.generate(_small_config(n_shared_steps=3, seed=2))
@@ -122,48 +123,38 @@ class TestRecoveryMetrics:
         truth, db, _ = synthgen.generate(
             _small_config(n_tasks=1, steps_per_task=(n, n), n_shared_steps=0, n_videos=2)
         )
-        assignment = assignment_from_roots(list(range(db.num_headlines)))
-        return truth, db, assignment
+        return truth, db, identity_assignment(db.num_headlines)
 
-    def _graph(self, db, assignment, pairs):
-        nodes = []
-        meta = [
-            (task.task_id, h - task.start, db.headlines[h])
-            for task in db.tasks
-            for h in range(task.start, task.stop)
-        ]
-        for nid, members in enumerate(assignment.members_of):
-            nodes.append(StepNode(nid, tuple(meta[h] for h in members)))
-        edges = [DirectedEdge(s, d, 1.0, ("database",)) for s, d in pairs]
-        return ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
+    def _graph(self, db, node_of, pairs):
+        return assemble_graph(db, node_of, pairs, {})  # database edges of score 1.0
 
     def test_identical_edges_perfect_scores(self):
-        truth, db, assignment = self._identity_world()
+        truth, db, node_of = self._identity_world()
         pairs = sorted(truth.canonical_transitions)
-        m = graph_recovery_metrics(self._graph(db, assignment, pairs), db, truth)
+        m = graph_recovery_metrics(self._graph(db, node_of, pairs), db, truth)
         assert m["edge_precision"] == 1.0 and m["edge_recall"] == 1.0
         assert m["node_purity"] == 1.0
 
     def test_empty_prediction_convention(self):
-        truth, db, assignment = self._identity_world()
-        m = graph_recovery_metrics(self._graph(db, assignment, []), db, truth)
+        truth, db, node_of = self._identity_world()
+        m = graph_recovery_metrics(self._graph(db, node_of, []), db, truth)
         assert m["edge_precision"] == 0.0 and m["edge_recall"] == 0.0
 
     def test_partial_arithmetic(self):
-        truth, db, assignment = self._identity_world(n=7)
+        truth, db, node_of = self._identity_world(n=7)
         true_pairs = sorted(truth.canonical_transitions)  # 6 transitions 0..6
         assert len(true_pairs) == 6
         predicted = true_pairs[:3] + [(6, 0)]  # 3 correct of 4 predicted
-        m = graph_recovery_metrics(self._graph(db, assignment, predicted), db, truth)
+        m = graph_recovery_metrics(self._graph(db, node_of, predicted), db, truth)
         assert m["edge_precision"] == pytest.approx(0.75)
         assert m["edge_recall"] == pytest.approx(0.5)
 
     def test_min_support_filters_recall_target(self):
-        truth, db, assignment = self._identity_world()
+        truth, db, node_of = self._identity_world()
         high = max(truth.observed_transitions.values())
-        m_all = graph_recovery_metrics(self._graph(db, assignment, []), db, truth, min_support=1)
+        m_all = graph_recovery_metrics(self._graph(db, node_of, []), db, truth, min_support=1)
         m_high = graph_recovery_metrics(
-            self._graph(db, assignment, []), db, truth, min_support=high + 1
+            self._graph(db, node_of, []), db, truth, min_support=high + 1
         )
         assert m_high["num_target_transitions"] <= m_all["num_target_transitions"]
 
@@ -213,6 +204,9 @@ class TestTruthSerialization:
         pytest.param(_truth_text(task_sequences=[[0, "1"]]), id="sequence"),
         pytest.param(_truth_text(noise_sigma=True), id="world-noise"),
         pytest.param(_truth_text(steps_per_task=[3]), id="world-range"),
+        # a step id outside [0, n_steps) would index the recovery metrics' vote table
+        pytest.param(_truth_text(headline_true_step=[0, 2]), id="true-step-range"),
+        pytest.param(_truth_text(headline_true_step=[-1, 1]), id="true-step-negative"),
     ])
     def test_malformed_truth_names_the_file(self, tmp_path, text):
         path = tmp_path / "truth.json"
