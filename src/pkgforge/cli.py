@@ -22,7 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus_io, downstream, graph as graph_mod, labeler, synthgen, trainer
-from .config import PipelineConfig, synthetic_preset
+from .config import (
+    PAPER_DEDUP_THRESHOLD, PAPER_INSTANCE_THRESHOLD, PAPER_MATCH_THRESHOLD, PipelineConfig,
+    synthetic_preset,
+)
 
 log = logging.getLogger("pkgforge")
 
@@ -32,6 +35,7 @@ class CliError(RuntimeError):
 
 
 def _common_flags(p: argparse.ArgumentParser, force: bool = True) -> None:
+    lr = np.format_float_scientific(trainer.TrainConfig.learning_rate, trim="-", exp_digits=1)
     p.add_argument(
         "--config", type=Path, default=None,
         help="pipeline config JSON; replaces --preset (every field not in the file "
@@ -41,9 +45,10 @@ def _common_flags(p: argparse.ArgumentParser, force: bool = True) -> None:
         "--preset",
         choices=["paper", "synthetic"],
         default="paper",
-        help="base config when no --config is given. paper: dedup threshold 0.09, "
-        "match threshold 10, transition prune 1000, lr 1e-4, batch 256; synthetic: "
-        "the prune scaled to the synthetic world, at the low noise level",
+        help="base config when no --config is given. paper: dedup threshold "
+        f"{PAPER_DEDUP_THRESHOLD:g}, match threshold {PAPER_MATCH_THRESHOLD:g}, transition "
+        f"prune {PAPER_INSTANCE_THRESHOLD:g}, lr {lr}, batch {trainer.TrainConfig.batch_size}; "
+        "synthetic: the prune scaled to the synthetic world, at the low noise level",
     )
     p.add_argument("--seed", type=int, default=None, help="override the pipeline seed")
     if force:

@@ -43,6 +43,8 @@ class PipelineConfig:
     def __post_init__(self):
         if not self.dedup_threshold > 0:  # single linkage merges nothing at or below 0
             raise ValueError(f"dedup_threshold must be > 0, got {self.dedup_threshold}")
+        if not self.instance_threshold >= 0:  # normalize_scores logs every kept aggregate
+            raise ValueError(f"instance_threshold must be >= 0, got {self.instance_threshold}")
         # one seed drives every stage
         self.train.seed = self.seed
         self.downstream.seed = self.seed

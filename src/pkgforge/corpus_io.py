@@ -403,16 +403,15 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
     return SegmentCorpus(videos=videos)
 
 
-def save_segment_corpus(
-    corpus: SegmentCorpus, out_dir: str | Path, feature_subdir: str = "features"
-) -> Path:
-    """Write manifest.jsonl and one feature file per video; returns manifest path."""
+def save_segment_corpus(corpus: SegmentCorpus, out_dir: str | Path) -> Path:
+    """Write manifest.jsonl and one features/<video_id>.pkgf file per video;
+    returns manifest path."""
     out_dir = Path(out_dir)
-    (out_dir / feature_subdir).mkdir(parents=True, exist_ok=True)
+    (out_dir / "features").mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"
     with atomic_write(manifest_path) as fh:
         for video in corpus.videos:
-            rel = f"{feature_subdir}/{video.video_id}.pkgf"
+            rel = f"features/{video.video_id}.pkgf"
             write_feature_file(out_dir / rel, video.segments)
             rec = {
                 "video_id": video.video_id,

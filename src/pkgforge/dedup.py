@@ -13,29 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:  # path compression
-            self.parent[a], a = root, self.parent[a]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        # keep the smaller index as root so cluster identity stays canonical
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 # Rows per distance block. Under OpenBLAS the shape of a matmul can change
 # the last bits of its products, so this also fixes which pairs sitting
 # exactly at the threshold merge; changing it can change graph.json.
@@ -64,7 +41,33 @@ def sub_threshold_pairs(embeddings: np.ndarray, distance_threshold: float):
         yield rows[upper], cols[upper]
 
 
-def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) -> np.ndarray:
+def smallest_connected(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """For each of n indices, the smallest index of its connected component
+    in the graph whose edges are (rows[k], cols[k]).
+
+    Every round hooks each edge's two roots onto the smaller of them, then
+    jumps pointers until each index points at a root. A label only ever
+    falls to a connected, smaller index, so once a round changes nothing
+    each edge joins equal roots and every root is its component's minimum.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        roots_a, roots_b = label[rows], label[cols]
+        low = np.minimum(roots_a, roots_b)
+        hooked = label.copy()
+        np.minimum.at(hooked, roots_a, low)
+        np.minimum.at(hooked, roots_b, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def cluster_headlines(embeddings: np.ndarray, distance_threshold: float) -> np.ndarray:
     """Single-linkage agglomerative clustering, merging strictly below threshold.
 
     Returns node_of, the (num_headlines,) int64 node id of each headline.
@@ -72,8 +75,8 @@ def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) 
     headline index, so identical inputs always number identically.
 
     Only the sub-threshold pairs are ever materialized, one block of rows at
-    a time; union-find over them gives the connected components, whatever
-    order the pairs arrive in.
+    a time; the connected components over them do not depend on the order
+    the pairs arrive in.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     if embeddings.ndim != 2 or embeddings.shape[0] < 1:
@@ -81,12 +84,12 @@ def cluster_headlines(embeddings: np.ndarray, distance_threshold: float = 0.09) 
     if not distance_threshold > 0:
         raise ValueError(f"distance_threshold must be > 0, got {distance_threshold}")
 
-    uf = _UnionFind(embeddings.shape[0])
-    for rows, cols in sub_threshold_pairs(embeddings, distance_threshold):
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            uf.union(i, j)
-
+    pairs = list(sub_threshold_pairs(embeddings, distance_threshold))
+    roots = smallest_connected(
+        embeddings.shape[0],
+        np.concatenate([rows for rows, _ in pairs]),
+        np.concatenate([cols for _, cols in pairs]),
+    )
     # each root is its cluster's smallest headline, so numbering the sorted
     # roots densely orders nodes by their smallest member headline
-    roots = np.array([uf.find(i) for i in range(embeddings.shape[0])], dtype=np.int64)
     return np.unique(roots, return_inverse=True)[1].astype(np.int64, copy=False)

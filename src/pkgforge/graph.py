@@ -23,8 +23,6 @@ SOURCE_DATABASE = "database"
 SOURCE_CORPUS = "corpus"
 _SOURCES = frozenset({SOURCE_DATABASE, SOURCE_CORPUS})
 
-DEFAULT_INSTANCE_THRESHOLD = 1000.0
-
 
 @dataclass(frozen=True)
 class StepNode:
@@ -121,8 +119,7 @@ def database_transitions(db: StepDatabase, node_of: np.ndarray) -> list[tuple[in
 
 
 def corpus_transitions(
-    video_matches: list[list[list[tuple[int, float]]]],
-    instance_threshold: float = DEFAULT_INSTANCE_THRESHOLD,
+    video_matches: list[list[list[tuple[int, float]]]], instance_threshold: float
 ) -> dict[tuple[int, int], float]:
     """Aggregate instance scores of adjacent-segment headline transitions.
 
@@ -208,9 +205,9 @@ def assemble_graph(
 def build_graph(
     db: StepDatabase,
     corpus,
-    dedup_threshold: float = 0.09,
-    match_threshold: float = 10.0,
-    instance_threshold: float = DEFAULT_INSTANCE_THRESHOLD,
+    dedup_threshold: float,
+    match_threshold: float,
+    instance_threshold: float,
     config_hash: str | None = None,
 ) -> ProceduralKnowledgeGraph:
     """Full construction: dedup headlines, match segments, assemble edges.
@@ -334,11 +331,11 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
         raise CorpusFormatError(f"{path}: malformed graph file: {exc}") from exc
 
 
-def graph_stats(graph: ProceduralKnowledgeGraph, bins: int = 10) -> dict:
-    histogram = [0] * bins
+def graph_stats(graph: ProceduralKnowledgeGraph) -> dict:
+    """Node and edge counts plus a ten-bin histogram of edge scores over [0, 1]."""
+    histogram = [0] * 10
     for e in graph.edges:
-        idx = min(int(e.score * bins), bins - 1)
-        histogram[idx] += 1
+        histogram[min(int(e.score * 10), 9)] += 1
     return {
         "num_nodes": graph.num_nodes,
         "num_multi_member_nodes": sum(1 for n in graph.nodes if len(n.members) > 1),
@@ -351,9 +348,7 @@ def graph_stats(graph: ProceduralKnowledgeGraph, bins: int = 10) -> dict:
 
 
 def export_dot(
-    graph: ProceduralKnowledgeGraph,
-    around_nodes: list[int] | None = None,
-    hops: int = 1,
+    graph: ProceduralKnowledgeGraph, around_nodes: list[int] | None, hops: int
 ) -> str:
     """Render the graph (or the hop-neighborhood of a node set) as DOT text."""
     if around_nodes:

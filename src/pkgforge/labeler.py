@@ -89,9 +89,9 @@ class PseudoLabelSet:
 # individual label operations
 
 
-def vnm_labels(node_scores: np.ndarray, k: int = 3) -> list[tuple[int, float]]:
-    """Top-k matched nodes with their raw matching scores."""
-    ids = matcher.top_k_nodes(node_scores, k=k)
+def vnm_labels(node_scores: np.ndarray) -> list[tuple[int, float]]:
+    """The top VNM_TOP_K matched nodes with their raw matching scores."""
+    ids = matcher.top_k_nodes(node_scores, k=VNM_TOP_K)
     return [(nid, float(node_scores[nid])) for nid in ids]
 
 
@@ -130,11 +130,11 @@ def build_occurrence_matrix(
     return OccurrenceMatrix(counts=counts, task_names=tuple(names)), skipped
 
 
-def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix, k: int = 3) -> list[str]:
-    """Top-k corpus task names by summed node occurrence, ties by name."""
+def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix) -> list[str]:
+    """The top VTM_CORPUS_TOP_K corpus task names by summed node occurrence, ties by name."""
     totals = occ.counts[list(vnm_nodes)].sum(axis=0)
     ranked = matcher.ranked_indices(totals, np.nonzero(totals)[0])
-    return [occ.task_names[i] for i in ranked[:k]]
+    return [occ.task_names[i] for i in ranked[:VTM_CORPUS_TOP_K]]
 
 
 def tcl_db_labels(vtm_tasks: list[str], task_nodes: dict[str, tuple[int, ...]]) -> list[int]:
@@ -145,10 +145,11 @@ def tcl_db_labels(vtm_tasks: list[str], task_nodes: dict[str, tuple[int, ...]]) 
     return sorted(nodes)
 
 
-def top_nodes_per_corpus_task(occ: OccurrenceMatrix, k: int = 3) -> dict[str, list[int]]:
-    """Per corpus task name, up to k nodes with the largest nonzero count, ranked."""
+def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> dict[str, list[int]]:
+    """Per corpus task name, up to TCL_CORPUS_TOP_K nodes with the largest nonzero
+    count, ranked."""
     return {
-        name: matcher.ranked_indices(col, np.nonzero(col)[0])[:k]
+        name: matcher.ranked_indices(col, np.nonzero(col)[0])[:TCL_CORPUS_TOP_K]
         for name, col in zip(occ.task_names, occ.counts.T)
     }
 
@@ -160,19 +161,18 @@ tcl_corpus_labels = tcl_db_labels
 
 
 def nrl_labels(
-    vnm_nodes: list[int],
-    graph: ProceduralKnowledgeGraph,
-    hops: int = 2,
-    top_per_hop: tuple[int, ...] = (5, 3),
+    vnm_nodes: list[int], graph: ProceduralKnowledgeGraph
 ) -> dict[str, list[list[tuple[int, float]]]]:
-    """Ranked k-hop neighbors of the matched node set, per direction and hop."""
+    """Ranked neighbors of the matched node set per direction, for hops 1..NRL_HOPS,
+    keeping NRL_TOP_PER_HOP[k] at hop k + 1."""
     out: dict[str, list[list[tuple[int, float]]]] = {}
     for direction in ("in", "out"):
-        per_hop = khop_neighbors(graph, vnm_nodes, hops, direction) if vnm_nodes else [{}] * hops
+        per_hop = (khop_neighbors(graph, vnm_nodes, NRL_HOPS, direction) if vnm_nodes
+                   else [{}] * NRL_HOPS)
         ranked_hops = []
-        for k, confidences in enumerate(per_hop):
+        for top, confidences in zip(NRL_TOP_PER_HOP, per_hop):
             ranked = sorted(confidences.items(), key=lambda item: (-item[1], item[0]))
-            ranked_hops.append([(nid, conf) for nid, conf in ranked[: top_per_hop[k]]])
+            ranked_hops.append([(nid, conf) for nid, conf in ranked[:top]])
         out[direction] = ranked_hops
     return out
 
@@ -213,7 +213,7 @@ def emit_labels(
             continue
         for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
             node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
-            vnm = vnm_labels(node_scores, k=VNM_TOP_K)
+            vnm = vnm_labels(node_scores)
             vsm = [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)]
             scored.append((vi, seg_idx, vnm, vsm))
 
@@ -224,17 +224,17 @@ def emit_labels(
         node_of,
     )
 
-    top_nodes = top_nodes_per_corpus_task(occ, k=TCL_CORPUS_TOP_K)
+    top_nodes = top_nodes_per_corpus_task(occ)
 
     def set_labels(nodes: list[int]) -> tuple:
         vtm_db = vtm_db_labels(nodes, graph)
-        vtm_corpus = vtm_corpus_labels(nodes, occ, k=VTM_CORPUS_TOP_K)
+        vtm_corpus = vtm_corpus_labels(nodes, occ)
         return (
             vtm_db,
             vtm_corpus,
             tcl_db_labels(vtm_db, tasks_of),
             tcl_corpus_labels(vtm_corpus, top_nodes),
-            nrl_labels(nodes, graph, NRL_HOPS, NRL_TOP_PER_HOP),
+            nrl_labels(nodes, graph),
         )
 
     derived: dict[tuple[int, ...], tuple] = {}

@@ -12,9 +12,6 @@ import numpy as np
 
 from .corpus_io import StepDatabase
 
-DEFAULT_MATCH_THRESHOLD = 10.0
-DEFAULT_TOP_K = 3
-
 
 def score_video(segments: np.ndarray, db: StepDatabase) -> np.ndarray:
     """(L, num_headlines) score matrix for all segments of one video."""
@@ -33,9 +30,7 @@ def ranked_indices(scores: np.ndarray, candidates: np.ndarray) -> list[int]:
     return candidates[order].tolist()
 
 
-def matched_headlines(
-    scores: np.ndarray, match_threshold: float = DEFAULT_MATCH_THRESHOLD
-) -> list[int]:
+def matched_headlines(scores: np.ndarray, match_threshold: float) -> list[int]:
     """Headline indices scoring strictly above the threshold, ranked."""
     candidates = np.nonzero(scores > match_threshold)[0]
     return ranked_indices(scores, candidates)
@@ -50,7 +45,7 @@ def node_scores_from_headlines(
     return node_scores
 
 
-def top_k_nodes(scores: np.ndarray, k: int = DEFAULT_TOP_K) -> list[int]:
+def top_k_nodes(scores: np.ndarray, k: int) -> list[int]:
     """Up to k indices with the largest positive score, ranked.
 
     Only indices with score > 0 have any support and are considered. Only

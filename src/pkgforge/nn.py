@@ -38,24 +38,20 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """Logistic function without overflow; `e` is exp(-|x|) when the caller has it.
+def sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow, given `e` = exp(-|x|).
 
     Equals 1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
     bit for bit, from one exponential.
     """
-    if e is None:
-        e = np.exp(-np.abs(x))
     denom = 1.0 + e
     out = e / denom
     np.divide(1.0, denom, out=out, where=x >= 0)
     return out
 
 
-def softplus(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    """log(1 + exp(x)) without overflow; `e` is exp(-|x|) when the caller has it."""
-    if e is None:
-        e = np.exp(-np.abs(x))
+def softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) without overflow, given `e` = exp(-|x|)."""
     return np.maximum(x, 0.0) + np.log1p(e)
 
 

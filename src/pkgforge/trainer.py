@@ -106,8 +106,7 @@ def expand_objectives(objectives, nrl_hops: int) -> list[str]:
 
 
 def head_specs_from_header(header: dict, objectives, nrl_hops: int) -> list[HeadSpec]:
-    # a header that records no hop count is not checked
-    if "nrl" in objectives and nrl_hops > header.get("nrl_hops", nrl_hops):
+    if "nrl" in objectives and nrl_hops > header["nrl_hops"]:
         raise ValueError(f"nrl_hops={nrl_hops} exceeds the labels' nrl_hops={header['nrl_hops']}")
     specs = []
     for name in expand_objectives(objectives, nrl_hops):
@@ -241,10 +240,10 @@ def model_loss(model: PaprikaModel, x, dense_targets) -> float:
     return total
 
 
-def _dataset_loss(model, features, targets, indices, chunk=1024) -> float:
+def _dataset_loss(model, features, targets, indices) -> float:
     total = 0.0
-    for start in range(0, len(indices), chunk):
-        rows = indices[start : start + chunk]
+    for start in range(0, len(indices), 1024):  # the chunk size fixes the loss bits
+        rows = indices[start : start + 1024]
         dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in model.specs}
         total += model_loss(model, features[rows], dense) * len(rows)
     return total / max(1, len(indices))

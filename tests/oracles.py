@@ -10,8 +10,8 @@ a time.
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
 headline-level corpus counting, node scoring, per-step database walks and
-record loop, and borrows from the package only the label operations that
-did not change with it (vtm_db, tcl_db and nrl).
+record loop and nrl cut, and borrows from the package only the operations
+that did not change with it (vtm_db, tcl_db and nrl's `khop_neighbors`).
 
 `save_step_database_json` and `load_step_database_json` are the
 steps.jsonl layout with inline JSON embeddings that the binary steps.f64
@@ -32,6 +32,7 @@ import numpy as np
 
 from pkgforge import downstream, labeler, trainer
 from pkgforge.corpus_io import StepDatabase, checkpoint_from_params
+from pkgforge.graph import khop_neighbors
 from pkgforge.nn import AdamState, adam_step, softmax_cross_entropy
 
 
@@ -76,9 +77,14 @@ def sub_threshold_pairs_reference(
 
 def components_partition(embeddings: np.ndarray, threshold: float) -> set[frozenset]:
     """Connected components of the sub-threshold cosine-distance graph."""
-    n = embeddings.shape[0]
     unit = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
-    dist = 1.0 - unit @ unit.T
+    return adjacency_partition(1.0 - unit @ unit.T < threshold)
+
+
+def adjacency_partition(adjacent: np.ndarray) -> set[frozenset]:
+    """Connected components, by breadth-first search, of the graph whose
+    (n, n) boolean matrix says which index reaches which."""
+    n = adjacent.shape[0]
     seen = [False] * n
     parts = set()
     for start in range(n):
@@ -91,7 +97,7 @@ def components_partition(embeddings: np.ndarray, threshold: float) -> set[frozen
             i = queue.popleft()
             group.append(i)
             for j in range(n):
-                if not seen[j] and dist[i, j] < threshold:
+                if not seen[j] and adjacent[i, j]:
                     seen[j] = True
                     queue.append(j)
         parts.add(frozenset(group))
@@ -253,6 +259,17 @@ def tcl_corpus_per_segment(vtm_names, counts, task_names, members_of, k):
     return sorted(out)
 
 
+def nrl_per_segment(ids, graph, nrl_top_per_hop):
+    """Each direction's hop-k neighbors of ids, fully sorted, cut at nrl_top_per_hop[k - 1]."""
+    hops = len(nrl_top_per_hop)
+    out = {}
+    for direction in ("in", "out"):
+        per_hop = khop_neighbors(graph, ids, hops, direction) if ids else [{}] * hops
+        out[direction] = [sorted(conf.items(), key=lambda item: (-item[1], item[0]))[:top]
+                          for top, conf in zip(nrl_top_per_hop, per_hop)]
+    return out
+
+
 def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k, vsm_k,
                             nrl_top_per_hop):
     """Records as the labeler built them before: every family derived per segment."""
@@ -296,7 +313,7 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
                     tcl_corpus=tcl_corpus_per_segment(
                         vtm_corpus, counts, task_names, members_of, tcl_corpus_k
                     ),
-                    nrl=labeler.nrl_labels(ids, graph, len(nrl_top_per_hop), nrl_top_per_hop),
+                    nrl=nrl_per_segment(ids, graph, nrl_top_per_hop),
                     vsm=segment_vsm[cursor],
                 )
             )

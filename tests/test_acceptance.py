@@ -200,6 +200,7 @@ def test_criterion_06_overfit_sanity():
         "task_ids": [f"t{i}" for i in range(20)],
         "corpus_task_names": [f"c{i}" for i in range(20)],
         "num_headlines": 2 * n_nodes,
+        "nrl_hops": 2,
     }
     features = rng.normal(size=(1, dim)) * 3.0
     config = trainer.TrainConfig(max_epochs=2000, val_fraction=0.0, seed=0)

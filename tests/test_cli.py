@@ -436,6 +436,8 @@ class TestWrongShapedJson:
             ({"world": {"segments_per_step": 3}}, "world.segments_per_step"),
             ({"dedup_threshold": -1.0}, "dedup_threshold must be > 0, got -1.0"),
             ({"dedup_threshold": float("nan")}, "NaN is not valid JSON"),
+            ({"match_threshold": -5.0, "instance_threshold": -100.0},
+             "instance_threshold must be >= 0, got -100.0"),
         ],
     )
     def test_synth_config(self, data, named, tmp_path, capsys):

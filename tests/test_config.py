@@ -126,6 +126,8 @@ class TestConfig:
             (None, "dedup_threshold", 0.0),
             (None, "dedup_threshold", -1.0),
             (None, "dedup_threshold", float("nan")),
+            (None, "instance_threshold", -100.0),
+            (None, "instance_threshold", float("nan")),
         ],
     )
     def test_out_of_range_training_field_named(self, section, name, value):

@@ -1,14 +1,17 @@
-"""Blockwise sub-threshold pairs and cluster_headlines against the per-pair
-reference and the connected-components oracle."""
+"""Blockwise sub-threshold pairs, their connected components and
+cluster_headlines against the per-pair reference and the connected-components
+oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkgforge.dedup import cluster_headlines, sub_threshold_pairs
+from pkgforge.dedup import cluster_headlines, smallest_connected, sub_threshold_pairs
 
-from oracles import components_partition, partition_of, sub_threshold_pairs_reference
+from oracles import (
+    adjacency_partition, components_partition, partition_of, sub_threshold_pairs_reference,
+)
 
 
 def _pairs(embeddings, threshold):
@@ -98,3 +101,45 @@ class TestAgainstOracles:
             emb[dst] = emb[src] + rng.normal(scale=1e-4, size=8)
         assert set(planted) <= set(_pairs(emb, threshold))
         _check_against_oracles(emb, threshold)
+
+
+class TestComponents:
+    """Pair orders that make the component labels take many rounds to settle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120), n_chains=st.integers(1, 5),
+           dim=st.integers(2, 6))
+    def test_scrambled_chains(self, seed, n, n_chains, dim):
+        # points along arcs of one circle, rows in random order: only neighbours
+        # on an arc sit below the threshold, so each arc is one component
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n_chains, n) - 1, replace=False))
+        step = 2.5 / (n + 3 * n_chains)
+        angles = step * (np.arange(n) + 3 * np.searchsorted(cuts, np.arange(n), side="right"))
+        frame = np.linalg.qr(rng.normal(size=(dim, 2)))[0]
+        emb = np.column_stack([np.cos(angles), np.sin(angles)]) @ frame.T
+        emb = emb[rng.permutation(n)] * rng.uniform(0.5, 2.0, size=(n, 1))
+        threshold = 1.0 - np.cos(1.5 * step)
+        assert len(components_partition(emb, threshold)) == cuts.size + 1
+        _check_against_oracles(emb, threshold)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), n_pairs=st.integers(0, 120))
+    def test_random_pair_sets(self, seed, n, n_pairs):
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(0, n, size=(2, n_pairs))
+        label = smallest_connected(n, rows, cols)
+        adjacent = np.zeros((n, n), dtype=bool)
+        adjacent[rows, cols] = adjacent[cols, rows] = True
+        parts = adjacency_partition(adjacent)
+        assert partition_of(np.unique(label, return_inverse=True)[1]) == parts
+        assert all(set(label[sorted(part)].tolist()) == {min(part)} for part in parts)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5000))
+    def test_long_scrambled_chain(self, seed, n):
+        rng = np.random.default_rng(seed)
+        chain = rng.permutation(n)
+        order = rng.permutation(n - 1)
+        label = smallest_connected(n, chain[:-1][order], chain[1:][order])
+        assert label.tolist() == [0] * n

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import graph as G
+from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_INSTANCE_THRESHOLD, PAPER_MATCH_THRESHOLD
 from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, Video
 
 from oracles import khop_bruteforce, transitions_bruteforce
@@ -41,7 +42,7 @@ class TestDatabaseTransitions:
 class TestCorpusTransitions:
     def test_single_instance_pruned_at_default(self):
         matches = [[[(0, 12.0)], [(1, 11.0)]]]
-        assert G.corpus_transitions(matches) == {}
+        assert G.corpus_transitions(matches, PAPER_INSTANCE_THRESHOLD) == {}
         assert G.corpus_transitions(matches, instance_threshold=100.0) == {(0, 1): 132.0}
 
     def test_same_headline_never_transitions(self):
@@ -345,7 +346,7 @@ class TestSerialization:
     def test_dot_export(self):
         db, node_of = _db_from_chain([0, 1, 2])
         pkg = G.assemble_graph(db, node_of, [(0, 1), (1, 2)], {})
-        dot = G.export_dot(pkg)
+        dot = G.export_dot(pkg, None, 1)
         assert dot.startswith("digraph")
         assert "n0 -> n1" in dot and "n1 -> n2" in dot
         around = G.export_dot(pkg, around_nodes=[0], hops=1)
@@ -364,14 +365,16 @@ class TestBuildGraph:
 
     def test_zero_video_corpus_gives_database_edges_only(self):
         db, _ = self._world()
-        pkg = G.build_graph(db, SegmentCorpus(videos=[]))
+        pkg = G.build_graph(db, SegmentCorpus(videos=[]), PAPER_DEDUP_THRESHOLD,
+                            PAPER_MATCH_THRESHOLD, PAPER_INSTANCE_THRESHOLD)
         assert [(e.src, e.dst) for e in pkg.edges] == [(0, 1), (1, 2)]
         assert all(e.sources == ("database",) for e in pkg.edges)
         assert all(e.score == 1.0 for e in pkg.edges)
 
     def test_corpus_adds_edges(self):
         db, corpus = self._world()
-        pkg = G.build_graph(db, corpus, match_threshold=10.0, instance_threshold=100.0)
+        pkg = G.build_graph(db, corpus, dedup_threshold=PAPER_DEDUP_THRESHOLD,
+                            match_threshold=10.0, instance_threshold=100.0)
         by_pair = {(e.src, e.dst): e for e in pkg.edges}
         assert by_pair[(0, 1)].sources == ("corpus", "database")
 
@@ -381,8 +384,8 @@ class TestBuildGraph:
 
         db = random_database(rng, n_tasks=3, dim=4)
         corpus = random_corpus(rng, dim=4, n_videos=6)
-        a = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1)
-        b = G.build_graph(db, corpus, match_threshold=0.5, instance_threshold=0.1)
+        a, b = (G.build_graph(db, corpus, dedup_threshold=PAPER_DEDUP_THRESHOLD,
+                              match_threshold=0.5, instance_threshold=0.1) for _ in range(2))
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         G.save_graph(a, p1)
         G.save_graph(b, p2)

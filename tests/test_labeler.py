@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pkgforge import labeler, synthgen
+from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD
 from pkgforge.corpus_io import (
     CorpusFormatError,
     SegmentCorpus,
@@ -46,14 +47,14 @@ def _tiny_world():
 
 class TestVnmAndVtm:
     def test_vnm_top3(self):
-        got = labeler.vnm_labels(np.array([9.0, 7.0, 3.0, 1.0]), k=3)
+        got = labeler.vnm_labels(np.array([9.0, 7.0, 3.0, 1.0]))
         assert got == [(0, 9.0), (1, 7.0), (2, 3.0)]
 
     def test_vnm_fewer_than_k(self):
-        assert labeler.vnm_labels(np.array([2.0, 5.0]), k=3) == [(1, 5.0), (0, 2.0)]
+        assert labeler.vnm_labels(np.array([2.0, 5.0])) == [(1, 5.0), (0, 2.0)]
 
     def test_vnm_tie_rule(self):
-        assert [n for n, _ in labeler.vnm_labels(np.full(5, 2.0), k=3)] == [0, 1, 2]
+        assert [n for n, _ in labeler.vnm_labels(np.full(5, 2.0))] == [0, 1, 2]
 
     def test_vtm_db_union_sorted(self):
         _, _, pkg = _tiny_world()
@@ -132,9 +133,8 @@ class TestCorpusVariants:
 
     def test_tcl_corpus_top3_nonzero(self):
         occ = labeler.OccurrenceMatrix(counts=np.array([[7], [3], [0]]), task_names=("T1",))
-        top_nodes = labeler.top_nodes_per_corpus_task(occ, k=3)
+        top_nodes = labeler.top_nodes_per_corpus_task(occ)
         assert top_nodes == {"T1": [0, 1]}
-        assert labeler.top_nodes_per_corpus_task(occ, k=1) == {"T1": [0]}
         assert labeler.tcl_corpus_labels(["T1"], top_nodes) == [0, 1]
 
     def test_tcl_corpus_union(self):
@@ -149,14 +149,14 @@ class TestCorpusVariants:
 class TestNrl:
     def test_chain(self):
         _, _, pkg = _tiny_world()
-        got = labeler.nrl_labels([1], pkg, hops=1, top_per_hop=(5,))
-        assert got["in"] == [[(0, 1.0)]]
-        assert got["out"] == [[(2, 1.0)]]
+        got = labeler.nrl_labels([1], pkg)
+        assert got["in"][0] == [(0, 1.0)]
+        assert got["out"][0] == [(2, 1.0)]
 
     def test_isolated_node(self):
         nodes = [StepNode(0, (("t", 0, "h"),)), StepNode(1, (("t", 1, "g"),))]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=[])
-        got = labeler.nrl_labels([0], pkg, hops=2, top_per_hop=(5, 3))
+        got = labeler.nrl_labels([0], pkg)
         assert got == {"in": [[], []], "out": [[], []]}
 
     def test_diamond_second_hop(self):
@@ -168,14 +168,14 @@ class TestNrl:
             DirectedEdge(2, 3, 0.8, ("corpus",)),
         ]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
-        got = labeler.nrl_labels([0], pkg, hops=2, top_per_hop=(5, 3))
+        got = labeler.nrl_labels([0], pkg)
         assert got["out"][1] == [(3, pytest.approx(0.64))]
 
     def test_top_per_hop_truncation(self):
         nodes = [StepNode(i, (("t", i, f"h{i}"),)) for i in range(8)]
         edges = [DirectedEdge(0, d, 1.0 - 0.01 * d, ("corpus",)) for d in range(1, 8)]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
-        got = labeler.nrl_labels([0], pkg, hops=1, top_per_hop=(5,))
+        got = labeler.nrl_labels([0], pkg)
         assert [n for n, _ in got["out"][0]] == [1, 2, 3, 4, 5]
 
 
@@ -572,7 +572,7 @@ class TestRenumberedGraph:
                             segments_per_step=(1, 2), dim=16, signal_dim=12, noise_sigma=noise,
                             paraphrase_count=2, seed=seed)
         truth, db, corpus = synthgen.generate(world)
-        pkg = build_graph(db, corpus, instance_threshold=100.0)
+        pkg = build_graph(db, corpus, PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD, 100.0)
         perm = data.draw(st.permutations(range(pkg.num_nodes)))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.json"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pkgforge import corpus_io, downstream, synthgen
+from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD
 from pkgforge.corpus_io import save_segment_corpus, save_step_database
 from pkgforge.dedup import cluster_headlines
 from pkgforge.graph import assemble_graph, build_graph
@@ -219,7 +220,7 @@ class TestEndToEndRecovery:
     def test_zero_noise_exact_recovery(self):
         cfg = _small_config(n_videos=20, seed=11)
         truth, db, corpus = synthgen.generate(cfg)
-        pkg = build_graph(db, corpus, instance_threshold=360.0)
+        pkg = build_graph(db, corpus, PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD, 360.0)
         support = synthgen.implied_min_support(360.0, cfg.feature_scale)
         m = graph_recovery_metrics(pkg, db, truth, min_support=support)
         assert m["edge_recall"] == 1.0
@@ -232,7 +233,7 @@ class TestEndToEndRecovery:
         def quality(seed, sigma):
             cfg = _small_config(n_videos=20, seed=seed, noise_sigma=sigma)
             truth, db, corpus = synthgen.generate(cfg)
-            pkg = build_graph(db, corpus, instance_threshold=360.0)
+            pkg = build_graph(db, corpus, PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD, 360.0)
             support = synthgen.implied_min_support(360.0, cfg.feature_scale)
             m = graph_recovery_metrics(pkg, db, truth, min_support=support)
             return m["edge_precision"] + m["edge_recall"] + m["node_purity"]
