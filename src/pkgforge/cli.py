@@ -126,9 +126,20 @@ def _emit(obj: dict, out: Path | None) -> None:
 # subcommands
 
 
+# what synth writes into --out; feature files go under features/
+WORLD_FILES = ("manifest.jsonl", "steps.jsonl", "steps.f64", "truth.json",
+               "downstream_labels.jsonl", "features")
+
+
 def cmd_synth(args) -> None:
     cfg = _resolve_config(args)
     out: Path = args.out
+    # a second world written over a first, and interrupted, would leave a
+    # loadable mix of the two; so synth only writes where no world file is
+    for name in WORLD_FILES:
+        if (out / name).exists():
+            raise CliError(f"{out / name} already exists; synth writes a world only into "
+                           "a new or empty directory")
     out.mkdir(parents=True, exist_ok=True)
     truth, db, corpus = synthgen.generate(cfg.world)
     corpus_io.save_step_database(db, out / "steps.jsonl")
@@ -180,22 +191,25 @@ def cmd_labels(args) -> None:
 
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
+    # the corpus and the label records are dropped once consumed, so training
+    # holds the features once and the labels only as CSR targets
     corpus = _load_corpus(args.world)
-    header, records = labeler.load_labels(args.labels)
-    _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
-
-    expected = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
-    got = [(r.video_id, r.segment_index) for r in records]
-    if expected != got:
-        raise CliError("labels file does not line up with the corpus segment order")
-
+    keys = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
     features = np.vstack([v.segments for v in corpus.videos if v.segments.shape[0]])
     video_of = np.concatenate(
         [np.full(v.segments.shape[0], i) for i, v in enumerate(corpus.videos)]
         or [np.zeros(0, dtype=np.int64)]
     )
+    del corpus
+
+    header, records = labeler.load_labels(args.labels)
+    _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
+    if keys != [(r.video_id, r.segment_index) for r in records]:
+        raise CliError("labels file does not line up with the corpus segment order")
+    del keys
     specs = trainer.head_specs_from_header(header, cfg.train.objectives, cfg.train.nrl_hops)
     targets = trainer.targets_from_labels(header, records, specs)
+    del records
     ckpt, history = trainer.train(
         features, video_of, header, targets, cfg.train, config_hash=cfg.config_hash()
     )
@@ -229,6 +243,7 @@ def cmd_eval(args) -> None:
         ckpt = corpus_io.load_checkpoint(args.checkpoint)
         _check_hash(ckpt.metadata.get("config_hash"), cfg, str(args.checkpoint), args.force)
         adapter = trainer.adapter_from_checkpoint(ckpt)
+        del ckpt  # the heads' weights are not needed by the probes
         transforms["adapter"] = lambda feats: trainer.apply_adapter(adapter, feats)
 
     kinds = (

@@ -78,10 +78,6 @@ class PipelineConfig:
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
 
-    def save(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(self.to_dict()) + "\n")
-
     def config_hash(self) -> str:
         payload = canonical_json(self.to_dict()).encode("utf-8")
         return hashlib.sha256(payload).hexdigest()[:16]

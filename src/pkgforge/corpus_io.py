@@ -287,6 +287,23 @@ def _write_matrix(fh, magic: bytes, version: int, data: np.ndarray) -> None:
     fh.write(data.tobytes())
 
 
+def _read_payload(fh, path, size: int, what: str) -> bytearray:
+    """Read the `size` bytes from `fh`'s position to its end into a writeable buffer.
+
+    Rejects a file that holds fewer or more bytes than that, naming the payload
+    as `what`. The size is checked against the file first, so a damaged header
+    never asks read() for gigabytes.
+    """
+    held = os.fstat(fh.fileno()).st_size - fh.tell()
+    if held < size:
+        raise CorpusFormatError(f"{path}: truncated {what}, expected {size} bytes, got {held}")
+    if held > size:
+        raise CorpusFormatError(f"{path}: trailing bytes after {what}")
+    payload = bytearray(size)
+    fh.readinto(payload)
+    return payload
+
+
 def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarray:
     """Read a writeable (rows, dim) matrix that `_write_matrix` wrote, in one copy.
 
@@ -302,15 +319,7 @@ def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarr
         found, rows, dim = struct.unpack("<III", header[4:])
         if found != version:
             raise CorpusFormatError(f"{path}: unsupported version {found}")
-        # sized from the file, so a damaged header never asks read() for gigabytes
-        size = rows * dim * np.dtype(dtype).itemsize
-        held = os.fstat(fh.fileno()).st_size - 16
-        if held < size:
-            raise CorpusFormatError(f"{path}: truncated payload, expected {size} bytes, got {held}")
-        if held > size:
-            raise CorpusFormatError(f"{path}: trailing bytes after payload")
-        payload = bytearray(size)
-        fh.readinto(payload)
+        payload = _read_payload(fh, path, rows * dim * np.dtype(dtype).itemsize, "payload")
     data = np.frombuffer(payload, dtype=dtype).reshape(rows, dim)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
@@ -486,15 +495,8 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
                 raise CorpusFormatError(
                     f"{path}: shape entry {name!r} is {rows}x{cols}; rows and cols must be >= 1"
                 )
-        total = sum(r * c for _, r, c in shapes)
-        payload = fh.read(total * 4)
-        if len(payload) < total * 4:
-            raise CorpusFormatError(
-                f"{path}: truncated weights, expected {total * 4} bytes, got {len(payload)}"
-            )
-        if fh.read(1):
-            raise CorpusFormatError(f"{path}: trailing bytes after weights")
-    weights = np.frombuffer(payload, dtype="<f4").copy()
+        payload = _read_payload(fh, path, 4 * sum(r * c for _, r, c in shapes), "weights")
+    weights = np.frombuffer(payload, dtype="<f4")
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:
         ends = np.cumsum([rows * cols for _, rows, cols in shapes])

@@ -145,12 +145,14 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
 
     Uses the softplus identity so saturated logits never hit a log(0);
     returns (loss, dLoss/dlogits). The loss and its gradient share one
-    exp(-|logits|) pass.
+    exp(-|logits|) pass. The per-class loss is freed once it is averaged, so
+    it is not alive beside the gradient.
     """
     e = np.exp(-np.abs(logits))
     per_class = softplus(logits, e)
     per_class -= targets * logits
     loss = float(np.mean(per_class))
+    del per_class
     dlogits = sigmoid(logits, e)
     dlogits -= targets
     dlogits /= logits.size

@@ -231,12 +231,12 @@ def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict
 
 
 def model_loss(model: PaprikaModel, x, dense_targets) -> float:
+    """Total BCE over all heads; each forward cache and BCE gradient is dropped at once."""
     total = 0.0
-    z, _ = model.adapter.forward(x)
+    z = model.adapter.forward(x)[0]
     for spec in model.specs:
-        logits, _ = model.heads[spec.name].forward(z)
-        loss, _ = bce_with_logits(logits, dense_targets[spec.name])
-        total += loss
+        logits = model.heads[spec.name].forward(z)[0]
+        total += bce_with_logits(logits, dense_targets[spec.name])[0]
     return total
 
 
@@ -332,42 +332,3 @@ def apply_adapter(adapter: Mlp, features: np.ndarray) -> np.ndarray:
     out, _ = adapter.forward(np.asarray(features, dtype=np.float64))
     return out
 
-
-# ---------------------------------------------------------------------------
-# gradient verification
-
-
-def gradient_check(
-    model: PaprikaModel,
-    x: np.ndarray,
-    dense_targets: dict[str, np.ndarray],
-    h: float = 1e-5,
-    n_coords: int = 200,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Samples n_coords coordinates of the model's flat parameter vector. The
-    denominator is floored at 1e-3 so coordinates with (near-)zero true
-    gradient are judged on the absolute scale where finite differences are
-    trustworthy.
-    """
-    rng = rng or np.random.default_rng(0)
-    _, grads = model_loss_and_grads(model, x, dense_targets)
-    params = model.params
-    picks = rng.choice(params.size, size=min(n_coords, params.size), replace=False)
-
-    worst = 0.0
-    for i in sorted(int(p) for p in picks):
-        saved = params[i]
-        params[i] = saved + h
-        plus = model_loss(model, x, dense_targets)
-        params[i] = saved - h
-        minus = model_loss(model, x, dense_targets)
-        params[i] = saved
-        fd = (plus - minus) / (2.0 * h)
-        an = float(grads[i])
-        if abs(fd) < 1e-12 and abs(an) < 1e-12:
-            continue
-        worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-3))
-    return worst

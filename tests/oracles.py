@@ -23,6 +23,10 @@ The training references (`early_stopping_reference`, `train_reference` and
 `trainer.train` and `downstream.train_downstream` kept before both moved
 onto `nn.fit`. They call the package's models, losses and Adam, which the
 loop did not change; only the loop around them is under test.
+
+`gradient_check` is the finite-difference referee for the hand-derived
+gradients: it perturbs the package's flat parameter vector and compares
+the package's own loss against `trainer.model_loss_and_grads`.
 """
 
 import json
@@ -206,6 +210,35 @@ def bce_two_pass(logits, targets):
     loss = float(np.mean(softplus_two_pass(logits) - targets * logits))
     dlogits = (sigmoid_two_pass(logits) - targets) / logits.size
     return loss, dlogits
+
+
+def gradient_check(model, x, dense_targets, h=1e-5, n_coords=200, rng=None) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Samples n_coords coordinates of the model's flat parameter vector. The
+    denominator is floored at 1e-3 so coordinates with (near-)zero true
+    gradient are judged on the absolute scale where finite differences are
+    trustworthy.
+    """
+    rng = rng or np.random.default_rng(0)
+    _, grads = trainer.model_loss_and_grads(model, x, dense_targets)
+    params = model.params
+    picks = rng.choice(params.size, size=min(n_coords, params.size), replace=False)
+
+    worst = 0.0
+    for i in sorted(int(p) for p in picks):
+        saved = params[i]
+        params[i] = saved + h
+        plus = trainer.model_loss(model, x, dense_targets)
+        params[i] = saved - h
+        minus = trainer.model_loss(model, x, dense_targets)
+        params[i] = saved
+        fd = (plus - minus) / (2.0 * h)
+        an = float(grads[i])
+        if abs(fd) < 1e-12 and abs(an) < 1e-12:
+            continue
+        worst = max(worst, abs(fd - an) / max(abs(fd) + abs(an), 1e-3))
+    return worst
 
 
 def dense_targets_per_row(index_lists, rows, n_classes):

@@ -33,7 +33,9 @@ from pkgforge.nn import bce_with_logits
 from pkgforge.synthgen import graph_recovery_metrics, implied_min_support
 
 from builders import random_checkpoint, random_corpus, random_database, random_graph, row_targets
-from oracles import components_partition, khop_bruteforce, partition_of, transitions_bruteforce
+from oracles import (
+    components_partition, gradient_check, khop_bruteforce, partition_of, transitions_bruteforce,
+)
 
 FIXED_SEEDS = (1, 2, 3, 4, 5)
 
@@ -183,7 +185,7 @@ def test_criterion_05_gradient_check():
         dense = {
             s.name: (rng.random(size=(batch, s.n_classes)) < 0.3).astype(float) for s in specs
         }
-        err = trainer.gradient_check(model, x, dense, h=1e-5, n_coords=200, rng=rng)
+        err = gradient_check(model, x, dense, h=1e-5, n_coords=200, rng=rng)
         worst = max(worst, err)
     _report(
         "criterion 5 (gradient check)",

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipeline stages, determinism, hash checks."""
 
+import gc
 import hashlib
 import json
 import re
@@ -580,12 +581,140 @@ class TestWrongShapedJson:
         assert not out.exists()
 
 
+def _alive(*types) -> list:
+    return [o for o in gc.get_objects() if isinstance(o, types)]
+
+
+class TestTrainingHoldsOneCopy:
+    """pretrain and eval drop the inputs they have consumed before training starts."""
+
+    def _made_by_stage_at(self, monkeypatch, module, name, types, argv):
+        """Run a stage; the `types` objects it made that are alive when module.name is called."""
+        before = _alive(*types)  # held here, so no new object can reuse their ids
+        held = {id(o) for o in before}
+        seen = []
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            seen.append([type(o).__name__ for o in _alive(*types) if id(o) not in held])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        assert _run(*argv) == 0
+        assert len(seen) >= 1
+        return seen
+
+    def test_pretrain_drops_records_and_corpus(self, artifacts, tmp_path, monkeypatch):
+        seen = self._made_by_stage_at(
+            monkeypatch, cli.trainer, "train", (labeler.PseudoLabelSet, corpus_io.Video),
+            ["pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+             "--labels", artifacts["labels"], "--out", tmp_path / "m.pkgc"],
+        )
+        assert seen == [[]]
+        assert (tmp_path / "m.pkgc").read_bytes() == artifacts["checkpoint"].read_bytes()
+
+    def test_eval_drops_the_checkpoint(self, artifacts, tmp_path, monkeypatch):
+        seen = self._made_by_stage_at(
+            monkeypatch, cli.downstream, "train_downstream", (corpus_io.ModelCheckpoint,),
+            ["eval", "--config", artifacts["config"], "--world", artifacts["world"],
+             "--checkpoint", artifacts["checkpoint"], "--task", "SR", "--features", "adapter",
+             "--out", tmp_path / "report.json"],
+        )
+        assert seen == [[]]
+
+    def test_the_check_sees_what_a_stage_holds(self, artifacts, tmp_path, monkeypatch):
+        # while the targets are built the records are alive, and the same check finds them
+        seen = self._made_by_stage_at(
+            monkeypatch, cli.trainer, "targets_from_labels", (labeler.PseudoLabelSet,),
+            ["pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+             "--labels", artifacts["labels"], "--out", tmp_path / "m.pkgc"],
+        )
+        header, _ = labeler.load_labels(artifacts["labels"])
+        assert seen == [["PseudoLabelSet"] * header["num_segments"]]
+
+
+class TestSynthRefusesAWorld:
+    @pytest.mark.parametrize("name", ["manifest.jsonl", "steps.jsonl", "steps.f64", "truth.json",
+                                      "downstream_labels.jsonl", "features"])
+    def test_refused_and_named(self, name, tmp_path, config_path, capsys):
+        world = tmp_path / "world"
+        world.mkdir()
+        if name == "features":
+            (world / name).mkdir()
+        else:
+            (world / name).write_text("")
+        assert _run("synth", "--config", config_path, "--out", world) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert str(world / name) in json.loads(err_lines[0])["error"]
+        assert [p.name for p in world.iterdir()] == [name]
+
+    def test_empty_or_unrelated_directory_allowed(self, tmp_path, config_path):
+        empty, other = tmp_path / "empty", tmp_path / "other"
+        empty.mkdir()
+        other.mkdir()
+        (other / "notes.txt").write_text("kept")
+        assert _run("synth", "--config", config_path, "--out", empty) == 0
+        assert _run("synth", "--config", config_path, "--out", other) == 0
+        assert (other / "notes.txt").read_text() == "kept"
+        assert _dir_digest(empty) == {k: v for k, v in _dir_digest(other).items()
+                                      if k != "notes.txt"}
+
+    def test_interrupted_resynth_leaves_the_first_world(self, tmp_path, monkeypatch, capsys):
+        # a high-noise synth over a low-noise world, interrupted after 20 feature files,
+        # must not leave high-noise files under the low-noise manifest
+        low_world = dict(SMALL_CONFIG["world"], n_videos=40)
+        high_world = dict(low_world, noise_sigma=1.0, style_sigma=8.0, gain_jitter=0.25)
+        low, high = tmp_path / "low.json", tmp_path / "high.json"
+        low.write_text(json.dumps(dict(SMALL_CONFIG, seed=3, world=low_world)))
+        high.write_text(json.dumps(dict(SMALL_CONFIG, seed=3, world=high_world)))
+        world = tmp_path / "world"
+        assert _run("synth", "--config", low, "--out", world) == 0
+        first = _dir_digest(world)
+
+        written = []
+        real = corpus_io.write_feature_file
+
+        def interrupted(path, features):
+            if len(written) == 20:
+                raise RuntimeError("interrupted")
+            written.append(path)
+            real(path, features)
+
+        monkeypatch.setattr(corpus_io, "write_feature_file", interrupted)
+        capsys.readouterr()
+        assert _run("synth", "--config", high, "--out", world) == 1
+        assert "manifest.jsonl already exists" in json.loads(capsys.readouterr().err)["error"]
+        assert written == []
+        assert _dir_digest(world) == first
+        assert _run("build-graph", "--config", low, "--world", world,
+                    "--out", tmp_path / "g.json") == 0
+
+
 class TestErrors:
     def test_missing_world_is_single_line_json_error(self, tmp_path, capsys):
         assert _run("build-graph", "--world", tmp_path / "nope", "--out", tmp_path / "g") == 1
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1
         assert "error" in json.loads(err_lines[0])
+
+    def test_checkpoint_declaring_gigabytes_is_single_line_json_error(
+        self, artifacts, tmp_path, capsys
+    ):
+        # an adapter entry declaring 1e9 x 1e9 weights is refused on the file size,
+        # before anything is read or allocated
+        ckpt = tmp_path / "model.pkgc"
+        header_line, payload = artifacts["checkpoint"].read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header["shapes"][0][1:] = [1000000000, 1000000000]
+        ckpt.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert _run(
+            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--checkpoint", ckpt, "--task", "SR", "--features", "adapter",
+        ) == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert len(err_lines) == 1
+        assert "model.pkgc: truncated weights" in json.loads(err_lines[0])["error"]
 
     def test_adapter_eval_requires_checkpoint(self, tmp_path, config_path, capsys):
         world = tmp_path / "world"

@@ -6,13 +6,14 @@ import pytest
 
 from pkgforge import labeler
 from pkgforge.config import PipelineConfig, synthetic_preset
+from pkgforge.corpus_io import canonical_json
 
 
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = synthetic_preset(seed=7)
         path = tmp_path / "c.json"
-        cfg.save(path)
+        path.write_text(canonical_json(cfg.to_dict()) + "\n", encoding="utf-8")
         back = PipelineConfig.load(path)
         assert back.to_dict() == cfg.to_dict()
         assert back.config_hash() == cfg.config_hash()

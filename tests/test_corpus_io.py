@@ -372,6 +372,30 @@ class TestCheckpoints:
         with pytest.raises(CorpusFormatError, match=r"model\.pkgc: truncated weights"):
             corpus_io.load_checkpoint(path)
 
+    def test_trailing_bytes_after_weights(self, tmp_path):
+        path = tmp_path / "model.pkgc"
+        corpus_io.save_checkpoint(random_checkpoint(np.random.default_rng(5)), path)
+        path.write_bytes(path.read_bytes() + bytes(4))
+        with pytest.raises(CorpusFormatError, match=r"model\.pkgc: trailing bytes after weights"):
+            corpus_io.load_checkpoint(path)
+
+    def test_declared_size_is_checked_before_reading(self, tmp_path):
+        # 4e18 declared bytes against 16 held: refused from the file size, never allocated
+        path = tmp_path / "model.pkgc"
+        header = {"shapes": [["a", 1000000000, 1000000000]], "metadata": {}}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(16))
+        with pytest.raises(CorpusFormatError, match="truncated weights, expected "
+                           "4000000000000000000 bytes, got 16"):
+            corpus_io.load_checkpoint(path)
+
+    def test_weights_load_writeable_as_saved(self, tmp_path):
+        path = tmp_path / "model.pkgc"
+        ckpt = random_checkpoint(np.random.default_rng(5))
+        corpus_io.save_checkpoint(ckpt, path)
+        weights = corpus_io.load_checkpoint(path).weights
+        assert weights.dtype == np.dtype("<f4") and weights.flags.writeable
+        assert np.array_equal(weights, ckpt.weights)
+
     @pytest.mark.parametrize("rows, cols", [(-1, 4), (0, 4), (2, 0)])
     def test_non_positive_shape_entry(self, tmp_path, rows, cols):
         # -1x4 with a 2x4 entry declares 4 weights, which 16 payload bytes satisfy

@@ -17,6 +17,7 @@ from oracles import (
     adam_per_tensor,
     bce_two_pass,
     dense_targets_per_row,
+    gradient_check,
     sigmoid_two_pass,
     softplus_two_pass,
 )
@@ -25,7 +26,6 @@ from pkgforge.trainer import (
     PaprikaModel,
     SparseTargets,
     TrainConfig,
-    gradient_check,
     head_specs_from_header,
     model_loss,
     model_loss_and_grads,
@@ -180,6 +180,17 @@ class TestBceAgainstTwoPass:
         assert np.array_equal(softplus(x, e), softplus_two_pass(x), equal_nan=True)
         assert np.array_equal(grad, want_grad, equal_nan=True)
         assert np.array_equal(np.array(loss), np.array(want_loss), equal_nan=True)
+
+
+class TestBceBuffers:
+    def test_bce_writes_neither_logits_nor_targets(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(scale=30.0, size=(5, 4))
+        targets = (rng.random((5, 4)) < 0.5).astype(float)
+        kept = logits.copy(), targets.copy()
+        _, grad = bce_with_logits(logits, targets)
+        assert np.array_equal(logits, kept[0]) and np.array_equal(targets, kept[1])
+        assert not np.shares_memory(grad, logits) and not np.shares_memory(grad, targets)
 
 
 class TestSparseTargets:
