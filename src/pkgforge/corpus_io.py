@@ -187,8 +187,8 @@ class StepDatabase:
         Row h of `embeddings` embeds the h-th headline in task order, and an f64
         matrix is kept without a copy. Rejects a database without tasks, a
         duplicate task id, a task without steps, a matrix that is not one row
-        per headline of dimension >= 1, and a non-finite or zero row.
-        Messages start with `source`.
+        per headline of dimension >= 1, and a zero row. Non-finite rows are
+        the reader's to reject (`_read_matrix`). Messages start with `source`.
         """
         if not tasks:
             raise CorpusFormatError(f"{source}: step database contains no tasks")
@@ -207,14 +207,12 @@ class StepDatabase:
                                     f"one row for each of {len(headlines)} headlines")
         if embeddings.shape[1] < 1:
             raise CorpusFormatError(f"{source}: embeddings must have dimension >= 1")
-        finite = np.isfinite(embeddings).all(axis=1)
-        bad = np.flatnonzero(~finite | ~embeddings.any(axis=1))
-        if bad.size:
-            h = int(bad[0])
+        zero = np.flatnonzero(~embeddings.any(axis=1))
+        if zero.size:
+            h = int(zero[0])
             task = next(t for t in spans.values() if h < t.stop)
-            what = "non-finite" if not finite[h] else "zero"
             raise CorpusFormatError(
-                f"{source}: task {task.task_id!r} step {h - task.start} has {what} embedding"
+                f"{source}: task {task.task_id!r} step {h - task.start} has zero embedding"
             )
         return cls(tasks=tuple(spans.values()), headlines=tuple(headlines), embeddings=embeddings)
 

@@ -1,10 +1,10 @@
 """Downstream task harness: task recognition, step recognition, forecasting.
 
-Examples are sequences of (optionally adapter-refined) segment features.
-The model adds a learned positional vector to each segment, averages the
-sequence, and classifies with a one-hidden-layer MLP under softmax cross
-entropy, trained through `nn.fit`, the adapter's loop. The harness path is
-identical for raw and refined features; only the input transform differs.
+An example is a row range of one matrix of (optionally adapter-refined)
+segment features. The model adds a learned positional vector to each row,
+averages the range, and classifies with a one-hidden-layer MLP under softmax
+cross entropy, trained through `nn.fit`, the adapter's loop. The harness path
+is identical for raw and refined features; only the input transform differs.
 """
 
 from __future__ import annotations
@@ -75,19 +75,31 @@ class VideoAnnotation:
 
 
 @dataclass
-class DownstreamExample:
-    features: np.ndarray  # (L, d)
-    label: int
-    video_id: str
+class Examples:
+    """Example i is rows [start[i], start[i] + length[i]) of `features`, of class label[i].
+
+    Indexing selects examples and keeps the matrix.
+    """
+
+    features: np.ndarray  # (rows, d) f64, shared by every split of a dataset
+    start: np.ndarray
+    length: np.ndarray  # >= 1
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return self.label.size
+
+    def __getitem__(self, which) -> Examples:
+        return Examples(self.features, self.start[which], self.length[which], self.label[which])
 
 
 @dataclass
 class DownstreamSplits:
     kind: str
     n_classes: int
-    train: list[DownstreamExample]
-    val: list[DownstreamExample]
-    test: list[DownstreamExample]
+    train: Examples
+    val: Examples
+    test: Examples
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +141,6 @@ def load_annotations(path: str | Path) -> list[VideoAnnotation]:
 # dataset construction
 
 
-def _video_examples(
-    kind: str, ann: VideoAnnotation, features: np.ndarray
-) -> list[DownstreamExample]:
-    if kind == TASK_RECOGNITION:
-        return [DownstreamExample(features, ann.task_class, ann.video_id)]
-    if kind == STEP_RECOGNITION:
-        return [
-            DownstreamExample(features[s.start : s.end], s.step_class, ann.video_id)
-            for s in ann.steps
-            if s.end > s.start
-        ]
-    if kind == STEP_FORECASTING:
-        # history must contain at least the first full step
-        out = []
-        for i in range(1, len(ann.steps)):
-            span = ann.steps[i]
-            if span.start > 0:
-                out.append(DownstreamExample(features[: span.start], span.step_class, ann.video_id))
-        return out
-    raise ValueError(f"unknown downstream task kind {kind!r}")
-
-
 def build_downstream_dataset(
     corpus: SegmentCorpus,
     annotations: list[VideoAnnotation],
@@ -160,22 +150,23 @@ def build_downstream_dataset(
 ) -> DownstreamSplits:
     """Seeded, video-disjoint train/val/test splits of downstream examples.
 
-    `transform` maps a (L, d) feature block to the representation under
-    evaluation (identity for raw features, the adapter for refined ones);
-    it never changes the harness path itself.
+    TR takes each video's rows, SR each non-empty step span and SF each later
+    step's non-empty history, as ranges of one matrix holding each annotated
+    video's rows once, through `transform` (identity for raw features, the
+    adapter for refined ones); it never changes the harness path itself.
     """
     by_id = {v.video_id: v for v in corpus.videos}
     missing = [a.video_id for a in annotations if a.video_id not in by_id]
     if missing:
         raise ValueError(f"annotations reference unknown videos: {missing[:3]}")
+    n_rows = np.array([by_id[a.video_id].segments.shape[0] for a in annotations], dtype=np.int64)
     annotated: set[str] = set()
-    for ann in annotations:
+    for ann, n_segments in zip(annotations, n_rows.tolist()):
         # a video annotated twice could land in two splits
         if ann.video_id in annotated:
             raise ValueError(f"video {ann.video_id} is annotated more than once")
         annotated.add(ann.video_id)
         # a negative class would wrap to the last logit; an empty span is skipped later
-        n_segments = by_id[ann.video_id].segments.shape[0]
         if ann.task_class < 0:
             raise ValueError(f"video {ann.video_id}: task_class {ann.task_class} is negative")
         for s in ann.steps:
@@ -186,40 +177,49 @@ def build_downstream_dataset(
                     f"video {ann.video_id}: step span [{s.start}, {s.end}) is not within "
                     f"its {n_segments} segments"
                 )
+        if n_segments > config.max_positions:
+            raise ValueError(f"video {ann.video_id} has {n_segments} segments, "
+                             f"exceeding max_positions={config.max_positions}")
+        if kind == TASK_RECOGNITION and n_segments == 0:
+            raise ValueError(f"video {ann.video_id} has no segments to recognise its task from")
+
+    first_row = np.cumsum(n_rows) - n_rows
+    steps = [(v, s.step_class, s.start, s.end) for v, a in enumerate(annotations) for s in a.steps]
+    video, step_class, step_start, step_end = np.array(steps, dtype=np.int64).reshape(-1, 4).T
     if kind == TASK_RECOGNITION:
-        n_classes = max(a.task_class for a in annotations) + 1
+        video, offset, length = np.arange(len(annotations)), 0, n_rows
+        label = np.array([a.task_class for a in annotations], dtype=np.int64)
+    elif kind == STEP_RECOGNITION:
+        offset, length, label = step_start, step_end - step_start, step_class
+    elif kind == STEP_FORECASTING:
+        # history must contain at least the first full step
+        first = np.r_[True, video[1:] != video[:-1]]
+        offset, length, label = 0, np.where(first, 0, step_start), step_class
     else:
-        n_classes = max(s.step_class for a in annotations for s in a.steps) + 1
+        raise ValueError(f"unknown downstream task kind {kind!r}")
+    if not label.size:
+        raise ValueError(f"no {kind} labels: the annotations hold no "
+                         f"{'videos' if kind == TASK_RECOGNITION else 'steps'}")
+    n_classes = int(label.max()) + 1
+    keep = length > 0  # an empty span or history makes no example
+    start = (first_row[video] + offset)[keep]
+    video, length, label = video[keep], length[keep], label[keep]
+
+    features = np.empty((int(n_rows.sum()), corpus.dim))
+    for ann, lo, hi in zip(annotations, first_row, first_row + n_rows):
+        segments = by_id[ann.video_id].segments
+        features[lo:hi] = segments if transform is None else transform(segments)
 
     rng = np.random.default_rng(config.seed)
-    order = rng.permutation(len(annotations))
+    # each example's place in the seeded video order; examples keep step order within a video
+    rank = np.argsort(rng.permutation(len(annotations)))[video]
+    by_rank = np.argsort(rank, kind="stable")
     n_train = int(round(config.train_fraction * len(annotations)))
     n_val = int(round(config.val_fraction * len(annotations)))
-    buckets = {"train": [], "val": [], "test": []}
-    for rank, ann_idx in enumerate(order):
-        ann = annotations[ann_idx]
-        feats = by_id[ann.video_id].segments
-        if transform is not None:
-            feats = transform(feats)
-        if feats.shape[0] > config.max_positions:
-            raise ValueError(
-                f"video {ann.video_id} has {feats.shape[0]} segments, "
-                f"exceeding max_positions={config.max_positions}"
-            )
-        examples = _video_examples(kind, ann, feats)
-        if rank < n_train:
-            buckets["train"].extend(examples)
-        elif rank < n_train + n_val:
-            buckets["val"].extend(examples)
-        else:
-            buckets["test"].extend(examples)
-    return DownstreamSplits(
-        kind=kind,
-        n_classes=n_classes,
-        train=buckets["train"],
-        val=buckets["val"],
-        test=buckets["test"],
-    )
+    cut_train, cut_val = np.searchsorted(rank[by_rank], [n_train, n_train + n_val])
+    every = Examples(features, start[by_rank], length[by_rank], label[by_rank])
+    return DownstreamSplits(kind, n_classes, every[:cut_train], every[cut_train:cut_val],
+                            every[cut_val:])
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +240,36 @@ class DownstreamModel:
         self.grads = np.zeros_like(self.params)
         self.positions = self.params[:n_pos].reshape(config.max_positions, dim)
         self.position_grads = self.grads[:n_pos].reshape(config.max_positions, dim)
-        if rng is not None:
-            self.positions[...] = glorot_uniform(rng, config.max_positions, dim)
+        self.positions[...] = glorot_uniform(rng, config.max_positions, dim)
         self.classifier = Mlp(dims, rng, self.params[n_pos:], self.grads[n_pos:])
+        # examples per padded block in forward, so evaluation's wide batches stay small
+        self.block = config.batch_size
 
-    def _aggregate(self, features: np.ndarray) -> np.ndarray:
-        length = features.shape[0]
-        if length > self.positions.shape[0]:
-            raise ValueError(f"sequence of length {length} exceeds positional table")
-        if length == 0:
-            raise ValueError("cannot classify an empty segment sequence")
-        return (features + self.positions[:length]).mean(axis=0)
+    def forward(self, batch: Examples):
+        """Logits and cache of the mean of each example's rows plus positional vectors.
 
-    def forward(self, batch: list[DownstreamExample]):
-        aggs = np.stack([self._aggregate(ex.features) for ex in batch])
-        logits, cache = self.classifier.forward(aggs)
-        return logits, cache
+        A block is gathered zero-padded to its longest example and summed in
+        position order, so it rounds as `(rows + positions[:L]).mean(axis=0)`.
+        """
+        aggs = np.empty((len(batch), self.positions.shape[1]))
+        for lo in range(0, len(batch), self.block):
+            part = batch[lo : lo + self.block]
+            offsets = np.arange(part.length.max())
+            padded = part.features.take(part.start[:, None] + offsets, axis=0, mode="clip")
+            padded += self.positions[: offsets.size]
+            padded[offsets >= part.length[:, None]] = 0.0
+            np.sum(padded, axis=1, out=aggs[lo : lo + len(part)])
+        aggs /= batch.length[:, None]
+        return self.classifier.forward(aggs)
 
-    def backward(self, batch, cache, dlogits) -> np.ndarray:
+    def backward(self, batch: Examples, cache, dlogits) -> np.ndarray:
         """Overwrites and returns the flat gradient vector."""
-        dagg = self.classifier.backward(cache, dlogits)
-        dpos = self.position_grads
-        dpos[...] = 0.0
-        for row, ex in enumerate(batch):
-            length = ex.features.shape[0]
-            dpos[:length] += dagg[row] / length
+        dagg = self.classifier.backward(cache, dlogits) / batch.length[:, None]
+        inside = np.arange(batch.length.max()) < batch.length[:, None]
+        self.position_grads[inside.shape[1] :] = 0.0
+        # summed over the batch in example order, as per-example accumulation would
+        np.sum(np.where(inside[:, :, None], dagg[:, None, :], 0.0), axis=0,
+               out=self.position_grads[: inside.shape[1]])
         return self.grads
 
 
@@ -272,7 +277,7 @@ class DownstreamModel:
 # training and evaluation
 
 
-def evaluate(model: DownstreamModel, examples: list[DownstreamExample]) -> float:
+def evaluate(model: DownstreamModel, examples: Examples) -> float:
     """Fraction of argmax-correct predictions (ties go to the smallest id)."""
     if not examples:
         raise ValueError("cannot evaluate on an empty example set")
@@ -280,8 +285,7 @@ def evaluate(model: DownstreamModel, examples: list[DownstreamExample]) -> float
     for start in range(0, len(examples), 256):
         batch = examples[start : start + 256]
         logits, _ = model.forward(batch)
-        preds = np.argmax(logits, axis=1)
-        correct += int(sum(p == ex.label for p, ex in zip(preds, batch)))
+        correct += int(np.count_nonzero(np.argmax(logits, axis=1) == batch.label))
     return correct / len(examples)
 
 
@@ -300,9 +304,9 @@ def train_downstream(
     adam = AdamState.for_params(params)
 
     def step(rows: np.ndarray) -> float:
-        batch = [splits.train[i] for i in rows]
+        batch = splits.train[rows]
         logits, cache = model.forward(batch)
-        loss, dlogits = softmax_cross_entropy(logits, np.array([ex.label for ex in batch]))
+        loss, dlogits = softmax_cross_entropy(logits, batch.label)
         grads = model.backward(batch, cache, dlogits)
         adam_step(params, grads, adam, lr=config.learning_rate, weight_decay=config.weight_decay)
         return loss

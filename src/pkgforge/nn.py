@@ -95,10 +95,11 @@ class Mlp:
     def size(dims: list[int]) -> int:
         return sum(a * b + b for a, b in zip(dims, dims[1:]))
 
-    def shapes(self, prefix: str) -> list[tuple[str, int, int]]:
+    @staticmethod
+    def shapes(dims: list[int], prefix: str) -> list[tuple[str, int, int]]:
         """Checkpoint shape entries in layout order; biases are (name, 1, n)."""
         out = []
-        for i, (a, b) in enumerate(zip(self.dims, self.dims[1:])):
+        for i, (a, b) in enumerate(zip(dims, dims[1:])):
             out += [(f"{prefix}.w{i}", a, b), (f"{prefix}.b{i}", 1, b)]
         return out
 

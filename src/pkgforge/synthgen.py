@@ -85,7 +85,6 @@ class WorldConfig:
 @dataclass
 class GroundTruth:
     n_steps: int
-    step_embeddings: np.ndarray  # (n_steps, dim) canonical unit vectors
     task_sequences: list[list[int]]
     headline_true_step: list[int]  # global headline index -> true step id
     canonical_transitions: set[tuple[int, int]]
@@ -263,7 +262,6 @@ def generate(config: WorldConfig) -> tuple[GroundTruth, StepDatabase, SegmentCor
 
     truth = GroundTruth(
         n_steps=n_steps,
-        step_embeddings=embeddings,
         task_sequences=sequences,
         headline_true_step=headline_true_step,
         canonical_transitions=canonical,
@@ -357,7 +355,6 @@ def load_truth(path: str | Path) -> GroundTruth:
                     for t in obj["observed_transitions"]]
         return GroundTruth(
             n_steps=n_steps,
-            step_embeddings=np.zeros((n_steps, config.dim)),
             task_sequences=[check_json(seq, "tuple[int, ...]", "task sequence")
                             for seq in obj["task_sequences"]],
             headline_true_step=check_ids(obj["headline_true_step"], n_steps,

@@ -209,9 +209,9 @@ class PaprikaModel:
         return cls(adapter=mlps[0], heads=heads, specs=specs, params=params, grads=grads)
 
     def shapes(self) -> list[tuple[str, int, int]]:
-        out = self.adapter.shapes("adapter")
+        out = Mlp.shapes(self.adapter.dims, "adapter")
         for spec in self.specs:
-            out += self.heads[spec.name].shapes(f"head.{spec.name}")
+            out += Mlp.shapes(self.heads[spec.name].dims, f"head.{spec.name}")
         return out
 
 
@@ -318,13 +318,11 @@ def train(
 def adapter_from_checkpoint(ckpt: ModelCheckpoint) -> Mlp:
     """The adapter from the leading slice of a pretraining checkpoint."""
     dim = ckpt.metadata.get("dim")
-    bottleneck = ckpt.metadata.get("bottleneck", BOTTLENECK_DIM)
-    want = [("adapter.w0", dim, bottleneck), ("adapter.b0", 1, bottleneck),
-            ("adapter.w1", bottleneck, dim), ("adapter.b1", 1, dim)]
-    got = [tuple(entry) for entry in ckpt.shapes[:4]]
+    dims = [dim, ckpt.metadata.get("bottleneck", BOTTLENECK_DIM), dim]
+    want = Mlp.shapes(dims, "adapter")
+    got = [tuple(entry) for entry in ckpt.shapes[: len(want)]]
     if got != want:
         raise ValueError(f"checkpoint does not start with the adapter layout {want}: {got}")
-    dims = [dim, bottleneck, dim]
     return Mlp(dims, params=ckpt.weights[: Mlp.size(dims)].astype(np.float64))
 
 

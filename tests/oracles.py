@@ -24,6 +24,15 @@ The training references (`early_stopping_reference`, `train_reference` and
 onto `nn.fit`. They call the package's models, losses and Adam, which the
 loop did not change; only the loop around them is under test.
 
+`split_examples_reference` is the per-video, per-step example walk that
+`downstream.build_downstream_dataset` replaced with row ranges of one
+matrix; it assumes annotations the builder accepts.
+
+`aggregate_reference` and `position_grads_reference` are the per-example
+aggregate and positional-gradient loops that `DownstreamModel.forward` and
+`backward` replaced with padded blocks; they read the model's positional
+table and nothing else of it.
+
 `gradient_check` is the finite-difference referee for the hand-derived
 gradients: it perturbs the package's flat parameter vector and compares
 the package's own loss against `trainer.model_loss_and_grads`.
@@ -579,6 +588,46 @@ def train_reference(features, video_of, header, targets, config, config_hash=Non
     return checkpoint_from_params(best, model.shapes(), metadata), history
 
 
+def split_examples_reference(corpus, annotations, kind, config, transform=None):
+    """{split: [(feature block, label), ...]} in the order the old builder made them."""
+    by_id = {v.video_id: v for v in corpus.videos}
+    order = np.random.default_rng(config.seed).permutation(len(annotations))
+    n_train = int(round(config.train_fraction * len(annotations)))
+    n_val = int(round(config.val_fraction * len(annotations)))
+    out = {"train": [], "val": [], "test": []}
+    for rank, ann_idx in enumerate(order):
+        ann = annotations[ann_idx]
+        feats = by_id[ann.video_id].segments
+        if transform is not None:
+            feats = transform(feats)
+        if kind == "TR":
+            examples = [(feats, ann.task_class)]
+        elif kind == "SR":
+            examples = [(feats[s.start : s.end], s.step_class)
+                        for s in ann.steps if s.end > s.start]
+        else:
+            examples = [(feats[: s.start], s.step_class) for s in ann.steps[1:] if s.start > 0]
+        split = "train" if rank < n_train else "val" if rank < n_train + n_val else "test"
+        out[split].extend(examples)
+    return out
+
+
+def aggregate_reference(positions, examples):
+    """Each example's mean of its rows plus the leading positional vectors, one at a time."""
+    return np.stack([
+        (examples.features[start : start + length] + positions[:length]).mean(axis=0)
+        for start, length in zip(examples.start, examples.length)
+    ])
+
+
+def position_grads_reference(positions, examples, dagg):
+    """The positional-table gradient, accumulated one example at a time."""
+    dpos = np.zeros_like(positions)
+    for row, length in enumerate(examples.length):
+        dpos[:length] += dagg[row] / length
+    return dpos
+
+
 def train_downstream_reference(splits, dim, config):
     """downstream.train_downstream as it stood with its own epoch loop."""
     rng = np.random.default_rng(config.seed)
@@ -596,10 +645,9 @@ def train_downstream_reference(splits, dim, config):
         order = rng.permutation(len(splits.train))
         epoch_loss = 0.0
         for start in range(0, order.size, batch_size):
-            batch = [splits.train[i] for i in order[start : start + batch_size]]
-            labels = np.array([ex.label for ex in batch])
+            batch = splits.train[order[start : start + batch_size]]
             logits, cache = model.forward(batch)
-            loss, dlogits = softmax_cross_entropy(logits, labels)
+            loss, dlogits = softmax_cross_entropy(logits, batch.label)
             grads = model.backward(batch, cache, dlogits)
             adam_step(
                 params,

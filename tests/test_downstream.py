@@ -4,16 +4,44 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pkgforge import downstream as ds
 from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, Video
 from pkgforge.downstream import (
     DownstreamConfig,
-    DownstreamExample,
     DownstreamModel,
+    Examples,
     StepSpan,
     VideoAnnotation,
 )
+
+from oracles import aggregate_reference, position_grads_reference, split_examples_reference
+
+
+def _examples(blocks, labels, dim=None):
+    """Examples over one matrix stacking `blocks`, the i-th labelled labels[i]."""
+    lengths = np.array([len(b) for b in blocks], dtype=np.int64)
+    features = np.vstack(blocks) if blocks else np.zeros((0, dim))
+    return Examples(features, np.cumsum(lengths) - lengths, lengths,
+                    np.array(labels, dtype=np.int64))
+
+
+def _classifier_input(model, examples):
+    """The classifier input that forward built."""
+    _, (acts, _) = model.forward(examples)
+    return acts[0]
+
+
+def _zeroed_model(dim, n_classes, config):
+    model = DownstreamModel(dim, n_classes, "TR", config, np.random.default_rng(0))
+    model.params[...] = 0.0
+    return model
+
+
+def _rows(examples):
+    return {r for s, n in zip(examples.start, examples.length) for r in range(s, s + n)}
 
 
 def _corpus_and_annotations(rng, n_videos=10, dim=4, n_steps_per_video=3, n_classes=5):
@@ -48,8 +76,7 @@ class TestDatasetConstruction:
         cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
         splits = ds.build_downstream_dataset(corpus, anns, "SR", cfg)
         assert len(splits.train) == 16
-        for ex in splits.train:
-            assert 1 <= ex.features.shape[0] <= 3
+        assert ((1 <= splits.train.length) & (splits.train.length <= 3)).all()
 
     def test_sf_requires_full_first_step(self):
         rng = np.random.default_rng(2)
@@ -58,9 +85,42 @@ class TestDatasetConstruction:
         splits = ds.build_downstream_dataset(corpus, anns, "SF", cfg)
         # steps 1 and 2 are predictable, each from all segments before them
         assert len(splits.train) == 2
-        first = splits.train[0]
-        assert first.features.shape[0] == anns[0].steps[1].start
-        assert first.label == anns[0].steps[1].step_class
+        assert splits.train.start.tolist() == [0, 0]
+        assert splits.train.length[0] == anns[0].steps[1].start
+        assert splits.train.label[0] == anns[0].steps[1].step_class
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_videos=st.integers(1, 12),
+        kind=st.sampled_from(["TR", "SR", "SF"]),
+        fractions=st.sampled_from([(1.0, 0.0), (0.5, 0.25), (0.6, 0.2), (0.3, 0.7)]),
+        transformed=st.booleans(),
+    )
+    def test_equal_to_per_video_walk(self, seed, n_videos, kind, fractions, transformed):
+        rng = np.random.default_rng(seed)
+        videos, anns = [], []
+        for v in range(n_videos):
+            # empty spans, gaps, and steps starting at segment 0 after the first
+            n_segments = int(rng.integers(0 if kind != "TR" else 1, 8))
+            bounds = np.sort(rng.integers(0, n_segments + 1, size=(int(rng.integers(0, 5)), 2)))
+            steps = [StepSpan(int(rng.integers(0, 4)), int(a), int(b)) for a, b in bounds]
+            videos.append(Video(f"v{v}", "t", rng.normal(size=(n_segments, 3))))
+            anns.append(VideoAnnotation(f"v{v}", int(rng.integers(0, 3)), steps))
+        if kind != "TR" and not any(a.steps for a in anns):
+            anns[0].steps.append(StepSpan(0, 0, 0))
+        corpus = SegmentCorpus(videos=videos)
+        cfg = DownstreamConfig(train_fraction=fractions[0], val_fraction=fractions[1],
+                               seed=seed % 97)
+        transform = (lambda f: np.tanh(f) * 3.0) if transformed else None
+        splits = ds.build_downstream_dataset(corpus, anns, kind, cfg, transform)
+        want = split_examples_reference(corpus, anns, kind, cfg, transform)
+        for name in ("train", "val", "test"):
+            got = getattr(splits, name)
+            assert got.label.tolist() == [label for _, label in want[name]]
+            assert [got.features[s : s + n].tobytes() for s, n in zip(got.start, got.length)] == [
+                block.tobytes() for block, _ in want[name]
+            ]
 
     def test_video_annotated_twice_rejected(self):
         # at most seeds a repeated annotation would put one video in two splits
@@ -74,12 +134,11 @@ class TestDatasetConstruction:
         corpus, anns = _corpus_and_annotations(rng, n_videos=20)
         cfg = DownstreamConfig(train_fraction=0.5, val_fraction=0.25, seed=7)
         splits = ds.build_downstream_dataset(corpus, anns, "SR", cfg)
-        train_videos = {ex.video_id for ex in splits.train}
-        val_videos = {ex.video_id for ex in splits.val}
-        test_videos = {ex.video_id for ex in splits.test}
-        assert not (train_videos & val_videos)
-        assert not (train_videos & test_videos)
-        assert not (val_videos & test_videos)
+        train_rows, val_rows, test_rows = map(_rows, (splits.train, splits.val, splits.test))
+        assert train_rows and val_rows and test_rows
+        assert not (train_rows & val_rows)
+        assert not (train_rows & test_rows)
+        assert not (val_rows & test_rows)
 
     def test_transform_applied(self):
         rng = np.random.default_rng(4)
@@ -87,7 +146,8 @@ class TestDatasetConstruction:
         cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
         doubled = ds.build_downstream_dataset(corpus, anns, "TR", cfg, transform=lambda f: 2 * f)
         plain = ds.build_downstream_dataset(corpus, anns, "TR", cfg)
-        np.testing.assert_allclose(doubled.train[0].features, 2 * plain.train[0].features)
+        np.testing.assert_array_equal(doubled.train.start, plain.train.start)
+        np.testing.assert_allclose(doubled.train.features, 2 * plain.train.features)
 
     def test_overlong_video_rejected(self):
         rng = np.random.default_rng(5)
@@ -125,7 +185,29 @@ class TestDatasetConstruction:
         corpus, anns = self._six_segment_video(0, StepSpan(1, 6, 6))
         cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
         splits = ds.build_downstream_dataset(corpus, anns, "SR", cfg)
-        assert [ex.label for ex in splits.train] == [0]
+        assert splits.train.label.tolist() == [0]
+
+    @pytest.mark.parametrize("kind, what", [("TR", "videos"), ("SR", "steps"), ("SF", "steps")])
+    def test_empty_class_space_named(self, kind, what):
+        # once a bare "max() arg is an empty sequence"
+        cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
+        corpus = SegmentCorpus(videos=[Video("v0", "task0", np.ones((3, 2)))])
+        with pytest.raises(ValueError, match=f"no {kind} labels: the annotations hold no {what}"):
+            ds.build_downstream_dataset(corpus, [], kind, cfg)
+        if kind != "TR":
+            with pytest.raises(ValueError, match=f"no {kind} labels"):
+                ds.build_downstream_dataset(corpus, [VideoAnnotation("v0", 0, [])], kind, cfg)
+
+    def test_task_of_a_zero_segment_video_rejected(self):
+        # once "cannot classify an empty segment sequence", mid-training and unnamed
+        corpus = SegmentCorpus(videos=[Video("v0", "task0", np.ones((3, 2))),
+                                       Video("v1", "task0", np.ones((0, 2)))])
+        anns = [VideoAnnotation("v0", 0, [StepSpan(0, 0, 3)]), VideoAnnotation("v1", 1, [])]
+        cfg = DownstreamConfig(train_fraction=1.0, val_fraction=0.0)
+        with pytest.raises(ValueError, match="video v1 has no segments"):
+            ds.build_downstream_dataset(corpus, anns, "TR", cfg)
+        # step tasks take nothing from it
+        assert ds.build_downstream_dataset(corpus, anns, "SR", cfg).train.label.tolist() == [0]
 
 
 class TestModelMath:
@@ -133,8 +215,7 @@ class TestModelMath:
         cfg = DownstreamConfig()
         model = DownstreamModel(3, 4, "TR", cfg, np.random.default_rng(0))
         model.positions[...] = 0.0
-        ex = DownstreamExample(np.zeros((2, 3)), 0, "v")
-        logits = model.forward([ex])[0][0]
+        logits = model.forward(_examples([np.zeros((2, 3))], [0]))[0][0]
         # with zero aggregate the classifier sees only its bias path
         hidden = np.maximum(model.classifier.biases[0], 0.0)
         want = hidden @ model.classifier.weights[1] + model.classifier.biases[1]
@@ -145,20 +226,20 @@ class TestModelMath:
         rng = np.random.default_rng(1)
         model = DownstreamModel(3, 4, "TR", cfg, rng)
         x = rng.normal(size=(1, 3))
-        got = model.forward([DownstreamExample(x, 0, "v")])[0][0]
+        got = model.forward(_examples([x], [0]))[0][0]
         want, _ = model.classifier.forward(x + model.positions[0])
         np.testing.assert_allclose(got, want[0], atol=1e-12)
 
     def test_hand_computed_length_two(self):
         cfg = DownstreamConfig(hidden_tr=2)
-        model = DownstreamModel(2, 2, "TR", cfg, None)
+        model = _zeroed_model(2, 2, cfg)
         model.positions[0] = [0.1, 0.2]
         model.positions[1] = [-0.1, 0.3]
         model.classifier.weights[0][...] = np.eye(2)
         model.classifier.weights[1][...] = [[1.0, 0.0], [0.0, 2.0]]
         model.classifier.biases[1][...] = [0.05, 0.0]
-        ex = DownstreamExample(np.array([[1.0, 0.0], [0.0, 1.0]]), 0, "v")
-        logits = model.forward([ex])[0][0]
+        ex = _examples([np.array([[1.0, 0.0], [0.0, 1.0]])], [0])
+        logits = model.forward(ex)[0][0]
         # mean of (1.1, 0.2) and (-0.1, 1.3) is (0.5, 0.75)
         np.testing.assert_allclose(logits, [0.55, 1.5], atol=1e-12)
 
@@ -167,71 +248,106 @@ class TestModelMath:
         rng = np.random.default_rng(2)
         model = DownstreamModel(3, 4, "TR", cfg, rng)
         model.classifier.weights[0][...] = 0.0
-        ex = DownstreamExample(rng.normal(size=(2, 3)), 0, "v")
-        before = model.forward([ex])[0][0]
+        ex = _examples([rng.normal(size=(2, 3))], [0])
+        before = model.forward(ex)[0][0]
         model.positions += np.array([1.0, -2.0, 0.5])  # constant shift of every entry
-        after = model.forward([ex])[0][0]
+        after = model.forward(ex)[0][0]
         np.testing.assert_allclose(after, before, atol=1e-12)
 
     def test_aggregate_linear_in_position_shift(self):
         cfg = DownstreamConfig()
         rng = np.random.default_rng(3)
         model = DownstreamModel(3, 4, "TR", cfg, rng)
-        ex = DownstreamExample(rng.normal(size=(4, 3)), 0, "v")
-        agg_before = model._aggregate(ex.features)
+        ex = _examples([rng.normal(size=(4, 3))], [0])
+        agg_before = _classifier_input(model, ex)
         shift = np.array([0.3, -1.0, 2.0])
         model.positions += shift
-        np.testing.assert_allclose(model._aggregate(ex.features), agg_before + shift, atol=1e-12)
+        np.testing.assert_allclose(_classifier_input(model, ex), agg_before + shift, atol=1e-12)
+
+
+class TestPaddedBlocks:
+    """forward's aggregate and backward's positional gradient, bit for bit
+    against the per-example loops they replaced.
+
+    Widths start at 2: a (rows, 1) block is summed pairwise by numpy, so the
+    per-example mean of a one-dimensional feature rounds differently.
+    """
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_examples=st.integers(1, 256),
+        max_positions=st.integers(1, 128),
+        dim=st.integers(2, 6),
+        block=st.integers(1, 40),
+        spare_rows=st.integers(0, 8),
+    )
+    @example(seed=0, n_examples=256, max_positions=128, dim=2, block=16, spare_rows=0)
+    @example(seed=1, n_examples=1, max_positions=1, dim=2, block=1, spare_rows=0)
+    def test_equal_to_per_example_loops(
+        self, seed, n_examples, max_positions, dim, block, spare_rows
+    ):
+        rng = np.random.default_rng(seed)
+        cfg = DownstreamConfig(max_positions=max_positions, batch_size=block, hidden_tr=5)
+        model = DownstreamModel(dim, 3, "TR", cfg, rng)
+        # few spare rows, so most examples share rows with others
+        n_rows = max_positions + spare_rows
+        scale = 10.0 ** rng.uniform(np.log10(1e-3), np.log10(30.0), size=(n_rows, 1))
+        features = rng.normal(size=(n_rows, dim)) * scale
+        length = rng.integers(1, max_positions + 1, size=n_examples)
+        length[rng.integers(n_examples)] = max_positions
+        start = rng.integers(0, n_rows - length + 1)
+        batch = Examples(features, start, length, rng.integers(0, 3, size=n_examples))
+
+        logits, cache = model.forward(batch)
+        want = aggregate_reference(model.positions, batch)
+        assert cache[0][0].tobytes() == want.tobytes()
+
+        dlogits = rng.normal(size=logits.shape)
+        model.backward(batch, cache, dlogits)
+        got = model.position_grads.copy()
+        dagg = model.classifier.backward(cache, dlogits)
+        assert got.tobytes() == position_grads_reference(model.positions, batch, dagg).tobytes()
 
 
 class TestEvaluate:
     def _perfect_model(self):
         cfg = DownstreamConfig(hidden_tr=2)
-        model = DownstreamModel(2, 2, "TR", cfg, None)
+        model = _zeroed_model(2, 2, cfg)
         model.classifier.weights[0][...] = np.eye(2)
         model.classifier.weights[1][...] = np.eye(2)
         return model
 
     def test_all_correct(self):
         model = self._perfect_model()
-        exs = [
-            DownstreamExample(np.array([[5.0, 0.0]]), 0, "a"),
-            DownstreamExample(np.array([[0.0, 5.0]]), 1, "b"),
-        ]
+        exs = _examples([np.array([[5.0, 0.0]]), np.array([[0.0, 5.0]])], [0, 1])
         assert ds.evaluate(model, exs) == 1.0
 
     def test_none_correct(self):
         model = self._perfect_model()
-        exs = [DownstreamExample(np.array([[5.0, 0.0]]), 1, "a")]
+        exs = _examples([np.array([[5.0, 0.0]])], [1])
         assert ds.evaluate(model, exs) == 0.0
 
     def test_three_of_four(self):
         model = self._perfect_model()
-        exs = [
-            DownstreamExample(np.array([[5.0, 0.0]]), 0, "a"),
-            DownstreamExample(np.array([[5.0, 0.0]]), 0, "b"),
-            DownstreamExample(np.array([[0.0, 5.0]]), 1, "c"),
-            DownstreamExample(np.array([[0.0, 5.0]]), 0, "d"),
-        ]
+        a, b = np.array([[5.0, 0.0]]), np.array([[0.0, 5.0]])
+        exs = _examples([a, a, b, b], [0, 0, 1, 0])
         assert ds.evaluate(model, exs) == 0.75
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         model = DownstreamModel(3, 4, "TR", DownstreamConfig(), rng)
-        exs = [
-            DownstreamExample(rng.normal(size=(2, 3)), int(rng.integers(4)), f"v{i}")
-            for i in range(17)
-        ]
+        exs = _examples([rng.normal(size=(2, 3)) for _ in range(17)], rng.integers(4, size=17))
         base = ds.evaluate(model, exs)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(len(exs))
-            assert ds.evaluate(model, [exs[i] for i in order]) == base
+            assert ds.evaluate(model, exs[order]) == base
 
     def test_argmax_tie_smallest_class(self):
         cfg = DownstreamConfig(hidden_tr=2)
-        model = DownstreamModel(2, 3, "TR", cfg, None)
+        model = _zeroed_model(2, 3, cfg)
         # all logits zero: every class ties, argmax must pick class 0
-        exs = [DownstreamExample(np.array([[1.0, 1.0]]), 0, "a")]
+        exs = _examples([np.array([[1.0, 1.0]])], [0])
         assert ds.evaluate(model, exs) == 1.0
 
 
@@ -291,12 +407,12 @@ class TestTraining:
         np.testing.assert_allclose(h_raw["train_loss"], h_ref["train_loss"], atol=1e-9)
 
     def test_empty_split_rejected(self):
+        none = _examples([], [], dim=3)
         with pytest.raises(ValueError, match="empty"):
-            ds.train_downstream(
-                ds.DownstreamSplits("SR", 2, [], [], []), 3, DownstreamConfig()
-            )
+            ds.train_downstream(ds.DownstreamSplits("SR", 2, none, none, none), 3,
+                                DownstreamConfig())
         with pytest.raises(ValueError, match="empty"):
-            ds.evaluate(DownstreamModel(2, 2, "TR", DownstreamConfig(), None), [])
+            ds.evaluate(_zeroed_model(3, 2, DownstreamConfig()), none)
 
 
 class TestAnnotationsFormat:

@@ -92,7 +92,7 @@ class TestTaskRanges:
             (([("t", "x", ["a", "b"])], [[1.0]]), "each of 2 headlines"),
             (([("t", "x", ["a"])], [1.0]), "each of 1 headlines"),  # not 2-D
             (([("t", "x", ["a"])], np.ones((1, 0))), "dimension >= 1"),
-            (([("t", "x", ["a", "b"])], [[1.0], [np.nan]]), "step 1 has non-finite embedding"),
+            (([("t", "x", ["a", "b"])], [[1.0], [-0.0]]), "task 't' step 1 has zero embedding"),
             (([("t", "x", ["a"]), ("u", "y", ["b"])], [[1.0], [0.0]]),
              "task 'u' step 0 has zero embedding"),
         ],

@@ -38,6 +38,14 @@ def _small_config(**overrides):
     return WorldConfig(**base)
 
 
+def _step_rows(truth, db):
+    """Each step's canonical embedding: the row of its first headline, worded 0."""
+    steps, first = np.unique(truth.headline_true_step, return_index=True)
+    assert steps.tolist() == list(range(truth.n_steps))
+    assert all(db.headlines[h].endswith("(wording 0)") for h in first)
+    return db.embeddings[first]
+
+
 class TestGenerate:
     def test_deterministic_per_seed(self, tmp_path):
         for variant in ("a", "b"):
@@ -52,9 +60,9 @@ class TestGenerate:
             assert f.read_bytes() == (tmp_path / "b" / "features" / f.name).read_bytes()
 
     def test_different_seeds_differ(self):
-        t1, _, _ = synthgen.generate(_small_config(seed=1))
-        t2, _, _ = synthgen.generate(_small_config(seed=2))
-        assert not np.array_equal(t1.step_embeddings, t2.step_embeddings)
+        t1, db1, _ = synthgen.generate(_small_config(seed=1))
+        t2, db2, _ = synthgen.generate(_small_config(seed=2))
+        assert not np.array_equal(_step_rows(t1, db1), _step_rows(t2, db2))
 
     def test_zero_noise_top1_is_true_step(self):
         truth, db, corpus = synthgen.generate(_small_config())
@@ -103,6 +111,7 @@ class TestGenerate:
         cfg = _small_config(style_sigma=5.0, seed=7)
         truth, db, corpus = synthgen.generate(cfg)
         emb = db.embeddings
+        steps = _step_rows(truth, db)
         # headlines live entirely in the signal coordinates
         assert np.all(emb[:, cfg.signal_dim :] == 0.0)
         # with zero noise/jitter the style offset cannot move any score
@@ -111,9 +120,7 @@ class TestGenerate:
             for span in ann.steps:
                 for seg in video.segments[span.start : span.end]:
                     scores = emb @ seg
-                    want = cfg.feature_scale * (
-                        emb @ truth.step_embeddings[span.step_class]
-                    )
+                    want = cfg.feature_scale * (emb @ steps[span.step_class])
                     np.testing.assert_allclose(scores, want, atol=1e-9)
                     assert headline_step[int(np.argmax(scores))] == span.step_class
 
