@@ -96,13 +96,7 @@ def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
     """Check a synthetic world's truth.json hash; a world without one (real data) passes."""
     truth_path = world / "truth.json"
     if truth_path.exists():
-        try:
-            truth = corpus_io.parse_json(truth_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise corpus_io.CorpusFormatError(f"{truth_path}: malformed JSON: {exc}") from None
-        if not corpus_io.fits_json(truth, "object"):
-            raise corpus_io.CorpusFormatError(f"{truth_path}: truth file is not a JSON object")
-        _check_hash(truth.get("config_hash"), cfg, str(truth_path), force)
+        _check_hash(synthgen.load_truth(truth_path).config_hash, cfg, str(truth_path), force)
 
 
 def _load_corpus(world: Path) -> corpus_io.SegmentCorpus:

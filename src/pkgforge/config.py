@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .corpus_io import canonical_json, dataclass_from_json, fits_json, parse_json
+from .corpus_io import JsonFile, canonical_json, dataclass_from_json, fits_json
 from .downstream import DownstreamConfig
 from .synthgen import WorldConfig
 from .trainer import TrainConfig
@@ -41,6 +41,8 @@ class PipelineConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy seeds every stream from it
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.dedup_threshold > 0:  # single linkage merges nothing at or below 0
             raise ValueError(f"dedup_threshold must be > 0, got {self.dedup_threshold}")
         if not self.instance_threshold >= 0:  # normalize_scores logs every kept aggregate
@@ -72,11 +74,8 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(parse_json(fh.read()))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        with JsonFile(path, "config") as src:
+            return cls.from_dict(src.document())
 
     def config_hash(self) -> str:
         payload = canonical_json(self.to_dict()).encode("utf-8")

@@ -10,8 +10,8 @@ u32 version/rows/dim, then the row-major little-endian payload, f32 for
 features and f64 for step embeddings. Checkpoint weights are little-endian
 f32. Everything is f64 the moment it enters memory.
 
-Every JSON value a reader takes from an artifact or a config file is
-checked by `fits_json` and the checks built on it (README §Formats).
+Every reader takes JSON from a file through one frame, `JsonFile`, and checks
+each value by `fits_json` and the checks built on it (README §Formats).
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ STEPS_VERSION = 1
 
 
 class CorpusFormatError(ValueError):
-    """Raised when an on-disk artifact violates its schema or invariants."""
+    """Raised when an on-disk artifact violates its schema or invariants; the message
+    starts with the file at fault."""
 
 
 def canonical_json(obj) -> str:
@@ -56,7 +57,8 @@ parse_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 # what each annotation accepts: a bool is no JSON integer, a JSON integer is a number
 _JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "list": {list}, "object": {dict}}
-_JSON_NOUNS = {"int": "JSON integer", "float": "JSON number", "str": "string"}
+_JSON_NOUNS = {"int": "JSON integer", "float": "JSON number", "str": "string",
+               "object": "JSON object"}
 
 
 def _tuple_items(annotation: str) -> list[str] | None:
@@ -82,15 +84,15 @@ def check_json(value, annotation: str, name: str):
         return value
     items = _tuple_items(annotation)
     if items is None:
-        raise CorpusFormatError(f"{name} {value!r} is not a {_JSON_NOUNS[annotation]}")
+        raise ValueError(f"{name} {value!r} is not a {_JSON_NOUNS[annotation]}")
     count = "" if items[-1] == "..." else f"{len(items)} "
-    raise CorpusFormatError(f"{name} {value!r} is not a list of {count}{_JSON_NOUNS[items[0]]}s")
+    raise ValueError(f"{name} {value!r} is not a list of {count}{_JSON_NOUNS[items[0]]}s")
 
 
 def check_ids(ids, bound: int, name: str) -> list[int]:
     """`ids`, checked to be a list of JSON integers in [0, bound)."""
     if check_json(ids, "tuple[int, ...]", name) and (min(ids) < 0 or max(ids) >= bound):
-        raise CorpusFormatError(f"{name} {sorted(ids)} has an id outside [0, {bound})")
+        raise ValueError(f"{name} {sorted(ids)} has an id outside [0, {bound})")
     return ids
 
 
@@ -102,7 +104,7 @@ def check_ranked_ids(items, bound: int, name: str) -> list[tuple[int, float]]:
     pairs = [(i, float(s)) for i, s in items if type(i) in ints and type(s) in numbers]
     if len(pairs) != len(items) or pairs and (min(pairs)[0] < 0 or max(pairs)[0] >= bound):
         check_ids([i for i, _ in items], bound, name)  # raises if the ids are at fault
-        raise CorpusFormatError(f"{name} scores {[s for _, s in items]!r} are not all JSON numbers")
+        raise ValueError(f"{name} scores {[s for _, s in items]!r} are not all JSON numbers")
     return pairs
 
 
@@ -112,22 +114,88 @@ def dataclass_from_json(cls, data, prefix: str = ""):
     A float field holds a float (JSON 360 and 360.0 must hash alike), a tuple field a tuple.
     """
     if not fits_json(data, "object"):
-        raise CorpusFormatError(
-            f"config section {prefix[:-1]!r} must be a JSON object, got {data!r}"
-        )
+        raise ValueError(f"config section {prefix[:-1]!r} must be a JSON object, got {data!r}")
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
-        raise CorpusFormatError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+        raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
     converted = dict(data)
     for name, value in data.items():
         if not fits_json(value, types[name]):
-            raise CorpusFormatError(f"{prefix}{name} must be {types[name]}, got {value!r}")
+            raise ValueError(f"{prefix}{name} must be {types[name]}, got {value!r}")
         if types[name] == "float":
             converted[name] = float(value)
         elif _tuple_items(types[name]):
             converted[name] = tuple(value)
     return cls(**converted)
+
+
+class JsonFile:
+    """The frame every reader takes JSON from a file through (README §Formats).
+
+    `lines()` yields the object on each non-blank line, `header()` the first
+    line's and `document()` the whole file's. Each line is decoded as UTF-8 on
+    its own, so a fault names its true line, and each must hold a JSON object.
+    In the `with` block a KeyError, TypeError or ValueError, from the decode or
+    from the reader's own checks, leaves as one CorpusFormatError
+    "path:line: malformed <noun>: ..." naming the line read last; a reader may
+    rename `noun` as it goes. A CorpusFormatError already names its file and
+    leaves unchanged.
+    """
+
+    def __init__(self, path: str | Path, noun: str):
+        self.path, self.noun, self.lineno = Path(path), noun, 0
+
+    def __enter__(self) -> "JsonFile":
+        self.fh = open(self.path, "rb")
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self.fh.close()
+        if kind is None or issubclass(kind, CorpusFormatError):
+            return
+        if issubclass(kind, (KeyError, TypeError, ValueError)):
+            detail = f"has no {exc}" if kind is KeyError else exc
+            raise CorpusFormatError(
+                f"{self.path}:{self.lineno}: malformed {self.noun}: {detail}"
+            ) from exc
+
+    def _object(self, text: str) -> dict:
+        obj = parse_json(text)
+        if type(obj) is not dict:
+            raise ValueError(f"a {self.noun} must be a JSON object")
+        return obj
+
+    def lines(self):
+        """The object on each non-blank line not yet read. Each line is decoded under
+        the noun held when the lines began, never under one a reader gave the line
+        before."""
+        noun = self.noun
+        for self.lineno, raw in enumerate(self.fh, self.lineno + 1):
+            self.noun = noun
+            if not raw.isspace():
+                yield self._object(raw.decode("utf-8"))
+
+    def header(self) -> dict:
+        """The object on the first line, which must end in a newline."""
+        self.lineno = 1
+        raw = self.fh.readline()
+        if not raw.endswith(b"\n"):
+            raise ValueError("the file ends before the line does")
+        return self._object(raw.decode("utf-8"))
+
+    def document(self) -> dict:
+        """The whole file as one object; a fault after the decode names line 1."""
+        raw = self.fh.read()
+        self.lineno = 1
+        try:
+            return self._object(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            self.lineno += raw.count(b"\n", 0, exc.start)
+            raise
+        except json.JSONDecodeError as exc:
+            self.lineno = exc.lineno
+            raise
 
 
 @contextmanager
@@ -226,26 +294,14 @@ def load_step_database(path: str | Path) -> StepDatabase:
     """Read steps.jsonl (one task per line) and its steps.f64 matrix, then validate."""
     path = Path(path)
     tasks = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = parse_json(line)
-                inline = fits_json(rec, "object") and "steps" in rec
-                if not inline:
-                    names = check_json([rec["task_id"], rec["task_name"]], "tuple[str, str]",
-                                       "task_id and task_name")
-                    headlines = check_json(rec["headlines"], "tuple[str, ...]", "headlines")
-                    tasks.append((*names, headlines))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed task record: {exc}") from exc
-            if inline:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: task record holds inline embeddings, a layout "
-                    "this version no longer reads; rerun `pkgforge synth`"
-                )
+    with JsonFile(path, "task record") as src:
+        for rec in src.lines():
+            if "steps" in rec:
+                raise ValueError("holds inline embeddings, a layout this version no longer reads; "
+                                 "rerun `pkgforge synth`")
+            names = check_json([rec["task_id"], rec["task_name"]], "tuple[str, str]",
+                               "task_id and task_name")
+            tasks.append((*names, check_json(rec["headlines"], "tuple[str, ...]", "headlines")))
     matrix_path = _embedding_path(path)
     try:
         embeddings = _read_matrix(matrix_path, STEPS_MAGIC, STEPS_VERSION, "<f8")
@@ -370,42 +426,26 @@ def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
     videos: list[Video] = []
     line_of: dict[str, int] = {}
     dim = None
-    with open(manifest_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = parse_json(line)
-                video_id = check_json(rec["video_id"], "str", "video_id")
-                task_name = rec["task_name"]
-                if task_name is not None:
-                    check_json(task_name, "str", "task_name")
-                num_segments = check_json(rec["num_segments"], "int", "num_segments")
-                feature_file = check_json(rec["feature_file"], "str", "feature_file")
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(
-                    f"{manifest_path}:{lineno}: malformed manifest record: {exc}"
-                ) from exc
+    with JsonFile(manifest_path, "manifest record") as src:
+        for rec in src.lines():
+            video_id = check_json(rec["video_id"], "str", "video_id")
+            task_name = rec["task_name"]
+            if task_name is not None:
+                check_json(task_name, "str", "task_name")
+            num_segments = check_json(rec["num_segments"], "int", "num_segments")
+            feature_file = check_json(rec["feature_file"], "str", "feature_file")
             if video_id in line_of:
-                raise CorpusFormatError(
-                    f"{manifest_path}:{lineno}: video_id {video_id!r} repeats line "
-                    f"{line_of[video_id]}"
-                )
-            line_of[video_id] = lineno
+                raise ValueError(f"video_id {video_id!r} repeats line {line_of[video_id]}")
+            line_of[video_id] = src.lineno
             features = read_feature_file(base / feature_file)
             if features.shape[0] != num_segments:
-                raise CorpusFormatError(
-                    f"{manifest_path}:{lineno}: manifest says {num_segments} segments but "
-                    f"{feature_file} holds {features.shape[0]}"
-                )
+                raise ValueError(f"manifest says {num_segments} segments but {feature_file} "
+                                 f"holds {features.shape[0]}")
             if dim is None:
                 dim = features.shape[1]
             elif features.shape[1] != dim:
-                raise CorpusFormatError(
-                    f"{manifest_path}:{lineno}: {feature_file} has dimension "
-                    f"{features.shape[1]}, expected {dim}"
-                )
+                raise ValueError(f"{feature_file} has dimension {features.shape[1]}, "
+                                 f"expected {dim}")
             videos.append(Video(video_id=video_id, corpus_task_name=task_name, segments=features))
     return SegmentCorpus(videos=videos)
 
@@ -472,28 +512,19 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     path = Path(path)
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        if not header_line.endswith(b"\n"):
-            raise CorpusFormatError(f"{path}: missing checkpoint header line")
-        try:
-            header = parse_json(header_line.decode("utf-8"))
-            shapes = [
-                (check_json(name, "str", "shape name"), check_json(rows, "int", f"{name!r} rows"),
-                 check_json(cols, "int", f"{name!r} cols"))
-                for name, rows, cols in header["shapes"]
-            ]
-            metadata = header["metadata"]
-            if not fits_json(metadata, "object"):
-                raise TypeError(f"metadata must be a JSON object, got {metadata!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path}: malformed checkpoint header: {exc}") from exc
+    with JsonFile(path, "checkpoint header") as src:
+        header = src.header()
+        shapes = [
+            (check_json(name, "str", "shape name"), check_json(rows, "int", f"{name!r} rows"),
+             check_json(cols, "int", f"{name!r} cols"))
+            for name, rows, cols in header["shapes"]
+        ]
+        metadata = check_json(header["metadata"], "object", "metadata")
         for name, rows, cols in shapes:
             if rows < 1 or cols < 1:
-                raise CorpusFormatError(
-                    f"{path}: shape entry {name!r} is {rows}x{cols}; rows and cols must be >= 1"
-                )
-        payload = _read_payload(fh, path, 4 * sum(r * c for _, r, c in shapes), "weights")
+                raise ValueError(f"shape entry {name!r} is {rows}x{cols}; rows and cols must "
+                                 "be >= 1")
+        payload = _read_payload(src.fh, path, 4 * sum(r * c for _, r, c in shapes), "weights")
     weights = np.frombuffer(payload, dtype="<f4")
     bad = np.flatnonzero(~np.isfinite(weights))
     if bad.size:

@@ -14,9 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus_io import (
-    CorpusFormatError, SegmentCorpus, atomic_write, canonical_json, check_json, parse_json,
-)
+from .corpus_io import JsonFile, SegmentCorpus, atomic_write, canonical_json, check_json
 from .nn import AdamState, Mlp, adam_step, fit, glorot_uniform, softmax_cross_entropy
 
 TASK_RECOGNITION = "TR"
@@ -118,22 +116,14 @@ def save_annotations(annotations: list[VideoAnnotation], path: str | Path) -> No
 
 
 def load_annotations(path: str | Path) -> list[VideoAnnotation]:
-    path = Path(path)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = parse_json(line)
-                video_id = check_json(obj["video_id"], "str", "video_id")
-                task_class = check_json(obj["task_class"], "int", "task_class")
-                steps = [StepSpan(*(check_json(s[key], "int", f"step {key}")
-                                    for key in ("class", "start", "end"))) for s in obj["steps"]]
-                out.append(VideoAnnotation(video_id, task_class, steps))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: malformed annotation: {exc}") from exc
+    with JsonFile(path, "video annotation") as src:
+        for obj in src.lines():
+            video_id = check_json(obj["video_id"], "str", "video_id")
+            task_class = check_json(obj["task_class"], "int", "task_class")
+            steps = [StepSpan(*(check_json(s[key], "int", f"step {key}")
+                                for key in ("class", "start", "end"))) for s in obj["steps"]]
+            out.append(VideoAnnotation(video_id, task_class, steps))
     return out
 
 

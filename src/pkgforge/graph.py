@@ -15,8 +15,7 @@ import numpy as np
 
 from . import dedup, matcher
 from .corpus_io import (
-    CorpusFormatError, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
-    parse_json,
+    JsonFile, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
 )
 
 SOURCE_DATABASE = "database"
@@ -47,8 +46,8 @@ class ProceduralKnowledgeGraph:
     nodes: list[StepNode]
     edges: list[DirectedEdge]
     config_hash: str | None = None
-    out_edges: dict[int, list[tuple[int, float]]] = field(default_factory=dict, repr=False)
-    in_edges: dict[int, list[tuple[int, float]]] = field(default_factory=dict, repr=False)
+    out_edges: dict[int, list[tuple[int, float]]] = field(init=False, repr=False)
+    in_edges: dict[int, list[tuple[int, float]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._check()
@@ -309,10 +308,8 @@ def _edge(obj: dict) -> DirectedEdge:
 
 
 def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = parse_json(fh.read())
+    with JsonFile(path, "graph file") as src:
+        obj = src.document()
         nodes = [
             StepNode(
                 node_id=check_json(n["node_id"], "int", "node_id"),
@@ -327,8 +324,6 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
         ]
         edges = [_edge(e) for e in obj["edges"]]
         return ProceduralKnowledgeGraph(nodes, edges, obj.get("config_hash"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{path}: malformed graph file: {exc}") from exc
 
 
 def graph_stats(graph: ProceduralKnowledgeGraph) -> dict:

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import matcher
 from .corpus_io import (
-    CorpusFormatError, SegmentCorpus, StepDatabase, atomic_write, canonical_json, check_ids,
-    check_json, check_ranked_ids, fits_json, parse_json,
+    CorpusFormatError, JsonFile, SegmentCorpus, StepDatabase, atomic_write, canonical_json,
+    check_ids, check_json, check_ranked_ids, fits_json,
 )
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
@@ -312,14 +312,14 @@ def _set_block(obj: dict, header: dict, task_ids: set, corpus_names: set) -> dic
                                 ("vtm_corpus", corpus_names, "corpus tasks")):
         missing = set(check_json(obj[field], "tuple[str, ...]", field)) - known
         if missing:
-            raise CorpusFormatError(f"{field} names {space} missing from the header: "
-                                    f"{sorted(missing)}")
+            raise ValueError(f"{field} names {space} missing from the header: "
+                             f"{sorted(missing)}")
     nrl, hops = obj["nrl"], header["nrl_hops"]
     if not fits_json(nrl, "object") or sorted(nrl) != ["in", "out"]:
-        raise CorpusFormatError("nrl is not an object with exactly the keys 'in' and 'out'")
+        raise ValueError("nrl is not an object with exactly the keys 'in' and 'out'")
     for direction, per_hop in nrl.items():
         if not fits_json(per_hop, "tuple[list, ...]") or len(per_hop) != hops:
-            raise CorpusFormatError(f"nrl {direction} is not a list of {hops} hop lists")
+            raise ValueError(f"nrl {direction} is not a list of {hops} hop lists")
     num_nodes = header["num_nodes"]
     return {
         "vtm_db": obj["vtm_db"], "vtm_corpus": obj["vtm_corpus"],
@@ -337,60 +337,39 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
 
     This is the one place that checks a record's shape (README §Formats).
     Set-derived families are checked once per set line. An error names the
-    file and the header, set, record or line at fault.
+    file, the line and the header, set or record at fault.
     """
-    path = Path(path)
     blocks: list[dict] = []
     records: list[PseudoLabelSet] = []
-    where = "header"
-    with open(path, encoding="utf-8") as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise CorpusFormatError(f"{path}: empty labels file")
-        try:
-            header = parse_json(header_line)
-            if not fits_json(header, "object"):
-                raise CorpusFormatError("line is not a JSON object")
-            if header.get("kind") != LABELS_KIND:
-                raise CorpusFormatError(f"has unexpected kind {header.get('kind')!r}")
-            if "num_sets" not in header:
-                raise CorpusFormatError(
-                    "has no num_sets, so the file predates the set table; "
-                    "rerun `pkgforge labels` to rewrite it"
-                )
-            for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
-                check_json(header[key], "int", key)
-            task_ids = set(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))
-            corpus_names = set(check_json(header["corpus_task_names"], "tuple[str, ...]",
-                                          "corpus_task_names"))
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                where = f"line {lineno}"
-                obj = parse_json(line)
-                if not records and "video_id" not in obj:
-                    where = f"set {len(blocks)}"
-                    blocks.append(_set_block(obj, header, task_ids, corpus_names))
-                    continue
-                where = f"record {len(records)}"
-                set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]
-                if not fits_json(set_index, "int") or not 0 <= set_index < len(blocks):
-                    raise CorpusFormatError(
-                        f"points at set {set_index!r}, outside [0, {len(blocks)})"
-                    )
-                records.append(PseudoLabelSet(
-                    video_id=check_json(video_id, "str", "video_id"),
-                    segment_index=check_json(segment, "int", "segment_index"),
-                    vnm=check_ranked_ids(obj["vnm"], header["num_nodes"], "vnm"),
-                    vsm=check_ranked_ids(obj["vsm"], header["num_headlines"], "vsm"),
-                    **blocks[set_index],
-                ))
-        except CorpusFormatError as exc:
-            raise CorpusFormatError(f"{path}: {where} {exc}") from None
-        except KeyError as exc:
-            raise CorpusFormatError(f"{path}: {where} has no {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CorpusFormatError(f"{path}: malformed {where}: {exc}") from exc
+    with JsonFile(path, "header") as src:
+        header = src.header()
+        if header.get("kind") != LABELS_KIND:
+            raise ValueError(f"has unexpected kind {header.get('kind')!r}")
+        if "num_sets" not in header:
+            raise ValueError("has no num_sets, so the file predates the set table; "
+                             "rerun `pkgforge labels` to rewrite it")
+        for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
+            check_json(header[key], "int", key)
+        task_ids = set(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))
+        corpus_names = set(check_json(header["corpus_task_names"], "tuple[str, ...]",
+                                      "corpus_task_names"))
+        src.noun = "line"
+        for obj in src.lines():
+            if not records and "video_id" not in obj:
+                src.noun = f"set {len(blocks)}"
+                blocks.append(_set_block(obj, header, task_ids, corpus_names))
+                continue
+            src.noun = f"record {len(records)}"
+            set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]
+            if not fits_json(set_index, "int") or not 0 <= set_index < len(blocks):
+                raise ValueError(f"points at set {set_index!r}, outside [0, {len(blocks)})")
+            records.append(PseudoLabelSet(
+                video_id=check_json(video_id, "str", "video_id"),
+                segment_index=check_json(segment, "int", "segment_index"),
+                vnm=check_ranked_ids(obj["vnm"], header["num_nodes"], "vnm"),
+                vsm=check_ranked_ids(obj["vsm"], header["num_headlines"], "vsm"),
+                **blocks[set_index],
+            ))
     if header["num_sets"] != len(blocks):
         raise CorpusFormatError(
             f"{path}: header says {header['num_sets']} sets but the file holds "

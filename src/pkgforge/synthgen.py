@@ -27,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus_io import (
-    CorpusFormatError, SegmentCorpus, StepDatabase, Video, atomic_write, canonical_json,
-    check_ids, check_json, dataclass_from_json, parse_json,
+    JsonFile, SegmentCorpus, StepDatabase, Video, atomic_write, canonical_json, check_ids,
+    check_json, dataclass_from_json,
 )
 from .downstream import StepSpan, VideoAnnotation
 from .graph import ProceduralKnowledgeGraph
@@ -74,6 +74,9 @@ class WorldConfig:
         for p in (self.skip_prob, self.substitute_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        if not 0.0 <= self.paraphrase_max_distance <= 2.0:  # a cosine distance
+            raise ValueError(f"paraphrase_max_distance must lie in [0, 2], got "
+                             f"{self.paraphrase_max_distance}")
 
     @classmethod
     def with_noise_preset(cls, preset: str, **overrides) -> "WorldConfig":
@@ -91,6 +94,7 @@ class GroundTruth:
     observed_transitions: dict[tuple[int, int], int]
     annotations: list[VideoAnnotation]
     config: WorldConfig = field(repr=False, default=None)
+    config_hash: str | None = None  # of the config that made the world, as truth.json holds it
 
 
 def _rng(seed: int, *stream: int) -> np.random.Generator:
@@ -345,9 +349,8 @@ def save_truth(truth: GroundTruth, path: str | Path, config_hash: str | None = N
 
 
 def load_truth(path: str | Path) -> GroundTruth:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = parse_json(fh.read())
+    with JsonFile(path, "truth file") as src:
+        obj = src.document()
         # the section check that --config's world section goes through
         config = dataclass_from_json(WorldConfig, obj["world_config"], "world_config.")
         n_steps = check_json(obj["n_steps"], "int", "n_steps")
@@ -366,6 +369,5 @@ def load_truth(path: str | Path) -> GroundTruth:
             observed_transitions={(a, b): c for a, b, c in observed},
             annotations=[],
             config=config,
+            config_hash=obj.get("config_hash"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorpusFormatError(f"{path}: malformed truth file: {exc}") from exc

@@ -333,6 +333,12 @@ class TestOverridesValidated:
         assert name in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
 
+    def test_negative_seed_flag_named_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        assert _run("synth", "--preset", "synthetic", "--seed", -1, "--out", out) == 1
+        assert _one_line_error(capsys) == "seed must be >= 0, got -1"
+        assert not out.exists()
+
     def test_eval_rejects_zero_epochs(self, artifacts, tmp_path, capsys):
         # before the check, eval trained nothing and reported the untrained heads
         out = tmp_path / "report.json"
@@ -439,6 +445,12 @@ class TestWrongShapedJson:
             ({"dedup_threshold": float("nan")}, "NaN is not valid JSON"),
             ({"match_threshold": -5.0, "instance_threshold": -100.0},
              "instance_threshold must be >= 0, got -100.0"),
+            # each once failed inside synth: numpy's seed check, math.acos's domain
+            ({"seed": -2}, "seed must be >= 0, got -2"),
+            ({"world": {"paraphrase_max_distance": 3.0}},
+             "paraphrase_max_distance must lie in [0, 2], got 3.0"),
+            ({"world": {"paraphrase_max_distance": -1.0}},
+             "paraphrase_max_distance must lie in [0, 2], got -1.0"),
         ],
     )
     def test_synth_config(self, data, named, tmp_path, capsys):
@@ -458,7 +470,7 @@ class TestWrongShapedJson:
             "--labels", labels, "--out", tmp_path / "m.pkgc",
         ) == 1
         error = _one_line_error(capsys)
-        assert "labels.jsonl" in error and "header line is not a JSON object" in error
+        assert f"{labels}:1: malformed header: a header must be a JSON object" in error
 
     def test_pretrain_labels_set_without_in_direction(self, artifacts, tmp_path, capsys):
         labels = tmp_path / "labels.jsonl"
@@ -471,7 +483,7 @@ class TestWrongShapedJson:
             "--labels", labels, "--out", tmp_path / "m.pkgc",
         ) == 1
         error = _one_line_error(capsys)
-        assert f"{labels}: set 0 nrl is not an object with exactly the keys" in error
+        assert f"{labels}:2: malformed set 0: nrl is not an object with exactly the keys" in error
         assert not (tmp_path / "m.pkgc").exists()
 
     @pytest.mark.parametrize("stage", ["labels", "graph-stats"])
@@ -485,7 +497,7 @@ class TestWrongShapedJson:
             "--config", artifacts["config"], "--world", artifacts["world"]]
         assert _run(stage, *extra, "--graph", path, "--out", out) == 1
         error = _one_line_error(capsys)
-        assert f"{path}: malformed graph file: sources 'database' is not a list" in error
+        assert f"{path}:1: malformed graph file: sources 'database' is not a list" in error
         assert not out.exists()
 
     def test_graph_stats_dot_member_headline_not_a_string(self, artifacts, tmp_path, capsys):
@@ -496,7 +508,7 @@ class TestWrongShapedJson:
         dot = tmp_path / "graph.dot"
         assert _run("graph-stats", "--graph", path, "--dot", dot) == 1
         error = _one_line_error(capsys)
-        assert f"{path}: malformed graph file: headline 5 is not a string" in error
+        assert f"{path}:1: malformed graph file: headline 5 is not a string" in error
         assert not dot.exists()
 
     @pytest.mark.parametrize("edit, message", [
@@ -513,7 +525,7 @@ class TestWrongShapedJson:
         path.write_text(json.dumps(obj))
         dot = tmp_path / "graph.dot"
         assert _run("graph-stats", "--graph", path, "--dot", dot) == 1
-        assert f"{path}: malformed graph file: {message}" in _one_line_error(capsys)
+        assert f"{path}:1: malformed graph file: {message}" in _one_line_error(capsys)
         assert not dot.exists()
 
     @pytest.mark.parametrize("name, line, key, value, reader", [
@@ -566,7 +578,8 @@ class TestWrongShapedJson:
             "build-graph", "--config", artifacts["config"], "--world", world,
             "--out", tmp_path / "g.json",
         ) == 1
-        assert "truth.json: truth file is not a JSON object" in _one_line_error(capsys)
+        error = _one_line_error(capsys)
+        assert "truth.json:1: malformed truth file: a truth file must be a JSON object" in error
         assert not (tmp_path / "g.json").exists()
 
     @pytest.mark.parametrize("stage", ["build-graph", "eval"])
@@ -577,8 +590,63 @@ class TestWrongShapedJson:
         out = tmp_path / "out.json"
         assert _run(stage, "--config", artifacts["config"], "--world", world, "--out", out) == 1
         error = _one_line_error(capsys)
-        assert f"{world / 'truth.json'}: malformed JSON: Expecting property name" in error
+        assert f"{world / 'truth.json'}:1: malformed truth file: Expecting property name" in error
         assert not out.exists()
+
+    @staticmethod
+    def _copy_of(artifacts, tmp_path, name) -> Path:
+        shutil.copytree(artifacts["config"].parent, tmp_path, dirs_exist_ok=True)
+        return tmp_path / name
+
+    @staticmethod
+    def _raises_at(reader, path, line, what, detail):
+        located = rf"^{re.escape(str(path))}:{line}: malformed {what}: {detail}"
+        with pytest.raises(corpus_io.CorpusFormatError, match=located) as exc:
+            reader(path)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("fault, detail", [
+        pytest.param(lambda line: line[:-1] + b"\xff\n", "'utf-8' codec can't decode byte 0xff",
+                     id="undecodable"),
+        pytest.param(lambda line: b"[1,2]\n", "a {what} must be a JSON object", id="array"),
+        pytest.param(lambda line: b'"x"\n', "a {what} must be a JSON object", id="string"),
+    ])
+    @pytest.mark.parametrize("name, reader, what", [
+        ("world/steps.jsonl", corpus_io.load_step_database, "task record"),
+        ("world/manifest.jsonl", corpus_io.load_segment_corpus, "manifest record"),
+        ("world/downstream_labels.jsonl", downstream.load_annotations, "video annotation"),
+        # a labels line names its set or record once decoded, and is a line until then
+        ("labels.jsonl", labeler.load_labels, "line"),
+    ], ids=["steps", "manifest", "annotations", "labels"])
+    def test_json_lines_fault_names_its_line(self, name, reader, what, fault, detail, artifacts,
+                                             tmp_path):
+        path = self._copy_of(artifacts, tmp_path, name)
+        lines = path.read_bytes().splitlines(keepends=True)
+        middle = len(lines) // 2  # 0-based, so the fault sits on line middle + 1
+        lines[middle] = fault(lines[middle])
+        path.write_bytes(b"".join(lines))
+        self._raises_at(reader, path, middle + 1, what, detail.format(what=what))
+
+    @pytest.mark.parametrize("name, reader, what", [
+        ("graph.json", graph.load_graph, "graph file"),
+        ("world/truth.json", synthgen.load_truth, "truth file"),
+        ("world/truth.json",
+         lambda path: cli._check_world(path.parent, PipelineConfig(), force=True), "truth file"),
+        ("config.json", PipelineConfig.load, "config"),
+    ], ids=["graph", "truth", "check-world", "config"])
+    def test_json_document_fault_names_its_line(self, name, reader, what, artifacts, tmp_path):
+        path = self._copy_of(artifacts, tmp_path, name)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps([obj]))
+        self._raises_at(reader, path, 1, what, f"a {what} must be a JSON object")
+        # a document over several lines names the line an undecodable byte is on
+        lines = json.dumps(obj, indent=1).encode("utf-8").splitlines(keepends=True)
+        lines[2] = lines[2][:-1] + b"\xff\n"
+        path.write_bytes(b"".join(lines))
+        self._raises_at(reader, path, 3, what, "'utf-8' codec can't decode byte 0xff")
+        lines[2] = b"}\n"
+        path.write_bytes(b"".join(lines))
+        self._raises_at(reader, path, 3, what, "Expecting ")
 
 
 def _alive(*types) -> list:

@@ -129,6 +129,10 @@ class TestConfig:
             (None, "dedup_threshold", float("nan")),
             (None, "instance_threshold", -100.0),
             (None, "instance_threshold", float("nan")),
+            (None, "seed", -1),
+            ("world", "paraphrase_max_distance", 2.5),
+            ("world", "paraphrase_max_distance", -0.5),
+            ("world", "paraphrase_max_distance", float("nan")),
         ],
     )
     def test_out_of_range_training_field_named(self, section, name, value):
@@ -163,7 +167,7 @@ class TestConfig:
             PipelineConfig.from_dict(data)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="bad.json: "):
+        with pytest.raises(ValueError, match=rf"bad\.json:1: malformed config: {named}"):
             PipelineConfig.load(path)
 
     def test_downstream_fractions_sum_to_at_most_one(self):

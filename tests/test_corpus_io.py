@@ -1,5 +1,6 @@
 """Formats: step database, corpus, feature files, checkpoints."""
 
+import ast
 import json
 import struct
 import tempfile
@@ -310,7 +311,8 @@ class TestSegmentCorpus:
         manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
         lines = manifest.read_text().splitlines()
         manifest.write_text("\n".join([*lines, lines[0]]) + "\n")
-        with pytest.raises(CorpusFormatError, match=r":3: video_id 'a' repeats line 1"):
+        repeated = r":3: malformed manifest record: video_id 'a' repeats line 1"
+        with pytest.raises(CorpusFormatError, match=repeated):
             corpus_io.load_segment_corpus(manifest)
 
     @pytest.mark.parametrize(
@@ -338,7 +340,8 @@ class TestCheckpoints:
         ckpt.metadata = 5
         path = tmp_path / "model.pkgc"
         corpus_io.save_checkpoint(ckpt, path)
-        with pytest.raises(CorpusFormatError, match="model.pkgc: .*metadata must be a JSON object"):
+        named = r"model\.pkgc:1: malformed checkpoint header: metadata 5 is not a JSON object"
+        with pytest.raises(CorpusFormatError, match=named):
             corpus_io.load_checkpoint(path)
 
     def test_round_trip_values(self, tmp_path):
@@ -483,3 +486,36 @@ class TestAtomicWrite:
                 raise RuntimeError("interrupted")
         assert path.read_text(encoding="utf-8") == "previous\n"
         assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]
+
+
+# calls that read a file or decode JSON, and the exceptions a reader would catch to name them
+_READS = {"open", "read", "read_text", "read_bytes", "readline", "parse_json", "loads"}
+_READ_FAULTS = {"KeyError", "TypeError", "ValueError", "CorpusFormatError", "UnicodeDecodeError"}
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+class TestOneReaderFrame:
+    """Every reader takes JSON through `corpus_io.JsonFile`, so one rule names each fault."""
+
+    def test_no_other_module_decodes_json_or_names_read_faults(self):
+        offenders = []
+        for path in sorted(Path(corpus_io.__file__).parent.glob("*.py")):
+            if path.name == "corpus_io.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if "parse_json" in (getattr(node, "name", None), getattr(node, "id", None),
+                                    getattr(node, "attr", None)):
+                    offenders.append(f"{path.name}:{node.lineno} parse_json")
+                if not isinstance(node, ast.Try):
+                    continue
+                calls = set().union(*(_names(c.func) for stmt in node.body
+                                      for c in ast.walk(stmt) if isinstance(c, ast.Call)))
+                for handler in node.handlers:
+                    caught = _READ_FAULTS if handler.type is None else _names(handler.type)
+                    if calls & _READS and caught & _READ_FAULTS:
+                        offenders.append(f"{path.name}:{handler.lineno} except around a read")
+        assert offenders == []

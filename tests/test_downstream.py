@@ -441,5 +441,5 @@ class TestAnnotationsFormat:
         obj = json.loads(path.read_text())
         (obj["steps"][1] if step else obj)[key] = value
         path.write_text(json.dumps(obj) + "\n")
-        with pytest.raises(CorpusFormatError, match=rf"a\.jsonl:1: malformed annotation: {message}"):
+        with pytest.raises(CorpusFormatError, match=rf"a\.jsonl:1: malformed video annotation: {message}"):
             ds.load_annotations(path)

@@ -310,7 +310,7 @@ class TestSerialization:
         target = obj["nodes"][0]["members"][0] if part == "members" else obj[part][0]
         target[key] = value
         path.write_text(json.dumps(obj))
-        with pytest.raises(CorpusFormatError, match=rf"graph\.json: malformed graph file: {message}"):
+        with pytest.raises(CorpusFormatError, match=rf"graph\.json:1: malformed graph file: {message}"):
             G.load_graph(path)
 
     def test_integer_score_loads_as_float(self, tmp_path):

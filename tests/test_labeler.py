@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -285,6 +286,8 @@ class TestEmitLabels:
 
 
 SET_FIELDS = ["vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl"]
+# the file line each `_saved` edit lands on: the header, the first set line, the last record
+LINE_OF_EDIT = {0: 1, 1: 2, -1: 7}
 
 
 class TestLabelsFile:
@@ -347,12 +350,15 @@ class TestLabelsFile:
         (1, "nrl", {"in": [[[3, 0.5]], []], "out": [[], []]}),
     ])
     def test_node_id_out_of_range(self, tmp_path, edit):
-        with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: .*{edit[1]}.* outside \[0, 3\)"):
+        line = LINE_OF_EDIT[edit[0]]
+        located = rf"labels\.jsonl:{line}: malformed .*{edit[1]}.* outside \[0, 3\)"
+        with pytest.raises(CorpusFormatError, match=located):
             labeler.load_labels(self._saved(tmp_path, edit))
 
     def test_headline_id_out_of_range(self, tmp_path):
         path = self._saved(tmp_path, (-1, "vsm", [[4, 1.0]]))
-        with pytest.raises(CorpusFormatError, match=r"record 2 vsm .* outside \[0, 4\)"):
+        located = r"labels\.jsonl:7: malformed record 2: vsm .* outside \[0, 4\)"
+        with pytest.raises(CorpusFormatError, match=located):
             labeler.load_labels(path)
 
     @pytest.mark.parametrize("edit, message", [
@@ -365,7 +371,8 @@ class TestLabelsFile:
 
     @pytest.mark.parametrize("index", [3, -1, 1.0, "0"])
     def test_set_index_out_of_range(self, tmp_path, index):
-        with pytest.raises(CorpusFormatError, match=r"record 2 points at set .* outside \[0, 3\)"):
+        located = r"labels\.jsonl:7: malformed record 2: points at set .* outside \[0, 3\)"
+        with pytest.raises(CorpusFormatError, match=located):
             labeler.load_labels(self._saved(tmp_path, (-1, "set", index)))
 
     @pytest.mark.parametrize("num_sets", [2, 4])
@@ -402,7 +409,9 @@ class TestLabelsFile:
         ((0, "num_sets", 3.0), r"header num_sets 3\.0 is not a JSON integer"),
     ])
     def test_wrong_shape_names_the_set_or_record(self, tmp_path, edit, message):
-        with pytest.raises(CorpusFormatError, match=rf"labels\.jsonl: {message}"):
+        where = re.match(r"header|set \d+|record \d+", message).group()
+        located = rf"labels\.jsonl:{LINE_OF_EDIT[edit[0]]}: malformed {where}: "
+        with pytest.raises(CorpusFormatError, match=located + message[len(where) + 1 :]):
             labeler.load_labels(self._saved(tmp_path, edit))
 
     def test_integer_score_loads_as_float(self, tmp_path):

@@ -219,7 +219,7 @@ class TestTruthSerialization:
     def test_malformed_truth_names_the_file(self, tmp_path, text):
         path = tmp_path / "truth.json"
         path.write_text(text)
-        with pytest.raises(corpus_io.CorpusFormatError, match=re.escape(f"{path}: malformed truth file")):
+        with pytest.raises(corpus_io.CorpusFormatError, match=re.escape(f"{path}:1: malformed truth file: ")):
             synthgen.load_truth(path)
 
 
