@@ -120,9 +120,9 @@ def _emit(obj: dict, out: Path | None) -> None:
 # subcommands
 
 
-# what synth writes into --out; feature files go under features/
-WORLD_FILES = ("manifest.jsonl", "steps.jsonl", "steps.f64", "truth.json",
-               "downstream_labels.jsonl", "features")
+# what synth writes into --out
+WORLD_FILES = ("manifest.jsonl", "segments.f32", "steps.jsonl", "steps.f64", "truth.json",
+               "downstream_labels.jsonl")
 
 
 def cmd_synth(args) -> None:
@@ -189,11 +189,9 @@ def cmd_pretrain(args) -> None:
     # holds the features once and the labels only as CSR targets
     corpus = _load_corpus(args.world)
     keys = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
-    features = np.vstack([v.segments for v in corpus.videos if v.segments.shape[0]])
-    video_of = np.concatenate(
-        [np.full(v.segments.shape[0], i) for i, v in enumerate(corpus.videos)]
-        or [np.zeros(0, dtype=np.int64)]
-    )
+    lengths = [len(v.segments) for v in corpus.videos]
+    features = np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
+    video_of = np.repeat(np.arange(len(lengths)), lengths)
     del corpus
 
     header, records = labeler.load_labels(args.labels)
@@ -274,7 +272,8 @@ def cmd_graph_stats(args) -> None:
     nodes = _node_ids(args.nodes, len(pkg.nodes)) if args.nodes else None
     stats = graph_mod.graph_stats(pkg)
     if args.dot is not None:
-        args.dot.write_text(graph_mod.export_dot(pkg, nodes, args.hops), encoding="utf-8")
+        with corpus_io.atomic_write(args.dot) as fh:
+            fh.write(graph_mod.export_dot(pkg, nodes, args.hops))
     _emit(stats, args.out)
 
 

@@ -1,14 +1,14 @@
 """On-disk formats and in-memory containers for the pipeline.
 
 Three artifact families live here: the step database (steps.jsonl plus its
-steps.f64 embedding matrix), the segment corpus (manifest.jsonl plus binary
-feature files), and model checkpoints (JSON header line plus the f32 cast
-of a model's flat parameter vector).
+steps.f64 embedding matrix), the segment corpus (manifest.jsonl plus its
+segments.f32 feature matrix), and model checkpoints (JSON header line plus
+the f32 cast of a model's flat parameter vector).
 
-Feature files and steps.f64 share one binary layout: a four-byte magic,
-u32 version/rows/dim, then the row-major little-endian payload, f32 for
-features and f64 for step embeddings. Checkpoint weights are little-endian
-f32. Everything is f64 the moment it enters memory.
+segments.f32 and steps.f64 share one binary layout: a four-byte magic, u32
+version/rows/dim, then the row-major little-endian payload. Checkpoint
+weights are little-endian f32. Segment features stay f32 in memory until
+a consumer computes with them; everything else is f64 once loaded.
 
 Every reader takes JSON from a file through one frame, `JsonFile`, and checks
 each value by `fits_json` and the checks built on it (README §Formats).
@@ -56,9 +56,10 @@ parse_json = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 # what each annotation accepts: a bool is no JSON integer, a JSON integer is a number
-_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "list": {list}, "object": {dict}}
+_JSON_TYPES = {"int": {int}, "float": {int, float}, "str": {str}, "str | None": {str, type(None)},
+               "list": {list}, "object": {dict}}
 _JSON_NOUNS = {"int": "JSON integer", "float": "JSON number", "str": "string",
-               "object": "JSON object"}
+               "str | None": "string or null", "object": "JSON object"}
 
 
 def _tuple_items(annotation: str) -> list[str] | None:
@@ -156,12 +157,15 @@ class JsonFile:
             return
         if issubclass(kind, (KeyError, TypeError, ValueError)):
             detail = f"has no {exc}" if kind is KeyError else exc
+            if kind is json.JSONDecodeError:  # the frame names the line, json the column on it
+                self.lineno += exc.lineno - 1
+                detail = f"{exc.msg}: column {exc.colno}"
             raise CorpusFormatError(
                 f"{self.path}:{self.lineno}: malformed {self.noun}: {detail}"
             ) from exc
 
     def _object(self, text: str) -> dict:
-        obj = parse_json(text)
+        obj = parse_json(text.rstrip("\r\n"))  # json counts a line's own newline as a line
         if type(obj) is not dict:
             raise ValueError(f"a {self.noun} must be a JSON object")
         return obj
@@ -189,13 +193,11 @@ class JsonFile:
         raw = self.fh.read()
         self.lineno = 1
         try:
-            return self._object(raw.decode("utf-8"))
+            text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             self.lineno += raw.count(b"\n", 0, exc.start)
             raise
-        except json.JSONDecodeError as exc:
-            self.lineno = exc.lineno
-            raise
+        return self._object(text)
 
 
 @contextmanager
@@ -331,14 +333,15 @@ def save_step_database(db: StepDatabase, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary matrices: feature files and steps.f64
+# binary matrices: segments.f32 and steps.f64
 
 
 def _write_matrix(fh, magic: bytes, version: int, data: np.ndarray) -> None:
-    """Write magic, u32 version/rows/dim, then the 2-D `data`'s row-major bytes."""
+    """Write magic, u32 version/rows/dim, then the C-contiguous 2-D `data`'s bytes, from
+    the array itself rather than a copy."""
     fh.write(magic)
     fh.write(struct.pack("<III", version, *data.shape))
-    fh.write(data.tobytes())
+    fh.write(data)
 
 
 def _read_payload(fh, path, size: int, what: str) -> bytearray:
@@ -389,7 +392,7 @@ def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarr
 class Video:
     video_id: str
     corpus_task_name: str | None
-    segments: np.ndarray  # (L, d) float64, temporal order
+    segments: np.ndarray  # (L, d), temporal order; loaded as a view of segments.f32
 
 
 @dataclass
@@ -410,62 +413,62 @@ def write_feature_file(path: str | Path, features: np.ndarray) -> None:
     features = np.ascontiguousarray(features, dtype="<f4")
     if features.ndim != 2:
         raise CorpusFormatError(f"{path}: feature payload must be 2-D")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         _write_matrix(fh, FEATURE_MAGIC, FEATURE_VERSION, features)
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
-    """Read a feature file back as (rows, dim) float64."""
-    return _read_matrix(Path(path), FEATURE_MAGIC, FEATURE_VERSION, "<f4").astype(np.float64)
+    """Read a feature file back as the (rows, dim) f32 array it stores."""
+    return _read_matrix(Path(path), FEATURE_MAGIC, FEATURE_VERSION, "<f4")
 
 
 def load_segment_corpus(manifest_path: str | Path) -> SegmentCorpus:
-    """Load manifest.jsonl plus the feature files it references."""
+    """Read manifest.jsonl, then the segments.f32 beside it once; each video holds a view
+    of the matrix's next `num_segments` rows in manifest order."""
     manifest_path = Path(manifest_path)
-    base = manifest_path.parent
-    videos: list[Video] = []
+    entries: list[tuple[str, str | None, int]] = []
     line_of: dict[str, int] = {}
-    dim = None
     with JsonFile(manifest_path, "manifest record") as src:
         for rec in src.lines():
+            if "feature_file" in rec:
+                raise ValueError("names a per-video feature file, a layout this version no "
+                                 "longer reads; rerun `pkgforge synth`")
             video_id = check_json(rec["video_id"], "str", "video_id")
-            task_name = rec["task_name"]
-            if task_name is not None:
-                check_json(task_name, "str", "task_name")
+            task_name = check_json(rec["task_name"], "str | None", "task_name")
             num_segments = check_json(rec["num_segments"], "int", "num_segments")
-            feature_file = check_json(rec["feature_file"], "str", "feature_file")
+            if num_segments < 0:
+                raise ValueError(f"num_segments {num_segments} is negative")
             if video_id in line_of:
                 raise ValueError(f"video_id {video_id!r} repeats line {line_of[video_id]}")
             line_of[video_id] = src.lineno
-            features = read_feature_file(base / feature_file)
-            if features.shape[0] != num_segments:
-                raise ValueError(f"manifest says {num_segments} segments but {feature_file} "
-                                 f"holds {features.shape[0]}")
-            if dim is None:
-                dim = features.shape[1]
-            elif features.shape[1] != dim:
-                raise ValueError(f"{feature_file} has dimension {features.shape[1]}, "
-                                 f"expected {dim}")
-            videos.append(Video(video_id=video_id, corpus_task_name=task_name, segments=features))
-    return SegmentCorpus(videos=videos)
+            entries.append((video_id, task_name, num_segments))
+    matrix_path = manifest_path.with_name("segments.f32")
+    try:
+        matrix = read_feature_file(matrix_path)
+    except FileNotFoundError:
+        raise CorpusFormatError(f"{matrix_path}: missing segment matrix for "
+                                f"{manifest_path}") from None
+    counts = [n for _, _, n in entries]
+    if matrix.shape[0] != sum(counts):
+        raise CorpusFormatError(f"{matrix_path}: holds {matrix.shape[0]} rows but "
+                                f"{manifest_path} lists {sum(counts)} segments")
+    rows = np.split(matrix, np.cumsum(counts)[:-1])
+    return SegmentCorpus([Video(i, task, view) for (i, task, _), view in zip(entries, rows)])
 
 
 def save_segment_corpus(corpus: SegmentCorpus, out_dir: str | Path) -> Path:
-    """Write manifest.jsonl and one features/<video_id>.pkgf file per video;
-    returns manifest path."""
+    """Write segments.f32, every video's rows in order, then the manifest.jsonl
+    index that makes it loadable; returns the manifest path."""
     out_dir = Path(out_dir)
-    (out_dir / "features").mkdir(parents=True, exist_ok=True)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.jsonl"
+    segments = [v.segments for v in corpus.videos]
+    write_feature_file(out_dir / "segments.f32",
+                       np.concatenate(segments, dtype="<f4") if segments else np.zeros((0, 0)))
     with atomic_write(manifest_path) as fh:
         for video in corpus.videos:
-            rel = f"features/{video.video_id}.pkgf"
-            write_feature_file(out_dir / rel, video.segments)
-            rec = {
-                "video_id": video.video_id,
-                "task_name": video.corpus_task_name,
-                "num_segments": int(video.segments.shape[0]),
-                "feature_file": rel,
-            }
+            rec = {"video_id": video.video_id, "task_name": video.corpus_task_name,
+                   "num_segments": len(video.segments)}
             fh.write(canonical_json(rec) + "\n")
     return manifest_path
 
@@ -520,6 +523,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             for name, rows, cols in header["shapes"]
         ]
         metadata = check_json(header["metadata"], "object", "metadata")
+        check_json(metadata.get("config_hash"), "str | None", "config_hash")
         for name, rows, cols in shapes:
             if rows < 1 or cols < 1:
                 raise ValueError(f"shape entry {name!r} is {rows}x{cols}; rows and cols must "

@@ -217,16 +217,11 @@ def build_graph(
     """
     node_of = dedup.cluster_headlines(db.embeddings, dedup_threshold)
 
-    def match_video(video):
-        if video.segments.shape[0] == 0:
-            return []
-        scores = matcher.score_video(video.segments, db)
-        return [
-            [(h, float(row[h])) for h in matcher.matched_headlines(row, match_threshold)]
-            for row in scores
-        ]
-
-    video_matches = [match_video(v) for v in corpus.videos]
+    video_matches = [
+        [[(h, float(row[h])) for h in matcher.matched_headlines(row, match_threshold)]
+         for row in matcher.score_video(video.segments, db)]
+        for video in corpus.videos
+    ]
     aggregates = corpus_transitions(video_matches, instance_threshold)
     normalized = normalize_scores(aggregates)
     db_pairs = database_transitions(db, node_of)
@@ -323,7 +318,8 @@ def load_graph(path: str | Path) -> ProceduralKnowledgeGraph:
             for n in obj["nodes"]
         ]
         edges = [_edge(e) for e in obj["edges"]]
-        return ProceduralKnowledgeGraph(nodes, edges, obj.get("config_hash"))
+        config_hash = check_json(obj.get("config_hash"), "str | None", "config_hash")
+        return ProceduralKnowledgeGraph(nodes, edges, config_hash)
 
 
 def graph_stats(graph: ProceduralKnowledgeGraph) -> dict:

@@ -209,8 +209,6 @@ def emit_labels(
     # they are stacked into a larger matrix.
     scored: list[tuple[int, int, list[tuple[int, float]], list[tuple[int, float]]]] = []
     for vi, video in enumerate(corpus.videos):
-        if not video.segments.shape[0]:
-            continue
         for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
             node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
             vnm = vnm_labels(node_scores)
@@ -350,6 +348,7 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                              "rerun `pkgforge labels` to rewrite it")
         for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
             check_json(header[key], "int", key)
+        check_json(header.get("config_hash"), "str | None", "config_hash")
         task_ids = set(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))
         corpus_names = set(check_json(header["corpus_task_names"], "tuple[str, ...]",
                                       "corpus_task_names"))

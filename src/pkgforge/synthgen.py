@@ -369,5 +369,5 @@ def load_truth(path: str | Path) -> GroundTruth:
             observed_transitions={(a, b): c for a, b, c in observed},
             annotations=[],
             config=config,
-            config_hash=obj.get("config_hash"),
+            config_hash=check_json(obj.get("config_hash"), "str | None", "config_hash"),
         )

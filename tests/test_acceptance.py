@@ -425,15 +425,13 @@ def test_criterion_10_format_round_trips(tmp_path):
         for suffix in (".jsonl", ".f64"):
             assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
 
-        # corpus manifest + binary feature files
+        # manifest.jsonl + segments.f32
         corpus = random_corpus(rng, dim=4, n_videos=int(rng.integers(1, 4)))
         d1, d2 = tmp_path / f"c{seed}a", tmp_path / f"c{seed}b"
         m1 = save_segment_corpus(corpus, d1)
         m2 = save_segment_corpus(load_segment_corpus(m1), d2)
-        assert m1.read_bytes() == m2.read_bytes()
-        for video in corpus.videos:
-            rel = f"features/{video.video_id}.pkgf"
-            assert (d1 / rel).read_bytes() == (d2 / rel).read_bytes()
+        for name in ("manifest.jsonl", "segments.f32"):
+            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
         # graph.json
         pkg = random_graph(rng)

@@ -7,6 +7,7 @@ import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pkgforge import cli, corpus_io, downstream, graph, labeler, synthgen
@@ -132,8 +133,10 @@ class TestPipeline:
         config2.write_text(json.dumps(cfg))
         world = tmp_path / "w"
         assert _run("synth", "--config", config2, "--out", world) == 0
-        # drop the only video from the manifest
+        # drop the only video from the manifest and its rows from the segment matrix
+        dim = corpus_io.load_segment_corpus(world / "manifest.jsonl").dim
         (world / "manifest.jsonl").write_text("")
+        corpus_io.write_feature_file(world / "segments.f32", np.zeros((0, dim)))
         graph = tmp_path / "g.json"
         assert _run(
             "build-graph", "--config", config2, "--world", world, "--out", graph, "--force"
@@ -141,6 +144,20 @@ class TestPipeline:
         stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert stats["num_corpus_edges"] == 0
         assert stats["num_edges"] == stats["num_database_edges"] > 0
+
+    def test_pretrain_on_a_corpus_without_segments(self, artifacts, tmp_path, capsys):
+        world = tmp_path / "world"
+        shutil.copytree(artifacts["world"], world)
+        corpus = corpus_io.load_segment_corpus(world / "manifest.jsonl")
+        for video in corpus.videos:
+            video.segments = video.segments[:0]
+        corpus_io.save_segment_corpus(corpus, world)
+        common = ["--config", artifacts["config"], "--world", world]
+        labels = tmp_path / "l.jsonl"
+        assert _run("labels", *common, "--graph", artifacts["graph"], "--out", labels) == 0
+        capsys.readouterr()
+        assert _run("pretrain", *common, "--labels", labels, "--out", tmp_path / "m.pkgc") == 1
+        assert _one_line_error(capsys) == "cannot train on an empty segment set"
 
 
 class TestDeterminism:
@@ -243,16 +260,17 @@ def artifacts(tmp_path_factory):
     return paths
 
 
-def _without_hash(path: Path) -> None:
-    """Rewrite one artifact in place with its config_hash set to null."""
+def _set_hash(path: Path, value) -> None:
+    """Rewrite one artifact in place with its config_hash set to `value`."""
     if path.suffix == ".pkgc":
-        ckpt = corpus_io.load_checkpoint(path)
-        ckpt.metadata["config_hash"] = None
-        corpus_io.save_checkpoint(ckpt, path)
+        header, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["metadata"]["config_hash"] = value
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
         return
     lines = path.read_text(encoding="utf-8").splitlines()
     head = json.loads(lines[0])
-    head["config_hash"] = None
+    head["config_hash"] = value
     path.write_text("\n".join([json.dumps(head), *lines[1:]]) + "\n", encoding="utf-8")
 
 
@@ -268,12 +286,12 @@ HASHED_INPUTS = {
 }
 
 
-def _run_on_unhashed_input(stage, artifacts, tmp_path, *extra) -> int:
+def _run_with_input_hash(stage, artifacts, tmp_path, *extra, config_hash=None) -> int:
     shutil.copytree(artifacts["world"], tmp_path / "world")
     for name in ("graph", "labels", "checkpoint"):
         shutil.copy(artifacts[name], tmp_path / artifacts[name].name)
     unhashed, args = HASHED_INPUTS[stage]
-    _without_hash(tmp_path / unhashed)
+    _set_hash(tmp_path / unhashed, config_hash)
     return _run(
         stage, "--config", artifacts["config"], "--world", tmp_path / "world",
         *[tmp_path / a if a.endswith((".json", ".jsonl", ".pkgc")) else a for a in args],
@@ -284,14 +302,26 @@ def _run_on_unhashed_input(stage, artifacts, tmp_path, *extra) -> int:
 class TestMissingHash:
     @pytest.mark.parametrize("stage", sorted(HASHED_INPUTS))
     def test_refused(self, stage, artifacts, tmp_path, capsys):
-        assert _run_on_unhashed_input(stage, artifacts, tmp_path) == 1
+        assert _run_with_input_hash(stage, artifacts, tmp_path) == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert "carries no config hash" in error
         assert HASHED_INPUTS[stage][0].split("/")[-1] in error
 
     @pytest.mark.parametrize("stage", sorted(HASHED_INPUTS))
     def test_force_accepts(self, stage, artifacts, tmp_path):
-        assert _run_on_unhashed_input(stage, artifacts, tmp_path, "--force") == 0
+        assert _run_with_input_hash(stage, artifacts, tmp_path, "--force") == 0
+
+    @pytest.mark.parametrize("stage", sorted(HASHED_INPUTS))
+    def test_non_string_hash_named_even_with_force(self, stage, artifacts, tmp_path, capsys):
+        # a hash that is neither a string nor null is a malformed artifact, not a mismatch
+        # that --force may accept, so labels never copies one into labels.jsonl
+        assert _run_with_input_hash(stage, artifacts, tmp_path, "--force", config_hash=[5]) == 1
+        what = {"build-graph": "truth file", "labels": "graph file", "pretrain": "header",
+                "eval": "checkpoint header"}[stage]
+        path = tmp_path / HASHED_INPUTS[stage][0]
+        assert _one_line_error(capsys) == (
+            f"{path}:1: malformed {what}: config_hash [5] is not a string or null"
+        )
 
     def test_eval_checks_world_hash(self, artifacts, tmp_path, capsys):
         assert _run(
@@ -610,6 +640,9 @@ class TestWrongShapedJson:
                      id="undecodable"),
         pytest.param(lambda line: b"[1,2]\n", "a {what} must be a JSON object", id="array"),
         pytest.param(lambda line: b'"x"\n', "a {what} must be a JSON object", id="string"),
+        # a stray tab in the first key: the file's line, then the column on it, and no other line
+        pytest.param(lambda line: line[:2] + b"\t" + line[2:],
+                     "Invalid control character at: column 3$", id="control"),
     ])
     @pytest.mark.parametrize("name, reader, what", [
         ("world/steps.jsonl", corpus_io.load_step_database, "task record"),
@@ -702,15 +735,12 @@ class TestTrainingHoldsOneCopy:
 
 
 class TestSynthRefusesAWorld:
-    @pytest.mark.parametrize("name", ["manifest.jsonl", "steps.jsonl", "steps.f64", "truth.json",
-                                      "downstream_labels.jsonl", "features"])
+    @pytest.mark.parametrize("name", ["manifest.jsonl", "segments.f32", "steps.jsonl",
+                                      "steps.f64", "truth.json", "downstream_labels.jsonl"])
     def test_refused_and_named(self, name, tmp_path, config_path, capsys):
         world = tmp_path / "world"
         world.mkdir()
-        if name == "features":
-            (world / name).mkdir()
-        else:
-            (world / name).write_text("")
+        (world / name).write_text("")
         assert _run("synth", "--config", config_path, "--out", world) == 1
         err_lines = capsys.readouterr().err.strip().splitlines()
         assert len(err_lines) == 1
@@ -729,8 +759,8 @@ class TestSynthRefusesAWorld:
                                       if k != "notes.txt"}
 
     def test_interrupted_resynth_leaves_the_first_world(self, tmp_path, monkeypatch, capsys):
-        # a high-noise synth over a low-noise world, interrupted after 20 feature files,
-        # must not leave high-noise files under the low-noise manifest
+        # a high-noise synth over a low-noise world, interrupted as it writes the segment
+        # matrix, must not leave high-noise rows under the low-noise manifest
         low_world = dict(SMALL_CONFIG["world"], n_videos=40)
         high_world = dict(low_world, noise_sigma=1.0, style_sigma=8.0, gain_jitter=0.25)
         low, high = tmp_path / "low.json", tmp_path / "high.json"
@@ -741,13 +771,10 @@ class TestSynthRefusesAWorld:
         first = _dir_digest(world)
 
         written = []
-        real = corpus_io.write_feature_file
 
         def interrupted(path, features):
-            if len(written) == 20:
-                raise RuntimeError("interrupted")
             written.append(path)
-            real(path, features)
+            raise RuntimeError("interrupted")
 
         monkeypatch.setattr(corpus_io, "write_feature_file", interrupted)
         capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -245,7 +246,7 @@ class TestFeatureFiles:
         path = tmp_path / "f.pkgf"
         corpus_io.write_feature_file(path, data)
         back = corpus_io.read_feature_file(path)
-        assert back.dtype == np.float64
+        assert back.dtype == np.float32
         np.testing.assert_array_equal(back, data)
 
     def test_bad_magic(self, tmp_path):
@@ -293,6 +294,23 @@ class TestSegmentCorpus:
         assert back.videos[1].corpus_task_name is None
         assert back.num_segments == 8
         assert back.dim == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.jsonl", "segments.f32"]
+        for video, want in zip(back.videos, corpus.videos):
+            assert video.segments.dtype == np.float32
+            np.testing.assert_array_equal(video.segments, want.segments.astype(np.float32))
+
+    def test_videos_are_views_of_one_matrix_in_manifest_order(self, tmp_path):
+        corpus = corpus_io.SegmentCorpus(videos=[
+            corpus_io.Video("a", None, np.full((2, 3), 1.0)),
+            corpus_io.Video("empty", None, np.zeros((0, 3))),
+            corpus_io.Video("b", None, np.full((4, 3), 2.0)),
+        ])
+        back = corpus_io.load_segment_corpus(corpus_io.save_segment_corpus(corpus, tmp_path))
+        matrix = corpus_io.read_feature_file(tmp_path / "segments.f32")
+        assert matrix.shape == (6, 3)
+        assert [v.segments.shape for v in back.videos] == [(2, 3), (0, 3), (4, 3)]
+        assert all(v.segments.base is back.videos[0].segments.base for v in back.videos)
+        np.testing.assert_array_equal(np.concatenate([v.segments for v in back.videos]), matrix)
 
     def test_segment_count_mismatch(self, tmp_path):
         corpus = corpus_io.SegmentCorpus(videos=[corpus_io.Video("a", None, np.ones((3, 2)))])
@@ -301,7 +319,51 @@ class TestSegmentCorpus:
         rec = json.loads(lines[0])
         rec["num_segments"] = 4
         manifest.write_text(json.dumps(rec) + "\n")
-        with pytest.raises(CorpusFormatError, match="manifest says 4"):
+        mismatch = r"segments\.f32: holds 3 rows but .*manifest\.jsonl lists 4 segments$"
+        with pytest.raises(CorpusFormatError, match=mismatch):
+            corpus_io.load_segment_corpus(manifest)
+
+    def test_matrix_with_rows_no_video_lists(self, tmp_path):
+        corpus = corpus_io.SegmentCorpus(videos=[
+            corpus_io.Video("a", None, np.ones((3, 2))), corpus_io.Video("b", None, np.ones((1, 2)))
+        ])
+        manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+        mismatch = r"segments\.f32: holds 4 rows but .*manifest\.jsonl lists 3 segments$"
+        with pytest.raises(CorpusFormatError, match=mismatch):
+            corpus_io.load_segment_corpus(manifest)
+
+    def test_missing_matrix_names_both_files(self, tmp_path):
+        corpus = corpus_io.SegmentCorpus(videos=[corpus_io.Video("a", None, np.ones((3, 2)))])
+        manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
+        (tmp_path / "segments.f32").unlink()
+        missing = r"segments\.f32: missing segment matrix for .*manifest\.jsonl$"
+        with pytest.raises(CorpusFormatError, match=missing):
+            corpus_io.load_segment_corpus(manifest)
+
+    def test_negative_segment_count_names_its_line(self, tmp_path):
+        corpus = corpus_io.SegmentCorpus(videos=[
+            corpus_io.Video("a", None, np.ones((3, 2))), corpus_io.Video("b", None, np.ones((1, 2)))
+        ])
+        manifest = corpus_io.save_segment_corpus(corpus, tmp_path)
+        lines = manifest.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec["num_segments"] = -1
+        manifest.write_text("\n".join([lines[0], json.dumps(rec)]) + "\n")
+        negative = r"manifest\.jsonl:2: malformed manifest record: num_segments -1 is negative$"
+        with pytest.raises(CorpusFormatError, match=negative):
+            corpus_io.load_segment_corpus(manifest)
+
+    def test_per_video_feature_file_layout_asks_for_a_new_synth(self, tmp_path):
+        # the layout before segments.f32: one features/<video_id>.pkgf per video
+        (tmp_path / "features").mkdir()
+        corpus_io.write_feature_file(tmp_path / "features" / "a.pkgf", np.ones((3, 2)))
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_text(json.dumps({"video_id": "a", "task_name": None, "num_segments": 3,
+                                        "feature_file": "features/a.pkgf"}) + "\n")
+        old = (r"manifest\.jsonl:1: malformed manifest record: names a per-video feature file, "
+               r"a layout this version no longer reads; rerun `pkgforge synth`$")
+        with pytest.raises(CorpusFormatError, match=old):
             corpus_io.load_segment_corpus(manifest)
 
     def test_repeated_video_id_names_both_lines(self, tmp_path):
@@ -332,6 +394,7 @@ class TestSegmentCorpus:
         manifest = corpus_io.save_segment_corpus(corpus_io.SegmentCorpus(videos=[]), tmp_path)
         back = corpus_io.load_segment_corpus(manifest)
         assert back.videos == [] and back.dim is None
+        assert corpus_io.read_feature_file(tmp_path / "segments.f32").shape == (0, 0)
 
 
 class TestCheckpoints:
@@ -453,11 +516,9 @@ class TestRoundTripBytes:
             d1, d2 = tmp_path / f"a{seed}", tmp_path / f"b{seed}"
             m1 = corpus_io.save_segment_corpus(corpus, d1)
             m2 = corpus_io.save_segment_corpus(corpus_io.load_segment_corpus(m1), d2)
-            assert m1.read_bytes() == m2.read_bytes()
-            for v in corpus.videos:
-                f1 = (d1 / "features" / f"{v.video_id}.pkgf").read_bytes()
-                f2 = (d2 / "features" / f"{v.video_id}.pkgf").read_bytes()
-                assert f1 == f2
+            for name in ("manifest.jsonl", "segments.f32"):
+                assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+            assert sorted(p.name for p in d1.iterdir()) == ["manifest.jsonl", "segments.f32"]
 
 
 class TestAtomicWrite:
@@ -501,6 +562,25 @@ def _names(node) -> set[str]:
 class TestOneReaderFrame:
     """Every reader takes JSON through `corpus_io.JsonFile`, so one rule names each fault."""
 
+    @pytest.mark.parametrize("text, detail", [
+        ('{"a": "x\ty"}', "Invalid control character at: column 9"),
+        ('{"a": 1', "Expecting ',' delimiter: column 8"),
+        ('{"a": 1}}', "Extra data: column 9"),
+    ])
+    def test_decode_error_names_one_line(self, tmp_path, text, detail):
+        # the frame names the file's line; json's own "line 1 column N (char M)" would
+        # name a second line, counted inside the first
+        path = tmp_path / "x.jsonl"
+        path.write_text(f'{{"a": 0}}\n\n{{"a": 2}}\n{text}\n{{}}\n')
+        named = re.escape(f"{path}:4: malformed thing: {detail}") + "$"
+        with pytest.raises(CorpusFormatError, match=named):
+            with corpus_io.JsonFile(path, "thing") as src:
+                list(src.lines())
+        path.write_text(f"{text}\n")
+        with pytest.raises(CorpusFormatError, match=named.replace(":4:", ":1:")):
+            with corpus_io.JsonFile(path, "thing") as src:
+                src.header()
+
     def test_no_other_module_decodes_json_or_names_read_faults(self):
         offenders = []
         for path in sorted(Path(corpus_io.__file__).parent.glob("*.py")):
@@ -519,3 +599,41 @@ class TestOneReaderFrame:
                     if calls & _READS and caught & _READ_FAULTS:
                         offenders.append(f"{path.name}:{handler.lineno} except around a read")
         assert offenders == []
+
+
+# calls that write a file whatever their arguments
+_WRITES = {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """A call of a writer in _WRITES, or an `open` given a mode that writes."""
+    name = _names(call.func) & (_WRITES | {"open"})
+    if name != {"open"}:
+        return bool(name)
+    modes = [n.value for arg in (*call.args, *call.keywords) for n in ast.walk(arg)
+             if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    return any(set(m) <= set("rwxabt+") and set(m) & set("wxa+") for m in modes)
+
+
+class TestOneWriter:
+    """Every file the package writes appears whole under its name, or not at all."""
+
+    def test_no_module_writes_a_file_but_through_atomic_write(self):
+        offenders = []
+        for path in sorted(Path(corpus_io.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            exempt = {id(n) for f in ast.walk(tree)
+                      if isinstance(f, ast.FunctionDef) and path.name == "corpus_io.py"
+                      and f.name == "atomic_write" for n in ast.walk(f)}
+            offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                          if isinstance(node, ast.Call) and id(node) not in exempt
+                          and _writes_a_file(node)]
+        assert offenders == []
+
+    def test_the_check_finds_a_direct_write(self):
+        source = 'open(p, "wb").write(b"")\nopen(p, mode="a")\nPath(p).write_text("")\n'
+        calls = [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+        assert sum(map(_writes_a_file, calls)) == 3
+        reads = 'open(p, "rb")\nopen(p)\nPath(p).read_text()\n'
+        assert not any(_writes_a_file(n) for n in ast.walk(ast.parse(reads))
+                       if isinstance(n, ast.Call))

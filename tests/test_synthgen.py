@@ -54,10 +54,10 @@ class TestGenerate:
             d.mkdir()
             save_step_database(db, d / "steps.jsonl")
             save_segment_corpus(corpus, d)
-        for name in ["steps.jsonl", "steps.f64", "manifest.jsonl"]:
+        names = ["manifest.jsonl", "segments.f32", "steps.f64", "steps.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == names
+        for name in names:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        for f in sorted((tmp_path / "a" / "features").iterdir()):
-            assert f.read_bytes() == (tmp_path / "b" / "features" / f.name).read_bytes()
 
     def test_different_seeds_differ(self):
         t1, db1, _ = synthgen.generate(_small_config(seed=1))
@@ -252,7 +252,8 @@ class TestEndToEndRecovery:
 class TestWorldFiles:
     @pytest.mark.parametrize(
         "name",
-        ["steps.f64", "steps.jsonl", "manifest.jsonl", "truth.json", "downstream_labels.jsonl"],
+        ["steps.f64", "steps.jsonl", "segments.f32", "manifest.jsonl", "truth.json",
+         "downstream_labels.jsonl"],
     )
     def test_raise_mid_write_leaves_no_file(self, tmp_path, monkeypatch, name):
         truth, db, corpus = synthgen.generate(_small_config())
@@ -260,16 +261,20 @@ class TestWorldFiles:
         def save_steps():
             save_step_database(db, tmp_path / "steps.jsonl")
 
+        def save_corpus():
+            save_segment_corpus(corpus, tmp_path)
+
         module, write = {
             "steps.f64": (corpus_io, save_steps),
             "steps.jsonl": (corpus_io, save_steps),
-            "manifest.jsonl": (corpus_io, lambda: save_segment_corpus(corpus, tmp_path)),
+            "segments.f32": (corpus_io, save_corpus),
+            "manifest.jsonl": (corpus_io, save_corpus),
             "truth.json": (synthgen, lambda: synthgen.save_truth(truth, tmp_path / name)),
             "downstream_labels.jsonl": (
                 downstream, lambda: downstream.save_annotations(truth.annotations, tmp_path / name)
             ),
         }[name]
-        if name == "steps.f64":
+        if name in ("steps.f64", "segments.f32"):
             def interrupted(fh, magic, version, data):
                 fh.write(magic)
                 raise RuntimeError("interrupted")
@@ -289,6 +294,7 @@ class TestWorldFiles:
             monkeypatch.setattr(module, "canonical_json", interrupted)
         with pytest.raises(RuntimeError, match="interrupted"):
             write()
-        # steps.f64 is written first; without steps.jsonl the database does not load
+        # each matrix is written before its index; without the index it does not load
         left = [p.name for p in tmp_path.iterdir() if p.is_file()]
-        assert left == (["steps.f64"] if name == "steps.jsonl" else [])
+        matrix_of = {"steps.jsonl": ["steps.f64"], "manifest.jsonl": ["segments.f32"]}
+        assert left == matrix_of.get(name, [])
