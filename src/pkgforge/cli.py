@@ -92,19 +92,18 @@ def _check_hash(artifact_hash: str | None, cfg: PipelineConfig, what: str, force
         )
 
 
-def _check_world(world: Path, cfg: PipelineConfig, force: bool) -> None:
-    """Check a synthetic world's truth.json hash; a world without one (real data) passes."""
+def _load_corpus(world: Path, cfg: PipelineConfig, force: bool) -> corpus_io.SegmentCorpus:
+    """The world's segment corpus, once a synthetic world's truth.json hash is checked;
+    a world without one (real data) passes."""
     truth_path = world / "truth.json"
     if truth_path.exists():
         _check_hash(synthgen.load_truth(truth_path).config_hash, cfg, str(truth_path), force)
-
-
-def _load_corpus(world: Path) -> corpus_io.SegmentCorpus:
     return corpus_io.load_segment_corpus(world / "manifest.jsonl")
 
 
-def _load_world(world: Path):
-    return corpus_io.load_step_database(world / "steps.jsonl"), _load_corpus(world)
+def _load_world(world: Path, cfg: PipelineConfig, force: bool):
+    corpus = _load_corpus(world, cfg, force)
+    return corpus_io.load_step_database(world / "steps.jsonl"), corpus
 
 
 def _emit(obj: dict, out: Path | None) -> None:
@@ -159,8 +158,7 @@ def cmd_synth(args) -> None:
 
 def cmd_build_graph(args) -> None:
     cfg = _resolve_config(args)
-    _check_world(args.world, cfg, args.force)
-    db, corpus = _load_world(args.world)
+    db, corpus = _load_world(args.world, cfg, args.force)
     pkg = graph_mod.build_graph(
         db,
         corpus,
@@ -175,7 +173,7 @@ def cmd_build_graph(args) -> None:
 
 def cmd_labels(args) -> None:
     cfg = _resolve_config(args)
-    db, corpus = _load_world(args.world)
+    db, corpus = _load_world(args.world, cfg, args.force)
     pkg = graph_mod.load_graph(args.graph)
     _check_hash(pkg.config_hash, cfg, str(args.graph), args.force)
     header, records = labeler.emit_labels(corpus, db, pkg)
@@ -187,10 +185,12 @@ def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
     # the corpus and the label records are dropped once consumed, so training
     # holds the features once and the labels only as CSR targets
-    corpus = _load_corpus(args.world)
+    corpus = _load_corpus(args.world, cfg, args.force)
     keys = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
     lengths = [len(v.segments) for v in corpus.videos]
-    features = np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
+    # a world without videos has no rows to concatenate; train refuses the empty matrix
+    features = (np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
+                if corpus.videos else np.zeros((0, 0)))
     video_of = np.repeat(np.arange(len(lengths)), lengths)
     del corpus
 
@@ -200,7 +200,7 @@ def cmd_pretrain(args) -> None:
         raise CliError("labels file does not line up with the corpus segment order")
     del keys
     specs = trainer.head_specs_from_header(header, cfg.train.objectives, cfg.train.nrl_hops)
-    targets = trainer.targets_from_labels(header, records, specs)
+    targets = trainer.targets_from_labels(records, specs)
     del records
     ckpt, history = trainer.train(
         features, video_of, header, targets, cfg.train, config_hash=cfg.config_hash()
@@ -221,8 +221,7 @@ def cmd_pretrain(args) -> None:
 
 def cmd_eval(args) -> None:
     cfg = _resolve_config(args)
-    _check_world(args.world, cfg, args.force)
-    corpus = _load_corpus(args.world)
+    corpus = _load_corpus(args.world, cfg, args.force)
     annotations = downstream.load_annotations(args.world / "downstream_labels.jsonl")
 
     sources = ["raw", "adapter"] if args.features == "both" else [args.features]

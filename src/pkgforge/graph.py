@@ -28,10 +28,6 @@ class StepNode:
     node_id: int
     members: tuple[tuple[str, int, str], ...]  # (task_id, step_index, headline)
 
-    @property
-    def task_ids(self) -> tuple[str, ...]:
-        return tuple(sorted({m[0] for m in self.members}))
-
 
 @dataclass(frozen=True)
 class DirectedEdge:

@@ -6,6 +6,11 @@ the step context those tasks imply (tcl_db, tcl_corpus), graph neighbors
 of the matched nodes per hop and direction (nrl), and the headline-level
 baseline (vsm), each at the paper's fixed size (the constants below).
 
+Every family holds class ids. vtm_db's are positions in the database's
+task list, in database order, and vtm_corpus's are occurrence columns, the
+sorted corpus task names; only `save_labels` and `load_labels` map them to
+and from the names the labels file and its header hold.
+
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
 derives them once per distinct set, and records whose segments match the
@@ -68,17 +73,18 @@ class OccurrenceMatrix:
 
 @dataclass
 class PseudoLabelSet:
-    """One segment's labels. Ids are ints inside the header's class spaces,
-    and nrl maps "in" and "out" to `nrl_hops` ranked hop lists. vtm_db,
-    vtm_corpus, tcl_db, tcl_corpus and nrl are the set-derived families:
-    records of one matched-node set share these list objects, so they must
-    not be mutated in place."""
+    """One segment's labels. Ids are ints inside the header's class spaces
+    (vtm_db indexes `task_ids`, vtm_corpus `corpus_task_names`), and nrl maps
+    "in" and "out" to `nrl_hops` ranked hop lists. vtm_db, vtm_corpus,
+    tcl_db, tcl_corpus and nrl are the set-derived families: records of one
+    matched-node set share these list objects, so they must not be mutated
+    in place."""
 
     video_id: str
     segment_index: int
     vnm: list[tuple[int, float]]
-    vtm_db: list[str]
-    vtm_corpus: list[str]
+    vtm_db: list[int]
+    vtm_corpus: list[int]
     tcl_db: list[int]
     tcl_corpus: list[int]
     nrl: dict[str, list[list[tuple[int, float]]]]  # direction -> per-hop ranked lists
@@ -95,11 +101,11 @@ def vnm_labels(node_scores: np.ndarray) -> list[tuple[int, float]]:
     return [(nid, float(node_scores[nid])) for nid in ids]
 
 
-def vtm_db_labels(vnm_nodes: list[int], graph: ProceduralKnowledgeGraph) -> list[str]:
-    """Sorted union of the task ids behind the matched nodes' members."""
-    tasks: set[str] = set()
+def vtm_db_labels(vnm_nodes: list[int], node_tasks: list[list[int]]) -> list[int]:
+    """Sorted union of the database tasks (positions) behind the matched nodes' members."""
+    tasks: set[int] = set()
     for nid in vnm_nodes:
-        tasks.update(graph.nodes[nid].task_ids)
+        tasks.update(node_tasks[nid])
     return sorted(tasks)
 
 
@@ -130,28 +136,25 @@ def build_occurrence_matrix(
     return OccurrenceMatrix(counts=counts, task_names=tuple(names)), skipped
 
 
-def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix) -> list[str]:
-    """The top VTM_CORPUS_TOP_K corpus task names by summed node occurrence, ties by name."""
+def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix) -> list[int]:
+    """The top VTM_CORPUS_TOP_K corpus task columns by summed node occurrence, ties by name."""
     totals = occ.counts[list(vnm_nodes)].sum(axis=0)
-    ranked = matcher.ranked_indices(totals, np.nonzero(totals)[0])
-    return [occ.task_names[i] for i in ranked[:VTM_CORPUS_TOP_K]]
+    return matcher.ranked_indices(totals, np.nonzero(totals)[0])[:VTM_CORPUS_TOP_K]
 
 
-def tcl_db_labels(vtm_tasks: list[str], task_nodes: dict[str, tuple[int, ...]]) -> list[int]:
+def tcl_db_labels(vtm_tasks: list[int], task_nodes: list[tuple[int, ...]]) -> list[int]:
     """Union of the node ids every matched task maps to, sorted."""
     nodes: set[int] = set()
-    for task_id in vtm_tasks:
-        nodes.update(task_nodes[task_id])
+    for task in vtm_tasks:
+        nodes.update(task_nodes[task])
     return sorted(nodes)
 
 
-def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> dict[str, list[int]]:
-    """Per corpus task name, up to TCL_CORPUS_TOP_K nodes with the largest nonzero
+def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> list[list[int]]:
+    """Per corpus task column, up to TCL_CORPUS_TOP_K nodes with the largest nonzero
     count, ranked."""
-    return {
-        name: matcher.ranked_indices(col, np.nonzero(col)[0])[:TCL_CORPUS_TOP_K]
-        for name, col in zip(occ.task_names, occ.counts.T)
-    }
+    return [matcher.ranked_indices(col, np.nonzero(col)[0])[:TCL_CORPUS_TOP_K]
+            for col in occ.counts.T]
 
 
 # tcl_corpus unions the top nodes of each matched corpus task (from
@@ -181,12 +184,9 @@ def nrl_labels(
 # orchestration
 
 
-def task_node_map(db: StepDatabase, node_of: np.ndarray) -> dict[str, tuple[int, ...]]:
-    """task_id -> sorted node ids of the task's own steps."""
-    return {
-        task.task_id: tuple(np.unique(node_of[task.start : task.stop]).tolist())
-        for task in db.tasks
-    }
+def task_node_map(db: StepDatabase, node_of: np.ndarray) -> list[tuple[int, ...]]:
+    """Per database task, in database order, the sorted node ids of its own steps."""
+    return [tuple(np.unique(node_of[task.start : task.stop]).tolist()) for task in db.tasks]
 
 
 def emit_labels(
@@ -203,6 +203,10 @@ def emit_labels(
     """
     node_of = graph.node_of(db)
     tasks_of = task_node_map(db, node_of)
+    node_tasks: list[list[int]] = [[] for _ in range(graph.num_nodes)]
+    for task, nodes in enumerate(tasks_of):
+        for nid in nodes:
+            node_tasks[nid].append(task)
 
     # (video index, segment index, vnm, vsm) per segment. Videos are scored
     # one call each: BLAS may round a short video's rows differently once
@@ -225,7 +229,7 @@ def emit_labels(
     top_nodes = top_nodes_per_corpus_task(occ)
 
     def set_labels(nodes: list[int]) -> tuple:
-        vtm_db = vtm_db_labels(nodes, graph)
+        vtm_db = vtm_db_labels(nodes, node_tasks)
         vtm_corpus = vtm_corpus_labels(nodes, occ)
         return (
             vtm_db,
@@ -279,22 +283,26 @@ def emit_labels(
 def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
     """Write the header, one line per set block, then one line per record.
 
-    A set block holds the five set-derived families. Records whose block
-    lists are the same objects, as `emit_labels` and `load_labels` return
-    them, point at one shared line, so each block is encoded once. The
-    header's `num_sets` is the number of set lines written.
+    A set block holds the five set-derived families, vtm_db and vtm_corpus
+    as the header's names for their ids. Records whose block lists are the
+    same objects, as `emit_labels` and `load_labels` return them, point at
+    one shared line, so each block is encoded once. The header's `num_sets`
+    is the number of set lines written.
     """
+    task_ids, corpus_names = header["task_ids"], header["corpus_task_names"]
     set_of: dict[tuple[int, ...], int] = {}
     set_lines: list[str] = []
     record_lines: list[str] = []
     for rec in records:
-        block = {"vtm_db": rec.vtm_db, "vtm_corpus": rec.vtm_corpus, "tcl_db": rec.tcl_db,
-                 "tcl_corpus": rec.tcl_corpus, "nrl": rec.nrl}
-        key = tuple(map(id, block.values()))
+        key = tuple(map(id, (rec.vtm_db, rec.vtm_corpus, rec.tcl_db, rec.tcl_corpus, rec.nrl)))
         index = set_of.get(key)
         if index is None:
             index = set_of[key] = len(set_lines)
-            set_lines.append(canonical_json(block))
+            set_lines.append(canonical_json({
+                "vtm_db": [task_ids[i] for i in rec.vtm_db],
+                "vtm_corpus": [corpus_names[i] for i in rec.vtm_corpus],
+                "tcl_db": rec.tcl_db, "tcl_corpus": rec.tcl_corpus, "nrl": rec.nrl,
+            }))
         record_lines.append(canonical_json({
             "video_id": rec.video_id, "segment_index": rec.segment_index,
             "vnm": rec.vnm, "set": index, "vsm": rec.vsm,
@@ -305,13 +313,17 @@ def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -
             fh.write(line + "\n")
 
 
-def _set_block(obj: dict, header: dict, task_ids: set, corpus_names: set) -> dict:
-    for field, known, space in (("vtm_db", task_ids, "task ids"),
-                                ("vtm_corpus", corpus_names, "corpus tasks")):
-        missing = set(check_json(obj[field], "tuple[str, ...]", field)) - known
-        if missing:
-            raise ValueError(f"{field} names {space} missing from the header: "
-                             f"{sorted(missing)}")
+def _class_ids(names, position: dict[str, int], field: str, space: str) -> list[int]:
+    missing = set(check_json(names, "tuple[str, ...]", field)).difference(position)
+    if missing:
+        raise ValueError(f"{field} names {space} missing from the header: {sorted(missing)}")
+    return [position[name] for name in names]
+
+
+def _set_block(obj: dict, header: dict, task_pos: dict[str, int],
+               corpus_pos: dict[str, int]) -> dict:
+    vtm_db = _class_ids(obj["vtm_db"], task_pos, "vtm_db", "task ids")
+    vtm_corpus = _class_ids(obj["vtm_corpus"], corpus_pos, "vtm_corpus", "corpus tasks")
     nrl, hops = obj["nrl"], header["nrl_hops"]
     if not fits_json(nrl, "object") or sorted(nrl) != ["in", "out"]:
         raise ValueError("nrl is not an object with exactly the keys 'in' and 'out'")
@@ -320,7 +332,7 @@ def _set_block(obj: dict, header: dict, task_ids: set, corpus_names: set) -> dic
             raise ValueError(f"nrl {direction} is not a list of {hops} hop lists")
     num_nodes = header["num_nodes"]
     return {
-        "vtm_db": obj["vtm_db"], "vtm_corpus": obj["vtm_corpus"],
+        "vtm_db": vtm_db, "vtm_corpus": vtm_corpus,
         "tcl_db": check_ids(obj["tcl_db"], num_nodes, "tcl_db"),
         "tcl_corpus": check_ids(obj["tcl_corpus"], num_nodes, "tcl_corpus"),
         "nrl": {
@@ -349,14 +361,15 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
         for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
             check_json(header[key], "int", key)
         check_json(header.get("config_hash"), "str | None", "config_hash")
-        task_ids = set(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))
-        corpus_names = set(check_json(header["corpus_task_names"], "tuple[str, ...]",
-                                      "corpus_task_names"))
+        task_pos = {name: i for i, name in
+                    enumerate(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))}
+        corpus_pos = {name: i for i, name in enumerate(
+            check_json(header["corpus_task_names"], "tuple[str, ...]", "corpus_task_names"))}
         src.noun = "line"
         for obj in src.lines():
             if not records and "video_id" not in obj:
                 src.noun = f"set {len(blocks)}"
-                blocks.append(_set_block(obj, header, task_ids, corpus_names))
+                blocks.append(_set_block(obj, header, task_pos, corpus_pos))
                 continue
             src.noun = f"record {len(records)}"
             set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]

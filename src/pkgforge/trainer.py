@@ -155,26 +155,16 @@ class SparseTargets:
 
 
 def targets_from_labels(
-    header: dict, records: list[PseudoLabelSet], specs: list[HeadSpec]
+    records: list[PseudoLabelSet], specs: list[HeadSpec]
 ) -> dict[str, SparseTargets]:
     """Positive class ids per head, one CSR row per record (checked by `load_labels`)."""
-    task_index = {tid: i for i, tid in enumerate(header["task_ids"])}
-    corpus_index = {name: i for i, name in enumerate(header["corpus_task_names"])}
     targets: dict[str, SparseTargets] = {}
     for spec in specs:
         name = spec.name
-        if name == "vnm":
-            rows = [[nid for nid, _ in rec.vnm] for rec in records]
-        elif name == "vtm_db":
-            rows = [[task_index[t] for t in rec.vtm_db] for rec in records]
-        elif name == "vtm_corpus":
-            rows = [[corpus_index[t] for t in rec.vtm_corpus] for rec in records]
-        elif name == "tcl_db":
-            rows = [rec.tcl_db for rec in records]
-        elif name == "tcl_corpus":
-            rows = [rec.tcl_corpus for rec in records]
-        elif name == "vsm":
-            rows = [[hid for hid, _ in rec.vsm] for rec in records]
+        if name in ("vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus"):
+            rows = [getattr(rec, name) for rec in records]
+        elif name in ("vnm", "vsm"):
+            rows = [[i for i, _ in getattr(rec, name)] for rec in records]
         elif name.startswith("nrl_"):
             direction, hop = name.split("_")[1:]
             rows = [[nid for nid, _ in rec.nrl[direction][int(hop) - 1]] for rec in records]

@@ -10,8 +10,11 @@ a time.
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
 headline-level corpus counting, node scoring, per-step database walks and
-record loop and nrl cut, and borrows from the package only the operations
-that did not change with it (vtm_db, tcl_db and nrl's `khop_neighbors`).
+record loop and nrl cut, and reads vtm_db off the graph's members. It
+borrows from the package only the operations that did not change with it
+(tcl_db's union and nrl's `khop_neighbors`). Like the package, it names
+database tasks by their position in the database and corpus tasks by
+their column, the sorted name order.
 
 `save_step_database_json` and `load_step_database_json` are the
 steps.jsonl layout with inline JSON embeddings that the binary steps.f64
@@ -272,8 +275,14 @@ def top_k_full_sort(scores, k):
     return [int(candidates[i]) for i in order][:k]
 
 
+def vtm_db_per_segment(vnm_nodes, graph, task_position):
+    """Positions of the tasks that own a member of any matched node, in database order."""
+    return sorted({task_position[task_id] for nid in vnm_nodes
+                   for task_id, _, _ in graph.nodes[nid].members})
+
+
 def vtm_corpus_per_segment(vnm_nodes, counts, task_names, members_of, k):
-    """Top-k corpus task names by summed member-headline occurrence, ties by name."""
+    """Top-k corpus task columns by summed member-headline occurrence, ties by name."""
     if counts.shape[1] == 0 or not vnm_nodes:
         return []
     totals = np.zeros(counts.shape[1], dtype=np.int64)
@@ -284,14 +293,14 @@ def vtm_corpus_per_segment(vnm_nodes, counts, task_names, members_of, k):
         (i for i in range(len(totals)) if totals[i] > 0),
         key=lambda i: (-totals[i], task_names[i]),
     )
-    return [task_names[i] for i in ranked[:k]]
+    return ranked[:k]
 
 
-def tcl_corpus_per_segment(vtm_names, counts, task_names, members_of, k):
-    """Per corpus task, recount node occurrences and keep the top-k nonzero; unioned."""
+def tcl_corpus_per_segment(vtm_columns, counts, members_of, k):
+    """Per corpus task column, recount node occurrences and keep the top-k nonzero; unioned."""
     out = set()
-    for name in vtm_names:
-        col = counts[:, task_names.index(name)]
+    for c in vtm_columns:
+        col = counts[:, c]
         node_counts = [int(sum(col[h] for h in members)) for members in members_of]
         ranked = sorted(
             (n for n in range(len(members_of)) if node_counts[n] > 0),
@@ -317,6 +326,7 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
     """Records as the labeler built them before: every family derived per segment."""
     node_of, members_of = assignment_walk(graph, db)
     tasks_of = task_node_map_walk(db, node_of)
+    task_position = {task.task_id: i for i, task in enumerate(db.tasks)}
     segment_vnm, segment_vsm, video_of_segment = [], [], []
     for vi, video in enumerate(corpus.videos):
         if not video.segments.shape[0]:
@@ -340,7 +350,7 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
         for seg_idx in range(video.segments.shape[0]):
             vnm = segment_vnm[cursor]
             ids = [nid for nid, _ in vnm]
-            vtm_db = labeler.vtm_db_labels(ids, graph)
+            vtm_db = vtm_db_per_segment(ids, graph, task_position)
             vtm_corpus = vtm_corpus_per_segment(
                 ids, counts, task_names, members_of, vtm_corpus_k
             )
@@ -353,7 +363,7 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
                     vtm_corpus=vtm_corpus,
                     tcl_db=labeler.tcl_db_labels(vtm_db, tasks_of),
                     tcl_corpus=tcl_corpus_per_segment(
-                        vtm_corpus, counts, task_names, members_of, tcl_corpus_k
+                        vtm_corpus, counts, members_of, tcl_corpus_k
                     ),
                     nrl=nrl_per_segment(ids, graph, nrl_top_per_hop),
                     vsm=segment_vsm[cursor],
@@ -418,12 +428,12 @@ def database_transitions_walk(db, node_of):
 
 
 def task_node_map_walk(db, node_of):
-    """task_id -> sorted node ids of the task's own steps."""
-    out = {}
+    """Per task, in database order, the sorted node ids of the task's own steps."""
+    out = []
     hidx = 0
     for task in db.tasks:
         n_steps = task.stop - task.start
-        out[task.task_id] = tuple(sorted({int(node_of[hidx + si]) for si in range(n_steps)}))
+        out.append(tuple(sorted({int(node_of[hidx + si]) for si in range(n_steps)})))
         hidx += n_steps
     return out
 

@@ -281,7 +281,7 @@ def _pretrained_transform(cfg, header, records, features, video_of, objectives, 
     tc.objectives = objectives
     tc.nrl_hops = nrl_hops
     specs = trainer.head_specs_from_header(header, tc.objectives, tc.nrl_hops)
-    targets = trainer.targets_from_labels(header, records, specs)
+    targets = trainer.targets_from_labels(records, specs)
     ckpt, _ = trainer.train(features, video_of, header, targets, tc)
     adapter = trainer.adapter_from_checkpoint(ckpt)
     return lambda f: trainer.apply_adapter(adapter, f)
@@ -459,8 +459,8 @@ def test_criterion_10_format_round_trips(tmp_path):
                 video_id="v0",
                 segment_index=i,
                 vnm=[(int(n), float(rng.uniform(1, 20))) for n in rng.choice(n_nodes, 2, replace=False)],
-                vtm_db=["t0"],
-                vtm_corpus=["a"],
+                vtm_db=[0],
+                vtm_corpus=[0],
                 tcl_db=sorted(int(n) for n in rng.choice(n_nodes, 2, replace=False)),
                 tcl_corpus=[0],
                 nrl={

@@ -159,6 +159,21 @@ class TestPipeline:
         assert _run("pretrain", *common, "--labels", labels, "--out", tmp_path / "m.pkgc") == 1
         assert _one_line_error(capsys) == "cannot train on an empty segment set"
 
+    def test_pretrain_on_a_world_without_videos(self, artifacts, tmp_path, capsys):
+        world = tmp_path / "world"
+        shutil.copytree(artifacts["world"], world)
+        dim = corpus_io.load_segment_corpus(world / "manifest.jsonl").dim
+        (world / "manifest.jsonl").write_text("")
+        corpus_io.write_feature_file(world / "segments.f32", np.zeros((0, dim)))
+        common = ["--config", artifacts["config"], "--world", world]
+        graph, labels = tmp_path / "g.json", tmp_path / "l.jsonl"
+        assert _run("build-graph", *common, "--out", graph) == 0
+        assert _run("labels", *common, "--graph", graph, "--out", labels) == 0
+        capsys.readouterr()
+        assert _run("pretrain", *common, "--labels", labels, "--out", tmp_path / "m.pkgc") == 1
+        assert _one_line_error(capsys) == "cannot train on an empty segment set"
+        assert not (tmp_path / "m.pkgc").exists()
+
 
 class TestDeterminism:
     def test_synth_rerun_identical(self, tmp_path, config_path):
@@ -331,14 +346,31 @@ class TestMissingHash:
         error = json.loads(capsys.readouterr().err)["error"]
         assert "truth.json" in error and "config hash" in error
 
+    @pytest.mark.parametrize("stage", ["labels", "pretrain", "eval"])
+    def test_every_world_reader_checks_world_hash(self, stage, artifacts, tmp_path, capsys):
+        # the stage's own input carries the current config's hash; only the world does not
+        other = PipelineConfig.load(artifacts["config"])
+        other.seed = 999
+        other.__post_init__()  # as --seed does: the sections follow the top-level seed
+        assert _run_with_input_hash(stage, artifacts, tmp_path, "--seed", "999",
+                                    config_hash=other.config_hash()) == 1
+        assert _one_line_error(capsys) == (
+            f"{tmp_path / 'world' / 'truth.json'} was produced under config hash "
+            f"{PipelineConfig.load(artifacts['config']).config_hash()}, current is "
+            f"{other.config_hash()}; rerun with the matching config or pass --force"
+        )
+
     def test_world_without_truth_accepted(self, artifacts, tmp_path):
         world = tmp_path / "world"
         shutil.copytree(artifacts["world"], world)
         (world / "truth.json").unlink()
         common = ["--config", artifacts["config"], "--world", world]
-        assert _run("build-graph", *common, "--out", tmp_path / "g.json") == 0
+        graph, labels, ckpt = tmp_path / "g.json", tmp_path / "l.jsonl", tmp_path / "m.pkgc"
+        assert _run("build-graph", *common, "--out", graph) == 0
+        assert _run("labels", *common, "--graph", graph, "--out", labels) == 0
+        assert _run("pretrain", *common, "--labels", labels, "--out", ckpt) == 0
         assert _run(
-            "eval", *common, "--task", "SR", "--features", "raw", "--out", tmp_path / "r.json"
+            "eval", *common, "--checkpoint", ckpt, "--task", "SR", "--out", tmp_path / "r.json"
         ) == 0
 
 
@@ -566,7 +598,7 @@ class TestWrongShapedJson:
          downstream.load_annotations),
         ("world/truth.json", 0, "n_steps", float("nan"), synthgen.load_truth),
         ("world/truth.json", 0, "n_steps", float("nan"),
-         lambda path: cli._check_world(path.parent, PipelineConfig(), force=True)),
+         lambda path: cli._load_corpus(path.parent, PipelineConfig(), force=True)),
         ("graph.json", 0, "config_hash", float("nan"), graph.load_graph),
         ("labels.jsonl", -1, "vnm", [[0, float("nan")]], labeler.load_labels),
         ("model.pkgc", 0, "metadata", {"seed": float("inf")}, corpus_io.load_checkpoint),
@@ -664,7 +696,7 @@ class TestWrongShapedJson:
         ("graph.json", graph.load_graph, "graph file"),
         ("world/truth.json", synthgen.load_truth, "truth file"),
         ("world/truth.json",
-         lambda path: cli._check_world(path.parent, PipelineConfig(), force=True), "truth file"),
+         lambda path: cli._load_corpus(path.parent, PipelineConfig(), force=True), "truth file"),
         ("config.json", PipelineConfig.load, "config"),
     ], ids=["graph", "truth", "check-world", "config"])
     def test_json_document_fault_names_its_line(self, name, reader, what, artifacts, tmp_path):

@@ -169,7 +169,6 @@ class TestAssembleGraph:
         db, node_of = _db_from_chain([0, 1, 0])
         pkg = G.assemble_graph(db, node_of, [], {})
         assert pkg.nodes[0].members == (("t0", 0, "h0"), ("t0", 2, "h2"))
-        assert pkg.nodes[0].task_ids == ("t0",)
 
     def test_invariants_enforced(self):
         nodes = [G.StepNode(0, (("t", 0, "h"),)), G.StepNode(1, (("t", 1, "g"),))]

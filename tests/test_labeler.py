@@ -31,7 +31,7 @@ from pkgforge.synthgen import WorldConfig, graph_recovery_metrics
 from oracles import assignment_walk, emit_labels_per_segment
 
 
-def _tiny_world():
+def _tiny_world(task_ids=("t0", "t1")):
     """Two tasks sharing node 1; dims picked for explicit dot products.
 
     task t0 steps: h0 -> node 0, h1 -> node 1
@@ -39,7 +39,8 @@ def _tiny_world():
     """
     e = np.eye(3) * 2.0
     db = StepDatabase.from_tasks(
-        [("t0", "task zero", ["h0", "h1"]), ("t1", "task one", ["h2", "h3"])], e[[0, 1, 1, 2]]
+        [(task_ids[0], "task zero", ["h0", "h1"]), (task_ids[1], "task one", ["h2", "h3"])],
+        e[[0, 1, 1, 2]],
     )
     node_of = np.array([0, 1, 1, 2])
     pkg = assemble_graph(db, node_of, [(0, 1), (1, 2)], {})
@@ -58,10 +59,13 @@ class TestVnmAndVtm:
         assert [n for n, _ in labeler.vnm_labels(np.full(5, 2.0))] == [0, 1, 2]
 
     def test_vtm_db_union_sorted(self):
-        _, _, pkg = _tiny_world()
-        assert labeler.vtm_db_labels([1], pkg) == ["t0", "t1"]
-        assert labeler.vtm_db_labels([0, 1, 2], pkg) == ["t0", "t1"]
-        assert labeler.vtm_db_labels([0], pkg) == ["t0"]
+        # the tiny world's tasks per node: node 1 belongs to both
+        node_tasks = [[0], [0, 1], [1]]
+        assert labeler.vtm_db_labels([1], node_tasks) == [0, 1]
+        assert labeler.vtm_db_labels([2, 0], node_tasks) == [0, 1]
+        assert labeler.vtm_db_labels([0, 1, 2], node_tasks) == [0, 1]
+        assert labeler.vtm_db_labels([0], node_tasks) == [0]
+        assert labeler.vtm_db_labels([], node_tasks) == []
 
 
 class TestOccurrenceMatrix:
@@ -110,8 +114,9 @@ class TestCorpusVariants:
         occ = labeler.OccurrenceMatrix(
             counts=np.array([[5, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
-        assert labeler.vtm_corpus_labels([0], occ) == ["T1"]
-        assert labeler.vtm_corpus_labels([0, 1], occ) == ["T1", "T2"]
+        assert labeler.vtm_corpus_labels([0], occ) == [0]
+        assert labeler.vtm_corpus_labels([0, 1], occ) == [0, 1]
+        assert labeler.vtm_corpus_labels([1], occ) == [1]
 
     def test_vtm_corpus_all_zero(self):
         occ = labeler.OccurrenceMatrix(counts=np.zeros((3, 2), dtype=int), task_names=("T1", "T2"))
@@ -120,30 +125,33 @@ class TestCorpusVariants:
     def test_vtm_corpus_lexicographic_tie(self):
         # column order is the sorted name order, so a tie by column is a tie by name
         occ = labeler.OccurrenceMatrix(
-            counts=np.array([[4, 4], [0, 0], [0, 0]]), task_names=("TA", "TB")
+            counts=np.array([[1, 4, 4], [0, 0, 0], [0, 0, 0]]), task_names=("TA", "TB", "TC")
         )
-        assert labeler.vtm_corpus_labels([0], occ) == ["TA", "TB"]
+        assert labeler.vtm_corpus_labels([0], occ) == [1, 2, 0]
 
     def test_tcl_db(self):
         db, node_of, pkg = _tiny_world()
         tasks_of = labeler.task_node_map(db, node_of)
-        assert tasks_of == {"t0": (0, 1), "t1": (1, 2)}
-        assert labeler.tcl_db_labels(["t0"], tasks_of) == [0, 1]
-        assert labeler.tcl_db_labels(["t0", "t1"], tasks_of) == [0, 1, 2]
+        assert tasks_of == [(0, 1), (1, 2)]
+        assert labeler.tcl_db_labels([0], tasks_of) == [0, 1]
+        assert labeler.tcl_db_labels([1], tasks_of) == [1, 2]
+        assert labeler.tcl_db_labels([0, 1], tasks_of) == [0, 1, 2]
         assert labeler.tcl_db_labels([], tasks_of) == []
 
     def test_tcl_corpus_top3_nonzero(self):
         occ = labeler.OccurrenceMatrix(counts=np.array([[7], [3], [0]]), task_names=("T1",))
         top_nodes = labeler.top_nodes_per_corpus_task(occ)
-        assert top_nodes == {"T1": [0, 1]}
-        assert labeler.tcl_corpus_labels(["T1"], top_nodes) == [0, 1]
+        assert top_nodes == [[0, 1]]
+        assert labeler.tcl_corpus_labels([0], top_nodes) == [0, 1]
 
     def test_tcl_corpus_union(self):
         occ = labeler.OccurrenceMatrix(
             counts=np.array([[1, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
         top_nodes = labeler.top_nodes_per_corpus_task(occ)
-        assert labeler.tcl_corpus_labels(["T1", "T2"], top_nodes) == [0, 1]
+        assert top_nodes == [[0], [1]]
+        assert labeler.tcl_corpus_labels([1], top_nodes) == [1]
+        assert labeler.tcl_corpus_labels([0, 1], top_nodes) == [0, 1]
         assert labeler.tcl_corpus_labels([], top_nodes) == []
 
 
@@ -206,12 +214,30 @@ class TestEmitLabels:
             ("v0", 1),
             ("v1", 0),
         ]
-        # segment (v0, 0) points at node 0 whose only task is t0
+        # segment (v0, 0) points at node 0 whose only task is t0, the database's first
         assert records[0].vnm[0][0] == 0
-        assert records[0].vtm_db == ["t0"]
+        assert records[0].vtm_db == [0] and header["task_ids"] == ["t0", "t1"]
+        # segment (v0, 1) matches node 1, which both tasks share
+        assert records[1].vtm_db == [0, 1]
+        # the corpus columns are the sorted names "task one", "task zero"
+        assert header["corpus_task_names"] == ["task one", "task zero"]
+        assert records[0].vtm_corpus == [1] and records[2].vtm_corpus == [0]
         # tcl_db covers the matched nodes themselves
         for rec in records:
             assert set(n for n, _ in rec.vnm) <= set(rec.tcl_db)
+
+    def test_vtm_db_in_database_order(self, tmp_path):
+        # task ids that sort against database order: vtm_db lists database positions,
+        # and the set line names them in that order
+        db, _, pkg = _tiny_world(task_ids=("tz", "ta"))
+        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        assert header["task_ids"] == ["tz", "ta"]
+        assert [r.vtm_db for r in records] == [[0], [0, 1], [1]]
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(header, records, path)
+        sets = [json.loads(line) for line in path.read_text().splitlines()[1:4]]
+        assert [s["vtm_db"] for s in sets] == [["tz"], ["tz", "ta"], ["ta"]]
+        assert labeler.load_labels(path) == (header, records)
 
     def test_empty_corpus(self):
         db, _, pkg = _tiny_world()
@@ -229,13 +255,12 @@ class TestEmitLabels:
     def test_referential_integrity(self):
         db, _, pkg = _tiny_world()
         header, records = labeler.emit_labels(self._corpus(), db, pkg)
-        task_ids = set(header["task_ids"])
-        names = set(header["corpus_task_names"])
+        num_tasks, num_names = len(header["task_ids"]), len(header["corpus_task_names"])
         for rec in records:
             for nid, _ in rec.vnm:
                 assert 0 <= nid < pkg.num_nodes
-            assert set(rec.vtm_db) <= task_ids
-            assert set(rec.vtm_corpus) <= names
+            assert all(type(t) is int and 0 <= t < num_tasks for t in rec.vtm_db)
+            assert all(type(c) is int and 0 <= c < num_names for c in rec.vtm_corpus)
             for nid in rec.tcl_db + rec.tcl_corpus:
                 assert 0 <= nid < pkg.num_nodes
             for hops in rec.nrl.values():
@@ -323,7 +348,7 @@ class TestLabelsFile:
 
     def test_records_sharing_a_set_come_back_sharing_it(self, tmp_path):
         def block():
-            return dict(vtm_db=["t0"], vtm_corpus=["a"], tcl_db=[0, 1], tcl_corpus=[1],
+            return dict(vtm_db=[0], vtm_corpus=[0], tcl_db=[0, 1], tcl_corpus=[1],
                         nrl={"in": [[(1, 0.5)], []], "out": [[], []]})
 
         shared = block()
@@ -366,7 +391,8 @@ class TestLabelsFile:
         ((1, "vtm_corpus", ["nope"]), r"corpus tasks missing from the header: \['nope'\]"),
     ])
     def test_class_name_missing_from_header(self, tmp_path, edit, message):
-        with pytest.raises(CorpusFormatError, match=message):
+        located = rf"^.*labels\.jsonl:2: malformed set 0: {edit[1]} names {message}$"
+        with pytest.raises(CorpusFormatError, match=located):
             labeler.load_labels(self._saved(tmp_path, edit))
 
     @pytest.mark.parametrize("index", [3, -1, 1.0, "0"])
@@ -431,8 +457,9 @@ class TestLabelsFile:
 
         def block():
             return {
-                "vtm_db": data.draw(st.lists(st.sampled_from(task_ids), max_size=3)),
-                "vtm_corpus": data.draw(st.lists(st.sampled_from(corpus_names), max_size=2)),
+                "vtm_db": data.draw(st.lists(st.integers(0, len(task_ids) - 1), max_size=3)),
+                "vtm_corpus": data.draw(st.lists(st.integers(0, len(corpus_names) - 1),
+                                                 max_size=2)),
                 "tcl_db": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
                 "tcl_corpus": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
                 "nrl": {d: [data.draw(pairs(num_nodes)) for _ in range(nrl_hops)]
@@ -481,14 +508,17 @@ def _random_world(rng, integer_valued):
         return rng.normal(size=shape)
 
     tasks, rows = [], []
-    for t in range(int(rng.integers(1, 4))):
+    n_tasks = int(rng.integers(1, 4))
+    # task ids in any order, so that name order and database order often differ
+    task_ids = [f"t{i}" for i in rng.permutation(n_tasks)]
+    for t in range(n_tasks):
         headlines = []
         for s in range(int(rng.integers(1, 5))):
             emb = values(dim)
             emb[0] = emb[0] or 1.0  # step embeddings are never all zero
             headlines.append(f"h{t}/{s}")
             rows.append(emb)
-        tasks.append((f"t{t}", f"task {t}", headlines))
+        tasks.append((task_ids[t], f"task {t}", headlines))
     db = StepDatabase.from_tasks(tasks, np.array(rows))
 
     n = db.num_headlines
@@ -542,10 +572,11 @@ class TestAgainstPerSegmentPath:
             v.corpus_task_name is None for v in corpus.videos
         )
 
+        # load_labels of save_labels gives back emit_labels' header and records
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "labels.jsonl"
             labeler.save_labels(header, records, path)
-            assert labeler.load_labels(path) == (header, expected)
+            assert labeler.load_labels(path) == (header, records)
 
 
 def _renumbered(pkg, perm):
@@ -599,19 +630,19 @@ class TestRenumberedGraph:
             canonical_json(dataclasses.asdict(r)) for r in expected
         ]
 
-        # per corpus task, the nodes that must and the nodes that may rank in its top k
+        # per corpus task column, the nodes that must and the nodes that may rank in its top k
         video_of = {v.video_id: i for i, v in enumerate(corpus.videos)}
         occ, _ = labeler.build_occurrence_matrix(
             [[n for n, _ in r.vnm] for r in records], [v.corpus_task_name for v in corpus.videos],
             [video_of[r.video_id] for r in records], np.array(assignment_walk(pkg, db)[0]),
         )
-        must, may = {}, {}
-        for name, col in zip(occ.task_names, occ.counts.T):
+        must, may = [], []
+        for col in occ.counts.T:
             ranked = np.sort(col[col > 0])[::-1]
             k = labeler.TCL_CORPUS_TOP_K
             kth = ranked[k - 1] if ranked.size >= k else 0
-            must[name] = {perm[n] for n in np.flatnonzero(col > kth)}
-            may[name] = {perm[n] for n in np.flatnonzero((col >= kth) & (col > 0))}
+            must.append({perm[n] for n in np.flatnonzero(col > kth)})
+            may.append({perm[n] for n in np.flatnonzero((col >= kth) & (col > 0))})
 
         for old, new in zip(records, moved_records):
             assert (new.vtm_db, new.vtm_corpus, new.vsm) == (old.vtm_db, old.vtm_corpus, old.vsm)
