@@ -14,6 +14,7 @@ for progress logging.
 from __future__ import annotations
 
 import argparse
+import gc
 import logging
 import os
 import sys
@@ -188,11 +189,14 @@ def cmd_pretrain(args) -> None:
     corpus = _load_corpus(args.world, cfg, args.force)
     keys = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
     lengths = [len(v.segments) for v in corpus.videos]
-    # a world without videos has no rows to concatenate; train refuses the empty matrix
+    # a world without videos has no rows to concatenate
     features = (np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
                 if corpus.videos else np.zeros((0, 0)))
     video_of = np.repeat(np.arange(len(lengths)), lengths)
     del corpus
+    # refused here, before the labels: such a world also leaves the heads' class spaces empty
+    if not len(features):
+        raise CliError("cannot train on an empty segment set")
 
     header, records = labeler.load_labels(args.labels)
     _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
@@ -202,6 +206,9 @@ def cmd_pretrain(args) -> None:
     specs = trainer.head_specs_from_header(header, cfg.train.objectives, cfg.train.nrl_hops)
     targets = trainer.targets_from_labels(records, specs)
     del records
+    # the interpreter's free lists keep the last records' tuples, lists and dicts, and with
+    # them whole allocator arenas of records; a full collection empties them before training
+    gc.collect()
     ckpt, history = trainer.train(
         features, video_of, header, targets, cfg.train, config_hash=cfg.config_hash()
     )

@@ -5,8 +5,9 @@ steps.f64 embedding matrix), the segment corpus (manifest.jsonl plus its
 segments.f32 feature matrix), and model checkpoints (JSON header line plus
 the f32 cast of a model's flat parameter vector).
 
-segments.f32 and steps.f64 share one binary layout: a four-byte magic, u32
-version/rows/dim, then the row-major little-endian payload. Checkpoint
+segments.f32, steps.f64 and the labels payload labels.f64 share one binary
+layout: a four-byte magic, u32 version/rows/dim, then the row-major
+little-endian payload; `labeler` owns the labels files. Checkpoint
 weights are little-endian f32. Segment features stay f32 in memory until
 a consumer computes with them; everything else is f64 once loaded.
 
@@ -95,18 +96,6 @@ def check_ids(ids, bound: int, name: str) -> list[int]:
     if check_json(ids, "tuple[int, ...]", name) and (min(ids) < 0 or max(ids) >= bound):
         raise ValueError(f"{name} {sorted(ids)} has an id outside [0, {bound})")
     return ids
-
-
-def check_ranked_ids(items, bound: int, name: str) -> list[tuple[int, float]]:
-    """`[id, score]` items with ids in [0, bound) and JSON-number scores, as (id, float) pairs."""
-    # the type checks ride in the one pass that builds the pairs: a separate
-    # pass per list costs about 1 us more a call, and labels run this per record
-    ints, numbers = _JSON_TYPES["int"], _JSON_TYPES["float"]
-    pairs = [(i, float(s)) for i, s in items if type(i) in ints and type(s) in numbers]
-    if len(pairs) != len(items) or pairs and (min(pairs)[0] < 0 or max(pairs)[0] >= bound):
-        check_ids([i for i, _ in items], bound, name)  # raises if the ids are at fault
-        raise ValueError(f"{name} scores {[s for _, s in items]!r} are not all JSON numbers")
-    return pairs
 
 
 def dataclass_from_json(cls, data, prefix: str = ""):
@@ -287,11 +276,6 @@ class StepDatabase:
         return cls(tasks=tuple(spans.values()), headlines=tuple(headlines), embeddings=embeddings)
 
 
-def _embedding_path(path: str | Path) -> Path:
-    """The steps.f64 matrix that sits beside a steps.jsonl index."""
-    return Path(path).with_suffix(".f64")
-
-
 def load_step_database(path: str | Path) -> StepDatabase:
     """Read steps.jsonl (one task per line) and its steps.f64 matrix, then validate."""
     path = Path(path)
@@ -304,15 +288,11 @@ def load_step_database(path: str | Path) -> StepDatabase:
             names = check_json([rec["task_id"], rec["task_name"]], "tuple[str, str]",
                                "task_id and task_name")
             tasks.append((*names, check_json(rec["headlines"], "tuple[str, ...]", "headlines")))
-    matrix_path = _embedding_path(path)
-    try:
-        embeddings = _read_matrix(matrix_path, STEPS_MAGIC, STEPS_VERSION, "<f8")
-    except FileNotFoundError:
-        raise CorpusFormatError(f"{matrix_path}: missing embedding matrix for {path}") from None
+    embeddings = read_matrix_beside(path, STEPS_MAGIC, STEPS_VERSION, "embedding matrix")
     num_headlines = sum(len(headlines) for _, _, headlines in tasks)
     if embeddings.shape[0] != num_headlines:
         raise CorpusFormatError(
-            f"{matrix_path}: holds {embeddings.shape[0]} rows but {path} lists "
+            f"{matrix_beside(path)}: holds {embeddings.shape[0]} rows but {path} lists "
             f"{num_headlines} headlines"
         )
     return StepDatabase.from_tasks(tasks, embeddings, str(path))
@@ -320,8 +300,7 @@ def load_step_database(path: str | Path) -> StepDatabase:
 
 def save_step_database(db: StepDatabase, path: str | Path) -> None:
     """Write the embedding matrix, then the steps.jsonl index that makes it loadable."""
-    with atomic_write(_embedding_path(path), binary=True) as fh:
-        _write_matrix(fh, STEPS_MAGIC, STEPS_VERSION, np.ascontiguousarray(db.embeddings, "<f8"))
+    write_matrix_beside(path, STEPS_MAGIC, STEPS_VERSION, db.embeddings)
     with atomic_write(path) as fh:
         for task in db.tasks:
             rec = {
@@ -333,7 +312,7 @@ def save_step_database(db: StepDatabase, path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# binary matrices: segments.f32 and steps.f64
+# binary matrices: segments.f32, steps.f64 and labels.f64
 
 
 def _write_matrix(fh, magic: bytes, version: int, data: np.ndarray) -> None:
@@ -382,6 +361,26 @@ def _read_matrix(path: Path, magic: bytes, version: int, dtype: str) -> np.ndarr
     if not finite.all():
         raise CorpusFormatError(f"{path}: row {int(np.argmin(finite))} holds a non-finite value")
     return data
+
+
+def matrix_beside(path: str | Path) -> Path:
+    """The .f64 matrix that sits beside a JSON index file (steps.f64, labels.f64)."""
+    return Path(path).with_suffix(".f64")
+
+
+def write_matrix_beside(path: str | Path, magic: bytes, version: int, data: np.ndarray) -> None:
+    """Write a 2-D array as little-endian f64 to the matrix beside `path`, atomically."""
+    with atomic_write(matrix_beside(path), binary=True) as fh:
+        _write_matrix(fh, magic, version, np.ascontiguousarray(data, "<f8"))
+
+
+def read_matrix_beside(path: str | Path, magic: bytes, version: int, what: str) -> np.ndarray:
+    """The f64 matrix beside `path`; a missing one is named as `what` for `path`."""
+    matrix_path = matrix_beside(path)
+    try:
+        return _read_matrix(matrix_path, magic, version, "<f8")
+    except FileNotFoundError:
+        raise CorpusFormatError(f"{matrix_path}: missing {what} for {path}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,24 @@ same nodes share those lists. The corpus variants read occurrence counts
 taken per node, and tcl_corpus ranks each corpus task column once, before
 any set is derived.
 
-Labels are materialized to labels.jsonl: one header line with the
-class-index spaces, one line per distinct set block (the five set-derived
-families), then one record per segment in (video, segment) order holding
-vnm, vsm and the index of its set line. Writing and reading therefore
-handle each set block once. `load_labels` is the one place that checks a
-record's shape, so code downstream takes its records, and those
-`emit_labels` builds, as they are.
+Labels are materialized as two files: labels.f64, a binary payload that
+holds every label as named flat f64 columns (per record, per family length
+and ids and scores, each distinct set once), written first, then
+labels.jsonl, one JSON header line with the class-index spaces, the
+distinct video ids, the column table and the payload's sha256. Records
+point at their set by index, so writing and reading handle each set once.
+`load_labels` is the one place that checks a record's shape, in whole-column
+passes, so code downstream takes its records, and those `emit_labels`
+builds, as they are.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import logging
 from dataclasses import dataclass
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +43,15 @@ import numpy as np
 from . import matcher
 from .corpus_io import (
     CorpusFormatError, JsonFile, SegmentCorpus, StepDatabase, atomic_write, canonical_json,
-    check_ids, check_json, check_ranked_ids, fits_json,
+    check_json, matrix_beside, read_matrix_beside, write_matrix_beside,
 )
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
 log = logging.getLogger(__name__)
 
 LABELS_KIND = "pkgforge-labels"
+LABELS_MAGIC = b"PKGL"
+LABELS_VERSION = 1
 
 
 # The paper's label sizes: top 3 nodes (vnm), corpus tasks (vtm_corpus), nodes
@@ -280,116 +287,259 @@ def emit_labels(
 # serialization
 
 
-def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
-    """Write the header, one line per set block, then one line per record.
+# the payload's ragged families, in payload order: (name, owner, header bound, scored).
+# A family holds one length per owner row, then its ids (and scores) end to end.
+_FAMILIES = (("vnm", "record", "num_nodes", True), ("vsm", "record", "num_headlines", True),
+             ("vtm_db", "set", "task_ids", False), ("vtm_corpus", "set", "corpus_task_names", False),
+             ("tcl_db", "set", "num_nodes", False), ("tcl_corpus", "set", "num_nodes", False))
+_DIRECTIONS = ("in", "out")
+# header keys that describe the payload; `load_labels` strips them from the header it returns
+_PAYLOAD_KEYS = ("video_ids", "columns", "payload_sha256")
+# owner rows turned into Python lists at a time, so a load never holds a whole column as lists
+_BLOCK = 4096
 
-    A set block holds the five set-derived families, vtm_db and vtm_corpus
-    as the header's names for their ids. Records whose block lists are the
-    same objects, as `emit_labels` and `load_labels` return them, point at
-    one shared line, so each block is encoded once. The header's `num_sets`
-    is the number of set lines written.
+
+def _families(nrl_hops: int) -> list[tuple[str, str, str, bool]]:
+    return list(_FAMILIES) + [(f"nrl_{d}_{hop}", "set", "num_nodes", True)
+                              for d in _DIRECTIONS for hop in range(1, nrl_hops + 1)]
+
+
+def _column_names(nrl_hops: int) -> list[str]:
+    names = ["video", "segment_index", "set"]
+    for family, _, _, scored in _families(nrl_hops):
+        names += [f"{family}_len", f"{family}_id"] + [f"{family}_score"] * scored
+    return names
+
+
+def _split(payload: np.ndarray, sizes: dict[str, int]) -> dict[str, np.ndarray]:
+    """Each named column as a view of the flat payload, by the column table."""
+    ends = np.cumsum(list(sizes.values()), dtype=np.int64).tolist()
+    return {name: payload[end - size : end] for (name, size), end in zip(sizes.items(), ends)}
+
+
+def _family_rows(owners: list, family: str) -> list:
+    """Each owner's list of `family`; nrl families name a direction and a hop."""
+    if family.startswith("nrl_"):
+        _, direction, hop = family.split("_")
+        return [owner.nrl[direction][int(hop) - 1] for owner in owners]
+    return [getattr(owner, family) for owner in owners]
+
+
+def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
+    """Write the labels payload labels.f64, then the one-line labels.jsonl header.
+
+    The payload holds every label as named flat f64 columns (README §Formats):
+    per record its video (an index into the header's `video_ids`), segment
+    index and set index; per family one length per record or set, then the
+    ids, and the scores where the family has them, end to end. Records whose
+    set-derived lists are the same objects, as `emit_labels` and `load_labels`
+    return them, share one set, so each set is written once; the header's
+    `num_sets` is the number of sets written. The header adds the distinct
+    video ids, the column table and the payload's sha256 to the fields given.
+    A non-finite score is refused before either file is written.
     """
-    task_ids, corpus_names = header["task_ids"], header["corpus_task_names"]
     set_of: dict[tuple[int, ...], int] = {}
-    set_lines: list[str] = []
-    record_lines: list[str] = []
-    for rec in records:
+    sets: list[PseudoLabelSet] = []
+
+    def set_index(rec: PseudoLabelSet) -> int:
         key = tuple(map(id, (rec.vtm_db, rec.vtm_corpus, rec.tcl_db, rec.tcl_corpus, rec.nrl)))
         index = set_of.get(key)
         if index is None:
-            index = set_of[key] = len(set_lines)
-            set_lines.append(canonical_json({
-                "vtm_db": [task_ids[i] for i in rec.vtm_db],
-                "vtm_corpus": [corpus_names[i] for i in rec.vtm_corpus],
-                "tcl_db": rec.tcl_db, "tcl_corpus": rec.tcl_corpus, "nrl": rec.nrl,
-            }))
-        record_lines.append(canonical_json({
-            "video_id": rec.video_id, "segment_index": rec.segment_index,
-            "vnm": rec.vnm, "set": index, "vsm": rec.vsm,
-        }))
-    with atomic_write(path) as fh:
-        fh.write(canonical_json(dict(header, num_sets=len(set_lines))) + "\n")
-        for line in set_lines + record_lines:
-            fh.write(line + "\n")
+            index = set_of[key] = len(sets)
+            sets.append(rec)
+        return index
 
-
-def _class_ids(names, position: dict[str, int], field: str, space: str) -> list[int]:
-    missing = set(check_json(names, "tuple[str, ...]", field)).difference(position)
-    if missing:
-        raise ValueError(f"{field} names {space} missing from the header: {sorted(missing)}")
-    return [position[name] for name in names]
-
-
-def _set_block(obj: dict, header: dict, task_pos: dict[str, int],
-               corpus_pos: dict[str, int]) -> dict:
-    vtm_db = _class_ids(obj["vtm_db"], task_pos, "vtm_db", "task ids")
-    vtm_corpus = _class_ids(obj["vtm_corpus"], corpus_pos, "vtm_corpus", "corpus tasks")
-    nrl, hops = obj["nrl"], header["nrl_hops"]
-    if not fits_json(nrl, "object") or sorted(nrl) != ["in", "out"]:
-        raise ValueError("nrl is not an object with exactly the keys 'in' and 'out'")
-    for direction, per_hop in nrl.items():
-        if not fits_json(per_hop, "tuple[list, ...]") or len(per_hop) != hops:
-            raise ValueError(f"nrl {direction} is not a list of {hops} hop lists")
-    num_nodes = header["num_nodes"]
-    return {
-        "vtm_db": vtm_db, "vtm_corpus": vtm_corpus,
-        "tcl_db": check_ids(obj["tcl_db"], num_nodes, "tcl_db"),
-        "tcl_corpus": check_ids(obj["tcl_corpus"], num_nodes, "tcl_corpus"),
-        "nrl": {
-            direction: [check_ranked_ids(hop, num_nodes, f"nrl {direction}") for hop in per_hop]
-            for direction, per_hop in nrl.items()
-        },
+    video_of: dict[str, int] = {}
+    count = len(records)
+    fill = {
+        "video": np.fromiter((video_of.setdefault(r.video_id, len(video_of)) for r in records),
+                             np.float64, count),
+        "segment_index": np.fromiter((r.segment_index for r in records), np.float64, count),
+        "set": np.fromiter(map(set_index, records), np.float64, count),
     }
+    sizes = {name: count for name in fill}
+    families = []
+    for family, owner, _, scored in _families(header["nrl_hops"]):
+        rows = _family_rows(records if owner == "record" else sets, family)
+        fill[f"{family}_len"] = lengths = np.fromiter(map(len, rows), np.float64, len(rows))
+        total = int(lengths.sum())
+        sizes |= {f"{family}_len": len(rows), f"{family}_id": total}
+        sizes |= {f"{family}_score": total} if scored else {}
+        families.append((family, rows, total, scored))
+    # one preallocated payload, each column a view of it, filled one family at a time
+    payload = np.empty(sum(sizes.values()), "<f8")
+    view = _split(payload, sizes)
+    for name, values in fill.items():
+        view[name][:] = values
+    for family, rows, total, scored in families:
+        if scored:
+            pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.float64,
+                                2 * total).reshape(total, 2)
+            view[f"{family}_id"][:], view[f"{family}_score"][:] = pairs.T
+        else:
+            view[f"{family}_id"][:] = np.fromiter(chain.from_iterable(rows), np.float64, total)
+    if not np.isfinite(payload).all():
+        name = next(name for name, column in view.items() if not np.isfinite(column).all())
+        raise ValueError(f"{path}: column {name!r} holds a non-finite value")
+    write_matrix_beside(path, LABELS_MAGIC, LABELS_VERSION, payload.reshape(-1, 1))
+    header = dict(header, num_sets=len(sets), video_ids=list(video_of),
+                  columns=sizes,
+                  payload_sha256=hashlib.sha256(payload).hexdigest())
+    with atomic_write(path) as fh:
+        fh.write(canonical_json(header) + "\n")
+
+
+def _check_header(header: dict) -> None:
+    """Check the header's fields and column table, raising ValueError on the first fault."""
+    if header.get("kind") != LABELS_KIND:
+        raise ValueError(f"has unexpected kind {header.get('kind')!r}")
+    if "columns" not in header:
+        raise ValueError("has no column table, so the file predates labels.f64; "
+                         "rerun `pkgforge labels` to rewrite it")
+    for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
+        if check_json(header[key], "int", key) < 0:
+            raise ValueError(f"{key} {header[key]} is negative")
+    check_json(header.get("config_hash"), "str | None", "config_hash")
+    check_json(header["payload_sha256"], "str", "payload_sha256")
+    for key in ("task_ids", "corpus_task_names", "video_ids"):
+        names = check_json(header[key], "tuple[str, ...]", key)
+        if len(set(names)) != len(names):
+            repeated = next(n for i, n in enumerate(names) if n in names[:i])
+            raise ValueError(f"{key} repeats {repeated!r}")
+    columns = check_json(header["columns"], "object", "columns")
+    names, expected = list(columns), _column_names(header["nrl_hops"])
+    if names != expected:
+        i = next(i for i, pair in enumerate(zip_longest(names, expected)) if len(set(pair)) > 1)
+        found, wanted = (repr(n[i]) if i < len(n) else "none" for n in (names, expected))
+        raise ValueError(f"column {i} is {found}, expected {wanted}")
+    for name, size in columns.items():
+        if check_json(size, "int", f"column {name!r}") < 0:
+            raise ValueError(f"column {name!r} length {size} is negative")
+    counts = {"record": ("num_segments", "segments"), "set": ("num_sets", "sets")}
+    owned = [("video", "record"), ("segment_index", "record"), ("set", "record")] + [
+        (f"{family}_len", owner) for family, owner, _, _ in _families(header["nrl_hops"])]
+    for name, owner in owned:
+        key, noun = counts[owner]
+        if columns[name] != header[key]:
+            raise ValueError(f"says {header[key]} {noun} but column {name!r} holds "
+                             f"{columns[name]}")
+    for family, _, _, scored in _families(header["nrl_hops"]):
+        ids, scores = f"{family}_id", f"{family}_score"
+        if scored and columns[scores] != columns[ids]:
+            raise ValueError(f"column {scores!r} holds {columns[scores]} values but {ids!r} "
+                             f"holds {columns[ids]}")
+
+
+def _check_ints(payload: Path, values: np.ndarray, bound: float, name: str, owner: str,
+                lengths: np.ndarray | None = None) -> None:
+    """Refuse a value that is not an integer in [0, bound), naming the record or set it
+    belongs to: the row itself, or, for a flat column, the owner row `lengths` gives."""
+    integral = values == np.floor(values)
+    bad = ~integral | (values < 0) | (values >= bound)
+    if bad.any():
+        at = int(np.argmax(bad))
+        value = int(values[at]) if integral[at] else values[at]
+        fault = ("is not an integer" if not integral[at] else "is negative" if value < 0
+                 else f"is outside [0, {bound})")
+        row = at if lengths is None else int(np.searchsorted(np.cumsum(lengths), at, "right"))
+        raise CorpusFormatError(f"{payload}: malformed {owner} {row}: {name} {value} {fault}")
+
+
+def _lists(lengths: np.ndarray, ids: np.ndarray, scores: np.ndarray | None):
+    """Yield each owner row's list of int ids, or of (id, score) pairs, converting
+    _BLOCK rows at a time."""
+    start = 0
+    for first in range(0, len(lengths), _BLOCK):
+        counts = lengths[first : first + _BLOCK].astype(np.int64).tolist()
+        stop = start + sum(counts)
+        items = ids[start:stop].astype(np.int64).tolist()
+        if scores is not None:
+            items = zip(items, scores[start:stop].tolist())
+        it = iter(items)
+        for count in counts:
+            yield list(islice(it, count))
+        start = stop
+
+
+def _ints(values: np.ndarray):
+    """Yield a column's values as Python ints, _BLOCK at a time."""
+    for first in range(0, len(values), _BLOCK):
+        yield from values[first : first + _BLOCK].astype(np.int64).tolist()
 
 
 def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
-    """Read a labels file; records that point at one set line share its lists.
+    """Read labels.jsonl and the labels.f64 payload beside it; records that point at
+    one set share its lists.
 
-    This is the one place that checks a record's shape (README §Formats).
-    Set-derived families are checked once per set line. An error names the
-    file, the line and the header, set or record at fault.
+    This is the one place that checks a record's shape (README §Formats). The
+    header is checked field by field, then the payload against the header's
+    digest and column table, then every column in whole-array passes: ids are
+    integers inside their class space, lengths are non-negative and sum to
+    their column, and set indices fall inside the sets. The records are then
+    built a block of rows at a time. The header returned is the one
+    `save_labels` was given, with `num_sets` and without the payload's
+    bookkeeping. An error names the file at fault, and the record or set.
     """
-    blocks: list[dict] = []
-    records: list[PseudoLabelSet] = []
+    path = Path(path)
     with JsonFile(path, "header") as src:
         header = src.header()
-        if header.get("kind") != LABELS_KIND:
-            raise ValueError(f"has unexpected kind {header.get('kind')!r}")
-        if "num_sets" not in header:
-            raise ValueError("has no num_sets, so the file predates the set table; "
-                             "rerun `pkgforge labels` to rewrite it")
-        for key in ("num_sets", "num_segments", "num_nodes", "num_headlines", "nrl_hops"):
-            check_json(header[key], "int", key)
-        check_json(header.get("config_hash"), "str | None", "config_hash")
-        task_pos = {name: i for i, name in
-                    enumerate(check_json(header["task_ids"], "tuple[str, ...]", "task_ids"))}
-        corpus_pos = {name: i for i, name in enumerate(
-            check_json(header["corpus_task_names"], "tuple[str, ...]", "corpus_task_names"))}
-        src.noun = "line"
-        for obj in src.lines():
-            if not records and "video_id" not in obj:
-                src.noun = f"set {len(blocks)}"
-                blocks.append(_set_block(obj, header, task_pos, corpus_pos))
-                continue
-            src.noun = f"record {len(records)}"
-            set_index, video_id, segment = obj["set"], obj["video_id"], obj["segment_index"]
-            if not fits_json(set_index, "int") or not 0 <= set_index < len(blocks):
-                raise ValueError(f"points at set {set_index!r}, outside [0, {len(blocks)})")
-            records.append(PseudoLabelSet(
-                video_id=check_json(video_id, "str", "video_id"),
-                segment_index=check_json(segment, "int", "segment_index"),
-                vnm=check_ranked_ids(obj["vnm"], header["num_nodes"], "vnm"),
-                vsm=check_ranked_ids(obj["vsm"], header["num_headlines"], "vsm"),
-                **blocks[set_index],
-            ))
-    if header["num_sets"] != len(blocks):
-        raise CorpusFormatError(
-            f"{path}: header says {header['num_sets']} sets but the file holds "
-            f"{len(blocks)} set lines"
-        )
-    if header["num_segments"] != len(records):
-        raise CorpusFormatError(
-            f"{path}: header says {header['num_segments']} segments but the file holds "
-            f"{len(records)} records"
-        )
-    return header, records
+        _check_header(header)
+        if src.fh.read(1):
+            raise ValueError("is followed by more lines; a labels file is one header line")
+    payload = matrix_beside(path)
+    data = read_matrix_beside(path, LABELS_MAGIC, LABELS_VERSION, "label payload")
+    if hashlib.sha256(data).hexdigest() != header["payload_sha256"]:
+        raise CorpusFormatError(f"{payload}: sha256 differs from the payload_sha256 in {path}, "
+                                "so the two files are not from one run")
+    sizes = header["columns"]
+    if data.shape != (sum(sizes.values()), 1):
+        raise CorpusFormatError(f"{payload}: holds {data.size} values but {path}'s column table "
+                                f"lists {sum(sizes.values())}")
+    col = _split(data[:, 0], sizes)
+
+    # a segment index has no class space; 2**53 keeps it exact in f64
+    record_bounds = {"video": len(header["video_ids"]), "segment_index": 2**53,
+                     "set": header["num_sets"]}
+    for name, bound in record_bounds.items():
+        _check_ints(payload, col[name], bound, name, "record")
+    hops = header["nrl_hops"]
+    for family, owner, bound_key, _ in _families(hops):
+        lengths = col[f"{family}_len"]
+        _check_ints(payload, lengths, np.inf, f"{family}_len", owner)
+        if lengths.sum() != len(col[f"{family}_id"]):
+            raise CorpusFormatError(f"{payload}: column {family + '_len'!r} sums to "
+                                    f"{int(lengths.sum())} but {family + '_id'!r} holds "
+                                    f"{len(col[family + '_id'])} values")
+        bound = header[bound_key]
+        _check_ints(payload, col[f"{family}_id"], bound if type(bound) is int else len(bound),
+                    f"{family}_id", owner, lengths)
+
+    def lists(family: str):
+        return _lists(col[f"{family}_len"], col[f"{family}_id"], col.get(f"{family}_score"))
+
+    # the records hold no reference cycles, so a collection during the build would only
+    # walk them: about half of the load on the mine-videos benchmark world
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # each set's lists are built together, and kept in one list per family
+        vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = sets = [], [], [], [], []
+        hop_families = [f"nrl_{d}_{hop}" for d in _DIRECTIONS for hop in range(1, hops + 1)]
+        for row in zip(*map(lists, ("vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus")),
+                       *map(lists, hop_families)):
+            for family, value in zip(sets, row[:4]):
+                family.append(value)
+            nrl.append({"in": list(row[4 : 4 + hops]), "out": list(row[4 + hops :])})
+        video_ids = header["video_ids"]
+        records = [
+            PseudoLabelSet(video_ids[video], segment, vnm, vtm_db[k], vtm_corpus[k], tcl_db[k],
+                           tcl_corpus[k], nrl[k], vsm)
+            for video, segment, k, vnm, vsm in zip(
+                _ints(col["video"]), _ints(col["segment_index"]), _ints(col["set"]),
+                lists("vnm"), lists("vsm"),
+            )
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    return {k: v for k, v in header.items() if k not in _PAYLOAD_KEYS}, records

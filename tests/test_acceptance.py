@@ -440,7 +440,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         G.save_graph(G.load_graph(g1), g2)
         assert g1.read_bytes() == g2.read_bytes()
 
-        # labels.jsonl
+        # labels.jsonl + labels.f64
         n_nodes = pkg.num_nodes
         header = {
             "kind": "pkgforge-labels",
@@ -475,7 +475,8 @@ def test_criterion_10_format_round_trips(tmp_path):
         labeler.save_labels(header, records, l1)
         h2, r2 = labeler.load_labels(l1)
         labeler.save_labels(h2, r2, l2)
-        assert l1.read_bytes() == l2.read_bytes()
+        for suffix in (".jsonl", ".f64"):
+            assert l1.with_suffix(suffix).read_bytes() == l2.with_suffix(suffix).read_bytes()
 
         # checkpoint
         ckpt = random_checkpoint(rng)

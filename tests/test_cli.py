@@ -159,20 +159,26 @@ class TestPipeline:
         assert _run("pretrain", *common, "--labels", labels, "--out", tmp_path / "m.pkgc") == 1
         assert _one_line_error(capsys) == "cannot train on an empty segment set"
 
-    def test_pretrain_on_a_world_without_videos(self, artifacts, tmp_path, capsys):
-        world = tmp_path / "world"
-        shutil.copytree(artifacts["world"], world)
-        dim = corpus_io.load_segment_corpus(world / "manifest.jsonl").dim
-        (world / "manifest.jsonl").write_text("")
-        corpus_io.write_feature_file(world / "segments.f32", np.zeros((0, dim)))
-        common = ["--config", artifacts["config"], "--world", world]
-        graph, labels = tmp_path / "g.json", tmp_path / "l.jsonl"
-        assert _run("build-graph", *common, "--out", graph) == 0
-        assert _run("labels", *common, "--graph", graph, "--out", labels) == 0
-        capsys.readouterr()
-        assert _run("pretrain", *common, "--labels", labels, "--out", tmp_path / "m.pkgc") == 1
-        assert _one_line_error(capsys) == "cannot train on an empty segment set"
-        assert not (tmp_path / "m.pkgc").exists()
+    def test_pretrain_on_a_world_without_videos(self, tmp_path, capsys):
+        # under the small config's objectives and under the default ones, whose vtm_corpus
+        # head has an empty class space on such a world: the empty set is named first
+        default_train = {k: v for k, v in SMALL_CONFIG["train"].items() if k != "objectives"}
+        for name, train in [("small", SMALL_CONFIG["train"]), ("default", default_train)]:
+            config, world = tmp_path / f"{name}.json", tmp_path / name
+            config.write_text(json.dumps(dict(SMALL_CONFIG, train=train)))
+            assert _run("synth", "--config", config, "--out", world) == 0
+            dim = corpus_io.load_segment_corpus(world / "manifest.jsonl").dim
+            (world / "manifest.jsonl").write_text("")
+            corpus_io.write_feature_file(world / "segments.f32", np.zeros((0, dim)))
+            common = ["--config", config, "--world", world]
+            graph, labels = tmp_path / f"{name}.g.json", tmp_path / f"{name}.l.jsonl"
+            assert _run("build-graph", *common, "--out", graph) == 0
+            assert _run("labels", *common, "--graph", graph, "--out", labels) == 0
+            capsys.readouterr()
+            out = tmp_path / f"{name}.pkgc"
+            assert _run("pretrain", *common, "--labels", labels, "--out", out) == 1
+            assert _one_line_error(capsys) == "cannot train on an empty segment set"
+            assert not out.exists()
 
 
 class TestDeterminism:
@@ -305,6 +311,7 @@ def _run_with_input_hash(stage, artifacts, tmp_path, *extra, config_hash=None) -
     shutil.copytree(artifacts["world"], tmp_path / "world")
     for name in ("graph", "labels", "checkpoint"):
         shutil.copy(artifacts[name], tmp_path / artifacts[name].name)
+    shutil.copy(artifacts["labels"].with_suffix(".f64"), tmp_path)
     unhashed, args = HASHED_INPUTS[stage]
     _set_hash(tmp_path / unhashed, config_hash)
     return _run(
@@ -535,17 +542,21 @@ class TestWrongShapedJson:
         assert f"{labels}:1: malformed header: a header must be a JSON object" in error
 
     def test_pretrain_labels_set_without_in_direction(self, artifacts, tmp_path, capsys):
+        # the column table without the nrl "in" columns: the reader names the first column
+        # that is not the one its layout expects, before it reads the payload
         labels = tmp_path / "labels.jsonl"
-        lines = artifacts["labels"].read_text(encoding="utf-8").splitlines()
-        first_set = json.loads(lines[1])
-        del first_set["nrl"]["in"]
-        labels.write_text("\n".join([lines[0], json.dumps(first_set), *lines[2:]]) + "\n")
+        header = json.loads(artifacts["labels"].read_text(encoding="utf-8"))
+        header["columns"] = {k: v for k, v in header["columns"].items()
+                             if not k.startswith("nrl_in")}
+        labels.write_text(json.dumps(header) + "\n", encoding="utf-8")
+        shutil.copy(artifacts["labels"].with_suffix(".f64"), tmp_path)
         assert _run(
             "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
             "--labels", labels, "--out", tmp_path / "m.pkgc",
         ) == 1
         error = _one_line_error(capsys)
-        assert f"{labels}:2: malformed set 0: nrl is not an object with exactly the keys" in error
+        assert error == (f"{labels}:1: malformed header: column 17 is 'nrl_out_1_len', "
+                         "expected 'nrl_in_1_len'")
         assert not (tmp_path / "m.pkgc").exists()
 
     @pytest.mark.parametrize("stage", ["labels", "graph-stats"])
@@ -600,7 +611,7 @@ class TestWrongShapedJson:
         ("world/truth.json", 0, "n_steps", float("nan"),
          lambda path: cli._load_corpus(path.parent, PipelineConfig(), force=True)),
         ("graph.json", 0, "config_hash", float("nan"), graph.load_graph),
-        ("labels.jsonl", -1, "vnm", [[0, float("nan")]], labeler.load_labels),
+        ("labels.jsonl", 0, "num_nodes", float("nan"), labeler.load_labels),
         ("model.pkgc", 0, "metadata", {"seed": float("inf")}, corpus_io.load_checkpoint),
     ], ids=["config", "steps", "manifest", "annotations", "truth", "check-world", "graph",
             "labels", "checkpoint"])
@@ -680,8 +691,8 @@ class TestWrongShapedJson:
         ("world/steps.jsonl", corpus_io.load_step_database, "task record"),
         ("world/manifest.jsonl", corpus_io.load_segment_corpus, "manifest record"),
         ("world/downstream_labels.jsonl", downstream.load_annotations, "video annotation"),
-        # a labels line names its set or record once decoded, and is a line until then
-        ("labels.jsonl", labeler.load_labels, "line"),
+        # labels.jsonl is one line, the header; its labels are in labels.f64
+        ("labels.jsonl", labeler.load_labels, "header"),
     ], ids=["steps", "manifest", "annotations", "labels"])
     def test_json_lines_fault_names_its_line(self, name, reader, what, fault, detail, artifacts,
                                              tmp_path):

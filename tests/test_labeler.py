@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import re
+import struct
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -227,16 +229,16 @@ class TestEmitLabels:
             assert set(n for n, _ in rec.vnm) <= set(rec.tcl_db)
 
     def test_vtm_db_in_database_order(self, tmp_path):
-        # task ids that sort against database order: vtm_db lists database positions,
-        # and the set line names them in that order
+        # task ids that sort against database order: vtm_db lists database positions, and
+        # the file stores those positions, with the names only in the header
         db, _, pkg = _tiny_world(task_ids=("tz", "ta"))
         header, records = labeler.emit_labels(self._corpus(), db, pkg)
         assert header["task_ids"] == ["tz", "ta"]
         assert [r.vtm_db for r in records] == [[0], [0, 1], [1]]
         path = tmp_path / "labels.jsonl"
         labeler.save_labels(header, records, path)
-        sets = [json.loads(line) for line in path.read_text().splitlines()[1:4]]
-        assert [s["vtm_db"] for s in sets] == [["tz"], ["tz", "ta"], ["ta"]]
+        assert json.loads(path.read_text())["task_ids"] == ["tz", "ta"]
+        assert _column(path, "vtm_db_id").tolist() == [0, 0, 1, 1]
         assert labeler.load_labels(path) == (header, records)
 
     def test_empty_corpus(self):
@@ -296,7 +298,7 @@ class TestEmitLabels:
         labeler.save_labels(dict(header, num_segments=4), records, path)
         with pytest.raises(
             CorpusFormatError,
-            match=r"labels\.jsonl: header says 4 segments but the file holds 3 records",
+            match=r"labels\.jsonl:1: malformed header: says 4 segments but column 'video' holds 3$",
         ):
             labeler.load_labels(path)
 
@@ -311,40 +313,84 @@ class TestEmitLabels:
 
 
 SET_FIELDS = ["vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl"]
-# the file line each `_saved` edit lands on: the header, the first set line, the last record
-LINE_OF_EDIT = {0: 1, 1: 2, -1: 7}
+
+
+def _payload_values(path: Path) -> tuple[bytes, np.ndarray]:
+    """The labels.f64 beside `path`: its 16-byte matrix header and its values."""
+    raw = path.with_suffix(".f64").read_bytes()
+    return raw[:16], np.frombuffer(raw[16:], dtype="<f8").copy()
+
+
+def _offset(columns: dict, name: str) -> int:
+    """Where column `name` starts in the payload, by the header's column table."""
+    names = list(columns)
+    return sum(columns[n] for n in names[: names.index(name)])
+
+
+def _column(path: Path, name: str) -> np.ndarray:
+    """One named payload column."""
+    columns = json.loads(path.read_text())["columns"]
+    start = _offset(columns, name)
+    return _payload_values(path)[1][start : start + columns[name]]
+
+
+def _edit(path: Path, edit) -> None:
+    """Edit a saved labels file in place.
+
+    `edit` is ("header", key, value), setting a header field (None deletes
+    it, a callable maps the old value), or (column, index, value), setting
+    one payload value and the header's digest to match, so the reader's
+    checks behind the digest see the edit.
+    """
+    header = json.loads(path.read_text())
+    where, key, value = edit
+    if where == "header":
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value(header[key]) if callable(value) else value
+    else:
+        head, values = _payload_values(path)
+        values[_offset(header["columns"], where) + key] = value
+        path.with_suffix(".f64").write_bytes(head + values.tobytes())
+        header["payload_sha256"] = hashlib.sha256(values.tobytes()).hexdigest()
+    path.write_text(canonical_json(header) + "\n")
 
 
 class TestLabelsFile:
-    """The set-table format: range checks and shared set lines."""
+    """The labels.jsonl header and its labels.f64 payload: checks and shared sets."""
 
     def _saved(self, tmp_path, edit=None):
-        """The three-segment labels file, optionally with one JSON line edited.
-
-        `edit` is (line, key, value): line 0 is the header, line 1 the first
-        set line and line -1 the last record.
-        """
+        """The three-segment labels file, optionally with one `_edit` applied."""
         db, _, pkg = _tiny_world()
         header, records = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
         path = tmp_path / "labels.jsonl"
         labeler.save_labels(header, records, path)
         if edit is not None:
-            lines = [json.loads(line) for line in path.read_text().splitlines()]
-            line, key, value = edit
-            if value is None:
-                del lines[line][key]
-            else:
-                lines[line][key] = value
-            path.write_text("".join(canonical_json(obj) + "\n" for obj in lines))
+            _edit(path, edit)
         return path
 
     def test_layout(self, tmp_path):
-        lines = [json.loads(line) for line in self._saved(tmp_path).read_text().splitlines()]
-        header, sets, records = lines[0], lines[1:4], lines[4:]
+        path = self._saved(tmp_path)
+        assert path.read_text().count("\n") == 1
+        header = json.loads(path.read_text())
         assert header["num_sets"] == 3 and header["num_segments"] == 3
-        assert [list(s) for s in sets] == [SET_FIELDS] * 3
-        assert [r["set"] for r in records] == [0, 1, 2]
-        assert list(records[0]) == ["video_id", "segment_index", "vnm", "set", "vsm"]
+        assert header["video_ids"] == ["v0", "v1"]
+        families = ["vnm", "vsm", "vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl_in_1",
+                    "nrl_in_2", "nrl_out_1", "nrl_out_2"]
+        scored = {"vnm", "vsm", "nrl_in_1", "nrl_in_2", "nrl_out_1", "nrl_out_2"}
+        assert list(header["columns"]) == ["video", "segment_index", "set"] + [
+            f"{f}_{c}" for f in families for c in ("len", "id", "score") if c != "score"
+            or f in scored]
+        head, values = _payload_values(path)
+        assert head == b"PKGL" + struct.pack("<III", 1, sum(header["columns"].values()), 1)
+        assert values.size == sum(header["columns"].values())
+        assert header["payload_sha256"] == hashlib.sha256(values.tobytes()).hexdigest()
+        assert _column(path, "video").tolist() == [0, 0, 1]
+        assert _column(path, "set").tolist() == [0, 1, 2]
+        assert _column(path, "vtm_db_len").tolist() == [1, 2, 1]
+        assert _column(path, "vtm_db_id").tolist() == [0, 0, 1, 1]
+        assert _column(path, "nrl_out_1_score").tolist() == [1.0, 1.0]
 
     def test_records_sharing_a_set_come_back_sharing_it(self, tmp_path):
         def block():
@@ -368,110 +414,216 @@ class TestLabelsFile:
             assert getattr(r2[0], name) is not getattr(r2[2], name)
 
     @pytest.mark.parametrize("edit", [
-        (-1, "vnm", [[3, 1.0]]),
-        (-1, "vnm", [[-1, 1.0]]),
-        (1, "tcl_db", [0, 3]),
-        (1, "tcl_corpus", [3]),
-        (1, "nrl", {"in": [[[3, 0.5]], []], "out": [[], []]}),
+        ("vnm_id", 2, 3, "record 2", "3 is outside \\[0, 3\\)"),
+        ("vnm_id", 2, -1, "record 2", "-1 is negative"),
+        ("tcl_db_id", 1, 3, "set 0", "3 is outside \\[0, 3\\)"),
+        ("tcl_corpus_id", 2, 3, "set 1", "3 is outside \\[0, 3\\)"),
+        ("nrl_out_1_id", 1, 3, "set 1", "3 is outside \\[0, 3\\)"),
     ])
     def test_node_id_out_of_range(self, tmp_path, edit):
-        line = LINE_OF_EDIT[edit[0]]
-        located = rf"labels\.jsonl:{line}: malformed .*{edit[1]}.* outside \[0, 3\)"
+        column, index, value, where, fault = edit
+        located = rf"labels\.f64: malformed {where}: {column} {fault}$"
         with pytest.raises(CorpusFormatError, match=located):
-            labeler.load_labels(self._saved(tmp_path, edit))
+            labeler.load_labels(self._saved(tmp_path, (column, index, value)))
 
     def test_headline_id_out_of_range(self, tmp_path):
-        path = self._saved(tmp_path, (-1, "vsm", [[4, 1.0]]))
-        located = r"labels\.jsonl:7: malformed record 2: vsm .* outside \[0, 4\)"
+        path = self._saved(tmp_path, ("vsm_id", 3, 4))
+        located = r"labels\.f64: malformed record 2: vsm_id 4 is outside \[0, 4\)$"
         with pytest.raises(CorpusFormatError, match=located):
             labeler.load_labels(path)
 
     @pytest.mark.parametrize("edit, message", [
-        ((1, "vtm_db", ["t0", "t9"]), r"task ids missing from the header: \['t9'\]"),
-        ((1, "vtm_corpus", ["nope"]), r"corpus tasks missing from the header: \['nope'\]"),
+        (("vtm_db_id", 1, 2), r"set 1 vtm_db_id 2 is outside \[0, 2\)"),
+        (("vtm_corpus_id", 2, 2), r"set 2 vtm_corpus_id 2 is outside \[0, 2\)"),
     ])
-    def test_class_name_missing_from_header(self, tmp_path, edit, message):
-        located = rf"^.*labels\.jsonl:2: malformed set 0: {edit[1]} names {message}$"
-        with pytest.raises(CorpusFormatError, match=located):
+    def test_class_id_outside_the_header_list(self, tmp_path, edit, message):
+        # vtm ids are positions in the header's task_ids and corpus_task_names
+        where, detail = message[:5], message[6:]
+        with pytest.raises(CorpusFormatError,
+                           match=rf"labels\.f64: malformed {where}: {detail}$"):
             labeler.load_labels(self._saved(tmp_path, edit))
 
-    @pytest.mark.parametrize("index", [3, -1, 1.0, "0"])
-    def test_set_index_out_of_range(self, tmp_path, index):
-        located = r"labels\.jsonl:7: malformed record 2: points at set .* outside \[0, 3\)"
+    @pytest.mark.parametrize("index, fault", [
+        (3, r"3 is outside \[0, 3\)"), (-1, "-1 is negative"), (1.5, "1.5 is not an integer"),
+    ], ids=["3", "-1", "1.5"])
+    def test_set_index_out_of_range(self, tmp_path, index, fault):
+        located = rf"labels\.f64: malformed record 2: set {fault}$"
         with pytest.raises(CorpusFormatError, match=located):
-            labeler.load_labels(self._saved(tmp_path, (-1, "set", index)))
+            labeler.load_labels(self._saved(tmp_path, ("set", 2, index)))
 
     @pytest.mark.parametrize("num_sets", [2, 4])
     def test_num_sets_differs_from_set_lines(self, tmp_path, num_sets):
-        with pytest.raises(
-            CorpusFormatError, match=rf"header says {num_sets} sets but the file holds 3 set lines"
-        ):
-            labeler.load_labels(self._saved(tmp_path, (0, "num_sets", num_sets)))
+        with pytest.raises(CorpusFormatError, match=(
+            rf"labels\.jsonl:1: malformed header: says {num_sets} sets but column "
+            r"'vtm_db_len' holds 3$"
+        )):
+            labeler.load_labels(self._saved(tmp_path, ("header", "num_sets", num_sets)))
 
     def test_header_without_num_sets_asks_for_rerun(self, tmp_path):
-        with pytest.raises(CorpusFormatError, match=r"predates the set table; rerun `pkgforge labels`"):
-            labeler.load_labels(self._saved(tmp_path, (0, "num_sets", None)))
+        # the set-table layout (a num_sets header, set and record lines) and the one before
+        # it (no num_sets) both hold their labels as JSON lines, without a column table
+        path = self._saved(tmp_path)
+        header = json.loads(path.read_text())
+        for key in ("columns", "num_sets"):
+            del header[key]
+            path.write_text(canonical_json(header) + "\n" + '{"video_id":"v0"}\n')
+            with pytest.raises(CorpusFormatError, match=(
+                r"labels\.jsonl:1: malformed header: has no column table, so the file predates "
+                r"labels\.f64; rerun `pkgforge labels` to rewrite it$"
+            )):
+                labeler.load_labels(path)
 
     @pytest.mark.parametrize("edit, message", [
-        ((1, "nrl", {"out": [[], []]}), r"set 0 nrl is not an object with exactly the keys"),
-        ((1, "nrl", {"in": [[], []], "out": [[], []], "up": [[], []]}),
-         r"set 0 nrl is not an object with exactly the keys"),
-        ((1, "nrl", {"in": [[]], "out": [[], []]}), r"set 0 nrl in is not a list of 2 hop lists"),
-        ((1, "nrl", {"in": [[], []], "out": [[], 5]}), r"set 0 nrl out is not a list of 2 hop"),
-        ((0, "nrl_hops", None), r"header has no 'nrl_hops'"),
-        ((0, "num_nodes", "3"), r"header num_nodes '3' is not a JSON integer"),
-        ((0, "task_ids", ["t0", 1]), r"header task_ids \['t0', 1\] is not a list of strings"),
-        ((1, "tcl_db", [0.7]), r"set 0 tcl_db \[0\.7\] is not a list of JSON integers"),
-        ((-1, "vnm", [[True, 1.0]]), r"record 2 vnm \[True\] is not a list of JSON integers"),
-        ((-1, "vnm", [["2", 1.0]]), r"record 2 vnm \['2'\] is not a list of JSON integers"),
-        ((-1, "segment_index", "0"), r"record 2 segment_index '0' is not a JSON integer"),
-        ((-1, "video_id", 1), r"record 2 video_id 1 is not a string"),
-        ((1, "vtm_db", [5]), r"set 0 vtm_db \[5\] is not a list of strings"),
-        ((-1, "vnm", [[0, "7.5"]]), r"record 2 vnm scores \['7\.5'\] are not all JSON numbers"),
-        ((-1, "vsm", [[0, True]]), r"record 2 vsm scores \[True\] are not all JSON numbers"),
-        ((1, "nrl", {"in": [[[0, None]], []], "out": [[], []]}),
-         r"set 0 nrl in scores \[None\] are not all JSON numbers"),
-        ((0, "num_segments", 3.0), r"header num_segments 3\.0 is not a JSON integer"),
-        ((0, "num_sets", 3.0), r"header num_sets 3\.0 is not a JSON integer"),
+        (("header", "columns", 5), r"header columns 5 is not a JSON object"),
+        (("header", "payload_sha256", 5), r"header payload_sha256 5 is not a string"),
+        (("header", "columns", lambda cols: {k: v for k, v in cols.items()
+                                             if not k.startswith("nrl_in")}),
+         r"header column 17 is 'nrl_out_1_len', expected 'nrl_in_1_len'"),
+        (("header", "nrl_hops", 1), r"header column 20 is 'nrl_in_2_len', expected 'nrl_out_1_len'"),
+        (("header", "nrl_hops", None), r"header has no 'nrl_hops'"),
+        (("header", "num_nodes", "3"), r"header num_nodes '3' is not a JSON integer"),
+        (("header", "task_ids", ["t0", 1]), r"header task_ids \['t0', 1\] is not a list of strings"),
+        (("tcl_db_id", 0, 0.7), r"set 0 tcl_db_id 0\.7 is not an integer"),
+        (("vnm_id", 2, 0.5), r"record 2 vnm_id 0\.5 is not an integer"),
+        (("header", "columns", lambda cols: dict(cols, vnm_id="3")),
+         r"header column 'vnm_id' '3' is not a JSON integer"),
+        (("segment_index", 2, 0.5), r"record 2 segment_index 0\.5 is not an integer"),
+        (("video", 2, 2), r"record 2 video 2 is outside \[0, 2\)"),
+        (("vtm_db_id", 0, -1), r"set 0 vtm_db_id -1 is negative"),
+        (("vnm_len", 2, -1), r"record 2 vnm_len -1 is negative"),
+        (("vsm_len", 2, 0.5), r"record 2 vsm_len 0\.5 is not an integer"),
+        (("nrl_in_1_len", 0, -1), r"set 0 nrl_in_1_len -1 is negative"),
+        (("header", "num_segments", 3.0), r"header num_segments 3\.0 is not a JSON integer"),
+        (("header", "num_sets", 3.0), r"header num_sets 3\.0 is not a JSON integer"),
     ])
     def test_wrong_shape_names_the_set_or_record(self, tmp_path, edit, message):
         where = re.match(r"header|set \d+|record \d+", message).group()
-        located = rf"labels\.jsonl:{LINE_OF_EDIT[edit[0]]}: malformed {where}: "
+        located = (r"labels\.jsonl:1: malformed header: " if where == "header"
+                   else rf"labels\.f64: malformed {where}: ")
         with pytest.raises(CorpusFormatError, match=located + message[len(where) + 1 :]):
             labeler.load_labels(self._saved(tmp_path, edit))
 
     def test_integer_score_loads_as_float(self, tmp_path):
-        _, records = labeler.load_labels(self._saved(tmp_path, (-1, "vnm", [[0, 2], [1, 0.5]])))
+        path = tmp_path / "labels.jsonl"
+        header = {"kind": "pkgforge-labels", "num_segments": 1, "num_nodes": 2,
+                  "num_headlines": 1, "task_ids": [], "corpus_task_names": [], "nrl_hops": 0}
+        record = labeler.PseudoLabelSet("v", 0, [(0, 2), (1, 0.5)], [], [], [], [],
+                                        {"in": [], "out": []}, [])
+        labeler.save_labels(header, [record], path)
+        _, records = labeler.load_labels(path)
         assert records[-1].vnm == [(0, 2.0), (1, 0.5)]
         assert [type(s) for _, s in records[-1].vnm] == [float, float]
 
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), nrl_hops=st.integers(1, 2), num_nodes=st.integers(1, 5),
-           num_headlines=st.integers(1, 5))
-    def test_random_records_round_trip(self, data, nrl_hops, num_nodes, num_headlines):
-        task_ids, corpus_names = ["t0", "t1", "t2"], ["a", "b"]
+    @pytest.mark.parametrize("name", ["task_ids", "corpus_task_names", "video_ids"])
+    def test_repeated_header_name_rejected(self, tmp_path, name):
+        # a repeated name would make two class ids, or two videos, of one name
+        path = self._saved(tmp_path)
+        names = json.loads(path.read_text())[name]
+        _edit(path, ("header", name, [names[0]] * len(names)))
+        with pytest.raises(CorpusFormatError, match=(
+            rf"labels\.jsonl:1: malformed header: {name} repeats {names[0]!r}$"
+        )):
+            labeler.load_labels(path)
+
+    def test_repeated_task_id_is_not_read_as_another_class(self, tmp_path):
+        records = [labeler.PseudoLabelSet("v", 0, [], [0], [], [], [], {"in": [], "out": []}, [])]
+        header = {"kind": "pkgforge-labels", "num_segments": 1, "num_nodes": 1, "num_headlines": 1,
+                  "task_ids": ["t0", "t0"], "corpus_task_names": [], "nrl_hops": 0}
+        labeler.save_labels(header, records, tmp_path / "labels.jsonl")
+        with pytest.raises(CorpusFormatError, match=r"task_ids repeats 't0'$"):
+            labeler.load_labels(tmp_path / "labels.jsonl")
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", r"labels\.f64: missing label payload for .*labels\.jsonl$"),
+        ("truncated", r"labels\.f64: truncated payload, expected \d+ bytes, got \d+$"),
+        ("trailing", r"labels\.f64: trailing bytes after payload$"),
+        ("another run", r"labels\.f64: sha256 differs from the payload_sha256 in .*labels\.jsonl, "
+                        r"so the two files are not from one run$"),
+        ("nan", r"labels\.f64: row 16 holds a non-finite value$"),
+        ("inf", r"labels\.f64: row 16 holds a non-finite value$"),
+    ], ids=["missing", "truncated", "trailing", "another-run", "nan", "inf"])
+    def test_payload_fault_names_the_payload(self, tmp_path, fault, message):
+        path = self._saved(tmp_path)
+        payload = path.with_suffix(".f64")
+        raw = payload.read_bytes()
+        if fault == "missing":
+            payload.unlink()
+        elif fault == "truncated":
+            payload.write_bytes(raw[:-8])
+        elif fault == "trailing":
+            payload.write_bytes(raw + raw[-8:])
+        elif fault == "another run":
+            (tmp_path / "other").mkdir()
+            other = self._saved(tmp_path / "other", ("vnm_score", 0, 19.5))
+            payload.write_bytes(other.with_suffix(".f64").read_bytes())
+        else:  # vnm_score of record 1, the payload's row 16
+            _edit(path, ("vnm_score", 1, float(fault)))
+        with pytest.raises(CorpusFormatError, match=message):
+            labeler.load_labels(path)
+
+    def test_lengths_that_do_not_sum_to_their_column(self, tmp_path):
+        path = self._saved(tmp_path, ("tcl_db_len", 0, 1))
+        with pytest.raises(CorpusFormatError, match=(
+            r"labels\.f64: column 'tcl_db_len' sums to 6 but 'tcl_db_id' holds 7 values$"
+        )):
+            labeler.load_labels(path)
+
+    def test_lines_after_the_header_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_text(path.read_text() + "{}\n")
+        with pytest.raises(CorpusFormatError, match=(
+            r"labels\.jsonl:1: malformed header: is followed by more lines; a labels file is "
+            r"one header line$"
+        )):
+            labeler.load_labels(path)
+
+    def test_non_finite_score_refused_before_writing(self, tmp_path):
+        db, _, pkg = _tiny_world()
+        header, records = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
+        records[1].nrl["in"][0][0] = (0, float("inf"))
+        path = tmp_path / "labels.jsonl"
+        with pytest.raises(ValueError, match=r"column 'nrl_in_1_score' holds a non-finite value"):
+            labeler.save_labels(header, records, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), nrl_hops=st.integers(0, 2),
+           num_nodes=st.integers(1, 5) | st.just(2**53),
+           num_headlines=st.integers(1, 5), num_tasks=st.integers(0, 3),
+           num_names=st.integers(0, 2))
+    def test_random_records_round_trip(self, data, nrl_hops, num_nodes, num_headlines,
+                                       num_tasks, num_names):
+        task_ids = [f"t{i}" for i in range(num_tasks)]
+        corpus_names = ["a", "b"][:num_names]
         score = st.floats(allow_nan=False, allow_infinity=False)
 
+        def ids(bound):  # either end of the class space, or anything inside it
+            return st.sampled_from([0, bound - 1]) | st.integers(0, bound - 1)
+
+        def id_lists(bound, max_size):
+            return st.lists(ids(bound), max_size=max_size) if bound else st.just([])
+
         def pairs(bound):
-            return st.lists(st.tuples(st.integers(0, bound - 1), score), max_size=3)
+            return st.lists(st.tuples(ids(bound), score), max_size=3)
 
         def block():
             return {
-                "vtm_db": data.draw(st.lists(st.integers(0, len(task_ids) - 1), max_size=3)),
-                "vtm_corpus": data.draw(st.lists(st.integers(0, len(corpus_names) - 1),
-                                                 max_size=2)),
-                "tcl_db": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
-                "tcl_corpus": data.draw(st.lists(st.integers(0, num_nodes - 1), max_size=4)),
+                "vtm_db": data.draw(id_lists(num_tasks, 3)),
+                "vtm_corpus": data.draw(id_lists(num_names, 2)),
+                "tcl_db": data.draw(id_lists(num_nodes, 4)),
+                "tcl_corpus": data.draw(id_lists(num_nodes, 4)),
                 "nrl": {d: [data.draw(pairs(num_nodes)) for _ in range(nrl_hops)]
                         for d in ("in", "out")},
             }
 
         pool = [block() for _ in range(data.draw(st.integers(1, 3)))]
         records = []
-        for i in range(data.draw(st.integers(0, 6))):
+        for _ in range(data.draw(st.integers(0, 6))):
             shared = pool[data.draw(st.integers(0, len(pool) - 1))]
             records.append(labeler.PseudoLabelSet(
-                video_id=data.draw(st.text(max_size=3)), segment_index=i,
+                # a video's records need not be adjacent, nor its segment indices ordered
+                video_id=data.draw(st.sampled_from(["v", "w", "\u00e9"]) | st.text(max_size=3)),
+                segment_index=data.draw(st.integers(0, 2**53 - 1)),
                 vnm=data.draw(pairs(num_nodes)), vsm=data.draw(pairs(num_headlines)),
                 **(shared if data.draw(st.booleans()) else copy.deepcopy(shared)),
             ))
@@ -489,9 +641,13 @@ class TestLabelsFile:
             labeler.save_labels(header, records, p1)
             h2, r2 = labeler.load_labels(p1)
             labeler.save_labels(h2, r2, p2)
-            assert p1.read_bytes() == p2.read_bytes()
+            for suffix in (".jsonl", ".f64"):
+                assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
         assert h2 == dict(header, num_sets=len(set(sharing(records))))
         assert r2 == records and sharing(r2) == sharing(records)
+        # ids come back as ints and scores as floats, so they serialize as emit_labels' do
+        assert [canonical_json(dataclasses.asdict(r)) for r in r2] == [
+            canonical_json(dataclasses.asdict(r)) for r in records]
 
 
 # ---------------------------------------------------------------------------
