@@ -14,7 +14,6 @@ for progress logging.
 from __future__ import annotations
 
 import argparse
-import gc
 import logging
 import os
 import sys
@@ -177,17 +176,17 @@ def cmd_labels(args) -> None:
     db, corpus = _load_world(args.world, cfg, args.force)
     pkg = graph_mod.load_graph(args.graph)
     _check_hash(pkg.config_hash, cfg, str(args.graph), args.force)
-    header, records = labeler.emit_labels(corpus, db, pkg)
-    labeler.save_labels(header, records, args.out)
+    header, labels = labeler.emit_labels(corpus, db, pkg)
+    labeler.save_labels(header, labels, args.out)
     _emit({k: header[k] for k in ("num_segments", "num_nodes", "config_hash")}, None)
 
 
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
-    # the corpus and the label records are dropped once consumed, so training
-    # holds the features once and the labels only as CSR targets
+    # the corpus and the labels are dropped once consumed, so training holds the
+    # features once and the labels only as CSR targets
     corpus = _load_corpus(args.world, cfg, args.force)
-    keys = [(v.video_id, i) for v in corpus.videos for i in range(v.segments.shape[0])]
+    position = {v.video_id: i for i, v in enumerate(corpus.videos)}
     lengths = [len(v.segments) for v in corpus.videos]
     # a world without videos has no rows to concatenate
     features = (np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
@@ -198,17 +197,18 @@ def cmd_pretrain(args) -> None:
     if not len(features):
         raise CliError("cannot train on an empty segment set")
 
-    header, records = labeler.load_labels(args.labels)
+    header, labels = labeler.load_labels(args.labels)
     _check_hash(header.get("config_hash"), cfg, str(args.labels), args.force)
-    if keys != [(r.video_id, r.segment_index) for r in records]:
+    # one record per corpus segment, in corpus order: each record's video is the
+    # segment's video, and its segment index the segment's rank in that video
+    corpus_video = np.array([position.get(v, -1) for v in labels.video_ids], dtype=np.int64)
+    segment = np.arange(len(video_of)) - np.searchsorted(video_of, video_of)
+    if not (np.array_equal(corpus_video[labels.video], video_of)
+            and np.array_equal(labels.segment_index, segment)):
         raise CliError("labels file does not line up with the corpus segment order")
-    del keys
     specs = trainer.head_specs_from_header(header, cfg.train.objectives, cfg.train.nrl_hops)
-    targets = trainer.targets_from_labels(records, specs)
-    del records
-    # the interpreter's free lists keep the last records' tuples, lists and dicts, and with
-    # them whole allocator arenas of records; a full collection empties them before training
-    gc.collect()
+    targets = trainer.targets_from_labels(labels, specs)
+    del labels
     ckpt, history = trainer.train(
         features, video_of, header, targets, cfg.train, config_hash=cfg.config_hash()
     )

@@ -523,6 +523,10 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         ]
         metadata = check_json(header["metadata"], "object", "metadata")
         check_json(metadata.get("config_hash"), "str | None", "config_hash")
+        # an adapter's layer sizes, read by `trainer.adapter_from_checkpoint`
+        for key in ("dim", "bottleneck"):
+            if key in metadata and check_json(metadata[key], "int", key) < 1:
+                raise ValueError(f"{key} {metadata[key]} must be >= 1")
         for name, rows, cols in shapes:
             if rows < 1 or cols < 1:
                 raise ValueError(f"shape entry {name!r} is {rows}x{cols}; rows and cols must "

@@ -13,29 +13,30 @@ and from the names the labels file and its header hold.
 
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
-derives them once per distinct set, and records whose segments match the
-same nodes share those lists. The corpus variants read occurrence counts
-taken per node, and tcl_corpus ranks each corpus task column once, before
-any set is derived.
+derives them once per distinct set, numbered in first-seen order, and
+each record points at its set by index. The corpus variants read
+occurrence counts taken per node, and tcl_corpus ranks each corpus task
+column once, before any set is derived.
 
-Labels are materialized as two files: labels.f64, a binary payload that
-holds every label as named flat f64 columns (per record, per family length
-and ids and scores, each distinct set once), written first, then
-labels.jsonl, one JSON header line with the class-index spaces, the
-distinct video ids, the column table and the payload's sha256. Records
-point at their set by index, so writing and reading handle each set once.
-`load_labels` is the one place that checks a record's shape, in whole-column
-passes, so code downstream takes its records, and those `emit_labels`
-builds, as they are.
+Labels stay columnar from `emit_labels` to the trainer: `PseudoLabels`
+holds the per-record columns (video, segment index, set) and one `Ragged`
+CSR per family, per record for vnm and vsm and per set for the rest. They
+are materialized as two files: labels.f64, a binary payload that holds
+those columns as named flat f64 columns (per family its row lengths, ids
+and scores), written first, then labels.jsonl, one JSON header line with
+the class-index spaces, the distinct video ids, the column table and the
+payload's sha256. `load_labels` is the one place that checks the labels'
+shape, in whole-column passes, so code downstream takes its labels, and
+those `emit_labels` builds, as they are.
 """
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, zip_longest
+from itertools import chain, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -78,14 +79,72 @@ class OccurrenceMatrix:
     task_names: tuple[str, ...]
 
 
+def _indptr(lengths: np.ndarray) -> np.ndarray:
+    """CSR row offsets from row lengths: (rows + 1,) int64, starting at 0."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True)
+class Ragged:
+    """Rows of int class ids in CSR form, with an f64 score beside each id where the
+    family ranks its ids: row i is ids[indptr[i]:indptr[i + 1]]. Memory is linear in
+    the ids, not in rows x classes."""
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    ids: np.ndarray  # (indptr[-1],) int64
+    scores: np.ndarray | None = None  # (indptr[-1],) f64
+
+    @classmethod
+    def from_lists(cls, rows: list, scored: bool = False) -> "Ragged":
+        """From one sequence per row: of ids, or, if `scored`, of (id, score) pairs.
+        Ids may repeat within a row; scored ids pass through f64, exact below 2**53."""
+        indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
+        total = int(indptr[-1])
+        if not scored:
+            return cls(indptr, np.fromiter(chain.from_iterable(rows), np.int64, total))
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.float64,
+                            2 * total).reshape(total, 2)
+        return cls(indptr, pairs[:, 0].astype(np.int64), pairs[:, 1].copy())
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: np.ndarray) -> "Ragged":
+        """The given rows, in that order; a row may be given more than once."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = _indptr(counts)
+        # each kept id's position in ids: its row's start plus its rank in the row
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return Ragged(indptr, self.ids[at], None if self.scores is None else self.scores[at])
+
+    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
+        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
+        picked = self.take(rows)
+        out = np.zeros((len(picked), n_classes))
+        out[np.repeat(np.arange(len(picked)), np.diff(picked.indptr)), picked.ids] = 1.0
+        return out
+
+    def lists(self) -> list[list]:
+        """One list per row: of int ids, or of (id, score) pairs where there are scores."""
+        items = self.ids.tolist()
+        if self.scores is not None:
+            items = list(zip(items, self.scores.tolist()))
+        bounds = self.indptr.tolist()
+        return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class PseudoLabelSet:
-    """One segment's labels. Ids are ints inside the header's class spaces
-    (vtm_db indexes `task_ids`, vtm_corpus `corpus_task_names`), and nrl maps
-    "in" and "out" to `nrl_hops` ranked hop lists. vtm_db, vtm_corpus,
-    tcl_db, tcl_corpus and nrl are the set-derived families: records of one
-    matched-node set share these list objects, so they must not be mutated
-    in place."""
+    """One segment's labels as a record, as `PseudoLabels`' record view yields them.
+
+    Ids are ints inside the header's class spaces (vtm_db indexes `task_ids`,
+    vtm_corpus `corpus_task_names`), and nrl maps "in" and "out" to `nrl_hops`
+    ranked hop lists. vtm_db, vtm_corpus, tcl_db, tcl_corpus and nrl are the
+    set-derived families: records of one matched-node set share these list
+    objects, so they must not be mutated in place."""
 
     video_id: str
     segment_index: int
@@ -96,6 +155,46 @@ class PseudoLabelSet:
     tcl_corpus: list[int]
     nrl: dict[str, list[list[tuple[int, float]]]]  # direction -> per-hop ranked lists
     vsm: list[tuple[int, float]]
+
+
+@dataclass(frozen=True)
+class PseudoLabels:
+    """Every segment's labels as columns, one record per segment.
+
+    Per record: `video` (an index into `video_ids`), `segment_index` and
+    `set` (the index of the record's matched-node set), all int64.
+    `families` holds one Ragged per label family, named and ordered as the
+    payload names them: vnm and vsm with one row per record, then vtm_db,
+    vtm_corpus, tcl_db, tcl_corpus and nrl_<direction>_<hop> with one row
+    per distinct set.
+    """
+
+    video_ids: tuple[str, ...]
+    video: np.ndarray
+    segment_index: np.ndarray
+    set: np.ndarray
+    families: dict[str, Ragged]
+
+    def __len__(self) -> int:
+        return len(self.video)
+
+    @property
+    def num_sets(self) -> int:
+        return len(self.families["vtm_db"])
+
+    def __iter__(self) -> Iterator[PseudoLabelSet]:
+        """One PseudoLabelSet per record, in record order; records of one set share
+        that set's lists. This view is the only code that builds records; it serves
+        readers that still take records, such as perfbench's `check_outputs`."""
+        rows = {family: csr.lists() for family, csr in self.families.items()}
+        hops = sum(family.startswith("nrl_in_") for family in rows)
+        nrl = [{d: [rows[f"nrl_{d}_{hop}"][k] for hop in range(1, hops + 1)]
+                for d in _DIRECTIONS} for k in range(self.num_sets)]
+        sets = list(zip(rows["vtm_db"], rows["vtm_corpus"], rows["tcl_db"], rows["tcl_corpus"],
+                        nrl))
+        for video, segment, k, vnm, vsm in zip(self.video.tolist(), self.segment_index.tolist(),
+                                               self.set.tolist(), rows["vnm"], rows["vsm"]):
+            yield PseudoLabelSet(self.video_ids[video], segment, vnm, *sets[k], vsm)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +297,14 @@ def task_node_map(db: StepDatabase, node_of: np.ndarray) -> list[tuple[int, ...]
 
 def emit_labels(
     corpus: SegmentCorpus, db: StepDatabase, graph: ProceduralKnowledgeGraph
-) -> tuple[dict, list[PseudoLabelSet]]:
-    """Generate one PseudoLabelSet per segment, in (video, segment) order.
+) -> tuple[dict, PseudoLabels]:
+    """Generate one record of labels per segment, in (video, segment) order.
 
     Returns the labels file header (class-index spaces plus bookkeeping)
-    and the records. Each video is scored with one matmul, and vnm and vsm
-    come from each segment's score row. The vtm, tcl and nrl families are
-    derived once per distinct set of matched nodes, so records whose
-    segments match the same nodes share those label lists. The label sizes
-    are the module constants above.
+    and the labels as columns. Each video is scored with one matmul, and
+    vnm and vsm come from each segment's score row. The vtm, tcl and nrl
+    families are derived once per distinct set of matched nodes, numbered
+    in first-seen order. The label sizes are the module constants above.
     """
     node_of = graph.node_of(db)
     tasks_of = task_node_map(db, node_of)
@@ -215,63 +313,70 @@ def emit_labels(
         for nid in nodes:
             node_tasks[nid].append(task)
 
-    # (video index, segment index, vnm, vsm) per segment. Videos are scored
-    # one call each: BLAS may round a short video's rows differently once
-    # they are stacked into a larger matrix.
-    scored: list[tuple[int, int, list[tuple[int, float]], list[tuple[int, float]]]] = []
-    for vi, video in enumerate(corpus.videos):
-        for seg_idx, row in enumerate(matcher.score_video(video.segments, db)):
+    # vnm and vsm per segment. Videos are scored one call each: BLAS may round a
+    # short video's rows differently once they are stacked into a larger matrix.
+    rows: dict[str, list] = {"vnm": [], "vsm": []}
+    for video in corpus.videos:
+        for row in matcher.score_video(video.segments, db):
             node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
-            vnm = vnm_labels(node_scores)
-            vsm = [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)]
-            scored.append((vi, seg_idx, vnm, vsm))
+            rows["vnm"].append(vnm_labels(node_scores))
+            rows["vsm"].append(
+                [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)])
 
+    lengths = np.array([len(video.segments) for video in corpus.videos], dtype=np.int64)
+    video_of = np.repeat(np.arange(len(lengths)), lengths)
+    segment_nodes = [[nid for nid, _ in vnm] for vnm in rows["vnm"]]
     occ, skipped = build_occurrence_matrix(
-        [[nid for nid, _ in vnm] for _, _, vnm, _ in scored],
-        [v.corpus_task_name for v in corpus.videos],
-        [vi for vi, _, _, _ in scored],
-        node_of,
-    )
+        segment_nodes, [v.corpus_task_name for v in corpus.videos], video_of.tolist(), node_of)
 
     top_nodes = top_nodes_per_corpus_task(occ)
 
     def set_labels(nodes: list[int]) -> tuple:
+        """The set-derived families, in payload order: vtm and tcl, then nrl per hop."""
         vtm_db = vtm_db_labels(nodes, node_tasks)
         vtm_corpus = vtm_corpus_labels(nodes, occ)
-        return (
-            vtm_db,
-            vtm_corpus,
-            tcl_db_labels(vtm_db, tasks_of),
-            tcl_corpus_labels(vtm_corpus, top_nodes),
-            nrl_labels(nodes, graph),
-        )
+        tcl = tcl_db_labels(vtm_db, tasks_of), tcl_corpus_labels(vtm_corpus, top_nodes)
+        nrl = nrl_labels(nodes, graph)
+        return (vtm_db, vtm_corpus, *tcl, *nrl["in"], *nrl["out"])
 
-    derived: dict[tuple[int, ...], tuple] = {}
-    records: list[PseudoLabelSet] = []
-    for vi, seg_idx, vnm, vsm in scored:
-        key = tuple(sorted(nid for nid, _ in vnm))
-        if key not in derived:
-            derived[key] = set_labels(list(key))
-        vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = derived[key]
-        records.append(
-            PseudoLabelSet(
-                video_id=corpus.videos[vi].video_id,
-                segment_index=seg_idx,
-                vnm=vnm,
-                vtm_db=vtm_db,
-                vtm_corpus=vtm_corpus,
-                tcl_db=tcl_db,
-                tcl_corpus=tcl_corpus,
-                nrl=nrl,
-                vsm=vsm,
-            )
-        )
+    families = _families(NRL_HOPS)
+    set_families = [family for family, owner, _, _ in families if owner == "set"]
+    rows |= {family: [] for family in set_families}
+    derived: dict[tuple[int, ...], int] = {}
+
+    def set_index(nodes: list[int]) -> int:
+        key = tuple(sorted(nodes))
+        index = derived.get(key)
+        if index is None:
+            index = derived[key] = len(derived)
+            for family, value in zip(set_families, set_labels(list(key))):
+                rows[family].append(value)
+        return index
+
+    sets = np.fromiter(map(set_index, segment_nodes), np.int64, len(segment_nodes))
+    del segment_nodes
+    # each family's lists are freed once its CSR is built
+    csr = {family: Ragged.from_lists(rows.pop(family), scored)
+           for family, _, _, scored in families}
+
+    # a video without segments has no record, so it has no place in video_ids
+    video_ids: dict[str, int] = {}
+    position = [video_ids.setdefault(v.video_id, len(video_ids)) if n else -1
+                for v, n in zip(corpus.videos, lengths)]
+    starts = np.cumsum(lengths) - lengths
+    labels = PseudoLabels(
+        video_ids=tuple(video_ids),
+        video=np.repeat(np.array(position, dtype=np.int64), lengths),
+        segment_index=np.arange(len(video_of)) - starts[video_of],
+        set=sets,
+        families=csr,
+    )
 
     header = {
         "kind": LABELS_KIND,
         "config_hash": graph.config_hash,
         "num_videos": len(corpus.videos),
-        "num_segments": len(records),
+        "num_segments": len(labels),
         "num_sets": len(derived),
         "num_nodes": graph.num_nodes,
         "num_headlines": db.num_headlines,
@@ -280,7 +385,7 @@ def emit_labels(
         "nrl_hops": NRL_HOPS,
         "skipped_unnamed_videos": skipped,
     }
-    return header, records
+    return header, labels
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +400,6 @@ _FAMILIES = (("vnm", "record", "num_nodes", True), ("vsm", "record", "num_headli
 _DIRECTIONS = ("in", "out")
 # header keys that describe the payload; `load_labels` strips them from the header it returns
 _PAYLOAD_KEYS = ("video_ids", "columns", "payload_sha256")
-# owner rows turned into Python lists at a time, so a load never holds a whole column as lists
-_BLOCK = 4096
 
 
 def _families(nrl_hops: int) -> list[tuple[str, str, str, bool]]:
@@ -317,73 +420,29 @@ def _split(payload: np.ndarray, sizes: dict[str, int]) -> dict[str, np.ndarray]:
     return {name: payload[end - size : end] for (name, size), end in zip(sizes.items(), ends)}
 
 
-def _family_rows(owners: list, family: str) -> list:
-    """Each owner's list of `family`; nrl families name a direction and a hop."""
-    if family.startswith("nrl_"):
-        _, direction, hop = family.split("_")
-        return [owner.nrl[direction][int(hop) - 1] for owner in owners]
-    return [getattr(owner, family) for owner in owners]
-
-
-def save_labels(header: dict, records: list[PseudoLabelSet], path: str | Path) -> None:
+def save_labels(header: dict, labels: PseudoLabels, path: str | Path) -> None:
     """Write the labels payload labels.f64, then the one-line labels.jsonl header.
 
     The payload holds every label as named flat f64 columns (README §Formats):
     per record its video (an index into the header's `video_ids`), segment
     index and set index; per family one length per record or set, then the
-    ids, and the scores where the family has them, end to end. Records whose
-    set-derived lists are the same objects, as `emit_labels` and `load_labels`
-    return them, share one set, so each set is written once; the header's
-    `num_sets` is the number of sets written. The header adds the distinct
-    video ids, the column table and the payload's sha256 to the fields given.
-    A non-finite score is refused before either file is written.
+    ids, and the scores where the family has them, end to end. The header
+    adds `num_sets`, the distinct video ids, the column table and the
+    payload's sha256 to the fields given. A non-finite score is refused
+    before either file is written.
     """
-    set_of: dict[tuple[int, ...], int] = {}
-    sets: list[PseudoLabelSet] = []
-
-    def set_index(rec: PseudoLabelSet) -> int:
-        key = tuple(map(id, (rec.vtm_db, rec.vtm_corpus, rec.tcl_db, rec.tcl_corpus, rec.nrl)))
-        index = set_of.get(key)
-        if index is None:
-            index = set_of[key] = len(sets)
-            sets.append(rec)
-        return index
-
-    video_of: dict[str, int] = {}
-    count = len(records)
-    fill = {
-        "video": np.fromiter((video_of.setdefault(r.video_id, len(video_of)) for r in records),
-                             np.float64, count),
-        "segment_index": np.fromiter((r.segment_index for r in records), np.float64, count),
-        "set": np.fromiter(map(set_index, records), np.float64, count),
-    }
-    sizes = {name: count for name in fill}
-    families = []
-    for family, owner, _, scored in _families(header["nrl_hops"]):
-        rows = _family_rows(records if owner == "record" else sets, family)
-        fill[f"{family}_len"] = lengths = np.fromiter(map(len, rows), np.float64, len(rows))
-        total = int(lengths.sum())
-        sizes |= {f"{family}_len": len(rows), f"{family}_id": total}
-        sizes |= {f"{family}_score": total} if scored else {}
-        families.append((family, rows, total, scored))
-    # one preallocated payload, each column a view of it, filled one family at a time
-    payload = np.empty(sum(sizes.values()), "<f8")
-    view = _split(payload, sizes)
-    for name, values in fill.items():
-        view[name][:] = values
-    for family, rows, total, scored in families:
-        if scored:
-            pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.float64,
-                                2 * total).reshape(total, 2)
-            view[f"{family}_id"][:], view[f"{family}_score"][:] = pairs.T
-        else:
-            view[f"{family}_id"][:] = np.fromiter(chain.from_iterable(rows), np.float64, total)
+    columns = {"video": labels.video, "segment_index": labels.segment_index, "set": labels.set}
+    for family, _, _, scored in _families(header["nrl_hops"]):
+        csr = labels.families[family]
+        columns |= {f"{family}_len": np.diff(csr.indptr), f"{family}_id": csr.ids}
+        columns |= {f"{family}_score": csr.scores} if scored else {}
+    payload = np.concatenate(list(columns.values()), dtype="<f8")
     if not np.isfinite(payload).all():
-        name = next(name for name, column in view.items() if not np.isfinite(column).all())
+        name = next(name for name, column in columns.items() if not np.isfinite(column).all())
         raise ValueError(f"{path}: column {name!r} holds a non-finite value")
     write_matrix_beside(path, LABELS_MAGIC, LABELS_VERSION, payload.reshape(-1, 1))
-    header = dict(header, num_sets=len(sets), video_ids=list(video_of),
-                  columns=sizes,
+    header = dict(header, num_sets=labels.num_sets, video_ids=list(labels.video_ids),
+                  columns={name: len(column) for name, column in columns.items()},
                   payload_sha256=hashlib.sha256(payload).hexdigest())
     with atomic_write(path) as fh:
         fh.write(canonical_json(header) + "\n")
@@ -445,40 +504,18 @@ def _check_ints(payload: Path, values: np.ndarray, bound: float, name: str, owne
         raise CorpusFormatError(f"{payload}: malformed {owner} {row}: {name} {value} {fault}")
 
 
-def _lists(lengths: np.ndarray, ids: np.ndarray, scores: np.ndarray | None):
-    """Yield each owner row's list of int ids, or of (id, score) pairs, converting
-    _BLOCK rows at a time."""
-    start = 0
-    for first in range(0, len(lengths), _BLOCK):
-        counts = lengths[first : first + _BLOCK].astype(np.int64).tolist()
-        stop = start + sum(counts)
-        items = ids[start:stop].astype(np.int64).tolist()
-        if scores is not None:
-            items = zip(items, scores[start:stop].tolist())
-        it = iter(items)
-        for count in counts:
-            yield list(islice(it, count))
-        start = stop
+def load_labels(path: str | Path) -> tuple[dict, PseudoLabels]:
+    """Read labels.jsonl and the labels.f64 payload beside it.
 
-
-def _ints(values: np.ndarray):
-    """Yield a column's values as Python ints, _BLOCK at a time."""
-    for first in range(0, len(values), _BLOCK):
-        yield from values[first : first + _BLOCK].astype(np.int64).tolist()
-
-
-def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
-    """Read labels.jsonl and the labels.f64 payload beside it; records that point at
-    one set share its lists.
-
-    This is the one place that checks a record's shape (README §Formats). The
-    header is checked field by field, then the payload against the header's
-    digest and column table, then every column in whole-array passes: ids are
-    integers inside their class space, lengths are non-negative and sum to
-    their column, and set indices fall inside the sets. The records are then
-    built a block of rows at a time. The header returned is the one
-    `save_labels` was given, with `num_sets` and without the payload's
-    bookkeeping. An error names the file at fault, and the record or set.
+    This is the one place that checks the labels' shape (README §Formats).
+    The header is checked field by field, then the payload against the
+    header's digest and column table, then every column in whole-array
+    passes: ids are integers inside their class space, lengths are
+    non-negative and sum to their column, and set indices fall inside the
+    sets. The checked columns are then wrapped as they are; scores stay
+    views of the payload. The header returned is the one `save_labels` was
+    given, with `num_sets` and without the payload's bookkeeping. An error
+    names the file at fault, and the record or set.
     """
     path = Path(path)
     with JsonFile(path, "header") as src:
@@ -502,8 +539,8 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
                      "set": header["num_sets"]}
     for name, bound in record_bounds.items():
         _check_ints(payload, col[name], bound, name, "record")
-    hops = header["nrl_hops"]
-    for family, owner, bound_key, _ in _families(hops):
+    families = {}
+    for family, owner, bound_key, scored in _families(header["nrl_hops"]):
         lengths = col[f"{family}_len"]
         _check_ints(payload, lengths, np.inf, f"{family}_len", owner)
         if lengths.sum() != len(col[f"{family}_id"]):
@@ -513,33 +550,9 @@ def load_labels(path: str | Path) -> tuple[dict, list[PseudoLabelSet]]:
         bound = header[bound_key]
         _check_ints(payload, col[f"{family}_id"], bound if type(bound) is int else len(bound),
                     f"{family}_id", owner, lengths)
-
-    def lists(family: str):
-        return _lists(col[f"{family}_len"], col[f"{family}_id"], col.get(f"{family}_score"))
-
-    # the records hold no reference cycles, so a collection during the build would only
-    # walk them: about half of the load on the mine-videos benchmark world
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        # each set's lists are built together, and kept in one list per family
-        vtm_db, vtm_corpus, tcl_db, tcl_corpus, nrl = sets = [], [], [], [], []
-        hop_families = [f"nrl_{d}_{hop}" for d in _DIRECTIONS for hop in range(1, hops + 1)]
-        for row in zip(*map(lists, ("vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus")),
-                       *map(lists, hop_families)):
-            for family, value in zip(sets, row[:4]):
-                family.append(value)
-            nrl.append({"in": list(row[4 : 4 + hops]), "out": list(row[4 + hops :])})
-        video_ids = header["video_ids"]
-        records = [
-            PseudoLabelSet(video_ids[video], segment, vnm, vtm_db[k], vtm_corpus[k], tcl_db[k],
-                           tcl_corpus[k], nrl[k], vsm)
-            for video, segment, k, vnm, vsm in zip(
-                _ints(col["video"]), _ints(col["segment_index"]), _ints(col["set"]),
-                lists("vnm"), lists("vsm"),
-            )
-        ]
-    finally:
-        if enabled:
-            gc.enable()
-    return {k: v for k, v in header.items() if k not in _PAYLOAD_KEYS}, records
+        families[family] = Ragged(_indptr(lengths.astype(np.int64)),
+                                  col[f"{family}_id"].astype(np.int64),
+                                  col[f"{family}_score"] if scored else None)
+    labels = PseudoLabels(tuple(header["video_ids"]), *(col[name].astype(np.int64)
+                                                        for name in record_bounds), families)
+    return {k: v for k, v in header.items() if k not in _PAYLOAD_KEYS}, labels

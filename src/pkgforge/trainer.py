@@ -7,9 +7,10 @@ a single C//2 hidden layer. Every objective is multi-label binary cross
 entropy and the total loss is their unweighted sum. All gradients are
 hand-derived and checked against central finite differences.
 
-Each head's targets are built once, before training, as CSR lists of
-positive class ids; a mini-batch's dense 0/1 targets come from one
-scatter over its rows.
+Each head's targets are one `labeler.Ragged` CSR of positive class ids
+per segment, taken from the columnar labels before training: vnm and vsm
+as stored, the set-derived families gathered by each segment's set. A
+mini-batch's dense 0/1 targets come from one scatter over its rows.
 
 The adapter and heads share one flat f64 parameter vector laid out as
 adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
@@ -24,12 +25,11 @@ and the held-out loss.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .corpus_io import ModelCheckpoint, checkpoint_from_params
-from .labeler import NRL_HOPS, PseudoLabelSet
+from .labeler import NRL_HOPS, PseudoLabels, Ragged
 from .nn import AdamState, Mlp, adam_step, bce_with_logits, fit
 
 BOTTLENECK_DIM = 128
@@ -122,55 +122,15 @@ def head_specs_from_header(header: dict, objectives, nrl_hops: int) -> list[Head
     return specs
 
 
-@dataclass(frozen=True)
-class SparseTargets:
-    """Positive class ids per row in CSR form.
-
-    Row i's positives are indices[indptr[i]:indptr[i + 1]], so memory is
-    linear in the number of positives rather than rows x classes.
-    """
-
-    indptr: np.ndarray  # (rows + 1,) int64
-    indices: np.ndarray  # (positives,) int64
-
-    @classmethod
-    def from_rows(cls, rows: list) -> "SparseTargets":
-        """From one sequence of class ids per row; ids may repeat within a row."""
-        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)), out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
-        return cls(indptr=indptr, indices=indices)
-
-    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
-        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        out = np.zeros((rows.size, n_classes))
-        out_row = np.repeat(np.arange(rows.size), counts)
-        # each positive's position in indices: its row's start plus its rank in the row
-        first = np.cumsum(counts) - counts
-        at = np.repeat(starts - first, counts) + np.arange(out_row.size)
-        out[out_row, self.indices[at]] = 1.0
-        return out
-
-
-def targets_from_labels(
-    records: list[PseudoLabelSet], specs: list[HeadSpec]
-) -> dict[str, SparseTargets]:
-    """Positive class ids per head, one CSR row per record (checked by `load_labels`)."""
-    targets: dict[str, SparseTargets] = {}
+def targets_from_labels(labels: PseudoLabels, specs: list[HeadSpec]) -> dict[str, Ragged]:
+    """Positive class ids per head, one CSR row per record (checked by `load_labels`):
+    vnm and vsm as stored, each set-derived family gathered by the records' sets.
+    Scores are not targets, so they are left behind."""
+    targets: dict[str, Ragged] = {}
     for spec in specs:
-        name = spec.name
-        if name in ("vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus"):
-            rows = [getattr(rec, name) for rec in records]
-        elif name in ("vnm", "vsm"):
-            rows = [[i for i, _ in getattr(rec, name)] for rec in records]
-        elif name.startswith("nrl_"):
-            direction, hop = name.split("_")[1:]
-            rows = [[nid for nid, _ in rec.nrl[direction][int(hop) - 1]] for rec in records]
-        else:
-            raise ValueError(f"unknown head {name!r}")
-        targets[name] = SparseTargets.from_rows(rows)
+        family = labels.families[spec.name]
+        ids = Ragged(family.indptr, family.ids)
+        targets[spec.name] = ids if spec.name in ("vnm", "vsm") else ids.take(labels.set)
     return targets
 
 
@@ -243,7 +203,7 @@ def train(
     features: np.ndarray,
     video_of: np.ndarray,
     header: dict,
-    targets: dict[str, SparseTargets],
+    targets: dict[str, Ragged],
     config: TrainConfig,
     config_hash: str | None = None,
 ) -> tuple[ModelCheckpoint, dict]:

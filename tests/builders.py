@@ -10,7 +10,7 @@ from pkgforge.corpus_io import (
     checkpoint_from_params,
 )
 from pkgforge.graph import DirectedEdge, ProceduralKnowledgeGraph, StepNode
-from pkgforge.trainer import SparseTargets
+from pkgforge.labeler import PseudoLabels, Ragged
 
 
 def random_database(rng: np.random.Generator, n_tasks=None, dim=None) -> StepDatabase:
@@ -79,6 +79,45 @@ def identity_assignment(n: int) -> np.ndarray:
     return np.arange(n)
 
 
-def row_targets(per_row: dict) -> dict[str, SparseTargets]:
+def row_targets(per_row: dict) -> dict[str, Ragged]:
     """Training targets from hand-built positive class ids: head -> one id list per row."""
-    return {name: SparseTargets.from_rows(rows) for name, rows in per_row.items()}
+    return {name: Ragged.from_lists(rows) for name, rows in per_row.items()}
+
+
+SET_FIELDS = ("vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl")
+
+
+def labels_from_records(records: list, nrl_hops: int) -> PseudoLabels:
+    """Columnar labels from hand-built PseudoLabelSet records.
+
+    Records whose set-derived lists are the same objects share one set, and
+    sets and video ids are numbered in first-seen order, as `emit_labels`
+    numbers them.
+    """
+    set_of: dict[tuple[int, ...], int] = {}
+    sets, set_index = [], []
+    for rec in records:
+        key = tuple(id(getattr(rec, name)) for name in SET_FIELDS)
+        if key not in set_of:
+            set_of[key] = len(sets)
+            sets.append(rec)
+        set_index.append(set_of[key])
+    video_of: dict[str, int] = {}
+    video = [video_of.setdefault(rec.video_id, len(video_of)) for rec in records]
+    families = {
+        "vnm": Ragged.from_lists([rec.vnm for rec in records], scored=True),
+        "vsm": Ragged.from_lists([rec.vsm for rec in records], scored=True),
+    }
+    for name in SET_FIELDS[:-1]:
+        families[name] = Ragged.from_lists([getattr(rec, name) for rec in sets])
+    for direction in ("in", "out"):
+        for hop in range(nrl_hops):
+            families[f"nrl_{direction}_{hop + 1}"] = Ragged.from_lists(
+                [rec.nrl[direction][hop] for rec in sets], scored=True)
+    return PseudoLabels(
+        video_ids=tuple(video_of),
+        video=np.array(video, dtype=np.int64),
+        segment_index=np.array([rec.segment_index for rec in records], dtype=np.int64),
+        set=np.array(set_index, dtype=np.int64),
+        families=families,
+    )

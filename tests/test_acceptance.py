@@ -32,7 +32,10 @@ from pkgforge.dedup import cluster_headlines
 from pkgforge.nn import bce_with_logits
 from pkgforge.synthgen import graph_recovery_metrics, implied_min_support
 
-from builders import random_checkpoint, random_corpus, random_database, random_graph, row_targets
+from builders import (
+    labels_from_records, random_checkpoint, random_corpus, random_database, random_graph,
+    row_targets,
+)
 from oracles import (
     components_partition, gradient_check, khop_bruteforce, partition_of, transitions_bruteforce,
 )
@@ -273,7 +276,7 @@ def test_criterion_07_synthetic_graph_recovery():
     )
 
 
-def _pretrained_transform(cfg, header, records, features, video_of, objectives, nrl_hops=1):
+def _pretrained_transform(cfg, header, labels, features, video_of, objectives, nrl_hops=1):
     tc = cfg.train
     tc.learning_rate = PRETRAIN_LR
     tc.max_epochs = PRETRAIN_EPOCHS
@@ -281,7 +284,7 @@ def _pretrained_transform(cfg, header, records, features, video_of, objectives, 
     tc.objectives = objectives
     tc.nrl_hops = nrl_hops
     specs = trainer.head_specs_from_header(header, tc.objectives, tc.nrl_hops)
-    targets = trainer.targets_from_labels(records, specs)
+    targets = trainer.targets_from_labels(labels, specs)
     ckpt, _ = trainer.train(features, video_of, header, targets, tc)
     adapter = trainer.adapter_from_checkpoint(ckpt)
     return lambda f: trainer.apply_adapter(adapter, f)
@@ -302,7 +305,7 @@ def test_criterion_08_representation_gain():
             match_threshold=cfg.match_threshold,
             instance_threshold=cfg.instance_threshold,
         )
-        header, records = labeler.emit_labels(corpus, db, pkg)
+        header, labels = labeler.emit_labels(corpus, db, pkg)
         features = np.vstack([v.segments for v in corpus.videos])
         video_of = np.concatenate(
             [np.full(v.segments.shape[0], i) for i, v in enumerate(corpus.videos)]
@@ -310,10 +313,10 @@ def test_criterion_08_representation_gain():
         transforms = {
             "raw": None,
             "all": _pretrained_transform(
-                cfg, header, records, features, video_of, ALL_OBJECTIVES, nrl_hops=2
+                cfg, header, labels, features, video_of, ALL_OBJECTIVES, nrl_hops=2
             ),
             "vnm": _pretrained_transform(
-                cfg, header, records, features, video_of, ("vnm",)
+                cfg, header, labels, features, video_of, ("vnm",)
             ),
         }
         dcfg = cfg.downstream
@@ -472,9 +475,9 @@ def test_criterion_10_format_round_trips(tmp_path):
             for i in range(3)
         ]
         l1, l2 = tmp_path / f"l{seed}a.jsonl", tmp_path / f"l{seed}b.jsonl"
-        labeler.save_labels(header, records, l1)
-        h2, r2 = labeler.load_labels(l1)
-        labeler.save_labels(h2, r2, l2)
+        labeler.save_labels(header, labels_from_records(records, 2), l1)
+        h2, loaded = labeler.load_labels(l1)
+        labeler.save_labels(h2, loaded, l2)
         for suffix in (".jsonl", ".f64"):
             assert l1.with_suffix(suffix).read_bytes() == l2.with_suffix(suffix).read_bytes()
 

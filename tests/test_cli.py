@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: pipeline stages, determinism, hash checks."""
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -643,6 +644,26 @@ class TestWrongShapedJson:
         error = _one_line_error(capsys)
         assert "m.pkgc" in error and "metadata" in error
 
+    @pytest.mark.parametrize("key, value, detail", [
+        ("dim", 16.0, "dim 16.0 is not a JSON integer"),
+        ("bottleneck", 128.0, "bottleneck 128.0 is not a JSON integer"),
+        ("dim", 0, "dim 0 must be >= 1"),
+        ("bottleneck", -1, "bottleneck -1 must be >= 1"),
+    ])
+    def test_eval_checkpoint_layer_size_not_a_positive_integer(self, key, value, detail,
+                                                               artifacts, tmp_path, capsys):
+        # the adapter's layer sizes slice its weights, so a float once ended eval with a
+        # TypeError traceback
+        ckpt = corpus_io.load_checkpoint(artifacts["checkpoint"])
+        ckpt.metadata[key] = value
+        path = tmp_path / "m.pkgc"
+        corpus_io.save_checkpoint(ckpt, path)
+        assert _run(
+            "eval", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--checkpoint", path, "--task", "SR", "--features", "adapter",
+        ) == 1
+        assert _one_line_error(capsys) == f"{path}:1: malformed checkpoint header: {detail}"
+
     def test_build_graph_truth_not_an_object(self, artifacts, tmp_path, capsys):
         world = tmp_path / "world"
         shutil.copytree(artifacts["world"], world)
@@ -750,7 +771,8 @@ class TestTrainingHoldsOneCopy:
 
     def test_pretrain_drops_records_and_corpus(self, artifacts, tmp_path, monkeypatch):
         seen = self._made_by_stage_at(
-            monkeypatch, cli.trainer, "train", (labeler.PseudoLabelSet, corpus_io.Video),
+            monkeypatch, cli.trainer, "train",
+            (labeler.PseudoLabels, labeler.PseudoLabelSet, corpus_io.Video),
             ["pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
              "--labels", artifacts["labels"], "--out", tmp_path / "m.pkgc"],
         )
@@ -767,14 +789,58 @@ class TestTrainingHoldsOneCopy:
         assert seen == [[]]
 
     def test_the_check_sees_what_a_stage_holds(self, artifacts, tmp_path, monkeypatch):
-        # while the targets are built the records are alive, and the same check finds them
+        # while the targets are built the labels are alive, and the same check finds them;
+        # pretrain never builds records
         seen = self._made_by_stage_at(
-            monkeypatch, cli.trainer, "targets_from_labels", (labeler.PseudoLabelSet,),
+            monkeypatch, cli.trainer, "targets_from_labels",
+            (labeler.PseudoLabels, labeler.PseudoLabelSet),
             ["pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
              "--labels", artifacts["labels"], "--out", tmp_path / "m.pkgc"],
         )
-        header, _ = labeler.load_labels(artifacts["labels"])
-        assert seen == [["PseudoLabelSet"] * header["num_segments"]]
+        assert seen == [["PseudoLabels"]]
+
+
+def _fewer_records(labels: labeler.PseudoLabels, count: int) -> labeler.PseudoLabels:
+    """The first `count` records of `labels`, with every set kept."""
+    rows = np.arange(count)
+    families = dict(labels.families, vnm=labels.families["vnm"].take(rows),
+                    vsm=labels.families["vsm"].take(rows))
+    return dataclasses.replace(labels, video=labels.video[rows],
+                               segment_index=labels.segment_index[rows],
+                               set=labels.set[rows], families=families)
+
+
+class TestLabelsLineUpWithTheCorpus:
+    """pretrain refuses labels that are not one record per corpus segment, in corpus order."""
+
+    @pytest.mark.parametrize("edit", [
+        lambda labels: dataclasses.replace(
+            labels, video_ids=("elsewhere",) + labels.video_ids[1:]),
+        lambda labels: dataclasses.replace(labels, segment_index=labels.segment_index + 1),
+        lambda labels: _fewer_records(labels, len(labels) - 1),
+    ], ids=["video-ids-differ", "segment-index-shifted", "one-record-too-few"])
+    def test_refused(self, edit, artifacts, tmp_path, capsys):
+        header, labels = labeler.load_labels(artifacts["labels"])
+        edited = edit(labels)
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(dict(header, num_segments=len(edited)), edited, path)
+        assert _run(
+            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--labels", path, "--out", tmp_path / "m.pkgc",
+        ) == 1
+        assert _one_line_error(capsys) == (
+            "labels file does not line up with the corpus segment order")
+        assert not (tmp_path / "m.pkgc").exists()
+
+    def test_the_unedited_labels_pass(self, artifacts, tmp_path):
+        header, labels = labeler.load_labels(artifacts["labels"])
+        path = tmp_path / "labels.jsonl"
+        labeler.save_labels(header, labels, path)
+        assert _run(
+            "pretrain", "--config", artifacts["config"], "--world", artifacts["world"],
+            "--labels", path, "--out", tmp_path / "m.pkgc",
+        ) == 0
+        assert (tmp_path / "m.pkgc").read_bytes() == artifacts["checkpoint"].read_bytes()
 
 
 class TestSynthRefusesAWorld:

@@ -637,3 +637,25 @@ class TestOneWriter:
         reads = 'open(p, "rb")\nopen(p)\nPath(p).read_text()\n'
         assert not any(_writes_a_file(n) for n in ast.walk(ast.parse(reads))
                        if isinstance(n, ast.Call))
+
+
+def _imports_gc(tree: ast.AST) -> list[int]:
+    """The lines of `import gc` or `from gc import ...` statements in `tree`."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "gc"]
+
+
+class TestNoCollectorTuning:
+    """Pseudo labels are columns, not per-segment objects, so no module needs to pause or
+    force the cyclic garbage collector."""
+
+    def test_no_module_imports_gc(self):
+        offenders = [f"{path.name}:{line}"
+                     for path in sorted(Path(corpus_io.__file__).parent.glob("*.py"))
+                     for line in _imports_gc(ast.parse(path.read_text(encoding="utf-8")))]
+        assert offenders == []
+
+    def test_the_check_finds_an_import(self):
+        source = "import gc\nfrom gc import collect\nimport os, gc as g\nimport gcx\n"
+        assert _imports_gc(ast.parse(source)) == [1, 2, 3]

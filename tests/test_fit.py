@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from pkgforge import downstream, trainer
 from pkgforge.corpus_io import SegmentCorpus, Video
 from pkgforge.downstream import DownstreamConfig, StepSpan, VideoAnnotation
+from pkgforge.labeler import Ragged
 from pkgforge.nn import fit
-from pkgforge.trainer import SparseTargets, TrainConfig
+from pkgforge.trainer import TrainConfig
 
 from oracles import early_stopping_reference, train_downstream_reference, train_reference
 
@@ -125,7 +126,7 @@ def _random_pretraining(rng, n, n_videos, dim, objectives):
     targets = {}
     for spec in trainer.head_specs_from_header(header, objectives, 1):
         rows = [rng.choice(spec.n_classes, size=int(rng.integers(0, 3))) for _ in range(n)]
-        targets[spec.name] = SparseTargets.from_rows(rows)
+        targets[spec.name] = Ragged.from_lists(rows)
     return header, features, video_of, targets
 
 

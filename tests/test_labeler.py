@@ -7,6 +7,7 @@ import json
 import re
 import struct
 import tempfile
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -30,7 +31,8 @@ from pkgforge.graph import (
 )
 from pkgforge.synthgen import WorldConfig, graph_recovery_metrics
 
-from oracles import assignment_walk, emit_labels_per_segment
+from builders import SET_FIELDS, labels_from_records
+from oracles import assignment_walk, dense_targets_per_row, emit_labels_per_segment
 
 
 def _tiny_world(task_ids=("t0", "t1")):
@@ -47,6 +49,19 @@ def _tiny_world(task_ids=("t0", "t1")):
     node_of = np.array([0, 1, 1, 2])
     pkg = assemble_graph(db, node_of, [(0, 1), (1, 2)], {})
     return db, node_of, pkg
+
+
+def _same_labels(a: labeler.PseudoLabels, b: labeler.PseudoLabels) -> bool:
+    """Equal video ids, and every column equal in value and dtype."""
+    def same(x, y):
+        return (x is None) == (y is None) and (
+            x is None or (x.dtype == y.dtype and np.array_equal(x, y)))
+
+    return (a.video_ids == b.video_ids and list(a.families) == list(b.families)
+            and all(same(getattr(a, name), getattr(b, name))
+                    for name in ("video", "segment_index", "set"))
+            and all(same(getattr(a.families[f], part), getattr(b.families[f], part))
+                    for f in a.families for part in ("indptr", "ids", "scores")))
 
 
 class TestVnmAndVtm:
@@ -209,7 +224,8 @@ class TestEmitLabels:
 
     def test_record_per_segment_in_order(self):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
+        records = list(labels)
         assert header["num_segments"] == 3
         assert [(r.video_id, r.segment_index) for r in records] == [
             ("v0", 0),
@@ -232,33 +248,34 @@ class TestEmitLabels:
         # task ids that sort against database order: vtm_db lists database positions, and
         # the file stores those positions, with the names only in the header
         db, _, pkg = _tiny_world(task_ids=("tz", "ta"))
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
         assert header["task_ids"] == ["tz", "ta"]
-        assert [r.vtm_db for r in records] == [[0], [0, 1], [1]]
+        assert [r.vtm_db for r in labels] == [[0], [0, 1], [1]]
         path = tmp_path / "labels.jsonl"
-        labeler.save_labels(header, records, path)
+        labeler.save_labels(header, labels, path)
         assert json.loads(path.read_text())["task_ids"] == ["tz", "ta"]
         assert _column(path, "vtm_db_id").tolist() == [0, 0, 1, 1]
-        assert labeler.load_labels(path) == (header, records)
+        loaded_header, loaded = labeler.load_labels(path)
+        assert loaded_header == header and _same_labels(loaded, labels)
 
     def test_empty_corpus(self):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(SegmentCorpus(videos=[]), db, pkg)
-        assert records == []
+        header, labels = labeler.emit_labels(SegmentCorpus(videos=[]), db, pkg)
+        assert len(labels) == 0 and list(labels) == [] and labels.video_ids == ()
         assert header["num_segments"] == 0
         assert header["corpus_task_names"] == []
 
     def test_rerun_does_not_change_output(self):
         db, _, pkg = _tiny_world()
-        h1, r1 = labeler.emit_labels(self._corpus(), db, pkg)
-        h2, r2 = labeler.emit_labels(self._corpus(), db, pkg)
-        assert h1 == h2 and r1 == r2
+        h1, l1 = labeler.emit_labels(self._corpus(), db, pkg)
+        h2, l2 = labeler.emit_labels(self._corpus(), db, pkg)
+        assert h1 == h2 and _same_labels(l1, l2)
 
     def test_referential_integrity(self):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
         num_tasks, num_names = len(header["task_ids"]), len(header["corpus_task_names"])
-        for rec in records:
+        for rec in labels:
             for nid, _ in rec.vnm:
                 assert 0 <= nid < pkg.num_nodes
             assert all(type(t) is int and 0 <= t < num_tasks for t in rec.vtm_db)
@@ -275,27 +292,28 @@ class TestEmitLabels:
 
     def test_save_load_round_trip(self, tmp_path):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        labeler.save_labels(header, records, p1)
-        h2, r2 = labeler.load_labels(p1)
-        labeler.save_labels(h2, r2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert h2 == header and r2 == records
+        labeler.save_labels(header, labels, p1)
+        h2, l2 = labeler.load_labels(p1)
+        labeler.save_labels(h2, l2, p2)
+        for suffix in (".jsonl", ".f64"):
+            assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
+        assert h2 == header and _same_labels(l2, labels) and list(l2) == list(labels)
 
     def test_empty_file_has_valid_header(self, tmp_path):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(SegmentCorpus(videos=[]), db, pkg)
+        header, labels = labeler.emit_labels(SegmentCorpus(videos=[]), db, pkg)
         path = tmp_path / "labels.jsonl"
-        labeler.save_labels(header, records, path)
-        h2, r2 = labeler.load_labels(path)
-        assert h2["kind"] == "pkgforge-labels" and r2 == []
+        labeler.save_labels(header, labels, path)
+        h2, l2 = labeler.load_labels(path)
+        assert h2["kind"] == "pkgforge-labels" and len(l2) == 0 and _same_labels(l2, labels)
 
     def test_segment_count_mismatch_names_file_and_counts(self, tmp_path):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
         path = tmp_path / "labels.jsonl"
-        labeler.save_labels(dict(header, num_segments=4), records, path)
+        labeler.save_labels(dict(header, num_segments=4), labels, path)
         with pytest.raises(
             CorpusFormatError,
             match=r"labels\.jsonl:1: malformed header: says 4 segments but column 'video' holds 3$",
@@ -304,15 +322,13 @@ class TestEmitLabels:
 
     def test_failed_save_leaves_no_file(self, tmp_path):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(self._corpus(), db, pkg)
-        records[1].vsm = [(0, float("nan"))]  # canonical JSON refuses NaN mid-write
+        header, labels = labeler.emit_labels(self._corpus(), db, pkg)
+        vsm = labels.families["vsm"]
+        vsm.scores[vsm.indptr[1]] = float("nan")  # record 1's first vsm score
         path = tmp_path / "labels.jsonl"
         with pytest.raises(ValueError):
-            labeler.save_labels(header, records, path)
+            labeler.save_labels(header, labels, path)
         assert list(tmp_path.iterdir()) == []
-
-
-SET_FIELDS = ["vtm_db", "vtm_corpus", "tcl_db", "tcl_corpus", "nrl"]
 
 
 def _payload_values(path: Path) -> tuple[bytes, np.ndarray]:
@@ -363,9 +379,9 @@ class TestLabelsFile:
     def _saved(self, tmp_path, edit=None):
         """The three-segment labels file, optionally with one `_edit` applied."""
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
+        header, labels = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
         path = tmp_path / "labels.jsonl"
-        labeler.save_labels(header, records, path)
+        labeler.save_labels(header, labels, path)
         if edit is not None:
             _edit(path, edit)
         return path
@@ -405,8 +421,9 @@ class TestLabelsFile:
         header = {"kind": "pkgforge-labels", "num_segments": 3, "num_nodes": 3, "num_headlines": 1,
                   "task_ids": ["t0"], "corpus_task_names": ["a"], "nrl_hops": 2}
         path = tmp_path / "labels.jsonl"
-        labeler.save_labels(header, records, path)
-        h2, r2 = labeler.load_labels(path)
+        labeler.save_labels(header, labels_from_records(records, 2), path)
+        h2, labels = labeler.load_labels(path)
+        r2 = list(labels)
         assert h2 == dict(header, num_sets=2)
         assert r2 == records
         for name in SET_FIELDS:
@@ -509,8 +526,8 @@ class TestLabelsFile:
                   "num_headlines": 1, "task_ids": [], "corpus_task_names": [], "nrl_hops": 0}
         record = labeler.PseudoLabelSet("v", 0, [(0, 2), (1, 0.5)], [], [], [], [],
                                         {"in": [], "out": []}, [])
-        labeler.save_labels(header, [record], path)
-        _, records = labeler.load_labels(path)
+        labeler.save_labels(header, labels_from_records([record], 0), path)
+        records = list(labeler.load_labels(path)[1])
         assert records[-1].vnm == [(0, 2.0), (1, 0.5)]
         assert [type(s) for _, s in records[-1].vnm] == [float, float]
 
@@ -529,7 +546,7 @@ class TestLabelsFile:
         records = [labeler.PseudoLabelSet("v", 0, [], [0], [], [], [], {"in": [], "out": []}, [])]
         header = {"kind": "pkgforge-labels", "num_segments": 1, "num_nodes": 1, "num_headlines": 1,
                   "task_ids": ["t0", "t0"], "corpus_task_names": [], "nrl_hops": 0}
-        labeler.save_labels(header, records, tmp_path / "labels.jsonl")
+        labeler.save_labels(header, labels_from_records(records, 0), tmp_path / "labels.jsonl")
         with pytest.raises(CorpusFormatError, match=r"task_ids repeats 't0'$"):
             labeler.load_labels(tmp_path / "labels.jsonl")
 
@@ -579,11 +596,12 @@ class TestLabelsFile:
 
     def test_non_finite_score_refused_before_writing(self, tmp_path):
         db, _, pkg = _tiny_world()
-        header, records = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
-        records[1].nrl["in"][0][0] = (0, float("inf"))
+        header, labels = labeler.emit_labels(TestEmitLabels()._corpus(), db, pkg)
+        nrl_in = labels.families["nrl_in_1"]
+        nrl_in.scores[nrl_in.indptr[labels.set[1]]] = float("inf")  # record 1's set, hop 1
         path = tmp_path / "labels.jsonl"
         with pytest.raises(ValueError, match=r"column 'nrl_in_1_score' holds a non-finite value"):
-            labeler.save_labels(header, records, path)
+            labeler.save_labels(header, labels, path)
         assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=150, deadline=None)
@@ -638,16 +656,66 @@ class TestLabelsFile:
 
         with tempfile.TemporaryDirectory() as tmp:
             p1, p2 = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
-            labeler.save_labels(header, records, p1)
-            h2, r2 = labeler.load_labels(p1)
-            labeler.save_labels(h2, r2, p2)
+            labeler.save_labels(header, labels_from_records(records, nrl_hops), p1)
+            h2, labels = labeler.load_labels(p1)
+            labeler.save_labels(h2, labels, p2)
             for suffix in (".jsonl", ".f64"):
                 assert p1.with_suffix(suffix).read_bytes() == p2.with_suffix(suffix).read_bytes()
+        r2 = list(labels)
         assert h2 == dict(header, num_sets=len(set(sharing(records))))
         assert r2 == records and sharing(r2) == sharing(records)
         # ids come back as ints and scores as floats, so they serialize as emit_labels' do
         assert [canonical_json(dataclasses.asdict(r)) for r in r2] == [
             canonical_json(dataclasses.asdict(r)) for r in records]
+
+
+class TestRagged:
+    """The one CSR type the labels and the training targets share."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_classes=st.integers(1, 9), scored=st.booleans(), data=st.data())
+    def test_take_and_dense_equal_per_row_reference(self, n_classes, scored, data):
+        # rows may be empty and may repeat a class id; a selection may repeat rows, take
+        # them in any order, or take none
+        per_row = data.draw(
+            st.lists(st.lists(st.integers(0, n_classes - 1), max_size=5), min_size=1, max_size=12)
+        )
+        rows = st.integers(0, len(per_row) - 1)
+        batch = np.array(
+            data.draw(st.just([]) | st.permutations(range(len(per_row)))
+                      | st.lists(rows, max_size=2 * len(per_row))),
+            dtype=np.int64,
+        )
+        scores = [[float(i) / 2 for i in row] for row in per_row]
+        target = labeler.Ragged.from_lists(
+            [list(zip(ids, s)) for ids, s in zip(per_row, scores)] if scored else per_row,
+            scored=scored)
+        assert target.indptr[-1] == target.ids.size == sum(map(len, per_row))
+        picked = target.take(batch)
+        assert picked.take(np.arange(len(batch))).lists() == picked.lists()
+        if scored:
+            assert picked.lists() == [list(zip(per_row[i], scores[i])) for i in batch]
+        else:
+            assert picked.lists() == [per_row[i] for i in batch] and picked.scores is None
+        assert np.array_equal(
+            target.dense(batch, n_classes), dense_targets_per_row(per_row, batch, n_classes)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored=st.booleans(), data=st.data())
+    def test_from_lists_round_trips(self, scored, data):
+        # ids as large as the payload holds exactly; zero rows, empty rows, repeated ids
+        ids = st.sampled_from([0, 2**53 - 1]) | st.integers(0, 2**53 - 1)
+        item = st.tuples(ids, st.floats(allow_nan=False)) if scored else ids
+        rows = data.draw(st.lists(st.lists(item, max_size=4), max_size=6))
+        csr = labeler.Ragged.from_lists(rows, scored=scored)
+        assert len(csr) == len(rows)
+        assert csr.indptr.dtype == csr.ids.dtype == np.int64
+        assert (csr.scores is not None) == scored
+        assert csr.lists() == rows
+        # plain Python ints and floats, as the record view hands them out
+        flat = [x for row in csr.lists() for x in (row if not scored else chain(*row))]
+        assert all(type(x) is (float if scored and k % 2 else int) for k, x in enumerate(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +781,9 @@ class TestAgainstPerSegmentPath:
         db, pkg, corpus = _random_world(np.random.default_rng(seed), integer_valued)
         sizes = dict(zip(("VNM_TOP_K", "VTM_CORPUS_TOP_K", "TCL_CORPUS_TOP_K", "VSM_TOP_K"), top_k))
         with mock.patch.multiple(labeler, NRL_TOP_PER_HOP=nrl_top, **sizes):
-            header, records = labeler.emit_labels(corpus, db, pkg)
+            header, labels = labeler.emit_labels(corpus, db, pkg)
         expected = emit_labels_per_segment(corpus, db, pkg, *top_k, nrl_top)
+        records = list(labels)
 
         # serialized form: equal values and plain Python ints and floats
         assert [canonical_json(dataclasses.asdict(r)) for r in records] == [
@@ -728,11 +797,12 @@ class TestAgainstPerSegmentPath:
             v.corpus_task_name is None for v in corpus.videos
         )
 
-        # load_labels of save_labels gives back emit_labels' header and records
+        # load_labels of save_labels gives back emit_labels' header and columns
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "labels.jsonl"
-            labeler.save_labels(header, records, path)
-            assert labeler.load_labels(path) == (header, records)
+            labeler.save_labels(header, labels, path)
+            loaded_header, loaded = labeler.load_labels(path)
+            assert loaded_header == header and _same_labels(loaded, labels)
 
 
 def _renumbered(pkg, perm):
@@ -775,8 +845,9 @@ class TestRenumberedGraph:
             save_graph(_renumbered(pkg, perm), path)
             moved = load_graph(path)
 
-        header, records = labeler.emit_labels(corpus, db, pkg)
-        moved_header, moved_records = labeler.emit_labels(corpus, db, moved)
+        header, labels = labeler.emit_labels(corpus, db, pkg)
+        moved_header, moved_labels = labeler.emit_labels(corpus, db, moved)
+        records, moved_records = list(labels), list(moved_labels)
         assert moved_header == header
         expected = emit_labels_per_segment(
             corpus, db, moved, labeler.VNM_TOP_K, labeler.VTM_CORPUS_TOP_K,

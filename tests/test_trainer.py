@@ -16,7 +16,6 @@ from builders import row_targets
 from oracles import (
     adam_per_tensor,
     bce_two_pass,
-    dense_targets_per_row,
     gradient_check,
     sigmoid_two_pass,
     softplus_two_pass,
@@ -24,7 +23,6 @@ from oracles import (
 from pkgforge.trainer import (
     HeadSpec,
     PaprikaModel,
-    SparseTargets,
     TrainConfig,
     head_specs_from_header,
     model_loss,
@@ -191,28 +189,6 @@ class TestBceBuffers:
         _, grad = bce_with_logits(logits, targets)
         assert np.array_equal(logits, kept[0]) and np.array_equal(targets, kept[1])
         assert not np.shares_memory(grad, logits) and not np.shares_memory(grad, targets)
-
-
-class TestSparseTargets:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        n_classes=st.integers(1, 9),
-        data=st.data(),
-    )
-    def test_batch_scatter_equals_per_row_reference(self, n_classes, data):
-        # rows may be empty and may repeat a class id
-        per_row = data.draw(
-            st.lists(st.lists(st.integers(0, n_classes - 1), max_size=5), min_size=1, max_size=12)
-        )
-        batch = np.array(
-            data.draw(st.lists(st.integers(0, len(per_row) - 1), max_size=2 * len(per_row))),
-            dtype=np.int64,
-        )
-        target = SparseTargets.from_rows(per_row)
-        assert target.indptr[-1] == target.indices.size == sum(map(len, per_row))
-        assert np.array_equal(
-            target.dense(batch, n_classes), dense_targets_per_row(per_row, batch, n_classes)
-        )
 
 
 def _same_bits(a, b):
