@@ -22,6 +22,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,98 @@ def atomic_write(path: str | Path, binary: bool = False):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# ---------------------------------------------------------------------------
+# ragged rows
+
+
+def row_offsets(lengths: np.ndarray) -> np.ndarray:
+    """CSR row offsets from row lengths: (rows + 1,) int64, starting at 0."""
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr
+
+
+@dataclass(frozen=True)
+class Ragged:
+    """Rows of int ids in CSR form, with a score beside each id where the rows rank
+    their ids: row i is ids[indptr[i]:indptr[i + 1]]. Memory is linear in the ids,
+    not in rows x classes. Pseudo labels, training targets, the graph's adjacency and
+    its k-hop neighborhoods all take this one form."""
+
+    indptr: np.ndarray  # (rows + 1,) int64
+    ids: np.ndarray  # (indptr[-1],) int64
+    scores: np.ndarray | None = None  # (indptr[-1],) f64, or int64 counts
+
+    @classmethod
+    def from_lists(cls, rows: list, scored: bool = False) -> "Ragged":
+        """From one sequence per row: of ids, or, if `scored`, of (id, score) pairs.
+        Ids may repeat within a row; scored ids pass through f64, exact below 2**53."""
+        indptr = row_offsets(np.fromiter(map(len, rows), np.int64, len(rows)))
+        total = int(indptr[-1])
+        if not scored:
+            return cls(indptr, np.fromiter(chain.from_iterable(rows), np.int64, total))
+        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.float64,
+                            2 * total).reshape(total, 2)
+        return cls(indptr, pairs[:, 0].astype(np.int64), pairs[:, 1].copy())
+
+    @classmethod
+    def grouped(cls, row: np.ndarray, ids: np.ndarray, rows: int,
+                scores: np.ndarray | None = None, reduce: np.ufunc = np.add) -> "Ragged":
+        """Rows 0..rows-1 of the entries (row[i], ids[i]), any order: per row its distinct
+        ids, ascending. Given scores, each id keeps `reduce` (np.add, np.maximum) over
+        the scores of its entries. Ids are non-negative."""
+        width = int(ids.max(initial=0)) + 1
+        key = row * width + ids
+        if scores is None:
+            key = np.sort(key)
+        else:
+            order = np.argsort(key, kind="stable")
+            key, scores = key[order], scores[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))  # keys are non-negative
+        kept_row, kept_ids = np.divmod(key[first], width)
+        return cls(row_offsets(np.bincount(kept_row, minlength=rows)), kept_ids,
+                   None if scores is None else reduce.reduceat(scores, first))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def rows(self) -> np.ndarray:
+        """The row of each id: (len(ids),) int64, ascending."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def take(self, rows: np.ndarray) -> "Ragged":
+        """The given rows, in that order; a row may be given more than once."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = row_offsets(counts)
+        # each kept id's position in ids: its row's start plus its rank in the row
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return Ragged(indptr, self.ids[at], None if self.scores is None else self.scores[at])
+
+    def ranked(self, k: int) -> "Ragged":
+        """Per row, up to k ids by descending score, ties by ascending id, with their
+        scores. Each row's ids must ascend, as `grouped` leaves them."""
+        order = np.lexsort((-self.scores, self.rows()))
+        counts = np.diff(self.indptr)
+        keep = order[np.arange(len(order)) - np.repeat(self.indptr[:-1], counts) < k]
+        return Ragged(row_offsets(np.minimum(counts, k)), self.ids[keep], self.scores[keep])
+
+    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
+        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
+        picked = self.take(rows)
+        out = np.zeros((len(picked), n_classes))
+        out[picked.rows(), picked.ids] = 1.0
+        return out
+
+    def lists(self) -> list[list]:
+        """One list per row: of int ids, or of (id, score) pairs where there are scores."""
+        items = self.ids.tolist()
+        if self.scores is not None:
+            items = list(zip(items, self.scores.tolist()))
+        bounds = self.indptr.tolist()
+        return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------

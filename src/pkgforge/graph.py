@@ -3,19 +3,24 @@
 Nodes are deduplicated step clusters; directed edges carry a confidence in
 [0, 1] and remember whether they came from the step database (score 1.0),
 the video corpus (log min-max normalized aggregate), or both.
+
+The edge list is the graph's one representation of its edges:
+`khop_neighbors` builds an adjacency CSR from it per query and advances
+many seed sets at once, one hop at a time, and `export_dot` walks the list
+itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import dedup, matcher
 from .corpus_io import (
-    JsonFile, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
+    JsonFile, Ragged, StepDatabase, atomic_write, canonical_json, check_json, fits_json,
 )
 
 SOURCE_DATABASE = "database"
@@ -42,12 +47,9 @@ class ProceduralKnowledgeGraph:
     nodes: list[StepNode]
     edges: list[DirectedEdge]
     config_hash: str | None = None
-    out_edges: dict[int, list[tuple[int, float]]] = field(init=False, repr=False)
-    in_edges: dict[int, list[tuple[int, float]]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._check()
-        self._index()
 
     def _check(self):
         ids = [n.node_id for n in self.nodes]
@@ -67,13 +69,6 @@ class ProceduralKnowledgeGraph:
                 raise ValueError(f"edge ({e.src}, {e.dst}) score {e.score} outside [0, 1]")
             if not (0 <= e.src < len(ids) and 0 <= e.dst < len(ids)):
                 raise ValueError(f"edge ({e.src}, {e.dst}) references unknown node")
-
-    def _index(self):
-        self.out_edges = {n.node_id: [] for n in self.nodes}
-        self.in_edges = {n.node_id: [] for n in self.nodes}
-        for e in self.edges:
-            self.out_edges[e.src].append((e.dst, e.score))
-            self.in_edges[e.dst].append((e.src, e.score))
 
     @property
     def num_nodes(self) -> int:
@@ -228,39 +223,37 @@ def build_graph(
 # queries
 
 
-def khop_neighbors(
-    graph: ProceduralKnowledgeGraph,
-    seed_nodes,
-    hops: int,
-    direction: str,
-) -> list[dict[int, float]]:
-    """Per hop k = 1..hops, node -> best path-product confidence from the seeds.
+def khop_neighbors(graph: ProceduralKnowledgeGraph, seeds: Ragged, hops: int,
+                   direction: str) -> list[Ragged]:
+    """Per hop k = 1..hops, one CSR with a row per row of seed nodes: the nodes reached,
+    ascending, each with its best path-product confidence from that row's seeds.
 
-    Hop-k confidence is the maximum, over directed paths of exactly k edges
-    leaving (direction "out") or entering (direction "in") any seed, of the
-    product of edge scores along the path. Nodes may reappear at several
-    hop depths; paths may revisit nodes.
+    Hop-k confidence is the maximum, over directed paths of exactly k edges leaving
+    (direction "out") or entering (direction "in") any seed, of the product of edge
+    scores along the path. Nodes may reappear at several hop depths; paths may revisit
+    nodes. All rows advance together, one hop at a time, and each hop extends only the
+    best product per (row, node): rounding is monotone, so no better path is lost.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
     if direction not in ("in", "out"):
         raise ValueError(f"direction must be 'in' or 'out', got {direction!r}")
-    adjacency = graph.out_edges if direction == "out" else graph.in_edges
-    for seed in seed_nodes:
-        if seed not in adjacency:
-            raise ValueError(f"seed node {seed} not in graph")
+    outside = (seeds.ids < 0) | (seeds.ids >= graph.num_nodes)
+    if outside.any():
+        raise ValueError(f"seed node {seeds.ids[outside][0]} not in graph")
 
-    frontier = {int(s): 1.0 for s in seed_nodes}
-    result: list[dict[int, float]] = []
+    ends = np.array([(e.src, e.dst) for e in graph.edges], dtype=np.int64).reshape(-1, 2).T
+    near, far = ends if direction == "out" else ends[::-1]
+    adjacency = Ragged.grouped(near, far, graph.num_nodes,
+                               np.array([e.score for e in graph.edges], dtype=np.float64))
+    reached = Ragged(seeds.indptr, seeds.ids, np.ones(len(seeds.ids)))
+    result: list[Ragged] = []
     for _ in range(hops):
-        nxt: dict[int, float] = {}
-        for node, conf in frontier.items():
-            for other, weight in adjacency[node]:
-                cand = weight * conf
-                if cand > nxt.get(other, -1.0):
-                    nxt[other] = cand
-        result.append(nxt)
-        frontier = nxt
+        step = adjacency.take(reached.ids)
+        fanout = np.diff(step.indptr)
+        reached = Ragged.grouped(np.repeat(reached.rows(), fanout), step.ids, len(seeds),
+                                 step.scores * np.repeat(reached.scores, fanout), np.maximum)
+        result.append(reached)
     return result
 
 
@@ -334,29 +327,21 @@ def graph_stats(graph: ProceduralKnowledgeGraph) -> dict:
     }
 
 
-def export_dot(
-    graph: ProceduralKnowledgeGraph, around_nodes: list[int] | None, hops: int
-) -> str:
+def export_dot(graph: ProceduralKnowledgeGraph, around_nodes: list[int] | None, hops: int) -> str:
     """Render the graph (or the hop-neighborhood of a node set) as DOT text."""
-    if around_nodes:
-        keep = set(around_nodes)
-        frontier = set(around_nodes)
-        for _ in range(hops):
-            nxt = set()
-            for node in frontier:
-                nxt.update(dst for dst, _ in graph.out_edges.get(node, []))
-                nxt.update(src for src, _ in graph.in_edges.get(node, []))
-            nxt -= keep
-            keep |= nxt
-            frontier = nxt
-    else:
-        keep = {n.node_id for n in graph.nodes}
+    keep = set(around_nodes or (n.node_id for n in graph.nodes))
+    frontier = set(around_nodes or ())
+    for _ in range(hops):  # edges count in both directions
+        frontier = ({e.dst for e in graph.edges if e.src in frontier}
+                    | {e.src for e in graph.edges if e.dst in frontier}) - keep
+        keep |= frontier
 
     lines = ["digraph pkg {", "  rankdir=LR;"]
     for node in graph.nodes:
         if node.node_id not in keep:
             continue
-        label = node.members[0][2].replace('"', "'")
+        # DOT reads \" as a quote inside a quoted string, so backslashes are doubled
+        label = node.members[0][2].replace("\\", "\\\\").replace('"', "'")
         if len(node.members) > 1:
             label += f" (+{len(node.members) - 1})"
         lines.append(f'  n{node.node_id} [label="{node.node_id}: {label}"];')

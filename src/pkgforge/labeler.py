@@ -13,10 +13,16 @@ and from the names the labels file and its header hold.
 
 vnm and vsm are read off each segment's own score row. The vtm, tcl and
 nrl families depend only on the set of matched nodes, so `emit_labels`
-derives them once per distinct set, numbered in first-seen order, and
-each record points at its set by index. The corpus variants read
-occurrence counts taken per node, and tcl_corpus ranks each corpus task
-column once, before any set is derived.
+numbers the distinct sets in first-seen order, each record points at its
+set by index, and each family is derived for all sets at once, as one
+`corpus_io.Ragged` CSR with a row per set:
+- vtm_db, tcl_db and tcl_corpus are unions: a mapping CSR (node -> tasks,
+  task -> nodes, corpus task -> top nodes) is gathered by `take` and
+  grouped per set by `Ragged.grouped`;
+- vtm_corpus sums each set's per-node occurrence counts the same way and
+  keeps the top columns by `Ragged.ranked`;
+- nrl ranks each hop of `graph.khop_neighbors`, which advances every set
+  together.
 
 Labels stay columnar from `emit_labels` to the trainer: `PseudoLabels`
 holds the per-record columns (video, segment index, set) and one `Ragged`
@@ -36,15 +42,16 @@ import hashlib
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import matcher
 from .corpus_io import (
-    CorpusFormatError, JsonFile, SegmentCorpus, StepDatabase, atomic_write, canonical_json,
-    check_json, matrix_beside, read_matrix_beside, write_matrix_beside,
+    CorpusFormatError, JsonFile, Ragged, SegmentCorpus, StepDatabase, atomic_write,
+    canonical_json, check_json, matrix_beside, read_matrix_beside, row_offsets,
+    write_matrix_beside,
 )
 from .graph import ProceduralKnowledgeGraph, khop_neighbors
 
@@ -63,6 +70,8 @@ TCL_CORPUS_TOP_K = 3
 VSM_TOP_K = 3
 NRL_TOP_PER_HOP = (5, 3)
 NRL_HOPS = len(NRL_TOP_PER_HOP)
+# sets summed at once by vtm_corpus_labels
+_SETS_PER_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -77,63 +86,6 @@ class OccurrenceMatrix:
 
     counts: np.ndarray  # (num_nodes, num_corpus_tasks) int64
     task_names: tuple[str, ...]
-
-
-def _indptr(lengths: np.ndarray) -> np.ndarray:
-    """CSR row offsets from row lengths: (rows + 1,) int64, starting at 0."""
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    return indptr
-
-
-@dataclass(frozen=True)
-class Ragged:
-    """Rows of int class ids in CSR form, with an f64 score beside each id where the
-    family ranks its ids: row i is ids[indptr[i]:indptr[i + 1]]. Memory is linear in
-    the ids, not in rows x classes."""
-
-    indptr: np.ndarray  # (rows + 1,) int64
-    ids: np.ndarray  # (indptr[-1],) int64
-    scores: np.ndarray | None = None  # (indptr[-1],) f64
-
-    @classmethod
-    def from_lists(cls, rows: list, scored: bool = False) -> "Ragged":
-        """From one sequence per row: of ids, or, if `scored`, of (id, score) pairs.
-        Ids may repeat within a row; scored ids pass through f64, exact below 2**53."""
-        indptr = _indptr(np.fromiter(map(len, rows), np.int64, len(rows)))
-        total = int(indptr[-1])
-        if not scored:
-            return cls(indptr, np.fromiter(chain.from_iterable(rows), np.int64, total))
-        pairs = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), np.float64,
-                            2 * total).reshape(total, 2)
-        return cls(indptr, pairs[:, 0].astype(np.int64), pairs[:, 1].copy())
-
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
-
-    def take(self, rows: np.ndarray) -> "Ragged":
-        """The given rows, in that order; a row may be given more than once."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        indptr = _indptr(counts)
-        # each kept id's position in ids: its row's start plus its rank in the row
-        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
-        return Ragged(indptr, self.ids[at], None if self.scores is None else self.scores[at])
-
-    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
-        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
-        picked = self.take(rows)
-        out = np.zeros((len(picked), n_classes))
-        out[np.repeat(np.arange(len(picked)), np.diff(picked.indptr)), picked.ids] = 1.0
-        return out
-
-    def lists(self) -> list[list]:
-        """One list per row: of int ids, or of (id, score) pairs where there are scores."""
-        items = self.ids.tolist()
-        if self.scores is not None:
-            items = list(zip(items, self.scores.tolist()))
-        bounds = self.indptr.tolist()
-        return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -207,157 +159,126 @@ def vnm_labels(node_scores: np.ndarray) -> list[tuple[int, float]]:
     return [(nid, float(node_scores[nid])) for nid in ids]
 
 
-def vtm_db_labels(vnm_nodes: list[int], node_tasks: list[list[int]]) -> list[int]:
-    """Sorted union of the database tasks (positions) behind the matched nodes' members."""
-    tasks: set[int] = set()
-    for nid in vnm_nodes:
-        tasks.update(node_tasks[nid])
-    return sorted(tasks)
+def unions(sets: Ragged, mapping: Ragged) -> Ragged:
+    """Per row of `sets`, the ascending distinct ids of the `mapping` rows its ids name;
+    where `mapping` has scores, each id keeps the sum of its scores over those rows."""
+    picked = mapping.take(sets.ids)
+    return Ragged.grouped(np.repeat(sets.rows(), np.diff(picked.indptr)), picked.ids, len(sets),
+                          picked.scores)
 
 
-def build_occurrence_matrix(
-    segment_vnm: list[list[int]],
-    video_task_names: list[str | None],
-    video_of_segment: list[int],
-    node_of: np.ndarray,
-) -> tuple[OccurrenceMatrix, int]:
+# vtm_db maps each set's nodes to their tasks, tcl_db each vtm_db row's tasks to
+# their nodes and tcl_corpus each vtm_corpus row's columns to their top nodes
+# (from top_nodes_per_corpus_task); the names keep the three label families apart
+vtm_db_labels = tcl_db_labels = tcl_corpus_labels = unions
+
+
+def _nonzero_rows(counts: np.ndarray) -> Ragged:
+    """Per row of a count matrix, its nonzero columns, ascending, with their counts."""
+    row, column = np.nonzero(counts)
+    return Ragged(row_offsets(np.bincount(row, minlength=len(counts))), column,
+                  counts[row, column])
+
+
+def build_occurrence_matrix(vnm: Ragged, video_task_names: list[str | None],
+                            video_of_segment: np.ndarray,
+                            node_of: np.ndarray) -> tuple[OccurrenceMatrix, int]:
     """Count matched-node member headlines against the videos' task names.
 
-    Each matched node adds its member count to the column of its segment's
-    video. Segments of videos without a task name are skipped; the number
-    of such videos is returned alongside the matrix so callers can report it.
+    Each node in a segment's vnm row adds its member count to the column of
+    the segment's video. Segments of videos without a task name are skipped;
+    the number of such videos is returned alongside the matrix so callers
+    can report it.
     """
     names = sorted({n for n in video_task_names if n is not None})
     column = {name: i for i, name in enumerate(names)}
-    sizes = np.bincount(node_of).tolist()
+    sizes = np.bincount(node_of)
     counts = np.zeros((len(sizes), len(names)), dtype=np.int64)
-    for seg_nodes, vi in zip(segment_vnm, video_of_segment):
-        col = column.get(video_task_names[vi])
-        if col is not None:
-            for nid in seg_nodes:
-                counts[nid, col] += sizes[nid]
+    video_column = np.array([column.get(name, -1) for name in video_task_names], dtype=np.int64)
+    columns = video_column[video_of_segment][vnm.rows()]
+    nodes = vnm.ids[columns >= 0]
+    np.add.at(counts, (nodes, columns[columns >= 0]), sizes[nodes])
     skipped = sum(1 for name in video_task_names if name is None)
     if skipped:
         log.warning("occurrence matrix skipped %d videos without task names", skipped)
     return OccurrenceMatrix(counts=counts, task_names=tuple(names)), skipped
 
 
-def vtm_corpus_labels(vnm_nodes: list[int], occ: OccurrenceMatrix) -> list[int]:
-    """The top VTM_CORPUS_TOP_K corpus task columns by summed node occurrence, ties by name."""
-    totals = occ.counts[list(vnm_nodes)].sum(axis=0)
-    return matcher.ranked_indices(totals, np.nonzero(totals)[0])[:VTM_CORPUS_TOP_K]
+def vtm_corpus_labels(sets: Ragged, occ: OccurrenceMatrix) -> Ragged:
+    """Per set, the top VTM_CORPUS_TOP_K corpus task columns by the occurrence count
+    summed over its nodes, ties by name. A block of sets is summed and ranked at a
+    time: a node may hold a count in every column, so one pass over all sets would
+    hold many times the labels it keeps."""
+    by_node, bounds = _nonzero_rows(occ.counts), range(_SETS_PER_BLOCK, len(sets), _SETS_PER_BLOCK)
+    tops = [unions(sets.take(block), by_node).ranked(VTM_CORPUS_TOP_K)
+            for block in np.array_split(np.arange(len(sets)), bounds)]
+    return Ragged(row_offsets(np.concatenate([np.diff(top.indptr) for top in tops])),
+                  np.concatenate([top.ids for top in tops]))
 
 
-def tcl_db_labels(vtm_tasks: list[int], task_nodes: list[tuple[int, ...]]) -> list[int]:
-    """Union of the node ids every matched task maps to, sorted."""
-    nodes: set[int] = set()
-    for task in vtm_tasks:
-        nodes.update(task_nodes[task])
-    return sorted(nodes)
-
-
-def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> list[list[int]]:
+def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> Ragged:
     """Per corpus task column, up to TCL_CORPUS_TOP_K nodes with the largest nonzero
     count, ranked."""
-    return [matcher.ranked_indices(col, np.nonzero(col)[0])[:TCL_CORPUS_TOP_K]
-            for col in occ.counts.T]
+    top = _nonzero_rows(occ.counts.T).ranked(TCL_CORPUS_TOP_K)
+    return Ragged(top.indptr, top.ids)
 
 
-# tcl_corpus unions the top nodes of each matched corpus task (from
-# top_nodes_per_corpus_task) as tcl_db unions each matched task's own
-# nodes; the two names keep the two label families apart
-tcl_corpus_labels = tcl_db_labels
-
-
-def nrl_labels(
-    vnm_nodes: list[int], graph: ProceduralKnowledgeGraph
-) -> dict[str, list[list[tuple[int, float]]]]:
-    """Ranked neighbors of the matched node set per direction, for hops 1..NRL_HOPS,
-    keeping NRL_TOP_PER_HOP[k] at hop k + 1."""
-    out: dict[str, list[list[tuple[int, float]]]] = {}
-    for direction in ("in", "out"):
-        per_hop = (khop_neighbors(graph, vnm_nodes, NRL_HOPS, direction) if vnm_nodes
-                   else [{}] * NRL_HOPS)
-        ranked_hops = []
-        for top, confidences in zip(NRL_TOP_PER_HOP, per_hop):
-            ranked = sorted(confidences.items(), key=lambda item: (-item[1], item[0]))
-            ranked_hops.append([(nid, conf) for nid, conf in ranked[:top]])
-        out[direction] = ranked_hops
-    return out
+def nrl_labels(sets: Ragged, graph: ProceduralKnowledgeGraph) -> dict[str, Ragged]:
+    """Per set, its ranked neighbors as the families nrl_<direction>_<hop>, for hops
+    1..NRL_HOPS, keeping NRL_TOP_PER_HOP[k] at hop k + 1."""
+    return {f"nrl_{direction}_{hop}": reached.ranked(top)
+            for direction in _DIRECTIONS
+            for hop, (top, reached) in enumerate(
+                zip(NRL_TOP_PER_HOP, khop_neighbors(graph, sets, NRL_HOPS, direction)), 1)}
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
 
-def task_node_map(db: StepDatabase, node_of: np.ndarray) -> list[tuple[int, ...]]:
-    """Per database task, in database order, the sorted node ids of its own steps."""
-    return [tuple(np.unique(node_of[task.start : task.stop]).tolist()) for task in db.tasks]
-
-
-def emit_labels(
-    corpus: SegmentCorpus, db: StepDatabase, graph: ProceduralKnowledgeGraph
-) -> tuple[dict, PseudoLabels]:
+def emit_labels(corpus: SegmentCorpus, db: StepDatabase,
+                graph: ProceduralKnowledgeGraph) -> tuple[dict, PseudoLabels]:
     """Generate one record of labels per segment, in (video, segment) order.
 
     Returns the labels file header (class-index spaces plus bookkeeping)
     and the labels as columns. Each video is scored with one matmul, and
-    vnm and vsm come from each segment's score row. The vtm, tcl and nrl
-    families are derived once per distinct set of matched nodes, numbered
-    in first-seen order. The label sizes are the module constants above.
+    vnm and vsm come from each segment's score row. Segments are then
+    grouped by their set of matched nodes, numbered in first-seen order,
+    and the vtm, tcl and nrl families are derived for all distinct sets at
+    once. The label sizes are the module constants above.
     """
     node_of = graph.node_of(db)
-    tasks_of = task_node_map(db, node_of)
-    node_tasks: list[list[int]] = [[] for _ in range(graph.num_nodes)]
-    for task, nodes in enumerate(tasks_of):
-        for nid in nodes:
-            node_tasks[nid].append(task)
 
     # vnm and vsm per segment. Videos are scored one call each: BLAS may round a
     # short video's rows differently once they are stacked into a larger matrix.
     rows: dict[str, list] = {"vnm": [], "vsm": []}
+    numbered: dict[tuple[int, ...], int] = {}
+    sets = []
     for video in corpus.videos:
         for row in matcher.score_video(video.segments, db):
             node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
-            rows["vnm"].append(vnm_labels(node_scores))
+            vnm = vnm_labels(node_scores)
+            rows["vnm"].append(vnm)
             rows["vsm"].append(
                 [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)])
+            sets.append(numbered.setdefault(tuple(sorted(nid for nid, _ in vnm)), len(numbered)))
+    # each family's lists are freed once its CSR is built
+    families = {name: Ragged.from_lists(rows.pop(name), scored=True) for name in ("vnm", "vsm")}
+    set_nodes = Ragged.from_lists(list(numbered))
 
     lengths = np.array([len(video.segments) for video in corpus.videos], dtype=np.int64)
     video_of = np.repeat(np.arange(len(lengths)), lengths)
-    segment_nodes = [[nid for nid, _ in vnm] for vnm in rows["vnm"]]
     occ, skipped = build_occurrence_matrix(
-        segment_nodes, [v.corpus_task_name for v in corpus.videos], video_of.tolist(), node_of)
+        families["vnm"], [v.corpus_task_name for v in corpus.videos], video_of, node_of)
 
-    top_nodes = top_nodes_per_corpus_task(occ)
-
-    def set_labels(nodes: list[int]) -> tuple:
-        """The set-derived families, in payload order: vtm and tcl, then nrl per hop."""
-        vtm_db = vtm_db_labels(nodes, node_tasks)
-        vtm_corpus = vtm_corpus_labels(nodes, occ)
-        tcl = tcl_db_labels(vtm_db, tasks_of), tcl_corpus_labels(vtm_corpus, top_nodes)
-        nrl = nrl_labels(nodes, graph)
-        return (vtm_db, vtm_corpus, *tcl, *nrl["in"], *nrl["out"])
-
-    families = _families(NRL_HOPS)
-    set_families = [family for family, owner, _, _ in families if owner == "set"]
-    rows |= {family: [] for family in set_families}
-    derived: dict[tuple[int, ...], int] = {}
-
-    def set_index(nodes: list[int]) -> int:
-        key = tuple(sorted(nodes))
-        index = derived.get(key)
-        if index is None:
-            index = derived[key] = len(derived)
-            for family, value in zip(set_families, set_labels(list(key))):
-                rows[family].append(value)
-        return index
-
-    sets = np.fromiter(map(set_index, segment_nodes), np.int64, len(segment_nodes))
-    del segment_nodes
-    # each family's lists are freed once its CSR is built
-    csr = {family: Ragged.from_lists(rows.pop(family), scored)
-           for family, _, _, scored in families}
+    task_of = np.repeat(np.arange(len(db.tasks)), [task.stop - task.start for task in db.tasks])
+    families["vtm_db"] = vtm_db_labels(set_nodes, Ragged.grouped(node_of, task_of, graph.num_nodes))
+    families["vtm_corpus"] = vtm_corpus_labels(set_nodes, occ)
+    families["tcl_db"] = tcl_db_labels(families["vtm_db"],
+                                       Ragged.grouped(task_of, node_of, len(db.tasks)))
+    families["tcl_corpus"] = tcl_corpus_labels(families["vtm_corpus"],
+                                               top_nodes_per_corpus_task(occ))
+    families |= nrl_labels(set_nodes, graph)
 
     # a video without segments has no record, so it has no place in video_ids
     video_ids: dict[str, int] = {}
@@ -368,8 +289,8 @@ def emit_labels(
         video_ids=tuple(video_ids),
         video=np.repeat(np.array(position, dtype=np.int64), lengths),
         segment_index=np.arange(len(video_of)) - starts[video_of],
-        set=sets,
-        families=csr,
+        set=np.array(sets, dtype=np.int64),
+        families=families,
     )
 
     header = {
@@ -377,7 +298,7 @@ def emit_labels(
         "config_hash": graph.config_hash,
         "num_videos": len(corpus.videos),
         "num_segments": len(labels),
-        "num_sets": len(derived),
+        "num_sets": len(set_nodes),
         "num_nodes": graph.num_nodes,
         "num_headlines": db.num_headlines,
         "task_ids": [t.task_id for t in db.tasks],
@@ -550,7 +471,7 @@ def load_labels(path: str | Path) -> tuple[dict, PseudoLabels]:
         bound = header[bound_key]
         _check_ints(payload, col[f"{family}_id"], bound if type(bound) is int else len(bound),
                     f"{family}_id", owner, lengths)
-        families[family] = Ragged(_indptr(lengths.astype(np.int64)),
+        families[family] = Ragged(row_offsets(lengths.astype(np.int64)),
                                   col[f"{family}_id"].astype(np.int64),
                                   col[f"{family}_score"] if scored else None)
     labels = PseudoLabels(tuple(header["video_ids"]), *(col[name].astype(np.int64)

@@ -10,11 +10,12 @@ a time.
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
 headline-level corpus counting, node scoring, per-step database walks and
-record loop and nrl cut, and reads vtm_db off the graph's members. It
-borrows from the package only the operations that did not change with it
-(tcl_db's union and nrl's `khop_neighbors`). Like the package, it names
-database tasks by their position in the database and corpus tasks by
-their column, the sorted name order.
+record loop and nrl cut, reads vtm_db off the graph's members, unions
+tcl_db over the per-step task walk and takes nrl's neighbors from
+`khop_bruteforce`. It builds the package's `PseudoLabelSet` records and
+calls no package label function. Like the package, it names database
+tasks by their position in the database and corpus tasks by their column,
+the sorted name order.
 
 `save_step_database_json` and `load_step_database_json` are the
 steps.jsonl layout with inline JSON embeddings that the binary steps.f64
@@ -48,7 +49,6 @@ import numpy as np
 
 from pkgforge import downstream, labeler, trainer
 from pkgforge.corpus_io import StepDatabase, checkpoint_from_params
-from pkgforge.graph import khop_neighbors
 from pkgforge.nn import AdamState, adam_step, softmax_cross_entropy
 
 
@@ -310,15 +310,18 @@ def tcl_corpus_per_segment(vtm_columns, counts, members_of, k):
     return sorted(out)
 
 
+def tcl_db_per_segment(vtm_db, tasks_of):
+    """Union of the nodes each matched task's own steps map to, sorted."""
+    return sorted(set().union(*(tasks_of[task] for task in vtm_db)))
+
+
 def nrl_per_segment(ids, graph, nrl_top_per_hop):
     """Each direction's hop-k neighbors of ids, fully sorted, cut at nrl_top_per_hop[k - 1]."""
-    hops = len(nrl_top_per_hop)
-    out = {}
-    for direction in ("in", "out"):
-        per_hop = khop_neighbors(graph, ids, hops, direction) if ids else [{}] * hops
-        out[direction] = [sorted(conf.items(), key=lambda item: (-item[1], item[0]))[:top]
-                          for top, conf in zip(nrl_top_per_hop, per_hop)]
-    return out
+    edges = [(e.src, e.dst, e.score) for e in graph.edges]
+    return {direction: [sorted(conf.items(), key=lambda item: (-item[1], item[0]))[:top]
+                        for top, conf in zip(nrl_top_per_hop, khop_bruteforce(
+                            edges, ids, len(nrl_top_per_hop), direction))]
+            for direction in ("in", "out")}
 
 
 def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k, vsm_k,
@@ -361,7 +364,7 @@ def emit_labels_per_segment(corpus, db, graph, vnm_k, vtm_corpus_k, tcl_corpus_k
                     vnm=vnm,
                     vtm_db=vtm_db,
                     vtm_corpus=vtm_corpus,
-                    tcl_db=labeler.tcl_db_labels(vtm_db, tasks_of),
+                    tcl_db=tcl_db_per_segment(vtm_db, tasks_of),
                     tcl_corpus=tcl_corpus_per_segment(
                         vtm_corpus, counts, members_of, tcl_corpus_k
                     ),

@@ -19,6 +19,7 @@ from pkgforge import labeler, synthgen, trainer
 from pkgforge.cli import main as cli_main
 from pkgforge.config import PipelineConfig, synthetic_preset
 from pkgforge.corpus_io import (
+    Ragged,
     load_checkpoint,
     load_segment_corpus,
     load_step_database,
@@ -159,7 +160,9 @@ def test_criterion_04_nrl_khop_oracle():
         seeds = [int(s) for s in rng.choice(n, size=n_seeds, replace=False)]
         hops = int(rng.integers(1, 4))
         for direction in ("in", "out"):
-            got = G.khop_neighbors(pkg, seeds, hops, direction)
+            # one seed set, as a one-row CSR; each hop's result is read off its row 0
+            got = [dict(hop.lists()[0])
+                   for hop in G.khop_neighbors(pkg, Ragged.from_lists([seeds]), hops, direction)]
             want = khop_bruteforce(edges, seeds, hops, direction)
             for k in range(hops):
                 assert set(got[k]) == set(want[k]), f"hop {k + 1} node set, seed {seed}"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pkgforge import graph as G
 from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_INSTANCE_THRESHOLD, PAPER_MATCH_THRESHOLD
-from pkgforge.corpus_io import CorpusFormatError, SegmentCorpus, StepDatabase, Video
+from pkgforge.corpus_io import CorpusFormatError, Ragged, SegmentCorpus, StepDatabase, Video
 
 from oracles import khop_bruteforce, transitions_bruteforce
 
@@ -182,6 +182,17 @@ class TestAssembleGraph:
             )
 
 
+def _one_set(pkg, seeds, hops, direction):
+    """khop_neighbors of the one seed set `seeds`: per hop, node -> confidence, read off
+    the result's only row, whose nodes must ascend."""
+    out = []
+    for hop in G.khop_neighbors(pkg, Ragged.from_lists([list(seeds)]), hops, direction):
+        (row,) = hop.lists()
+        assert [node for node, _ in row] == sorted(node for node, _ in row)
+        out.append(dict(row))
+    return out
+
+
 class TestKhop:
     def _graph(self, n, edges):
         nodes = [G.StepNode(i, ((f"t", i, f"h{i}"),)) for i in range(n)]
@@ -192,22 +203,22 @@ class TestKhop:
 
     def test_chain_both_directions(self):
         pkg = self._graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        assert G.khop_neighbors(pkg, [1], 1, "in") == [{0: 1.0}]
-        assert G.khop_neighbors(pkg, [1], 1, "out") == [{2: 1.0}]
+        assert _one_set(pkg, [1], 1, "in") == [{0: 1.0}]
+        assert _one_set(pkg, [1], 1, "out") == [{2: 1.0}]
 
     def test_chain_products(self):
         pkg = self._graph(3, [(0, 1, 0.5), (1, 2, 0.4)])
-        hops = G.khop_neighbors(pkg, [0], 2, "out")
+        hops = _one_set(pkg, [0], 2, "out")
         assert hops[1] == {2: pytest.approx(0.2, abs=1e-12)}
 
     def test_diamond_max_path(self):
         pkg = self._graph(4, [(0, 1, 0.9), (1, 3, 0.5), (0, 2, 0.8), (2, 3, 0.8)])
-        hops = G.khop_neighbors(pkg, [0], 2, "out")
+        hops = _one_set(pkg, [0], 2, "out")
         assert hops[1][3] == pytest.approx(0.64, abs=1e-12)
 
     def test_cycle_revisits_seed(self):
         pkg = self._graph(2, [(0, 1, 0.5), (1, 0, 0.5)])
-        hops = G.khop_neighbors(pkg, [0], 2, "out")
+        hops = _one_set(pkg, [0], 2, "out")
         assert hops[1] == {0: pytest.approx(0.25)}
 
     def test_oracle_random_graphs(self):
@@ -225,7 +236,7 @@ class TestKhop:
             seeds = sorted(rng.choice(n, size=n_seeds, replace=False))
             hops = int(rng.integers(1, 4))
             for direction in ("in", "out"):
-                got = G.khop_neighbors(pkg, [int(s) for s in seeds], hops, direction)
+                got = _one_set(pkg, [int(s) for s in seeds], hops, direction)
                 want = khop_bruteforce(edges, seeds, hops, direction)
                 for k in range(hops):
                     assert set(got[k]) == set(want[k])
@@ -254,17 +265,45 @@ class TestKhop:
                     w = rng.choice([0.25, 0.5, 1.0]) if tied else rng.uniform(0.01, 1.0)
                     edges.append((s, d, float(w)))
         seeds = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()
-        got = G.khop_neighbors(self._graph(n, edges), seeds, hops, direction)
+        got = _one_set(self._graph(n, edges), seeds, hops, direction)
         assert got == khop_bruteforce(edges, seeds, hops, direction)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        density=st.sampled_from([0.0, 0.3, 0.7]),
+        hops=st.integers(1, 4),
+        direction=st.sampled_from(["in", "out"]),
+        n_sets=st.integers(0, 12),
+    )
+    def test_batched_sets_equal_oracle_row_by_row(self, seed, n, density, hops, direction,
+                                                  n_sets):
+        # many seed sets in one call, with empty, repeated and unsorted sets, tied and
+        # zero-score edges and nodes without edges: each row is its own set's result
+        rng = np.random.default_rng(seed)
+        edges = [(s, d, float(rng.choice([0.0, 0.25, 0.5, 1.0, rng.uniform(0.01, 1.0)])))
+                 for s in range(n) for d in range(n) if s != d and rng.random() < density]
+        sets = [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+                for _ in range(n_sets)]
+        sets += sets[: n_sets // 3]
+        got = G.khop_neighbors(self._graph(n, edges), Ragged.from_lists(sets), hops, direction)
+        assert len(got) == hops
+        for k, hop in enumerate(got):
+            assert len(hop) == len(sets) and hop.ids.dtype == np.int64
+            assert hop.scores.dtype == np.float64
+            for seeds, row in zip(sets, hop.lists()):
+                want = khop_bruteforce(edges, seeds, hops, direction)[k]
+                assert row == sorted(want.items())
 
     def test_bad_args(self):
         pkg = self._graph(2, [(0, 1, 0.5)])
         with pytest.raises(ValueError, match="hops"):
-            G.khop_neighbors(pkg, [0], 0, "out")
+            G.khop_neighbors(pkg, Ragged.from_lists([[0]]), 0, "out")
         with pytest.raises(ValueError, match="direction"):
-            G.khop_neighbors(pkg, [0], 1, "sideways")
+            G.khop_neighbors(pkg, Ragged.from_lists([[0]]), 1, "sideways")
         with pytest.raises(ValueError, match="seed"):
-            G.khop_neighbors(pkg, [9], 1, "out")
+            G.khop_neighbors(pkg, Ragged.from_lists([[0], [9]]), 1, "out")
 
 
 class TestSerialization:
@@ -350,6 +389,19 @@ class TestSerialization:
         assert "n0 -> n1" in dot and "n1 -> n2" in dot
         around = G.export_dot(pkg, around_nodes=[0], hops=1)
         assert "n0 -> n1" in around and "n2" not in around
+        # the neighborhood walks edges both ways, one hop per step
+        assert "n2" in G.export_dot(pkg, around_nodes=[1], hops=1)
+        assert "n2" not in G.export_dot(pkg, around_nodes=[0], hops=1)
+        assert "n1 -> n2" in G.export_dot(pkg, around_nodes=[0], hops=2)
+
+    def test_dot_label_escapes_backslash(self):
+        # a trailing backslash must not escape the label's closing quote; a double
+        # quote still becomes a single one, as it always has
+        nodes = [G.StepNode(0, (("t", 0, "press C:\\"),)),
+                 G.StepNode(1, (("t", 1, 'say "hi" \\n'),))]
+        lines = G.export_dot(G.ProceduralKnowledgeGraph(nodes, []), None, 1).splitlines()
+        assert '  n0 [label="0: press C:\\\\"];' in lines
+        assert "  n1 [label=\"1: say 'hi' \\\\n\"];" in lines
 
 
 class TestBuildGraph:

@@ -20,6 +20,7 @@ from pkgforge import labeler, synthgen
 from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD
 from pkgforge.corpus_io import (
     CorpusFormatError,
+    Ragged,
     SegmentCorpus,
     StepDatabase,
     Video,
@@ -32,7 +33,11 @@ from pkgforge.graph import (
 from pkgforge.synthgen import WorldConfig, graph_recovery_metrics
 
 from builders import SET_FIELDS, labels_from_records
-from oracles import assignment_walk, dense_targets_per_row, emit_labels_per_segment
+from oracles import (
+    assignment_walk, dense_targets_per_row, emit_labels_per_segment, members_walk, nrl_per_segment,
+    summed_per_node, task_node_map_walk, tcl_corpus_per_segment, tcl_db_per_segment,
+    vtm_corpus_per_segment, vtm_db_per_segment,
+)
 
 
 def _tiny_world(task_ids=("t0", "t1")):
@@ -77,19 +82,16 @@ class TestVnmAndVtm:
 
     def test_vtm_db_union_sorted(self):
         # the tiny world's tasks per node: node 1 belongs to both
-        node_tasks = [[0], [0, 1], [1]]
-        assert labeler.vtm_db_labels([1], node_tasks) == [0, 1]
-        assert labeler.vtm_db_labels([2, 0], node_tasks) == [0, 1]
-        assert labeler.vtm_db_labels([0, 1, 2], node_tasks) == [0, 1]
-        assert labeler.vtm_db_labels([0], node_tasks) == [0]
-        assert labeler.vtm_db_labels([], node_tasks) == []
+        node_tasks = Ragged.from_lists([[0], [0, 1], [1]])
+        sets = Ragged.from_lists([[1], [2, 0], [0, 1, 2], [0], []])
+        assert labeler.vtm_db_labels(sets, node_tasks).lists() == [[0, 1], [0, 1], [0, 1], [0], []]
 
 
 class TestOccurrenceMatrix:
     def test_single_increment(self):
         _, node_of, _ = _tiny_world()
         occ, skipped = labeler.build_occurrence_matrix(
-            [[1]], ["task zero"], [0], node_of
+            Ragged.from_lists([[1]]), ["task zero"], np.array([0]), node_of
         )
         assert skipped == 0
         # node 1 has two members, headlines 1 and 2
@@ -100,13 +102,14 @@ class TestOccurrenceMatrix:
     def test_additivity(self):
         _, node_of, _ = _tiny_world()
         occ, _ = labeler.build_occurrence_matrix(
-            [[1], [1]], ["task zero"], [0, 0], node_of
+            Ragged.from_lists([[1], [1]]), ["task zero"], np.array([0, 0]), node_of
         )
         assert occ.counts[1, 0] == 4
 
     def test_unnamed_videos_skipped(self):
         _, node_of, _ = _tiny_world()
-        occ, skipped = labeler.build_occurrence_matrix([[0]], [None], [0], node_of)
+        occ, skipped = labeler.build_occurrence_matrix(
+            Ragged.from_lists([[0]]), [None], np.array([0]), node_of)
         assert skipped == 1
         assert occ.counts.shape == (3, 0)
 
@@ -116,7 +119,8 @@ class TestOccurrenceMatrix:
         names = ["a", "b", None]
         video_of = [int(rng.integers(0, 3)) for _ in range(30)]
         vnm = [list(rng.choice(3, size=int(rng.integers(0, 3)), replace=False)) for _ in range(30)]
-        occ, _ = labeler.build_occurrence_matrix(vnm, names, video_of, node_of)
+        occ, _ = labeler.build_occurrence_matrix(
+            Ragged.from_lists(vnm), names, np.array(video_of), node_of)
         sizes = [1, 2, 1]  # node 1 holds headlines 1 and 2
         expected = sum(
             sum(sizes[n] for n in nodes)
@@ -131,59 +135,65 @@ class TestCorpusVariants:
         occ = labeler.OccurrenceMatrix(
             counts=np.array([[5, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
-        assert labeler.vtm_corpus_labels([0], occ) == [0]
-        assert labeler.vtm_corpus_labels([0, 1], occ) == [0, 1]
-        assert labeler.vtm_corpus_labels([1], occ) == [1]
+        sets = Ragged.from_lists([[0], [0, 1], [1]])
+        assert labeler.vtm_corpus_labels(sets, occ).lists() == [[0], [0, 1], [1]]
 
     def test_vtm_corpus_all_zero(self):
         occ = labeler.OccurrenceMatrix(counts=np.zeros((3, 2), dtype=int), task_names=("T1", "T2"))
-        assert labeler.vtm_corpus_labels([0, 1, 2], occ) == []
+        assert labeler.vtm_corpus_labels(Ragged.from_lists([[0, 1, 2]]), occ).lists() == [[]]
 
     def test_vtm_corpus_lexicographic_tie(self):
         # column order is the sorted name order, so a tie by column is a tie by name
         occ = labeler.OccurrenceMatrix(
             counts=np.array([[1, 4, 4], [0, 0, 0], [0, 0, 0]]), task_names=("TA", "TB", "TC")
         )
-        assert labeler.vtm_corpus_labels([0], occ) == [1, 2, 0]
+        assert labeler.vtm_corpus_labels(Ragged.from_lists([[0]]), occ).lists() == [[1, 2, 0]]
 
     def test_tcl_db(self):
         db, node_of, pkg = _tiny_world()
-        tasks_of = labeler.task_node_map(db, node_of)
-        assert tasks_of == [(0, 1), (1, 2)]
-        assert labeler.tcl_db_labels([0], tasks_of) == [0, 1]
-        assert labeler.tcl_db_labels([1], tasks_of) == [1, 2]
-        assert labeler.tcl_db_labels([0, 1], tasks_of) == [0, 1, 2]
-        assert labeler.tcl_db_labels([], tasks_of) == []
+        task_of = np.repeat(np.arange(len(db.tasks)), [t.stop - t.start for t in db.tasks])
+        tasks_of = Ragged.grouped(task_of, node_of, len(db.tasks))
+        assert tasks_of.lists() == [[0, 1], [1, 2]]
+        vtm_db = Ragged.from_lists([[0], [1], [0, 1], []])
+        assert labeler.tcl_db_labels(vtm_db, tasks_of).lists() == [[0, 1], [1, 2], [0, 1, 2], []]
 
     def test_tcl_corpus_top3_nonzero(self):
         occ = labeler.OccurrenceMatrix(counts=np.array([[7], [3], [0]]), task_names=("T1",))
         top_nodes = labeler.top_nodes_per_corpus_task(occ)
-        assert top_nodes == [[0, 1]]
-        assert labeler.tcl_corpus_labels([0], top_nodes) == [0, 1]
+        assert top_nodes.lists() == [[0, 1]]
+        assert labeler.tcl_corpus_labels(Ragged.from_lists([[0]]), top_nodes).lists() == [[0, 1]]
 
     def test_tcl_corpus_union(self):
         occ = labeler.OccurrenceMatrix(
             counts=np.array([[1, 0], [0, 2], [0, 0]]), task_names=("T1", "T2")
         )
         top_nodes = labeler.top_nodes_per_corpus_task(occ)
-        assert top_nodes == [[0], [1]]
-        assert labeler.tcl_corpus_labels([1], top_nodes) == [1]
-        assert labeler.tcl_corpus_labels([0, 1], top_nodes) == [0, 1]
-        assert labeler.tcl_corpus_labels([], top_nodes) == []
+        assert top_nodes.lists() == [[0], [1]]
+        vtm_corpus = Ragged.from_lists([[1], [0, 1], []])
+        assert labeler.tcl_corpus_labels(vtm_corpus, top_nodes).lists() == [[1], [0, 1], []]
+
+
+def _nrl_of_set(nodes, pkg):
+    """nrl_labels of the one set `nodes`: family -> that set's ranked (node, confidence)
+    list, in payload order."""
+    got = labeler.nrl_labels(Ragged.from_lists([nodes]), pkg)
+    assert list(got) == ["nrl_in_1", "nrl_in_2", "nrl_out_1", "nrl_out_2"]
+    assert all(len(csr) == 1 for csr in got.values())
+    return {family: csr.lists()[0] for family, csr in got.items()}
 
 
 class TestNrl:
     def test_chain(self):
         _, _, pkg = _tiny_world()
-        got = labeler.nrl_labels([1], pkg)
-        assert got["in"][0] == [(0, 1.0)]
-        assert got["out"][0] == [(2, 1.0)]
+        got = _nrl_of_set([1], pkg)
+        assert got["nrl_in_1"] == [(0, 1.0)]
+        assert got["nrl_out_1"] == [(2, 1.0)]
 
     def test_isolated_node(self):
         nodes = [StepNode(0, (("t", 0, "h"),)), StepNode(1, (("t", 1, "g"),))]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=[])
-        got = labeler.nrl_labels([0], pkg)
-        assert got == {"in": [[], []], "out": [[], []]}
+        got = _nrl_of_set([0], pkg)
+        assert got == {"nrl_in_1": [], "nrl_in_2": [], "nrl_out_1": [], "nrl_out_2": []}
 
     def test_diamond_second_hop(self):
         nodes = [StepNode(i, (("t", i, f"h{i}"),)) for i in range(4)]
@@ -194,15 +204,90 @@ class TestNrl:
             DirectedEdge(2, 3, 0.8, ("corpus",)),
         ]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
-        got = labeler.nrl_labels([0], pkg)
-        assert got["out"][1] == [(3, pytest.approx(0.64))]
+        got = _nrl_of_set([0], pkg)
+        assert got["nrl_out_2"] == [(3, pytest.approx(0.64))]
 
     def test_top_per_hop_truncation(self):
         nodes = [StepNode(i, (("t", i, f"h{i}"),)) for i in range(8)]
         edges = [DirectedEdge(0, d, 1.0 - 0.01 * d, ("corpus",)) for d in range(1, 8)]
         pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
-        got = labeler.nrl_labels([0], pkg)
-        assert [n for n, _ in got["out"][0]] == [1, 2, 3, 4, 5]
+        got = _nrl_of_set([0], pkg)
+        assert [n for n, _ in got["nrl_out_1"]] == [1, 2, 3, 4, 5]
+
+
+def _random_sets(rng, num_nodes, count):
+    """`count` node sets of 0..3 distinct nodes each, in no particular order."""
+    return [rng.choice(num_nodes, size=int(rng.integers(0, min(num_nodes, 3) + 1)),
+                       replace=False).tolist() for _ in range(count)]
+
+
+class TestSetKernels:
+    """Each set family for many sets in one call against its per-set referee in
+    oracles.py, on random inputs with tied scores and counts, zero-score edges,
+    empty sets, nodes without edges and nodes in no corpus task."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 10))
+    def test_vtm_db_and_tcl_db(self, seed, n_sets):
+        rng = np.random.default_rng(seed)
+        db, pkg, _ = _random_world(rng, integer_valued=True)
+        node_of = pkg.node_of(db)
+        task_of = np.repeat(np.arange(len(db.tasks)), [t.stop - t.start for t in db.tasks])
+        sets = _random_sets(rng, pkg.num_nodes, n_sets)
+        vtm_db = labeler.vtm_db_labels(Ragged.from_lists(sets),
+                                       Ragged.grouped(node_of, task_of, pkg.num_nodes))
+        position = {task.task_id: i for i, task in enumerate(db.tasks)}
+        assert vtm_db.lists() == [vtm_db_per_segment(nodes, pkg, position) for nodes in sets]
+        tcl_db = labeler.tcl_db_labels(vtm_db, Ragged.grouped(task_of, node_of, len(db.tasks)))
+        tasks_of = task_node_map_walk(db, node_of)
+        assert tcl_db.lists() == [tcl_db_per_segment(tasks, tasks_of) for tasks in vtm_db.lists()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 10),
+           top_k=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    def test_vtm_corpus_and_tcl_corpus(self, seed, n_sets, top_k):
+        rng = np.random.default_rng(seed)
+        n_headlines, n_columns = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        groups = np.unique(rng.integers(0, n_headlines, size=n_headlines), return_inverse=True)[1]
+        members_of = members_walk(rng.permutation(groups.max() + 1)[groups])
+        # counts of 0..2 tie often, and a headline row of zeros can leave a node in no
+        # corpus task
+        counts = rng.integers(0, 3, size=(n_headlines, n_columns)) * (
+            rng.random((n_headlines, 1)) < 0.7)
+        names = [f"c{c}" for c in range(n_columns)]  # sorted, so columns tie by name
+        occ = labeler.OccurrenceMatrix(summed_per_node(counts, members_of), tuple(names))
+        sets = _random_sets(rng, len(members_of), n_sets)
+        sizes = dict(VTM_CORPUS_TOP_K=top_k[0], TCL_CORPUS_TOP_K=top_k[1])
+        with mock.patch.multiple(labeler, **sizes):
+            vtm_corpus = labeler.vtm_corpus_labels(Ragged.from_lists(sets), occ)
+            tcl_corpus = labeler.tcl_corpus_labels(vtm_corpus,
+                                                   labeler.top_nodes_per_corpus_task(occ))
+        assert vtm_corpus.lists() == [
+            vtm_corpus_per_segment(nodes, counts, names, members_of, top_k[0]) for nodes in sets]
+        assert tcl_corpus.lists() == [tcl_corpus_per_segment(columns, counts, members_of, top_k[1])
+                                      for columns in vtm_corpus.lists()]
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_sets=st.integers(0, 10),
+           nrl_top=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    def test_nrl(self, seed, n_sets, nrl_top):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        nodes = [StepNode(i, (("t", i, f"h{i}"),)) for i in range(n)]
+        # tied scores, and 0.0, the score min-max normalisation gives the weakest
+        # corpus edge; sparse edges leave some nodes without any
+        edges = [DirectedEdge(s, d, float(rng.choice([0.0, 0.5, 1.0]) if rng.random() < 0.6
+                                          else rng.uniform()), ("corpus",))
+                 for s in range(n) for d in range(n) if s != d and rng.random() < 0.4]
+        pkg = ProceduralKnowledgeGraph(nodes=nodes, edges=edges)
+        sets = _random_sets(rng, n, n_sets)
+        with mock.patch.object(labeler, "NRL_TOP_PER_HOP", nrl_top):
+            got = labeler.nrl_labels(Ragged.from_lists(sets), pkg)
+        want = [nrl_per_segment(nodes, pkg, nrl_top) for nodes in sets]
+        assert list(got) == ["nrl_in_1", "nrl_in_2", "nrl_out_1", "nrl_out_2"]
+        for family, csr in got.items():
+            _, direction, hop = family.split("_")
+            assert csr.lists() == [per_set[direction][int(hop) - 1] for per_set in want]
 
 
 class TestEmitLabels:
@@ -702,6 +787,36 @@ class TestRagged:
         )
 
     @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(0, 5), data=st.data())
+    def test_grouped_equals_per_row_reference(self, rows, data):
+        # entries in any order, with repeated (row, id) pairs; zero rows, empty rows, or
+        # no entries at all
+        entries = data.draw(st.lists(
+            st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, 9), st.integers(-3, 3)),
+            max_size=20 if rows else 0))
+        row, ids, scores = np.array(entries, dtype=np.int64).reshape(-1, 3).T
+        want = [sorted({i for r, i, _ in entries if r == k}) for k in range(rows)]
+        plain = Ragged.grouped(row, ids, rows)
+        assert plain.lists() == want and plain.scores is None and len(plain) == rows
+        assert plain.ids.dtype == plain.indptr.dtype == np.int64
+        for reduce, fold, values in ((np.add, sum, scores), (np.maximum, max, scores / 2)):
+            got = Ragged.grouped(row, ids, rows, values, reduce)
+            assert got.lists() == [
+                [(i, fold(v for (r, j, _), v in zip(entries, values.tolist()) if (r, j) == (k, i)))
+                 for i in ids_of_row] for k, ids_of_row in enumerate(want)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 4), data=st.data())
+    def test_ranked_equals_per_row_sort(self, k, data):
+        # scores tie often (0.0 and -0.0 too); rows may be empty, and there may be none
+        per_row = data.draw(st.lists(st.dictionaries(
+            st.integers(0, 9), st.sampled_from([-0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1, 1)),
+            max_size=6))
+        csr = Ragged.from_lists([sorted(row.items()) for row in per_row], scored=True)
+        assert csr.ranked(k).lists() == [
+            sorted(row.items(), key=lambda item: (-item[1], item[0]))[:k] for row in per_row]
+
+    @settings(max_examples=200, deadline=None)
     @given(scored=st.booleans(), data=st.data())
     def test_from_lists_round_trips(self, scored, data):
         # ids as large as the payload holds exactly; zero rows, empty rows, repeated ids
@@ -860,8 +975,10 @@ class TestRenumberedGraph:
         # per corpus task column, the nodes that must and the nodes that may rank in its top k
         video_of = {v.video_id: i for i, v in enumerate(corpus.videos)}
         occ, _ = labeler.build_occurrence_matrix(
-            [[n for n, _ in r.vnm] for r in records], [v.corpus_task_name for v in corpus.videos],
-            [video_of[r.video_id] for r in records], np.array(assignment_walk(pkg, db)[0]),
+            Ragged.from_lists([[n for n, _ in r.vnm] for r in records]),
+            [v.corpus_task_name for v in corpus.videos],
+            np.array([video_of[r.video_id] for r in records], dtype=np.int64),
+            np.array(assignment_walk(pkg, db)[0]),
         )
         must, may = [], []
         for col in occ.counts.T:

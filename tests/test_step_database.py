@@ -2,7 +2,7 @@
 
 Each property builds a database from nested per-task step lists and checks
 every reader of the task ranges (headline order, database transitions, the
-task -> nodes map, graph.node_of) and the node-level corpus counts
+task -> nodes grouping, graph.node_of) and the node-level corpus counts
 against the walks and headline-level counting they replaced, which
 `oracles.py` keeps. Step embeddings come from a small palette, so repeats
 are common, also across adjacent tasks, where one node then spans a task
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from pkgforge import graph as G
 from pkgforge import labeler
-from pkgforge.corpus_io import CorpusFormatError, StepDatabase
+from pkgforge.corpus_io import CorpusFormatError, Ragged, StepDatabase
 from pkgforge.dedup import cluster_headlines
 
 from oracles import (
@@ -65,7 +65,11 @@ class TestTaskRanges:
         node_of = cluster_headlines(db.embeddings, 0.09)
         pairs = G.database_transitions(db, node_of)
         assert pairs == database_transitions_walk(db, node_of)
-        assert labeler.task_node_map(db, node_of) == task_node_map_walk(db, node_of)
+        # the task -> node map is one grouping of each headline's task and node
+        task_of = np.repeat(np.arange(len(db.tasks)), [t.stop - t.start for t in db.tasks])
+        assert task_of.tolist() == [ti for ti, _ in walk]
+        assert Ragged.grouped(task_of, node_of, len(db.tasks)).lists() == [
+            list(nodes) for nodes in task_node_map_walk(db, node_of)]
 
         pkg = G.assemble_graph(db, node_of, pairs, {})
         walked, _ = assignment_walk(pkg, db)
@@ -126,7 +130,8 @@ class TestNodeOccurrenceCounts:
             data.draw(st.lists(st.integers(0, len(members_of) - 1), max_size=3, unique=True))
             for _ in range(n_segments)
         ]
-        occ, skipped = labeler.build_occurrence_matrix(vnm, names, video_of, node_of)
+        occ, skipped = labeler.build_occurrence_matrix(
+            Ragged.from_lists(vnm), names, np.array(video_of, dtype=np.int64), node_of)
         counts, task_names, expected_skipped = occurrence_per_headline(
             vnm, names, video_of, members_of, db.num_headlines
         )
