@@ -184,12 +184,12 @@ def cmd_labels(args) -> None:
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
     # the corpus and the labels are dropped once consumed, so training holds the
-    # features once and the labels only as CSR targets
+    # f32 features once (it casts a batch at a time) and the labels as CSR targets
     corpus = _load_corpus(args.world, cfg, args.force)
     position = {v.video_id: i for i, v in enumerate(corpus.videos)}
     lengths = [len(v.segments) for v in corpus.videos]
     # a world without videos has no rows to concatenate
-    features = (np.concatenate([v.segments for v in corpus.videos], dtype=np.float64)
+    features = (np.concatenate([v.segments for v in corpus.videos])
                 if corpus.videos else np.zeros((0, 0)))
     video_of = np.repeat(np.arange(len(lengths)), lengths)
     del corpus

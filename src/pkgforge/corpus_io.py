@@ -286,13 +286,6 @@ class Ragged:
         keep = order[np.arange(len(order)) - np.repeat(self.indptr[:-1], counts) < k]
         return Ragged(row_offsets(np.minimum(counts, k)), self.ids[keep], self.scores[keep])
 
-    def dense(self, rows: np.ndarray, n_classes: int) -> np.ndarray:
-        """(len(rows), n_classes) 0/1 targets of the given rows, in that order."""
-        picked = self.take(rows)
-        out = np.zeros((len(picked), n_classes))
-        out[picked.rows(), picked.ids] = 1.0
-        return out
-
     def lists(self) -> list[list]:
         """One list per row: of int ids, or of (id, score) pairs where there are scores."""
         items = self.ids.tolist()

@@ -70,7 +70,7 @@ TCL_CORPUS_TOP_K = 3
 VSM_TOP_K = 3
 NRL_TOP_PER_HOP = (5, 3)
 NRL_HOPS = len(NRL_TOP_PER_HOP)
-# sets summed at once by vtm_corpus_labels
+# sets gathered at once by unions
 _SETS_PER_BLOCK = 2048
 
 
@@ -153,18 +153,25 @@ class PseudoLabels:
 # individual label operations
 
 
-def vnm_labels(node_scores: np.ndarray) -> list[tuple[int, float]]:
-    """The top VNM_TOP_K matched nodes with their raw matching scores."""
-    ids = matcher.top_k_nodes(node_scores, k=VNM_TOP_K)
-    return [(nid, float(node_scores[nid])) for nid in ids]
+def vnm_labels(node_scores: np.ndarray) -> list[int]:
+    """The top VNM_TOP_K matched nodes, ranked; their raw matching scores are the
+    node scores at those ids."""
+    return matcher.top_k_nodes(node_scores, k=VNM_TOP_K)
 
 
-def unions(sets: Ragged, mapping: Ragged) -> Ragged:
-    """Per row of `sets`, the ascending distinct ids of the `mapping` rows its ids name;
-    where `mapping` has scores, each id keeps the sum of its scores over those rows."""
-    picked = mapping.take(sets.ids)
-    return Ragged.grouped(np.repeat(sets.rows(), np.diff(picked.indptr)), picked.ids, len(sets),
-                          picked.scores)
+def unions(sets: Ragged, mapping: Ragged, top: int | None = None) -> Ragged:
+    """Per row of `sets`, the ascending distinct ids of the `mapping` rows its ids name,
+    or, given `top`, the `top` ids with the largest sum of their `mapping` scores, ranked.
+    A block of sets is gathered at a time, so all sets' mapping rows are never alive at once."""
+    parts = []
+    bounds = range(_SETS_PER_BLOCK, len(sets), _SETS_PER_BLOCK)
+    for block in map(sets.take, np.array_split(np.arange(len(sets)), bounds)):
+        picked = mapping.take(block.ids)
+        part = Ragged.grouped(np.repeat(block.rows(), np.diff(picked.indptr)), picked.ids,
+                              len(block), picked.scores)
+        parts.append(part if top is None else part.ranked(top))
+    return Ragged(row_offsets(np.concatenate([np.diff(part.indptr) for part in parts])),
+                  np.concatenate([part.ids for part in parts]))
 
 
 # vtm_db maps each set's nodes to their tasks, tcl_db each vtm_db row's tasks to
@@ -206,14 +213,9 @@ def build_occurrence_matrix(vnm: Ragged, video_task_names: list[str | None],
 
 def vtm_corpus_labels(sets: Ragged, occ: OccurrenceMatrix) -> Ragged:
     """Per set, the top VTM_CORPUS_TOP_K corpus task columns by the occurrence count
-    summed over its nodes, ties by name. A block of sets is summed and ranked at a
-    time: a node may hold a count in every column, so one pass over all sets would
-    hold many times the labels it keeps."""
-    by_node, bounds = _nonzero_rows(occ.counts), range(_SETS_PER_BLOCK, len(sets), _SETS_PER_BLOCK)
-    tops = [unions(sets.take(block), by_node).ranked(VTM_CORPUS_TOP_K)
-            for block in np.array_split(np.arange(len(sets)), bounds)]
-    return Ragged(row_offsets(np.concatenate([np.diff(top.indptr) for top in tops])),
-                  np.concatenate([top.ids for top in tops]))
+    summed over its nodes, ties by name. `unions` ranks each block of sets: a node may
+    hold a count in every column, so the sums of all sets would be many times the labels."""
+    return unions(sets, _nonzero_rows(occ.counts), VTM_CORPUS_TOP_K)
 
 
 def top_nodes_per_corpus_task(occ: OccurrenceMatrix) -> Ragged:
@@ -249,21 +251,26 @@ def emit_labels(corpus: SegmentCorpus, db: StepDatabase,
     """
     node_of = graph.node_of(db)
 
-    # vnm and vsm per segment. Videos are scored one call each: BLAS may round a
-    # short video's rows differently once they are stacked into a larger matrix.
-    rows: dict[str, list] = {"vnm": [], "vsm": []}
+    # vnm and vsm per segment, into (segments, k) id and score arrays whose unused
+    # places keep id -1. Videos are scored one call each: BLAS may round a short
+    # video's rows differently once they are stacked into a larger matrix.
+    n, top_k = corpus.num_segments, {"vnm": VNM_TOP_K, "vsm": VSM_TOP_K}
+    ids = {name: np.full((n, k), -1, dtype=np.int64) for name, k in top_k.items()}
+    scores = {name: np.zeros((n, k)) for name, k in top_k.items()}
     numbered: dict[tuple[int, ...], int] = {}
-    sets = []
-    for video in corpus.videos:
-        for row in matcher.score_video(video.segments, db):
-            node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
-            vnm = vnm_labels(node_scores)
-            rows["vnm"].append(vnm)
-            rows["vsm"].append(
-                [(h, float(row[h])) for h in matcher.vsm_top_headlines(row, k=VSM_TOP_K)])
-            sets.append(numbered.setdefault(tuple(sorted(nid for nid, _ in vnm)), len(numbered)))
-    # each family's lists are freed once its CSR is built
-    families = {name: Ragged.from_lists(rows.pop(name), scored=True) for name in ("vnm", "vsm")}
+    sets = np.zeros(n, dtype=np.int64)
+    rows = (row for video in corpus.videos for row in matcher.score_video(video.segments, db))
+    for segment, row in enumerate(rows):
+        node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
+        vnm = vnm_labels(node_scores)
+        for name, top, source in (("vnm", vnm, node_scores),
+                                  ("vsm", matcher.vsm_top_headlines(row, k=VSM_TOP_K), row)):
+            ids[name][segment, : len(top)] = top
+            scores[name][segment, : len(top)] = source[top]
+        sets[segment] = numbered.setdefault(tuple(sorted(vnm)), len(numbered))
+    kept = {name: ids[name] >= 0 for name in top_k}
+    families = {name: Ragged(row_offsets(kept[name].sum(axis=1)), ids[name][kept[name]],
+                             scores[name][kept[name]]) for name in top_k}
     set_nodes = Ragged.from_lists(list(numbered))
 
     lengths = np.array([len(video.segments) for video in corpus.videos], dtype=np.int64)
@@ -289,7 +296,7 @@ def emit_labels(corpus: SegmentCorpus, db: StepDatabase,
         video_ids=tuple(video_ids),
         video=np.repeat(np.array(position, dtype=np.int64), lengths),
         segment_index=np.arange(len(video_of)) - starts[video_of],
-        set=np.array(sets, dtype=np.int64),
+        set=sets,
         families=families,
     )
 

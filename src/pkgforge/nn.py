@@ -2,12 +2,15 @@
 
 Everything runs in float64: that is what makes the finite-difference
 gradient checks meaningful and reruns bit-identical. Layers are plain
-affine maps with rectifiers between them and a linear output. A model keeps
-all of its parameters in one flat vector (its layers are views into it), so
-Adam, snapshots and checkpoints each handle a single array; a checkpoint
-payload is the f32 cast of that vector in declaration order. Adam walks that
-vector in fixed `ADAM_CHUNK`-element slices, so its working set stays in cache
-and its scratch buffers are one slice long whatever the model size.
+affine maps with rectifiers between them and a linear output. `forward`'s
+cache is its activations, one array per layer (the rectifier runs in place);
+`predict` keeps none. BCE takes its targets as (row, class id) positives.
+A model keeps all of its parameters in one flat vector (its layers are
+views into it), so Adam, snapshots and checkpoints each handle a single
+array; a checkpoint payload is the f32 cast of that vector in declaration
+order. Adam walks that vector in fixed `ADAM_CHUNK`-element slices, so its
+working set stays in cache and its scratch buffers are one slice long
+whatever the model size.
 
 `fit` is the one training loop (shuffled mini-batches, held-out early
 stopping, best-epoch snapshot) for the adapter and every downstream probe.
@@ -107,24 +110,35 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, x: np.ndarray):
-        """Returns (output, cache); x is a (batch, dims[0]) array."""
+    def _layers(self, x: np.ndarray):
+        """Yields each layer's output, rectified in place on all but the last."""
         if x.shape[1] != self.dims[0]:
             raise ValueError(f"input dimension {x.shape[1]} != expected {self.dims[0]}")
-        acts = [x]
-        pres = []
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = acts[-1] @ w + b
-            pres.append(pre)
-            acts.append(np.maximum(pre, 0.0) if i < self.n_layers - 1 else pre)
-        return acts[-1], (acts, pres)
+            x = x @ w
+            x += b
+            if i < self.n_layers - 1:
+                np.maximum(x, 0.0, out=x)
+            yield x
+
+    def forward(self, x: np.ndarray):
+        """Returns (output, cache); x is a (batch, dims[0]) array and the cache its
+        activations, x first and the output last."""
+        acts = [x, *self._layers(x)]
+        return acts[-1], acts
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """forward's output, holding one activation at a time."""
+        for out in self._layers(x):
+            pass
+        return out
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
         """Overwrites this layer stack's gradient slice; returns grad wrt input."""
-        acts, pres = cache
-        g = grad_out
+        acts, g = cache, grad_out
         for i in reversed(range(self.n_layers)):
-            dpre = g if i == self.n_layers - 1 else g * (pres[i] > 0)
+            # relu(p) > 0 exactly where p > 0, NaN included
+            dpre = g if i == self.n_layers - 1 else g * (acts[i + 1] > 0)
             np.matmul(acts[i].T, dpre, out=self.weight_grads[i])
             dpre.sum(axis=0, out=self.bias_grads[i])
             g = dpre @ self.weights[i].T
@@ -141,21 +155,24 @@ def _layer_views(flat: np.ndarray, dims: list[int]):
     return weights, biases
 
 
-def bce_with_logits(logits: np.ndarray, targets: np.ndarray):
-    """Multi-label binary cross entropy, mean over batch and classes.
+def bce_loss(logits: np.ndarray, positives, e: np.ndarray | None = None) -> float:
+    """Multi-label binary cross entropy, mean over batch and classes. `positives` is a
+    (rows, class ids) pair of int arrays, a batch Ragged's (rows(), ids), where targets
+    are 1; a pair given twice counts once. softplus(x) - target * x never hits a log(0),
+    and x is subtracted at the positives only. `e` is exp(-|logits|), if computed."""
+    rows, ids = positives
+    per_class = softplus(logits, np.exp(-np.abs(logits)) if e is None else e)
+    per_class[rows, ids] -= logits[rows, ids]
+    return float(np.mean(per_class))
 
-    Uses the softplus identity so saturated logits never hit a log(0);
-    returns (loss, dLoss/dlogits). The loss and its gradient share one
-    exp(-|logits|) pass. The per-class loss is freed once it is averaged, so
-    it is not alive beside the gradient.
-    """
+
+def bce_with_logits(logits: np.ndarray, positives):
+    """(`bce_loss`, dLoss/dlogits) from one exp(-|logits|) pass; the per-class loss
+    is freed before the gradient exists."""
     e = np.exp(-np.abs(logits))
-    per_class = softplus(logits, e)
-    per_class -= targets * logits
-    loss = float(np.mean(per_class))
-    del per_class
+    loss = bce_loss(logits, positives, e)
     dlogits = sigmoid(logits, e)
-    dlogits -= targets
+    dlogits[positives] -= 1.0
     dlogits /= logits.size
     return loss, dlogits
 

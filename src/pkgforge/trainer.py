@@ -10,7 +10,10 @@ hand-derived and checked against central finite differences.
 Each head's targets are one `labeler.Ragged` CSR of positive class ids
 per segment, taken from the columnar labels before training: vnm and vsm
 as stored, the set-derived families gathered by each segment's set. A
-mini-batch's dense 0/1 targets come from one scatter over its rows.
+mini-batch's targets are its rows' positives, `take(rows)` as (row, id)
+pairs, and its features its rows cast to f64 (the CLI keeps the corpus's
+f32 rows). The held-out loss runs `Mlp.predict` and `nn.bce_loss`, so it
+keeps no forward cache and computes no gradient.
 
 The adapter and heads share one flat f64 parameter vector laid out as
 adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
@@ -30,7 +33,7 @@ import numpy as np
 
 from .corpus_io import ModelCheckpoint, checkpoint_from_params
 from .labeler import NRL_HOPS, PseudoLabels, Ragged
-from .nn import AdamState, Mlp, adam_step, bce_with_logits, fit
+from .nn import AdamState, Mlp, adam_step, bce_loss, bce_with_logits, fit
 
 BOTTLENECK_DIM = 128
 
@@ -165,7 +168,13 @@ class PaprikaModel:
         return out
 
 
-def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict[str, np.ndarray]):
+def batch_positives(targets: dict[str, Ragged], rows: np.ndarray) -> dict[str, tuple]:
+    """Per head, the given rows' positives as (row in the batch, class id) arrays."""
+    picked = {name: csr.take(rows) for name, csr in targets.items()}
+    return {name: (csr.rows(), csr.ids) for name, csr in picked.items()}
+
+
+def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, positives: dict[str, tuple]):
     """Total BCE over all heads; overwrites and returns the model's flat gradient."""
     z, adapter_cache = model.adapter.forward(x)
     total = 0.0
@@ -173,29 +182,25 @@ def model_loss_and_grads(model: PaprikaModel, x: np.ndarray, dense_targets: dict
     for spec in model.specs:
         head = model.heads[spec.name]
         logits, cache = head.forward(z)
-        loss, dlogits = bce_with_logits(logits, dense_targets[spec.name])
+        loss, dlogits = bce_with_logits(logits, positives[spec.name])
         total += loss
         dz += head.backward(cache, dlogits)
     model.adapter.backward(adapter_cache, dz)
     return total, model.grads
 
 
-def model_loss(model: PaprikaModel, x, dense_targets) -> float:
-    """Total BCE over all heads; each forward cache and BCE gradient is dropped at once."""
-    total = 0.0
-    z = model.adapter.forward(x)[0]
-    for spec in model.specs:
-        logits = model.heads[spec.name].forward(z)[0]
-        total += bce_with_logits(logits, dense_targets[spec.name])[0]
-    return total
+def model_loss(model: PaprikaModel, x, positives) -> float:
+    """Total BCE over all heads, without a forward cache or a gradient."""
+    z = model.adapter.predict(x)
+    return sum(bce_loss(model.heads[s.name].predict(z), positives[s.name]) for s in model.specs)
 
 
 def _dataset_loss(model, features, targets, indices) -> float:
     total = 0.0
     for start in range(0, len(indices), 1024):  # the chunk size fixes the loss bits
         rows = indices[start : start + 1024]
-        dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in model.specs}
-        total += model_loss(model, features[rows], dense) * len(rows)
+        x = features[rows].astype(np.float64, copy=False)  # exact from f32
+        total += model_loss(model, x, batch_positives(targets, rows)) * len(rows)
     return total / max(1, len(indices))
 
 
@@ -215,7 +220,6 @@ def train(
     checkpointed. The whole procedure is a pure function of (features,
     targets, config).
     """
-    features = np.asarray(features, dtype=np.float64)
     n, dim = features.shape
     if n == 0:
         raise ValueError("cannot train on an empty segment set")
@@ -235,8 +239,8 @@ def train(
 
     def step(batch: np.ndarray) -> float:
         rows = train_idx[batch]
-        dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
-        loss, grads = model_loss_and_grads(model, features[rows], dense)
+        x = features[rows].astype(np.float64, copy=False)
+        loss, grads = model_loss_and_grads(model, x, batch_positives(targets, rows))
         adam_step(params, grads, adam, lr=config.learning_rate)
         return loss
 
@@ -277,6 +281,5 @@ def adapter_from_checkpoint(ckpt: ModelCheckpoint) -> Mlp:
 
 
 def apply_adapter(adapter: Mlp, features: np.ndarray) -> np.ndarray:
-    out, _ = adapter.forward(np.asarray(features, dtype=np.float64))
-    return out
+    return adapter.predict(np.asarray(features, dtype=np.float64))
 

@@ -4,8 +4,8 @@ These deliberately share no code with the package: connected components by
 BFS, sub-threshold headline pairs by a per-pair loop, transition
 aggregation by naive dict accumulation, k-hop confidences by exhaustive
 path enumeration, Adam as a per-tensor loop over named parameters, BCE
-with one exponential per sign branch, and dense targets filled one row at
-a time.
+over dense 0/1 targets with one exponential per sign branch, and dense
+targets and batch positives filled one row at a time.
 
 The one exception is the per-segment label path the labeler replaced
 (`emit_labels_per_segment`): it keeps that path's own top-k ranking,
@@ -203,6 +203,24 @@ def adam_per_tensor(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, 
         p -= sc
 
 
+def mlp_backward_preactivation_mask(mlp, x, grad_out):
+    """An Mlp's forward and backward as they stood when the cache kept every
+    pre-activation beside its activation and backward masked on pre > 0.
+    Returns (weight gradients, bias gradients, input gradient) as new arrays."""
+    acts, pres = [x], []
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        pre = acts[-1] @ w + b
+        pres.append(pre)
+        acts.append(np.maximum(pre, 0.0) if i < mlp.n_layers - 1 else pre)
+    weight_grads, bias_grads, g = [], [], grad_out
+    for i in reversed(range(mlp.n_layers)):
+        dpre = g if i == mlp.n_layers - 1 else g * (pres[i] > 0)
+        weight_grads.insert(0, acts[i].T @ dpre)
+        bias_grads.insert(0, dpre.sum(axis=0))
+        g = dpre @ mlp.weights[i].T
+    return weight_grads, bias_grads, g
+
+
 def sigmoid_two_pass(x):
     """Logistic function as the trainer computed it before: one exp per sign branch."""
     out = np.empty_like(x)
@@ -218,13 +236,15 @@ def softplus_two_pass(x):
 
 
 def bce_two_pass(logits, targets):
-    """Multi-label BCE with separate sigmoid and softplus exponentials; (loss, dlogits)."""
+    """Multi-label BCE over dense 0/1 targets with separate sigmoid and softplus
+    exponentials; (loss, dlogits). This is the dense formula the package computed
+    before its BCE took positives, and the referee of the positive form."""
     loss = float(np.mean(softplus_two_pass(logits) - targets * logits))
     dlogits = (sigmoid_two_pass(logits) - targets) / logits.size
     return loss, dlogits
 
 
-def gradient_check(model, x, dense_targets, h=1e-5, n_coords=200, rng=None) -> float:
+def gradient_check(model, x, positives, h=1e-5, n_coords=200, rng=None) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Samples n_coords coordinates of the model's flat parameter vector. The
@@ -233,7 +253,7 @@ def gradient_check(model, x, dense_targets, h=1e-5, n_coords=200, rng=None) -> f
     trustworthy.
     """
     rng = rng or np.random.default_rng(0)
-    _, grads = trainer.model_loss_and_grads(model, x, dense_targets)
+    _, grads = trainer.model_loss_and_grads(model, x, positives)
     params = model.params
     picks = rng.choice(params.size, size=min(n_coords, params.size), replace=False)
 
@@ -241,9 +261,9 @@ def gradient_check(model, x, dense_targets, h=1e-5, n_coords=200, rng=None) -> f
     for i in sorted(int(p) for p in picks):
         saved = params[i]
         params[i] = saved + h
-        plus = trainer.model_loss(model, x, dense_targets)
+        plus = trainer.model_loss(model, x, positives)
         params[i] = saved - h
-        minus = trainer.model_loss(model, x, dense_targets)
+        minus = trainer.model_loss(model, x, positives)
         params[i] = saved
         fd = (plus - minus) / (2.0 * h)
         an = float(grads[i])
@@ -261,6 +281,16 @@ def dense_targets_per_row(index_lists, rows, n_classes):
         if ids.size:
             dense[out_row, ids] = 1.0
     return dense
+
+
+def positives_per_row(csr, rows):
+    """The selected rows' (row in the selection, class id) pairs, one row at a time."""
+    out_rows, ids = [], []
+    for out_row, r in enumerate(rows):
+        row_ids = csr.ids[csr.indptr[r] : csr.indptr[r + 1]].tolist()
+        out_rows += [out_row] * len(row_ids)
+        ids += row_ids
+    return np.array(out_rows, dtype=np.int64), np.array(ids, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +594,8 @@ def train_reference(features, video_of, header, targets, config, config_hash=Non
         epoch_loss = 0.0
         for start in range(0, order.size, batch):
             rows = order[start : start + batch]
-            dense = {s.name: targets[s.name].dense(rows, s.n_classes) for s in specs}
-            loss, grads = trainer.model_loss_and_grads(model, features[rows], dense)
+            positives = {s.name: positives_per_row(targets[s.name], rows) for s in specs}
+            loss, grads = trainer.model_loss_and_grads(model, features[rows], positives)
             adam_step(params, grads, adam, lr=config.learning_rate)
             epoch_loss += loss * rows.size
         history["train_loss"].append(epoch_loss / order.size)

@@ -188,10 +188,9 @@ def test_criterion_05_gradient_check():
         model = trainer.PaprikaModel.build(dim, specs, bottleneck=int(rng.integers(6, 33)), rng=rng)
         batch = int(rng.integers(2, 7))
         x = rng.normal(size=(batch, dim))
-        dense = {
-            s.name: (rng.random(size=(batch, s.n_classes)) < 0.3).astype(float) for s in specs
-        }
-        err = gradient_check(model, x, dense, h=1e-5, n_coords=200, rng=rng)
+        positives = {s.name: np.nonzero(rng.random(size=(batch, s.n_classes)) < 0.3)
+                     for s in specs}
+        err = gradient_check(model, x, positives, h=1e-5, n_coords=200, rng=rng)
         worst = max(worst, err)
     _report(
         "criterion 5 (gradient check)",

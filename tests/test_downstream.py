@@ -30,7 +30,7 @@ def _examples(blocks, labels, dim=None):
 
 def _classifier_input(model, examples):
     """The classifier input that forward built."""
-    _, (acts, _) = model.forward(examples)
+    _, acts = model.forward(examples)
     return acts[0]
 
 
@@ -301,7 +301,7 @@ class TestPaddedBlocks:
 
         logits, cache = model.forward(batch)
         want = aggregate_reference(model.positions, batch)
-        assert cache[0][0].tobytes() == want.tobytes()
+        assert cache[0].tobytes() == want.tobytes()
 
         dlogits = rng.normal(size=logits.shape)
         model.backward(batch, cache, dlogits)

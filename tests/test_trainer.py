@@ -10,13 +10,19 @@ from hypothesis import strategies as st
 from pkgforge import trainer
 from pkgforge.config import PipelineConfig
 from pkgforge.corpus_io import ModelCheckpoint, save_checkpoint
-from pkgforge.nn import ADAM_CHUNK, AdamState, Mlp, adam_step, bce_with_logits, sigmoid, softplus
+from pkgforge.corpus_io import Ragged
+from pkgforge.nn import (
+    ADAM_CHUNK, AdamState, Mlp, adam_step, bce_loss, bce_with_logits, sigmoid, softplus,
+)
 
 from builders import row_targets
 from oracles import (
     adam_per_tensor,
     bce_two_pass,
+    dense_targets_per_row,
     gradient_check,
+    mlp_backward_preactivation_mask,
+    positives_per_row,
     sigmoid_two_pass,
     softplus_two_pass,
 )
@@ -24,6 +30,7 @@ from pkgforge.trainer import (
     HeadSpec,
     PaprikaModel,
     TrainConfig,
+    batch_positives,
     head_specs_from_header,
     model_loss,
     model_loss_and_grads,
@@ -45,11 +52,10 @@ def _random_model(rng, dim=6, specs=None):
     model = PaprikaModel.build(dim, specs, bottleneck=8, rng=rng)
     batch = int(rng.integers(2, 5))
     x = rng.normal(size=(batch, dim))
-    dense = {}
+    positives = {}
     for spec in specs:
-        t = (rng.random(size=(batch, spec.n_classes)) < 0.3).astype(float)
-        dense[spec.name] = t
-    return model, x, dense
+        positives[spec.name] = np.nonzero(rng.random(size=(batch, spec.n_classes)) < 0.3)
+    return model, x, positives
 
 
 class TestAdapterForward:
@@ -84,6 +90,47 @@ class TestAdapterForward:
             adapter = Mlp([d, 128, d], rng)
             out, _ = adapter.forward(rng.normal(size=(2, d)))
             assert out.shape == (2, d)
+
+
+def _integer_mlp(data, dims):
+    """An Mlp with small integer weights and biases, so many pre-activations are exactly 0."""
+    mlp = Mlp(dims)
+    small = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+    mlp.params[...] = data.draw(st.lists(small, min_size=mlp.params.size,
+                                         max_size=mlp.params.size))
+    return mlp
+
+
+class TestMlpCache:
+    """The cache is the activation list; predict keeps none of it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.lists(st.integers(1, 5), min_size=2, max_size=4), batch=st.integers(1, 4),
+           data=st.data())
+    def test_backward_equals_preactivation_mask(self, dims, batch, data):
+        mlp = _integer_mlp(data, dims)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        x = rng.integers(-2, 3, size=(batch, dims[0])).astype(float)
+        grad_out = rng.normal(size=(batch, dims[-1]))
+        out, acts = mlp.forward(x)
+        assert len(acts) == len(dims) and acts[0] is x and acts[-1] is out
+        g = mlp.backward(acts, grad_out)
+        weight_grads, bias_grads, want_g = mlp_backward_preactivation_mask(mlp, x, grad_out)
+        assert np.array_equal(g, want_g)
+        assert all(map(np.array_equal, mlp.weight_grads, weight_grads))
+        assert all(map(np.array_equal, mlp.bias_grads, bias_grads))
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=4), batch=st.integers(0, 5),
+           seed=st.integers(0, 2**16), nan=st.booleans())
+    def test_predict_equals_forward_output(self, dims, batch, seed, nan):
+        rng = np.random.default_rng(seed)
+        mlp = Mlp(dims, rng)
+        x = rng.normal(size=(batch, dims[0]))
+        if nan and x.size:
+            x[0, 0] = np.nan
+        got, want = mlp.predict(x), mlp.forward(x)[0]
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 class TestHeadArchitecture:
@@ -131,22 +178,27 @@ class TestHeadArchitecture:
         assert TrainConfig(objectives=("nrl",), nrl_hops=2).nrl_hops == 2
 
 
+def _positives(dense):
+    """The (row, class id) pairs where 0/1 targets are 1."""
+    return np.nonzero(np.asarray(dense))
+
+
 class TestBce:
     def test_logit_zero_target_one(self):
-        loss, _ = bce_with_logits(np.array([[0.0]]), np.array([[1.0]]))
+        loss, _ = bce_with_logits(np.array([[0.0]]), _positives([[1.0]]))
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_positive(self):
-        loss, _ = bce_with_logits(np.array([[30.0]]), np.array([[1.0]]))
+        loss, _ = bce_with_logits(np.array([[30.0]]), _positives([[1.0]]))
         assert loss < 1e-12
 
     def test_mixed_pair(self):
-        loss, _ = bce_with_logits(np.array([[1.0, -1.0]]), np.array([[1.0, 0.0]]))
+        loss, _ = bce_with_logits(np.array([[1.0, -1.0]]), _positives([[1.0, 0.0]]))
         assert loss == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-12)
 
     def test_gradient_is_sigmoid_minus_target(self):
         logits = np.array([[0.0, 2.0]])
-        _, d = bce_with_logits(logits, np.array([[1.0, 0.0]]))
+        _, d = bce_with_logits(logits, _positives([[1.0, 0.0]]))
         want = np.array([[0.5 - 1.0, 1.0 / (1.0 + math.exp(-2.0))]]) / 2.0
         np.testing.assert_allclose(d, want, atol=1e-12)
 
@@ -171,8 +223,11 @@ class TestBceAgainstTwoPass:
         t = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=x.size,
                                         max_size=x.size))).reshape(x.shape)
         with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 target, sums past 1e308
-            loss, grad = bce_with_logits(x, t)
+            loss, grad = bce_with_logits(x, _positives(t))
             want_loss, want_grad = bce_two_pass(x, t)
+            if np.isinf(x[t == 0.0]).any():
+                # the dense form's 0 * inf is NaN; the positives subtract nothing there
+                want_loss = float(np.mean(softplus_two_pass(x) - np.where(t == 1.0, x, 0.0)))
         e = np.exp(-np.abs(x))
         assert np.array_equal(sigmoid(x, e), sigmoid_two_pass(x), equal_nan=True)
         assert np.array_equal(softplus(x, e), softplus_two_pass(x), equal_nan=True)
@@ -180,15 +235,52 @@ class TestBceAgainstTwoPass:
         assert np.array_equal(np.array(loss), np.array(want_loss), equal_nan=True)
 
 
+# saturated logits, and logits past 746 where exp(-|x|) underflows to 0
+finite_logits = st.one_of(
+    st.sampled_from([0.0, -0.0, 40.0, -40.0, 746.5, -746.5, 1e4, -1e4]),
+    st.floats(-60.0, 60.0), st.floats(-1e6, 1e6),
+)
+
+
+class TestBceFromPositives:
+    """The positive form against the dense formula it replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 7), data=st.data())
+    def test_equals_dense_referee(self, rows, cols, data):
+        x = np.array(data.draw(st.lists(finite_logits, min_size=rows * cols,
+                                        max_size=rows * cols))).reshape(rows, cols)
+        # per row: nothing, everything, or any ids with repeats
+        per_row = [data.draw(st.just([]) | st.just(list(range(cols)))
+                             | st.lists(st.integers(0, cols - 1), max_size=2 * cols))
+                   for _ in range(rows)]
+        positives = positives_per_row(Ragged.from_lists(per_row), np.arange(rows))
+        dense = dense_targets_per_row(per_row, range(rows), cols)
+        loss, grad = bce_with_logits(x, positives)
+        want_loss, want_grad = bce_two_pass(x, dense)
+        assert _same_bits(np.array(loss), np.array(want_loss))
+        assert _same_bits(grad, want_grad)
+        assert _same_bits(np.array(bce_loss(x, positives)), np.array(want_loss))
+
+    def test_one_class_and_repeats(self):
+        x = np.array([[800.0], [-800.0], [3.0]])
+        positives = (np.array([0, 0, 2]), np.array([0, 0, 0]))
+        dense = np.array([[1.0], [0.0], [1.0]])
+        loss, grad = bce_with_logits(x, positives)
+        want_loss, want_grad = bce_two_pass(x, dense)
+        assert loss == want_loss and _same_bits(grad, want_grad)
+
+
 class TestBceBuffers:
     def test_bce_writes_neither_logits_nor_targets(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(scale=30.0, size=(5, 4))
-        targets = (rng.random((5, 4)) < 0.5).astype(float)
-        kept = logits.copy(), targets.copy()
-        _, grad = bce_with_logits(logits, targets)
-        assert np.array_equal(logits, kept[0]) and np.array_equal(targets, kept[1])
-        assert not np.shares_memory(grad, logits) and not np.shares_memory(grad, targets)
+        rows, ids = _positives(rng.random((5, 4)) < 0.5)
+        kept = logits.copy(), rows.copy(), ids.copy()
+        _, grad = bce_with_logits(logits, (rows, ids))
+        assert np.array_equal(logits, kept[0])
+        assert np.array_equal(rows, kept[1]) and np.array_equal(ids, kept[2])
+        assert not any(np.shares_memory(grad, a) for a in (logits, rows, ids))
 
 
 def _same_bits(a, b):
@@ -317,28 +409,28 @@ class TestGradientCheck:
     def test_small_networks(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            model, x, dense = _random_model(rng)
-            err = gradient_check(model, x, dense, rng=rng)
+            model, x, positives = _random_model(rng)
+            err = gradient_check(model, x, positives, rng=rng)
             assert err < 1e-4, f"seed {seed}: {err}"
 
     def test_zero_input_kills_first_layer_grads(self):
         rng = np.random.default_rng(9)
-        model, x, dense = _random_model(rng)
+        model, x, positives = _random_model(rng)
         x = np.zeros_like(x)
-        model_loss_and_grads(model, x, dense)
+        model_loss_and_grads(model, x, positives)
         w0_grad = model.adapter.weight_grads[0]
         np.testing.assert_array_equal(w0_grad, np.zeros_like(w0_grad))
         assert np.any(model.adapter.bias_grads[0] != 0.0)
-        assert gradient_check(model, x, dense, rng=rng) < 1e-4
+        assert gradient_check(model, x, positives, rng=rng) < 1e-4
 
     def test_descent_direction(self):
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
-            model, x, dense = _random_model(rng)
-            before, grads = model_loss_and_grads(model, x, dense)
+            model, x, positives = _random_model(rng)
+            before, grads = model_loss_and_grads(model, x, positives)
             state = AdamState.for_params(model.params)
             adam_step(model.params, grads, state, lr=1e-6)
-            after = model_loss(model, x, dense)
+            after = model_loss(model, x, positives)
             assert after <= before
 
 
