@@ -184,7 +184,7 @@ def cmd_labels(args) -> None:
 def cmd_pretrain(args) -> None:
     cfg = _resolve_config(args)
     # the corpus and the labels are dropped once consumed, so training holds the
-    # f32 features once (it casts a batch at a time) and the labels as CSR targets
+    # f32 features once (it computes in f32) and the labels as CSR targets
     corpus = _load_corpus(args.world, cfg, args.force)
     position = {v.video_id: i for i, v in enumerate(corpus.videos)}
     lengths = [len(v.segments) for v in corpus.videos]

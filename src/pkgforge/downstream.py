@@ -5,6 +5,8 @@ segment features. The model adds a learned positional vector to each row,
 averages the range, and classifies with a one-hidden-layer MLP under softmax
 cross entropy, trained through `nn.fit`, the adapter's loop. The harness path
 is identical for raw and refined features; only the input transform differs.
+The matrix, the model and its training compute in the features' dtype
+combined with f32: f32 rows stay f32, and f64 rows stay f64.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class Examples:
     Indexing selects examples and keeps the matrix.
     """
 
-    features: np.ndarray  # (rows, d) f64, shared by every split of a dataset
+    features: np.ndarray  # (rows, d) f32 or f64, shared by every split of a dataset
     start: np.ndarray
     length: np.ndarray  # >= 1
     label: np.ndarray
@@ -143,7 +145,8 @@ def build_downstream_dataset(
     TR takes each video's rows, SR each non-empty step span and SF each later
     step's non-empty history, as ranges of one matrix holding each annotated
     video's rows once, through `transform` (identity for raw features, the
-    adapter for refined ones); it never changes the harness path itself.
+    adapter for refined ones); it never changes the harness path itself. The
+    matrix's dtype is the videos' rows' combined with f32.
     """
     by_id = {v.video_id: v for v in corpus.videos}
     missing = [a.video_id for a in annotations if a.video_id not in by_id]
@@ -195,7 +198,8 @@ def build_downstream_dataset(
     start = (first_row[video] + offset)[keep]
     video, length, label = video[keep], length[keep], label[keep]
 
-    features = np.empty((int(n_rows.sum()), corpus.dim))
+    dtype = np.result_type(*{by_id[a.video_id].segments.dtype for a in annotations}, np.float32)
+    features = np.empty((int(n_rows.sum()), corpus.dim), dtype)
     for ann, lo, hi in zip(annotations, first_row, first_row + n_rows):
         segments = by_id[ann.video_id].segments
         features[lo:hi] = segments if transform is None else transform(segments)
@@ -219,14 +223,16 @@ def build_downstream_dataset(
 class DownstreamModel:
     """Learned absolute positional table plus a one-hidden-layer classifier.
 
-    Both live in one flat f64 parameter vector laid out as positions, then
-    clf.w0, clf.b0, clf.w1, clf.b1, with a same-layout gradient vector.
+    Both live in one flat parameter vector of `dtype`, the examples' matrix's,
+    laid out as positions, then clf.w0, clf.b0, clf.w1, clf.b1, with a
+    same-layout gradient vector. Every table is drawn from `rng` in f64.
     """
 
-    def __init__(self, dim: int, n_classes: int, kind: str, config: DownstreamConfig, rng):
+    def __init__(self, dim: int, n_classes: int, kind: str, config: DownstreamConfig, rng,
+                 dtype=np.float64):
         dims = [dim, config.hidden_for(kind), n_classes]
         n_pos = config.max_positions * dim
-        self.params = np.zeros(n_pos + Mlp.size(dims))
+        self.params = np.zeros(n_pos + Mlp.size(dims), dtype)
         self.grads = np.zeros_like(self.params)
         self.positions = self.params[:n_pos].reshape(config.max_positions, dim)
         self.position_grads = self.grads[:n_pos].reshape(config.max_positions, dim)
@@ -235,13 +241,13 @@ class DownstreamModel:
         # examples per padded block in forward, so evaluation's wide batches stay small
         self.block = config.batch_size
 
-    def forward(self, batch: Examples):
-        """Logits and cache of the mean of each example's rows plus positional vectors.
+    def aggregate(self, batch: Examples) -> np.ndarray:
+        """The mean of each example's rows plus positional vectors: the classifier input.
 
         A block is gathered zero-padded to its longest example and summed in
         position order, so it rounds as `(rows + positions[:L]).mean(axis=0)`.
         """
-        aggs = np.empty((len(batch), self.positions.shape[1]))
+        aggs = np.empty((len(batch), self.positions.shape[1]), self.params.dtype)
         for lo in range(0, len(batch), self.block):
             part = batch[lo : lo + self.block]
             offsets = np.arange(part.length.max())
@@ -249,12 +255,17 @@ class DownstreamModel:
             padded += self.positions[: offsets.size]
             padded[offsets >= part.length[:, None]] = 0.0
             np.sum(padded, axis=1, out=aggs[lo : lo + len(part)])
-        aggs /= batch.length[:, None]
-        return self.classifier.forward(aggs)
+        aggs /= batch.length[:, None].astype(aggs.dtype)
+        return aggs
+
+    def forward(self, batch: Examples):
+        """Logits and cache of the classifier over `aggregate(batch)`."""
+        return self.classifier.forward(self.aggregate(batch))
 
     def backward(self, batch: Examples, cache, dlogits) -> np.ndarray:
         """Overwrites and returns the flat gradient vector."""
-        dagg = self.classifier.backward(cache, dlogits) / batch.length[:, None]
+        dagg = self.classifier.backward(cache, dlogits)
+        dagg /= batch.length[:, None].astype(dagg.dtype)
         inside = np.arange(batch.length.max()) < batch.length[:, None]
         self.position_grads[inside.shape[1] :] = 0.0
         # summed over the batch in example order, as per-example accumulation would
@@ -274,7 +285,7 @@ def evaluate(model: DownstreamModel, examples: Examples) -> float:
     correct = 0
     for start in range(0, len(examples), 256):
         batch = examples[start : start + 256]
-        logits, _ = model.forward(batch)
+        logits = model.classifier.predict(model.aggregate(batch))
         correct += int(np.count_nonzero(np.argmax(logits, axis=1) == batch.label))
     return correct / len(examples)
 
@@ -289,7 +300,8 @@ def train_downstream(
     if not splits.train:
         raise ValueError("empty training split")
     rng = np.random.default_rng(config.seed)
-    model = DownstreamModel(dim, splits.n_classes, splits.kind, config, rng)
+    model = DownstreamModel(dim, splits.n_classes, splits.kind, config, rng,
+                            splits.train.features.dtype)
     params = model.params
     adam = AdamState.for_params(params)
 

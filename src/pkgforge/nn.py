@@ -1,7 +1,11 @@
 """Minimal feed-forward machinery with hand-written backprop.
 
-Everything runs in float64: that is what makes the finite-difference
-gradient checks meaningful and reruns bit-identical. Layers are plain
+Everything computes in the float dtype of the parameters and inputs it is
+given, and the models take theirs from their features:
+`np.result_type(features.dtype, np.float32)`. So the CLI, which reads
+f32 rows, trains and probes in f32, and an f64 caller (the finite-difference
+gradient checks among them) gets f64 with every allocation and operation
+order unchanged. Reruns are bit-identical in either. Layers are plain
 affine maps with rectifiers between them and a linear output. `forward`'s
 cache is its activations, one array per layer (the rectifier runs in place);
 `predict` keeps none. BCE takes its targets as (row, class id) positives.
@@ -27,7 +31,8 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 # Elements per Adam slice: six f64 arrays of this length (param, grad, m, v and
-# two scratch buffers) take 1.5 MiB, which fits a typical per-core L2 cache.
+# two scratch buffers) take 1.5 MiB, six f32 ones half that; either fits a
+# typical per-core L2 cache.
 ADAM_CHUNK = 32768
 
 # Adam's moment decay rates and denominator epsilon (the Adam paper's defaults)
@@ -61,11 +66,13 @@ def softplus(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 class Mlp:
     """Affine layers with ReLU between them; the final layer stays linear.
 
-    All weights and biases are reshaped views into one flat f64 parameter
-    vector laid out as w0, b0, w1, b1, ...; backward writes into views of a
+    All weights and biases are reshaped views into one flat parameter vector
+    laid out as w0, b0, w1, b1, ...; backward writes into views of a
     same-layout gradient vector. A model passes in its own slices of both so
     that every layer it owns lives in one buffer; a standalone Mlp allocates
-    its own. Given parameters keep their values unless rng draws new ones.
+    its own, f64 unless given parameters set the dtype. Given parameters keep
+    their values unless rng draws new ones, which are rounded to their dtype.
+    Activations take the dtype of input and parameters combined.
     """
 
     def __init__(
@@ -82,7 +89,7 @@ class Mlp:
         self.dims = list(dims)
         size = self.size(dims)
         self.params = np.zeros(size) if params is None else params
-        self.grads = np.zeros(size) if grads is None else grads
+        self.grads = np.zeros_like(self.params) if grads is None else grads
         self.weights, self.biases = _layer_views(self.params, dims)
         self.weight_grads, self.bias_grads = _layer_views(self.grads, dims)
         if rng is not None:
@@ -193,9 +200,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 class AdamState:
     """First and second moments laid out like the parameters, plus scratch.
 
-    `m` and `v` are full-size; `scratch` and `decayed` (the weight-decayed
-    gradient) hold one chunk, `min(size, ADAM_CHUNK)` elements, and are
-    reused by every slice of every step.
+    All four take the parameters' dtype. `m` and `v` are full-size; `scratch`
+    and `decayed` (the weight-decayed gradient) hold one chunk,
+    `min(size, ADAM_CHUNK)` elements, and are reused by every slice of every
+    step.
     """
 
     m: np.ndarray
@@ -210,8 +218,8 @@ class AdamState:
         return cls(
             m=np.zeros_like(params),
             v=np.zeros_like(params),
-            scratch=np.empty(chunk),
-            decayed=np.empty(chunk),
+            scratch=np.empty(chunk, params.dtype),
+            decayed=np.empty(chunk, params.dtype),
         )
 
 

@@ -11,14 +11,16 @@ Each head's targets are one `labeler.Ragged` CSR of positive class ids
 per segment, taken from the columnar labels before training: vnm and vsm
 as stored, the set-derived families gathered by each segment's set. A
 mini-batch's targets are its rows' positives, `take(rows)` as (row, id)
-pairs, and its features its rows cast to f64 (the CLI keeps the corpus's
-f32 rows). The held-out loss runs `Mlp.predict` and `nn.bce_loss`, so it
-keeps no forward cache and computes no gradient.
+pairs, and its features its rows cast to the compute dtype. That dtype is
+`np.result_type(features.dtype, np.float32)`: f32 for the CLI, which keeps
+the corpus's f32 rows, and f64 for an f64 caller. The held-out loss runs
+`Mlp.predict` and `nn.bce_loss`, so it keeps no forward cache and computes
+no gradient.
 
-The adapter and heads share one flat f64 parameter vector laid out as
-adapter.w0, adapter.b0, ..., then head.<name>.w<k>, head.<name>.b<k> per
-head in spec order. Adam steps that vector whole, and the checkpoint
-payload is its f32 cast, with that layout as the shape table.
+The adapter and heads share one flat parameter vector of the compute dtype,
+laid out as adapter.w0, adapter.b0, ..., then head.<name>.w<k>,
+head.<name>.b<k> per head in spec order. Adam steps that vector whole, and
+the checkpoint payload is its f32 cast, with that layout as the shape table.
 
 The epochs, early stopping and best-epoch restore are `nn.fit`, the loop
 the downstream probes train through too; `train` supplies the batch step
@@ -148,10 +150,12 @@ class PaprikaModel:
     grads: np.ndarray  # same layout as params
 
     @classmethod
-    def build(cls, dim: int, specs: list[HeadSpec], bottleneck: int, rng: np.random.Generator):
+    def build(cls, dim: int, specs: list[HeadSpec], bottleneck: int, rng: np.random.Generator,
+              dtype=np.float64):
+        """Draws every layer from `rng` in f64 and stores it in `dtype`."""
         all_dims = [[dim, bottleneck, dim]] + [s.dims(dim) for s in specs]
         total = sum(Mlp.size(d) for d in all_dims)
-        params, grads = np.zeros(total), np.zeros(total)
+        params, grads = np.zeros(total, dtype), np.zeros(total, dtype)
         mlps = []
         offset = 0
         for dims in all_dims:
@@ -199,7 +203,7 @@ def _dataset_loss(model, features, targets, indices) -> float:
     total = 0.0
     for start in range(0, len(indices), 1024):  # the chunk size fixes the loss bits
         rows = indices[start : start + 1024]
-        x = features[rows].astype(np.float64, copy=False)  # exact from f32
+        x = features[rows].astype(model.params.dtype, copy=False)
         total += model_loss(model, x, batch_positives(targets, rows)) * len(rows)
     return total / max(1, len(indices))
 
@@ -218,15 +222,17 @@ def train(
     training stops once it has not improved for more than `patience`
     consecutive epochs, and the best-scoring parameters are the ones
     checkpointed. The whole procedure is a pure function of (features,
-    targets, config).
+    targets, config), and computes in `np.result_type(features.dtype,
+    np.float32)`.
     """
     n, dim = features.shape
     if n == 0:
         raise ValueError("cannot train on an empty segment set")
     specs = head_specs_from_header(header, config.objectives, config.nrl_hops)
+    dtype = np.result_type(features.dtype, np.float32)
 
     rng = np.random.default_rng(config.seed)
-    model = PaprikaModel.build(dim, specs, config.bottleneck, rng)
+    model = PaprikaModel.build(dim, specs, config.bottleneck, rng, dtype)
     params = model.params
     adam = AdamState.for_params(params)
 
@@ -239,7 +245,7 @@ def train(
 
     def step(batch: np.ndarray) -> float:
         rows = train_idx[batch]
-        x = features[rows].astype(np.float64, copy=False)
+        x = features[rows].astype(dtype, copy=False)
         loss, grads = model_loss_and_grads(model, x, batch_positives(targets, rows))
         adam_step(params, grads, adam, lr=config.learning_rate)
         return loss
@@ -270,16 +276,19 @@ def train(
 
 
 def adapter_from_checkpoint(ckpt: ModelCheckpoint) -> Mlp:
-    """The adapter from the leading slice of a pretraining checkpoint."""
+    """The adapter from the leading slice of a pretraining checkpoint, whose f32
+    payload it keeps as its parameters."""
     dim = ckpt.metadata.get("dim")
     dims = [dim, ckpt.metadata.get("bottleneck", BOTTLENECK_DIM), dim]
     want = Mlp.shapes(dims, "adapter")
     got = [tuple(entry) for entry in ckpt.shapes[: len(want)]]
     if got != want:
         raise ValueError(f"checkpoint does not start with the adapter layout {want}: {got}")
-    return Mlp(dims, params=ckpt.weights[: Mlp.size(dims)].astype(np.float64))
+    return Mlp(dims, params=ckpt.weights[: Mlp.size(dims)])
 
 
 def apply_adapter(adapter: Mlp, features: np.ndarray) -> np.ndarray:
-    return adapter.predict(np.asarray(features, dtype=np.float64))
+    """The adapter's output in the features' dtype combined with its own: f32 rows
+    stay f32, and f64 rows round as through the adapter cast to f64."""
+    return adapter.predict(features)
 

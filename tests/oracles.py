@@ -37,6 +37,10 @@ aggregate and positional-gradient loops that `DownstreamModel.forward` and
 `backward` replaced with padded blocks; they read the model's positional
 table and nothing else of it.
 
+`adapter_f64_reference` is `trainer.apply_adapter` as it stood when the
+adapter was cast to f64 on load: it reads the adapter's layers, casts each
+to f64 and runs the affine-rectifier chain in plain numpy.
+
 `gradient_check` is the finite-difference referee for the hand-derived
 gradients: it perturbs the package's flat parameter vector and compares
 the package's own loss against `trainer.model_loss_and_grads`.
@@ -201,6 +205,18 @@ def adam_per_tensor(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8, 
         np.divide(m, sc, out=sc)
         sc *= lr / bc1
         p -= sc
+
+
+def adapter_f64_reference(adapter, features):
+    """An adapter's output on f64 rows through its layers cast to f64 first."""
+    x = np.asarray(features, dtype=np.float64)
+    last = len(adapter.weights) - 1
+    for i, (w, b) in enumerate(zip(adapter.weights, adapter.biases)):
+        x = x @ w.astype(np.float64)
+        x += b.astype(np.float64)
+        if i < last:
+            x = np.maximum(x, 0.0)
+    return x
 
 
 def mlp_backward_preactivation_mask(mlp, x, grad_out):
@@ -664,10 +680,10 @@ def aggregate_reference(positions, examples):
 
 
 def position_grads_reference(positions, examples, dagg):
-    """The positional-table gradient, accumulated one example at a time."""
+    """The positional-table gradient, accumulated one example at a time in dagg's dtype."""
     dpos = np.zeros_like(positions)
     for row, length in enumerate(examples.length):
-        dpos[:length] += dagg[row] / length
+        dpos[:length] += dagg[row] / dagg.dtype.type(length)
     return dpos
 
 
