@@ -262,6 +262,13 @@ class Ragged:
         return cls(row_offsets(np.bincount(kept_row, minlength=rows)), kept_ids,
                    None if scores is None else reduce.reduceat(scores, first))
 
+    @classmethod
+    def stacked(cls, parts: list["Ragged"]) -> "Ragged":
+        """The rows of one or more parts, end to end, with scores if the parts have them."""
+        lengths = np.concatenate([np.diff(part.indptr) for part in parts])
+        scores = None if parts[0].scores is None else np.concatenate([p.scores for p in parts])
+        return cls(row_offsets(lengths), np.concatenate([part.ids for part in parts]), scores)
+
     def __len__(self) -> int:
         return len(self.indptr) - 1
 

@@ -11,10 +11,12 @@ task list, in database order, and vtm_corpus's are occurrence columns, the
 sorted corpus task names; only `save_labels` and `load_labels` map them to
 and from the names the labels file and its header hold.
 
-vnm and vsm are read off each segment's own score row. The vtm, tcl and
-nrl families depend only on the set of matched nodes, so `emit_labels`
-numbers the distinct sets in first-seen order, each record points at its
-set by index, and each family is derived for all sets at once, as one
+vnm and vsm are ranked one video at a time: the video's (segments,
+headlines) score matrix is the block the `matcher` rankers take, so they
+run once per video, not per segment. The vtm, tcl and nrl families depend
+only on the set of matched nodes, so `emit_labels` numbers the distinct
+sets in first-seen order (`numbered_sets`), each record points at its set
+by index, and each family is derived for all sets at once, as one
 `corpus_io.Ragged` CSR with a row per set:
 - vtm_db, tcl_db and tcl_corpus are unions: a mapping CSR (node -> tasks,
   task -> nodes, corpus task -> top nodes) is gathered by `take` and
@@ -153,10 +155,27 @@ class PseudoLabels:
 # individual label operations
 
 
-def vnm_labels(node_scores: np.ndarray) -> list[int]:
-    """The top VNM_TOP_K matched nodes, ranked; their raw matching scores are the
-    node scores at those ids."""
+def vnm_labels(node_scores: np.ndarray) -> Ragged:
+    """Per row of a (segments, num_nodes) block, the top VNM_TOP_K matched nodes,
+    ranked, with their raw matching scores, the node scores at those ids."""
     return matcher.top_k_nodes(node_scores, k=VNM_TOP_K)
+
+
+def numbered_sets(vnm: Ragged) -> tuple[np.ndarray, Ragged]:
+    """Each vnm row's set of nodes, numbered in first-seen order, and those sets as
+    ascending ids. Rows are padded with -1 to VNM_TOP_K and sorted, so that one
+    np.unique over the rows finds the distinct sets."""
+    padded = np.full((len(vnm), VNM_TOP_K), -1, dtype=np.int64)
+    place = np.arange(len(vnm.ids)) - np.repeat(vnm.indptr[:-1], np.diff(vnm.indptr))
+    padded[vnm.rows(), place] = vnm.ids
+    padded.sort(axis=1)
+    distinct, first, inverse = np.unique(padded, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    sets = distinct[order]
+    kept = sets >= 0
+    return number[inverse.reshape(-1)], Ragged(row_offsets(kept.sum(axis=1)), sets[kept])
 
 
 def unions(sets: Ragged, mapping: Ragged, top: int | None = None) -> Ragged:
@@ -169,9 +188,9 @@ def unions(sets: Ragged, mapping: Ragged, top: int | None = None) -> Ragged:
         picked = mapping.take(block.ids)
         part = Ragged.grouped(np.repeat(block.rows(), np.diff(picked.indptr)), picked.ids,
                               len(block), picked.scores)
-        parts.append(part if top is None else part.ranked(top))
-    return Ragged(row_offsets(np.concatenate([np.diff(part.indptr) for part in parts])),
-                  np.concatenate([part.ids for part in parts]))
+        part = part if top is None else part.ranked(top)
+        parts.append(Ragged(part.indptr, part.ids))
+    return Ragged.stacked(parts)
 
 
 # vtm_db maps each set's nodes to their tasks, tcl_db each vtm_db row's tasks to
@@ -244,34 +263,28 @@ def emit_labels(corpus: SegmentCorpus, db: StepDatabase,
 
     Returns the labels file header (class-index spaces plus bookkeeping)
     and the labels as columns. Each video is scored with one matmul, and
-    vnm and vsm come from each segment's score row. Segments are then
-    grouped by their set of matched nodes, numbered in first-seen order,
-    and the vtm, tcl and nrl families are derived for all distinct sets at
-    once. The label sizes are the module constants above.
+    vnm and vsm are ranked from that video's score matrix, one block per
+    video. Segments are then grouped by their set of matched nodes,
+    numbered in first-seen order, and the vtm, tcl and nrl families are
+    derived for all distinct sets at once. The label sizes are the module
+    constants above.
     """
     node_of = graph.node_of(db)
 
-    # vnm and vsm per segment, into (segments, k) id and score arrays whose unused
-    # places keep id -1. Videos are scored one call each: BLAS may round a short
-    # video's rows differently once they are stacked into a larger matrix.
-    n, top_k = corpus.num_segments, {"vnm": VNM_TOP_K, "vsm": VSM_TOP_K}
-    ids = {name: np.full((n, k), -1, dtype=np.int64) for name, k in top_k.items()}
-    scores = {name: np.zeros((n, k)) for name, k in top_k.items()}
-    numbered: dict[tuple[int, ...], int] = {}
-    sets = np.zeros(n, dtype=np.int64)
-    rows = (row for video in corpus.videos for row in matcher.score_video(video.segments, db))
-    for segment, row in enumerate(rows):
-        node_scores = matcher.node_scores_from_headlines(row, node_of, graph.num_nodes)
-        vnm = vnm_labels(node_scores)
-        for name, top, source in (("vnm", vnm, node_scores),
-                                  ("vsm", matcher.vsm_top_headlines(row, k=VSM_TOP_K), row)):
-            ids[name][segment, : len(top)] = top
-            scores[name][segment, : len(top)] = source[top]
-        sets[segment] = numbered.setdefault(tuple(sorted(vnm)), len(numbered))
-    kept = {name: ids[name] >= 0 for name in top_k}
-    families = {name: Ragged(row_offsets(kept[name].sum(axis=1)), ids[name][kept[name]],
-                             scores[name][kept[name]]) for name in top_k}
-    set_nodes = Ragged.from_lists(list(numbered))
+    # vnm and vsm one video at a time, each video's score matrix the block their
+    # rankers take. Videos are scored one call each: BLAS may round a short video's
+    # rows differently once they are stacked into a larger matrix. The empty first
+    # part keeps the families scored when no video has segments.
+    empty = Ragged(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+    ranked = {"vnm": [empty], "vsm": [empty]}
+    for video in corpus.videos:
+        block = matcher.score_video(video.segments, db)
+        if len(block):
+            ranked["vnm"].append(vnm_labels(
+                matcher.node_scores_from_headlines(block, node_of, graph.num_nodes)))
+            ranked["vsm"].append(matcher.vsm_top_headlines(block, k=VSM_TOP_K))
+    families = {name: Ragged.stacked(parts) for name, parts in ranked.items()}
+    sets, set_nodes = numbered_sets(families["vnm"])
 
     lengths = np.array([len(video.segments) for video in corpus.videos], dtype=np.int64)
     video_of = np.repeat(np.arange(len(lengths)), lengths)

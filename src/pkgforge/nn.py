@@ -50,11 +50,11 @@ def sigmoid(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Logistic function without overflow, given `e` = exp(-|x|).
 
     Equals 1 / (1 + exp(-x)) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere,
-    bit for bit, from one exponential.
+    bit for bit, from one exponential: the numerator is 1 where x >= 0 and `e`
+    elsewhere, so one division serves both signs without a mask.
     """
-    denom = 1.0 + e
-    out = e / denom
-    np.divide(1.0, denom, out=out, where=x >= 0)
+    out = np.maximum(e, x >= 0)
+    out /= 1.0 + e
     return out
 
 

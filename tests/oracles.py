@@ -247,6 +247,15 @@ def sigmoid_two_pass(x):
     return out
 
 
+def sigmoid_masked(x, e):
+    """Logistic function as `nn.sigmoid` computed it before, given e = exp(-|x|):
+    e / (1 + e), overwritten by 1 / (1 + e) where x >= 0 through a masked divide."""
+    denom = 1.0 + e
+    out = e / denom
+    np.divide(1.0, denom, out=out, where=x >= 0)
+    return out
+
+
 def softplus_two_pass(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 

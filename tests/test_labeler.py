@@ -7,6 +7,7 @@ import json
 import re
 import struct
 import tempfile
+from contextlib import ExitStack
 from itertools import chain
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pkgforge import labeler, synthgen
+from pkgforge import labeler, matcher, synthgen
 from pkgforge.config import PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD
 from pkgforge.corpus_io import (
     CorpusFormatError,
@@ -71,13 +72,13 @@ def _same_labels(a: labeler.PseudoLabels, b: labeler.PseudoLabels) -> bool:
 
 class TestVnmAndVtm:
     def test_vnm_top3(self):
-        assert labeler.vnm_labels(np.array([9.0, 7.0, 3.0, 1.0])) == [0, 1, 2]
+        assert labeler.vnm_labels(np.array([[9.0, 7.0, 3.0, 1.0]])).ids.tolist() == [0, 1, 2]
 
     def test_vnm_fewer_than_k(self):
-        assert labeler.vnm_labels(np.array([2.0, 5.0])) == [1, 0]
+        assert labeler.vnm_labels(np.array([[2.0, 5.0]])).ids.tolist() == [1, 0]
 
     def test_vnm_tie_rule(self):
-        assert labeler.vnm_labels(np.full(5, 2.0)) == [0, 1, 2]
+        assert labeler.vnm_labels(np.full((1, 5), 2.0)).ids.tolist() == [0, 1, 2]
 
     def test_vtm_db_union_sorted(self):
         # the tiny world's tasks per node: node 1 belongs to both
@@ -831,6 +832,50 @@ class TestRagged:
         # plain Python ints and floats, as the record view hands them out
         flat = [x for row in csr.lists() for x in (row if not scored else chain(*row))]
         assert all(type(x) is (float if scored and k % 2 else int) for k, x in enumerate(flat))
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored=st.booleans(), data=st.data())
+    def test_stacked_equals_the_parts_rows_end_to_end(self, scored, data):
+        item = st.tuples(st.integers(0, 9), st.floats(-1, 1)) if scored else st.integers(0, 9)
+        parts = data.draw(st.lists(st.lists(st.lists(item, max_size=3), max_size=4),
+                                   min_size=1, max_size=4))
+        got = Ragged.stacked([Ragged.from_lists(rows, scored=scored) for rows in parts])
+        assert got.lists() == [row for rows in parts for row in rows]
+        assert (got.scores is not None) == scored
+
+
+class TestNumberedSets:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_first_seen_numbering_of_sorted_rows(self, data):
+        # each row a ranked vnm row: up to VNM_TOP_K distinct node ids, any order
+        rows = data.draw(st.lists(st.lists(st.integers(0, 5), max_size=labeler.VNM_TOP_K,
+                                           unique=True), max_size=12))
+        numbered: dict[tuple[int, ...], int] = {}
+        want = [numbered.setdefault(tuple(sorted(row)), len(numbered)) for row in rows]
+        sets, set_nodes = labeler.numbered_sets(Ragged.from_lists(rows))
+        assert sets.tolist() == want and sets.dtype == np.int64
+        assert set_nodes.lists() == [list(key) for key in numbered]
+
+
+class TestPerVideoRanking:
+    def test_rankers_run_once_per_nonempty_video(self):
+        # a per-segment ranker would be called once per segment, more often than this
+        world = WorldConfig(n_tasks=3, steps_per_task=(3, 4), n_shared_steps=1, n_videos=6,
+                            segments_per_step=(1, 2), dim=16, signal_dim=12, seed=3)
+        _, db, corpus = synthgen.generate(world)
+        corpus = SegmentCorpus(videos=list(corpus.videos) + [
+            Video(video_id="empty", corpus_task_name=None, segments=np.zeros((0, 16)))])
+        pkg = build_graph(db, corpus, PAPER_DEDUP_THRESHOLD, PAPER_MATCH_THRESHOLD, 100.0)
+        nonempty = sum(len(video.segments) > 0 for video in corpus.videos)
+        assert corpus.num_segments > nonempty
+        names = ("top_k_nodes", "vsm_top_headlines", "node_scores_from_headlines")
+        with ExitStack() as stack:
+            spies = {name: stack.enter_context(
+                mock.patch.object(matcher, name, wraps=getattr(matcher, name))) for name in names}
+            labeler.emit_labels(corpus, db, pkg)
+        for name, spy in spies.items():
+            assert 1 <= spy.call_count <= nonempty, name
 
 
 # ---------------------------------------------------------------------------

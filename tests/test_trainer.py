@@ -23,6 +23,7 @@ from oracles import (
     gradient_check,
     mlp_backward_preactivation_mask,
     positives_per_row,
+    sigmoid_masked,
     sigmoid_two_pass,
     softplus_two_pass,
 )
@@ -210,6 +211,14 @@ logit_values = st.one_of(
 )
 
 
+def _same_bits(got, want):
+    """Equal bytes, except that NaN matches NaN of either sign: exp(-|nan|) and
+    exp(nan) give NaNs of opposite sign, so the one-exp form and the two-pass
+    referee disagree there on the sign bit alone."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and got[~nan].tobytes() == want[~nan].tobytes()
+
+
 class TestBceAgainstTwoPass:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -218,21 +227,27 @@ class TestBceAgainstTwoPass:
         data=st.data(),
     )
     def test_bit_identical(self, rows, cols, data):
-        x = np.array(data.draw(st.lists(logit_values, min_size=rows * cols, max_size=rows * cols)))
-        x = x.reshape(rows, cols)
-        t = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=x.size,
-                                        max_size=x.size))).reshape(x.shape)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 target, sums past 1e308
-            loss, grad = bce_with_logits(x, _positives(t))
-            want_loss, want_grad = bce_two_pass(x, t)
-            if np.isinf(x[t == 0.0]).any():
-                # the dense form's 0 * inf is NaN; the positives subtract nothing there
-                want_loss = float(np.mean(softplus_two_pass(x) - np.where(t == 1.0, x, 0.0)))
-        e = np.exp(-np.abs(x))
-        assert np.array_equal(sigmoid(x, e), sigmoid_two_pass(x), equal_nan=True)
-        assert np.array_equal(softplus(x, e), softplus_two_pass(x), equal_nan=True)
-        assert np.array_equal(grad, want_grad, equal_nan=True)
-        assert np.array_equal(np.array(loss), np.array(want_loss), equal_nan=True)
+        values = data.draw(st.lists(logit_values, min_size=rows * cols, max_size=rows * cols))
+        targets = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=rows * cols,
+                                     max_size=rows * cols))
+        # f64 logits as drawn, then the same draws rounded to f32 (1e308 becomes inf)
+        for dtype in (np.float64, np.float32):
+            with np.errstate(over="ignore"):
+                x = np.array(values).astype(dtype).reshape(rows, cols)
+            t = np.array(targets, dtype=dtype).reshape(x.shape)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 target, sums past max
+                loss, grad = bce_with_logits(x, _positives(t))
+                want_loss, want_grad = bce_two_pass(x, t)
+                if np.isinf(x[t == 0.0]).any():
+                    # the dense form's 0 * inf is NaN; the positives subtract nothing there
+                    want_loss = float(np.mean(softplus_two_pass(x) - np.where(t == 1.0, x, 0.0)))
+            e = np.exp(-np.abs(x))
+            got = sigmoid(x, e)
+            assert got.dtype == dtype and got.tobytes() == sigmoid_masked(x, e).tobytes()
+            assert _same_bits(got, sigmoid_two_pass(x))
+            assert _same_bits(softplus(x, e), softplus_two_pass(x))
+            assert grad.dtype == dtype and _same_bits(grad, want_grad)
+            assert np.array_equal(np.array(loss), np.array(want_loss), equal_nan=True)
 
 
 # saturated logits, and logits past 746 where exp(-|x|) underflows to 0
